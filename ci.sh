@@ -64,9 +64,10 @@ done
 # Fuzz smoke gate: a seeded run of the coverage-guided differential
 # fuzzer (grammar-generated well-typed programs, mutation over a corpus,
 # all oracles: four-way engine parity, GC-stress byte parity, bytecode
-# round-trip, incremental-session parity). The deterministic case budget
-# drives the work; --seconds is a wall-clock safety cap. Any divergence
-# writes a minimized repro under target/fuzz_smoke/crashes and exits 3.
+# round-trip, incremental-session parity, stdlib-base parity). The
+# deterministic case budget drives the work; --seconds is a wall-clock
+# safety cap. Any divergence writes a minimized repro under
+# target/fuzz_smoke/crashes and exits 3.
 rm -rf target/fuzz_smoke
 target/release/genus fuzz --seconds=20 --seed=1 \
   --corpus=target/fuzz_smoke/corpus --crash-dir=target/fuzz_smoke/crashes \
@@ -92,6 +93,32 @@ test "$(wc -l < target/serve_e2e.out)" -eq 3
 grep -q '"id":"ok".*"outcome":"ok".*"value":"7"' target/serve_e2e.out
 grep -q '"id":"spin".*"outcome":"trap".*"code":"R0009"' target/serve_e2e.out
 grep -q '"id":"bad".*"outcome":"error"' target/serve_e2e.out
+# Serve/run parity gate: every sample goes through `genus serve` on each
+# engine as a cache miss (answered by extending the shared checked
+# stdlib base, or by the full check when the reuse rule declines) and
+# must print exactly what `genus run --engine=<e>` prints: the program's
+# output, then `=> value` for a non-void result.
+for engine in ast vm jit; do
+  for sample in samples/*.genus; do
+    python3 -c 'import json, sys; print(json.dumps({"id": sys.argv[1], "engine": sys.argv[2], "source": open(sys.argv[1]).read()}))' \
+      "$sample" "$engine"
+  done | target/release/genus serve --workers=2 > "target/serve_run_parity.$engine.jsonl"
+  for sample in samples/*.genus; do
+    out="target/serve_run_parity_$(basename "$sample" .genus).$engine"
+    target/release/genus run --engine="$engine" "$sample" > "$out.run"
+    python3 - "$sample" "target/serve_run_parity.$engine.jsonl" > "$out.serve" <<'EOF'
+import json, sys
+for line in open(sys.argv[2]):
+    r = json.loads(line)
+    if r["id"] == sys.argv[1]:
+        assert r["outcome"] == "ok", line
+        sys.stdout.write(r["output"])
+        if r["value"] != "void":
+            print("=> " + r["value"])
+EOF
+    cmp "$out.run" "$out.serve"
+  done
+done
 # Persistent-bytecode gate: the same request through a cold server with
 # --cache-dir, then a brand-new server over the same directory. The
 # cold boot writes artifacts (0 disk hits); the restart must answer from
@@ -116,6 +143,7 @@ printf '{"id": "m1", "action": "metrics"}\n' \
   | target/release/genus serve --workers=1 > target/serve_metrics.out
 grep -q '"id":"m1","outcome":"ok"' target/serve_metrics.out
 grep -q 'disk_hits' target/serve_metrics.out
+grep -q 'base_extends' target/serve_metrics.out
 grep -q 'steals' target/serve_metrics.out
 grep -q 'p99_us' target/serve_metrics.out
 # Scaling smoke, core-gated: the serve bench asserts hot-VM throughput

@@ -446,11 +446,20 @@ pub fn collect(programs: &[ast::Program], diags: &mut Diagnostics) -> Table {
 /// parse trees in shared `Arc`s and collect from references.
 pub fn collect_refs(programs: &[&ast::Program], diags: &mut Diagnostics) -> Table {
     let mut table = Table::new();
-    register_names(programs, &mut table, diags);
-    collect_headers(programs, &mut table, diags);
-    genus_types::variance::store_variances(&mut table);
-    check_prereq_cycles(&table, diags);
+    collect_into(&mut table, programs, diags);
     table
+}
+
+/// Collects `programs` into an existing table, after its declarations:
+/// new ids follow the table's, and names resolve against both. Collecting
+/// a program list in two calls assigns the same class, constraint, model
+/// and global ids as one call over the whole list (type and model variable
+/// ids are numbered differently, but consistently within the table).
+pub fn collect_into(table: &mut Table, programs: &[&ast::Program], diags: &mut Diagnostics) {
+    register_names(programs, table, diags);
+    collect_headers(programs, table, diags);
+    genus_types::variance::store_variances(table);
+    check_prereq_cycles(table, diags);
 }
 
 fn register_names(programs: &[&ast::Program], table: &mut Table, diags: &mut Diagnostics) {
@@ -513,6 +522,29 @@ fn register_names(programs: &[&ast::Program], table: &mut Table, diags: &mut Dia
     }
 }
 
+/// The id a class or interface declaration was registered under. `None`
+/// for a duplicate (reported at registration): its header must not
+/// overwrite the first declaration's.
+fn own_class(table: &Table, name: Symbol, span: Span) -> Option<ClassId> {
+    table
+        .lookup_class(name)
+        .filter(|&id| table.class(id).span == span)
+}
+
+/// [`own_class`] for constraint declarations.
+fn own_constraint(table: &Table, name: Symbol, span: Span) -> Option<ConstraintId> {
+    table
+        .lookup_constraint(name)
+        .filter(|&id| table.constraint(id).span == span)
+}
+
+/// [`own_class`] for model declarations.
+fn own_model(table: &Table, name: Symbol, span: Span) -> Option<genus_types::ModelId> {
+    table
+        .lookup_model(name)
+        .filter(|&id| table.model(id).span == span)
+}
+
 fn placeholder_class(name: Symbol, is_interface: bool, is_abstract: bool, span: Span) -> ClassDef {
     ClassDef {
         name,
@@ -536,7 +568,7 @@ fn collect_headers(programs: &[&ast::Program], table: &mut Table, diags: &mut Di
     for p in programs {
         for d in &p.decls {
             if let ast::Decl::Constraint(c) = d {
-                let Some(kid) = table.lookup_constraint(c.name) else {
+                let Some(kid) = own_constraint(table, c.name, c.span) else {
                     continue;
                 };
                 let mut params = Vec::new();
@@ -550,8 +582,10 @@ fn collect_headers(programs: &[&ast::Program], table: &mut Table, diags: &mut Di
     for p in programs {
         for d in &p.decls {
             match d {
-                ast::Decl::Class(c) => register_class_params(c.name, &c.generics, table),
-                ast::Decl::Interface(i) => register_class_params(i.name, &i.generics, table),
+                ast::Decl::Class(c) => register_class_params(c.name, c.span, &c.generics, table),
+                ast::Decl::Interface(i) => {
+                    register_class_params(i.name, i.span, &i.generics, table)
+                }
                 _ => {}
             }
         }
@@ -559,8 +593,12 @@ fn collect_headers(programs: &[&ast::Program], table: &mut Table, diags: &mut Di
     for p in programs {
         for d in &p.decls {
             match d {
-                ast::Decl::Class(c) => collect_class_wheres(c.name, &c.generics, table, diags),
-                ast::Decl::Interface(i) => collect_class_wheres(i.name, &i.generics, table, diags),
+                ast::Decl::Class(c) => {
+                    collect_class_wheres(c.name, c.span, &c.generics, table, diags)
+                }
+                ast::Decl::Interface(i) => {
+                    collect_class_wheres(i.name, i.span, &i.generics, table, diags)
+                }
                 _ => {}
             }
         }
@@ -629,7 +667,7 @@ fn collect_headers(programs: &[&ast::Program], table: &mut Table, diags: &mut Di
 }
 
 fn collect_constraint(c: &ast::ConstraintDecl, table: &mut Table, diags: &mut Diagnostics) {
-    let Some(kid) = table.lookup_constraint(c.name) else {
+    let Some(kid) = own_constraint(table, c.name, c.span) else {
         return;
     };
     let params = table.constraint(kid).params.clone();
@@ -692,8 +730,8 @@ fn collect_constraint(c: &ast::ConstraintDecl, table: &mut Table, diags: &mut Di
     table.constraints[kid.0 as usize].ops = ops;
 }
 
-fn register_class_params(name: Symbol, generics: &ast::GenericSig, table: &mut Table) {
-    let Some(cid) = table.lookup_class(name) else {
+fn register_class_params(name: Symbol, span: Span, generics: &ast::GenericSig, table: &mut Table) {
+    let Some(cid) = own_class(table, name, span) else {
         return;
     };
     let mut params = Vec::new();
@@ -705,11 +743,12 @@ fn register_class_params(name: Symbol, generics: &ast::GenericSig, table: &mut T
 
 fn collect_class_wheres(
     name: Symbol,
+    span: Span,
     generics: &ast::GenericSig,
     table: &mut Table,
     diags: &mut Diagnostics,
 ) {
-    let Some(cid) = table.lookup_class(name) else {
+    let Some(cid) = own_class(table, name, span) else {
         return;
     };
     let params = table.class(cid).params.clone();
@@ -743,7 +782,7 @@ pub fn class_scope(table: &Table, cid: ClassId, generics: &ast::GenericSig) -> S
 }
 
 fn collect_class_body(c: &ast::ClassDecl, table: &mut Table, diags: &mut Diagnostics) {
-    let Some(cid) = table.lookup_class(c.name) else {
+    let Some(cid) = own_class(table, c.name, c.span) else {
         return;
     };
     let scope = class_scope(table, cid, &c.generics);
@@ -810,7 +849,7 @@ fn collect_class_body(c: &ast::ClassDecl, table: &mut Table, diags: &mut Diagnos
 }
 
 fn collect_interface_body(i: &ast::InterfaceDecl, table: &mut Table, diags: &mut Diagnostics) {
-    let Some(cid) = table.lookup_class(i.name) else {
+    let Some(cid) = own_class(table, i.name, i.span) else {
         return;
     };
     let scope = class_scope(table, cid, &i.generics);
@@ -905,7 +944,7 @@ fn collect_method(
 }
 
 fn collect_model_header(m: &ast::ModelDecl, table: &mut Table, diags: &mut Diagnostics) {
-    let Some(mid) = table.lookup_model(m.name) else {
+    let Some(mid) = own_model(table, m.name, m.span) else {
         return;
     };
     let mut scope = Scope::new();
@@ -954,7 +993,7 @@ pub fn model_scope(table: &Table, mid: genus_types::ModelId, generics: &ast::Gen
 }
 
 fn collect_model_body(m: &ast::ModelDecl, table: &mut Table, diags: &mut Diagnostics) {
-    let Some(mid) = table.lookup_model(m.name) else {
+    let Some(mid) = own_model(table, m.name, m.span) else {
         return;
     };
     let scope = model_scope(table, mid, &m.generics);

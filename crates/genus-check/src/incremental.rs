@@ -29,6 +29,7 @@
 //! `incremental_agrees` property test in the workspace root asserts that a
 //! warm re-check after random edits produces byte-identical diagnostics.
 
+use crate::hir::{Body, Expr};
 use crate::{
     check_bodies_filter, imports, new_checked_shell, prelude, CheckReport, CheckedProgram,
 };
@@ -113,15 +114,16 @@ struct Unit {
 /// Key of a per-unit verdict: `(file, content fp, deps fp)`.
 type VKey = (u32, Fp, Fp);
 
-/// A unit's checked artifacts: the HIR bodies it contributed to the program.
+/// A unit's checked artifacts: the HIR bodies it contributed to the program
+/// (shared with the live program, not copied).
 #[derive(Debug, Default, Clone)]
 struct Fragment {
-    method_bodies: Vec<((u32, u32), crate::hir::Body)>,
-    ctor_bodies: Vec<((u32, u32), crate::hir::Body)>,
-    global_bodies: Vec<(u32, crate::hir::Body)>,
-    model_bodies: Vec<((u32, u32), crate::hir::Body)>,
-    field_inits: Vec<((u32, u32), crate::hir::Expr)>,
-    static_inits: Vec<(ClassId, usize, crate::hir::Expr)>,
+    method_bodies: Vec<((u32, u32), Arc<Body>)>,
+    ctor_bodies: Vec<((u32, u32), Arc<Body>)>,
+    global_bodies: Vec<(u32, Arc<Body>)>,
+    model_bodies: Vec<((u32, u32), Arc<Body>)>,
+    field_inits: Vec<((u32, u32), Arc<Expr>)>,
+    static_inits: Vec<(ClassId, usize, Arc<Expr>)>,
 }
 
 /// A memoized per-unit check verdict.
@@ -176,6 +178,27 @@ fn prelude_parse() -> &'static Arc<ParsedUnit> {
         let mut sm = SourceMap::new();
         let f = sm.add_file(prelude::PRELUDE_NAME, prelude::PRELUDE);
         Arc::new(genus_syntax::parse_unit(&sm, f, prelude::PRELUDE_NAME))
+    })
+}
+
+/// The stdlib's parse trees, memoized process-wide.
+///
+/// Parsed against a scratch [`SourceMap`] that mirrors the layout of every
+/// stdlib-seeded session — prelude at file 0, stdlib units at 1..=N in
+/// [`genus_stdlib::sources`] order — so the spans inside the memoized trees
+/// are valid in any session that registers the stdlib first.
+pub fn stdlib_parses() -> &'static [(&'static str, Arc<ParsedUnit>)] {
+    static PARSES: OnceLock<Vec<(&'static str, Arc<ParsedUnit>)>> = OnceLock::new();
+    PARSES.get_or_init(|| {
+        let mut sm = SourceMap::new();
+        sm.add_file(prelude::PRELUDE_NAME, prelude::PRELUDE);
+        genus_stdlib::sources()
+            .iter()
+            .map(|(name, src)| {
+                let file = sm.add_file(*name, *src);
+                (*name, Arc::new(genus_syntax::parse_unit(&sm, file, name)))
+            })
+            .collect()
     })
 }
 
@@ -251,6 +274,19 @@ impl Session {
             generation: 0,
             checked_once: false,
         }
+    }
+
+    /// Creates a session pre-loaded with the standard library as
+    /// always-visible units, their parses seeded from [`stdlib_parses`].
+    pub fn with_stdlib() -> Self {
+        let mut s = Session::new();
+        for (name, src) in genus_stdlib::sources() {
+            s.add_unit(name, src, &[], true);
+        }
+        for (name, parsed) in stdlib_parses() {
+            s.seed_parse(name, Arc::clone(parsed));
+        }
+        s
     }
 
     /// Adds or replaces the source text of the unit named `name`.

@@ -20,6 +20,7 @@
 //! assert!(out.main_index().is_some());
 //! ```
 
+pub mod base;
 pub mod body;
 pub mod collect;
 pub mod entail;
@@ -34,6 +35,7 @@ pub mod resolve;
 pub mod termination;
 pub mod wf;
 
+pub use base::CheckedBase;
 pub use incremental::{Session, SessionReport, SessionStats};
 
 use body::BodyCtx;
@@ -42,24 +44,29 @@ use genus_common::{Diagnostic, Diagnostics, ErrorFormat, Severity, SourceMap, Sy
 use genus_syntax::ast;
 use genus_types::{ClassId, Model, ModelId, Table, Type};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The result of checking: the table plus lowered bodies, ready to run.
+///
+/// Bodies are reference-counted so programs extended from the
+/// [`CheckedBase`] share the prelude and stdlib bodies instead of copying
+/// them.
 #[derive(Debug)]
 pub struct CheckedProgram {
     /// The semantic declaration table.
     pub table: Table,
     /// Instance/static method bodies: `(class, method index)`.
-    pub method_bodies: HashMap<(u32, u32), hir::Body>,
+    pub method_bodies: HashMap<(u32, u32), Arc<hir::Body>>,
     /// Constructor bodies: `(class, ctor index)`.
-    pub ctor_bodies: HashMap<(u32, u32), hir::Body>,
+    pub ctor_bodies: HashMap<(u32, u32), Arc<hir::Body>>,
     /// Top-level method bodies, by global index.
-    pub global_bodies: HashMap<u32, hir::Body>,
+    pub global_bodies: HashMap<u32, Arc<hir::Body>>,
     /// Model method bodies: `(model, method index)`.
-    pub model_bodies: HashMap<(u32, u32), hir::Body>,
+    pub model_bodies: HashMap<(u32, u32), Arc<hir::Body>>,
     /// Instance field initializers: `(class, field index)` — run at `new`.
-    pub field_inits: HashMap<(u32, u32), hir::Expr>,
+    pub field_inits: HashMap<(u32, u32), Arc<hir::Expr>>,
     /// Static field initializers in declaration order — run at startup.
-    pub static_inits: Vec<(ClassId, usize, hir::Expr)>,
+    pub static_inits: Vec<(ClassId, usize, Arc<hir::Expr>)>,
 }
 
 impl CheckedProgram {
@@ -192,16 +199,45 @@ pub fn check_program(programs: &[ast::Program], diags: &mut Diagnostics) -> Chec
 pub(crate) fn build_prefix(programs: &[&ast::Program], diags: &mut Diagnostics) -> Table {
     let mut table = collect::collect_refs(programs, diags);
     termination::check_use_termination(&table, diags);
-    complete_signatures(&mut table, diags);
+    finish_prefix(&mut table, diags, Start::default());
+    table
+}
+
+/// The first index of each declaration kind a prefix pass covers: every
+/// class, model and global at or past these indices is new. The default
+/// covers the whole table.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Start {
+    pub(crate) classes: usize,
+    pub(crate) models: usize,
+    pub(crate) globals: usize,
+}
+
+impl Start {
+    /// The current end of `table`: a pass from here covers only what is
+    /// collected afterwards.
+    pub(crate) fn end_of(table: &Table) -> Start {
+        Start {
+            classes: table.classes.len(),
+            models: table.models.len(),
+            globals: table.globals.len(),
+        }
+    }
+}
+
+/// The prefix phases after collection — signature completion, model
+/// conformance and hierarchy well-formedness — over the declarations
+/// from `from` on.
+pub(crate) fn finish_prefix(table: &mut Table, diags: &mut Diagnostics, from: Start) {
+    complete_signatures(table, diags, from);
     // Signature completion rewrites types in place, which existing cache
     // entries could observe; drop them. The table is only read from here
     // on, so the caches filled below stay valid for good.
     table.cache.clear();
-    for i in 0..table.models.len() {
-        multimethod::check_model_conformance(&table, ModelId(i as u32), diags);
+    for i in from.models..table.models.len() {
+        multimethod::check_model_conformance(table, ModelId(i as u32), diags);
     }
-    wf::check_hierarchy(&table, diags);
-    table
+    wf::check_hierarchy(table, diags, from.classes);
 }
 
 /// An empty [`CheckedProgram`] around a prefix table, to be filled by
@@ -277,12 +313,12 @@ fn self_model(table: &Table, mid: ModelId) -> Model {
     }
 }
 
-/// Completes elided `with`-clause models in all collected signatures, using
-/// each declaration's own context (its `where` clauses) as the enablement
-/// environment.
-fn complete_signatures(table: &mut Table, diags: &mut Diagnostics) {
+/// Completes elided `with`-clause models in the signatures collected from
+/// `from` on, using each declaration's own context (its `where` clauses) as
+/// the enablement environment.
+fn complete_signatures(table: &mut Table, diags: &mut Diagnostics, from: Start) {
     // Classes.
-    for ci in 0..table.classes.len() {
+    for ci in from.classes..table.classes.len() {
         let cid = ClassId(ci as u32);
         let def = table.classes[ci].clone();
         let scope = scope_of_class(table, cid);
@@ -355,7 +391,7 @@ fn complete_signatures(table: &mut Table, diags: &mut Diagnostics) {
         }
     }
     // Models.
-    for mi in 0..table.models.len() {
+    for mi in from.models..table.models.len() {
         let mid = ModelId(mi as u32);
         let def = table.models[mi].clone();
         let scope = scope_of_model(table, mid);
@@ -401,7 +437,7 @@ fn complete_signatures(table: &mut Table, diags: &mut Diagnostics) {
         }
     }
     // Globals.
-    for gi in 0..table.globals.len() {
+    for gi in from.globals..table.globals.len() {
         let g = table.globals[gi].clone();
         let mut scope = Scope::new();
         for tv in &g.tparams {
@@ -476,9 +512,9 @@ pub(crate) fn check_bodies_filter(
                 let h = ctx.coerce(h, &f.ty, init.span);
                 drop(ctx);
                 if f.is_static {
-                    checked.static_inits.push((cid, fi, h));
+                    checked.static_inits.push((cid, fi, Arc::new(h)));
                 } else {
-                    checked.field_inits.insert((cid.0, fi as u32), h);
+                    checked.field_inits.insert((cid.0, fi as u32), Arc::new(h));
                 }
             }
         }
@@ -499,9 +535,10 @@ pub(crate) fn check_bodies_filter(
             }
             let block = ctx.check_block(&ctor.body);
             let num_locals = ctx.finish();
-            checked
-                .ctor_bodies
-                .insert((cid.0, ki as u32), hir::Body { num_locals, block });
+            checked.ctor_bodies.insert(
+                (cid.0, ki as u32),
+                Arc::new(hir::Body { num_locals, block }),
+            );
         }
         // Methods.
         for (mi, m) in def.methods.iter().enumerate() {
@@ -541,9 +578,10 @@ pub(crate) fn check_bodies_filter(
             }
             let block = ctx.check_block(body);
             let num_locals = ctx.finish();
-            checked
-                .method_bodies
-                .insert((cid.0, mi as u32), hir::Body { num_locals, block });
+            checked.method_bodies.insert(
+                (cid.0, mi as u32),
+                Arc::new(hir::Body { num_locals, block }),
+            );
         }
     }
     // Model methods.
@@ -577,9 +615,10 @@ pub(crate) fn check_bodies_filter(
             }
             let block = ctx.check_block(&m.body);
             let num_locals = ctx.finish();
-            checked
-                .model_bodies
-                .insert((mid.0, ki as u32), hir::Body { num_locals, block });
+            checked.model_bodies.insert(
+                (mid.0, ki as u32),
+                Arc::new(hir::Body { num_locals, block }),
+            );
         }
     }
     // Globals.
@@ -610,6 +649,6 @@ pub(crate) fn check_bodies_filter(
         let num_locals = ctx.finish();
         checked
             .global_bodies
-            .insert(gi as u32, hir::Body { num_locals, block });
+            .insert(gi as u32, Arc::new(hir::Body { num_locals, block }));
     }
 }

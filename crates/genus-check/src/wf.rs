@@ -10,9 +10,11 @@ use crate::methods::lookup_methods_patched;
 use genus_common::Diagnostics;
 use genus_types::{is_subtype, subtype::type_eq, ClassId, Model, Subst, Table, Type};
 
-/// Runs hierarchy checks over every class in the table.
-pub fn check_hierarchy(table: &Table, diags: &mut Diagnostics) {
-    for ci in 0..table.classes.len() {
+/// Runs hierarchy checks over every class from index `from` on (a class's
+/// checks read only its own supertypes, so earlier classes keep their
+/// verdicts when classes are appended).
+pub fn check_hierarchy(table: &Table, diags: &mut Diagnostics, from: usize) {
+    for ci in from..table.classes.len() {
         let cid = ClassId(ci as u32);
         check_overrides(table, cid, diags);
         if !table.class(cid).is_interface && !table.class(cid).is_abstract {

@@ -20,6 +20,10 @@
 //!    decoded program must behave identically (exact fuel included).
 //! 5. **Warm-program parity** — the warm session's checked program,
 //!    compiled and run, must match the scratch program's run.
+//! 6. **Base parity** — when the shared checked stdlib base accepts the
+//!    source ([`genus_check::CheckedBase::extend`]), the scratch check
+//!    must report no diagnostics, and the extended program must run
+//!    identically to the scratch program (exact fuel included).
 //!
 //! Cases where *any* engine trips the fuel meter are reported as
 //! [`Verdict::ResourceSkip`] rather than compared: fuel is counted in
@@ -27,7 +31,7 @@
 //! that stops one engine mid-program stops another somewhere else.
 
 use crate::pipeline::{self, Leg, UNIT_NAME};
-use genus_check::Session;
+use genus_check::{CheckedBase, Session};
 use genus_common::{EdgeMap, Severity};
 use genus_interp::Limits;
 use genus_vm::{compile_optimized, compile_tier};
@@ -38,7 +42,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct Divergence {
     /// Which oracle fired: `engine`, `gc-stress`, `roundtrip`,
-    /// `incremental`, or `planted` (test harness).
+    /// `incremental`, `base`, or `planted` (test harness).
     pub oracle: &'static str,
     /// Human-readable description of the disagreement.
     pub detail: String,
@@ -145,6 +149,16 @@ impl Harness {
     pub fn run_case(&mut self, src: &str) -> Verdict {
         // Oracle 1 (diagnostics half): warm vs scratch check.
         let scratch = pipeline::compile(src);
+        let extended = CheckedBase::get(true).extend(UNIT_NAME, src);
+        if extended.is_some() && !scratch.diags.is_empty() {
+            return Verdict::Divergence(Divergence {
+                oracle: "base",
+                detail: format!(
+                    "the stdlib base accepted a source the scratch check reports {} diagnostic(s) for",
+                    scratch.diags.len()
+                ),
+            });
+        }
         self.warm.update_source(UNIT_NAME, src);
         self.warm.check();
         if self.warm.last_diags() != &scratch.diags[..] {
@@ -231,6 +245,15 @@ impl Harness {
         let warm_run = pipeline::run_vm(warm_prog, &warm_code, limits, false, None);
         if let Some(d) = compare("incremental", "vm-o2", &vm2, "vm-o2-warm", &warm_run, true) {
             return Verdict::Divergence(d);
+        }
+
+        // Oracle 6: the base-extended program must run identically too.
+        if let Some(ext) = &extended {
+            let ext_code = Arc::new(compile_optimized(ext, 2));
+            let ext_run = pipeline::run_vm(ext, &ext_code, limits, false, None);
+            if let Some(d) = compare("base", "vm-o2", &vm2, "vm-o2-base", &ext_run, true) {
+                return Verdict::Divergence(d);
+            }
         }
 
         Verdict::Pass

@@ -20,13 +20,12 @@
 //! fuzz loops inside [`with_big_stack`] rather than per-case threads.
 
 use genus_check::{CheckReport, CheckedProgram, Session};
-use genus_common::{ByteReader, ByteWriter, EdgeMap, SourceMap, Span};
+use genus_common::{ByteReader, ByteWriter, EdgeMap, Span};
 use genus_heap::Heap;
 use genus_interp::{Interp, Limits, ResourceStats, RuntimeError};
-use genus_syntax::memo::{parse_unit, ParsedUnit};
 use genus_vm::{read_program, write_program, TierProgram, Vm, VmProgram};
 use std::rc::Rc;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Unit name every fuzz case is checked under.
 pub const UNIT_NAME: &str = "fuzz.genus";
@@ -36,37 +35,10 @@ pub const UNIT_NAME: &str = "fuzz.genus";
 /// as the facade's `INTERP_STACK_SIZE`).
 pub const INTERP_STACK_SIZE: usize = 256 << 20;
 
-/// The stdlib's parse trees, memoized process-wide at the file ids every
-/// stdlib-seeded session assigns them (prelude file 0, stdlib 1..=N).
-fn stdlib_parses() -> &'static [(&'static str, Arc<ParsedUnit>)] {
-    static PARSES: OnceLock<Vec<(&'static str, Arc<ParsedUnit>)>> = OnceLock::new();
-    PARSES.get_or_init(|| {
-        let mut sm = SourceMap::new();
-        sm.add_file(
-            genus_check::prelude::PRELUDE_NAME,
-            genus_check::prelude::PRELUDE,
-        );
-        genus_stdlib::sources()
-            .iter()
-            .map(|(name, src)| {
-                let file = sm.add_file(*name, *src);
-                (*name, Arc::new(parse_unit(&sm, file, name)))
-            })
-            .collect()
-    })
-}
-
 /// A fresh checker session with the standard library registered and its
 /// memoized parse trees installed.
 pub fn stdlib_session() -> Session {
-    let mut s = Session::new();
-    for (name, src) in genus_stdlib::sources() {
-        s.add_unit(name, src, &[], true);
-    }
-    for (name, parsed) in stdlib_parses() {
-        s.seed_parse(name, Arc::clone(parsed));
-    }
-    s
+    Session::with_stdlib()
 }
 
 /// One-shot ("scratch") compile of a fuzz case: fresh session, stdlib

@@ -12,7 +12,7 @@
 //! resolution keeps a checked program self-contained, which is what makes
 //! this sound.
 //!
-//! Three scaling properties on top of the original single-mutex design:
+//! Four scaling properties on top of the original single-mutex design:
 //!
 //! - **Sharded locking.** The map is split across [`SHARDS`] independent
 //!   mutexes selected by key hash, so concurrent workers resolving
@@ -33,9 +33,26 @@
 //!   AST sufficient for the VM and Tier 2 engines; an AST-engine request
 //!   against one triggers a lazy full compile (see
 //!   [`CachedProgram::ast_prog`]).
+//! - **One shared, pre-checked stdlib.** A miss does not re-check the
+//!   stdlib: [`compile`] extends the process-wide [`CheckedBase`] (the
+//!   prelude and stdlib, parsed and checked once, built on the pool when
+//!   the server starts) with the request alone — its declarations are
+//!   collected, completed and checked after the base's, and only its
+//!   bodies are checked. Entries share the stdlib's HIR bodies by `Arc`,
+//!   so an entry owns its request's bodies and a copy of the declaration
+//!   table, not a copy of the stdlib's bodies. The reuse rule is sound
+//!   because Genus checks a library independently of its clients (§4):
+//!   a request can change a stdlib verdict only through the whole-program
+//!   parts of model resolution — a `use`, an `enrich`, a model whose
+//!   constraint reaches a prelude or stdlib constraint — or by
+//!   overloading a stdlib global. Such requests, and any request with a
+//!   diagnostic, take the full check ([`CheckPath::FullCheck`]), so
+//!   results and rendered diagnostics are those of `genus run` either
+//!   way. The `base_extends` and `full_checks` counters split the misses
+//!   between the two paths.
 
 use crate::persist::DiskCache;
-use genus_check::CheckedProgram;
+use genus_check::{CheckedBase, CheckedProgram};
 use genus_common::{FastMap, FnvHasher};
 use genus_vm::{compile_optimized, compile_tier, TierProgram, VmProgram};
 use std::hash::{Hash, Hasher};
@@ -145,7 +162,7 @@ impl CachedProgram {
             return Ok(&self.prog);
         }
         self.full
-            .get_or_init(|| compile(&self.source, self.stdlib))
+            .get_or_init(|| compile(&self.source, self.stdlib).0)
             .as_ref()
             .map_err(Clone::clone)
     }
@@ -222,8 +239,14 @@ pub struct ProgramCacheStats {
     /// *resident* key, no matter how many submissions race; an evicted
     /// key misses again).
     pub misses: u64,
-    /// Compilations actually executed in-process.
+    /// Compilations actually executed in-process
+    /// (`base_extends + full_checks`).
     pub compiles: u64,
+    /// Compilations answered by extending the shared checked stdlib base.
+    pub base_extends: u64,
+    /// Compilations answered by the full check (the request could change
+    /// a stdlib verdict, or has diagnostics).
+    pub full_checks: u64,
     /// Entries whose Tier 2 closure form has been compiled — at most one
     /// tier compile per entry, no matter how many submissions race.
     pub tier_compiles: u64,
@@ -250,6 +273,8 @@ pub struct ProgramCache {
     hits: AtomicU64,
     misses: AtomicU64,
     compiles: AtomicU64,
+    base_extends: AtomicU64,
+    full_checks: AtomicU64,
     evictions: AtomicU64,
     disk_hits: AtomicU64,
     disk_writes: AtomicU64,
@@ -280,6 +305,8 @@ impl ProgramCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             compiles: AtomicU64::new(0),
+            base_extends: AtomicU64::new(0),
+            full_checks: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             disk_writes: AtomicU64::new(0),
@@ -386,7 +413,13 @@ impl ProgramCache {
             }
         }
         self.compiles.fetch_add(1, Ordering::Relaxed);
-        let cached = compile(source, stdlib).map(|prog| {
+        let (result, path) = compile(source, stdlib);
+        match path {
+            CheckPath::BaseExtend => &self.base_extends,
+            CheckPath::FullCheck => &self.full_checks,
+        }
+        .fetch_add(1, Ordering::Relaxed);
+        let cached = result.map(|prog| {
             Arc::new(CachedProgram {
                 prog,
                 opt_level,
@@ -433,6 +466,8 @@ impl ProgramCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             compiles: self.compiles.load(Ordering::Relaxed),
+            base_extends: self.base_extends.load(Ordering::Relaxed),
+            full_checks: self.full_checks.load(Ordering::Relaxed),
             tier_compiles,
             evictions: self.evictions.load(Ordering::Relaxed),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
@@ -452,22 +487,44 @@ impl ProgramCache {
     }
 }
 
-/// One checked compile, mirroring the facade's pipeline (prelude +
-/// optional stdlib + the request source) so serve results match
-/// `genus run` byte for byte.
-fn compile(source: &str, stdlib: bool) -> Result<CheckedProgram, String> {
+/// The unit name a request's source is checked under.
+pub const REQUEST_NAME: &str = "request.genus";
+
+/// Which checker answered a cache miss.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CheckPath {
+    /// The request was checked against the shared [`CheckedBase`].
+    BaseExtend,
+    /// The request took the full check of prelude, stdlib and request.
+    FullCheck,
+}
+
+/// One checked compile of a request (prelude + optional stdlib + the
+/// request source), and the path that produced it. The shared
+/// [`CheckedBase`] answers when its reuse rule allows; otherwise — the
+/// request could change a stdlib verdict, or has any diagnostic — the
+/// full check runs, so serve results and diagnostics match `genus run`
+/// byte for byte either way.
+///
+/// # Errors
+///
+/// The rendered error diagnostics of the full check.
+pub fn compile(source: &str, stdlib: bool) -> (Result<CheckedProgram, String>, CheckPath) {
+    if let Some(prog) = CheckedBase::get(stdlib).extend(REQUEST_NAME, source) {
+        return (Ok(prog), CheckPath::BaseExtend);
+    }
     let mut pairs: Vec<(&str, &str)> = Vec::new();
     if stdlib {
-        for (name, src) in genus_stdlib::sources() {
-            pairs.push((name, src));
-        }
+        pairs.extend_from_slice(genus_stdlib::sources());
     }
-    pairs.push(("request.genus", source));
+    pairs.push((REQUEST_NAME, source));
     let mut report = genus_check::check_sources_report(&pairs);
-    if report.has_errors() {
-        return Err(report.render_errors_short());
-    }
-    Ok(report.program.take().expect("no errors implies a program"))
+    let result = if report.has_errors() {
+        Err(report.render_errors_short())
+    } else {
+        Ok(report.program.take().expect("no errors implies a program"))
+    };
+    (result, CheckPath::FullCheck)
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@
 //!  "engines":{"ast":0,"vm":0,"jit":0},
 //!  "fuel_total":0,"mem_total":0,
 //!  "cache":{"entries":0,"hits":0,"misses":0,"compiles":0,
+//!           "base_extends":0,"full_checks":0,
 //!           "tier_compiles":0,"evictions":0,"disk_hits":0,"disk_writes":0},
 //!  "pool":{"workers":0,"steals":0},
 //!  "latency":{"count":0,"mean_us":0,"p50_us":0,"p90_us":0,"p99_us":0,"max_us":0}}
@@ -96,6 +97,7 @@ impl ServerMetrics {
              \"engines\":{{\"ast\":{},\"vm\":{},\"jit\":{}}},\
              \"fuel_total\":{},\"mem_total\":{},\
              \"cache\":{{\"entries\":{},\"hits\":{},\"misses\":{},\"compiles\":{},\
+             \"base_extends\":{},\"full_checks\":{},\
              \"tier_compiles\":{},\"evictions\":{},\"disk_hits\":{},\"disk_writes\":{}}},\
              \"pool\":{{\"workers\":{},\"steals\":{}}},\
              \"latency\":{}}}",
@@ -112,6 +114,8 @@ impl ServerMetrics {
             cache.hits,
             cache.misses,
             cache.compiles,
+            cache.base_extends,
+            cache.full_checks,
             cache.tier_compiles,
             cache.evictions,
             cache.disk_hits,

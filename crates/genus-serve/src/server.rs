@@ -26,6 +26,7 @@ use crate::persist::DiskCache;
 use crate::pool::WorkerPool;
 use crate::proto::{Action, EngineKind, Outcome, Request, Response};
 use crate::session::SessionRegistry;
+use genus_check::CheckedBase;
 use genus_interp::{Interp, Limits, ResourceStats, RuntimeError};
 use genus_vm::Vm;
 use std::io::{BufRead, Write};
@@ -62,10 +63,6 @@ pub struct ServeConfig {
     pub cache_dir: Option<PathBuf>,
     /// Bound on resident program-cache entries (`--cache-cap=<n>`).
     pub cache_capacity: usize,
-    /// Compile (or disk-load) a canonical stdlib program in the
-    /// background at boot, warming the process-global parse/intern
-    /// caches before the first real request arrives.
-    pub prewarm_stdlib: bool,
 }
 
 impl Default for ServeConfig {
@@ -77,7 +74,6 @@ impl Default for ServeConfig {
             tier_threshold: 8,
             cache_dir: None,
             cache_capacity: DEFAULT_CAPACITY,
-            prewarm_stdlib: false,
         }
     }
 }
@@ -92,16 +88,12 @@ pub struct Server {
     config: ServeConfig,
 }
 
-/// The canonical prewarm program: compiling it forces the stdlib through
-/// the whole pipeline, so its parses and interned symbols are hot (and,
-/// with a cache dir, its artifact is on disk) before real traffic lands.
-const PREWARM_SOURCE: &str = "int main() { return 0; }";
-
 impl Server {
     /// Builds a server with its worker pool running. A configured
     /// `cache_dir` that cannot be created is ignored (the server still
-    /// works, purely in-memory); `prewarm_stdlib` schedules its warming
-    /// compile on the pool without blocking construction.
+    /// works, purely in-memory). The shared checked stdlib base that
+    /// cache misses extend is built on the pool, without blocking
+    /// construction; a miss that arrives first waits for it.
     pub fn new(config: ServeConfig) -> Server {
         let disk = config
             .cache_dir
@@ -114,12 +106,9 @@ impl Server {
             metrics: Arc::new(ServerMetrics::new()),
             config,
         };
-        if server.config.prewarm_stdlib {
-            let cache = Arc::clone(&server.cache);
-            server.pool.submit(move || {
-                let _ = cache.get_or_compile(PREWARM_SOURCE, true, 2);
-            });
-        }
+        server.pool.submit(|| {
+            CheckedBase::get(true);
+        });
         server
     }
 

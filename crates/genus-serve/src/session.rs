@@ -19,35 +19,12 @@
 
 use crate::proto::{Action, EngineKind, Outcome, Request, Response, SessionReuse};
 use genus_check::Session;
-use genus_common::{Severity, SourceMap};
+use genus_common::Severity;
 use genus_interp::{Interp, ResourceStats, RuntimeError};
-use genus_syntax::memo::{parse_unit, ParsedUnit};
 use genus_vm::{compile_optimized, compile_tier, TierProgram, Vm, VmProgram};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// The stdlib's parse trees, memoized once per process. Parsed against a
-/// scratch source map mirroring the layout of every stdlib-seeded session
-/// (prelude at file 0, stdlib at 1..=N), so the memoized spans are valid
-/// in every session the registry creates.
-fn stdlib_parses() -> &'static [(&'static str, Arc<ParsedUnit>)] {
-    static PARSES: OnceLock<Vec<(&'static str, Arc<ParsedUnit>)>> = OnceLock::new();
-    PARSES.get_or_init(|| {
-        let mut sm = SourceMap::new();
-        sm.add_file(
-            genus_check::prelude::PRELUDE_NAME,
-            genus_check::prelude::PRELUDE,
-        );
-        genus_stdlib::sources()
-            .iter()
-            .map(|(name, src)| {
-                let file = sm.add_file(*name, *src);
-                (*name, Arc::new(parse_unit(&sm, file, name)))
-            })
-            .collect()
-    })
-}
 
 /// One named session: the incremental checker plus per-generation
 /// compiled-code slots.
@@ -61,17 +38,12 @@ struct SessionEntry {
 
 impl SessionEntry {
     fn new(stdlib: bool) -> SessionEntry {
-        let mut inner = Session::new();
-        if stdlib {
-            for (name, src) in genus_stdlib::sources() {
-                inner.add_unit(name, src, &[], true);
-            }
-            for (name, parsed) in stdlib_parses() {
-                inner.seed_parse(name, parsed.clone());
-            }
-        }
         SessionEntry {
-            inner,
+            inner: if stdlib {
+                Session::with_stdlib()
+            } else {
+                Session::new()
+            },
             vm_code: None,
             tier_code: None,
         }

@@ -418,6 +418,50 @@ fn metrics_action_reports_counters_and_histogram() {
     server.shutdown();
 }
 
+/// Every in-process compile is counted on exactly one miss path: a clean
+/// request extends the shared stdlib base; a request that declares a
+/// model for a prelude constraint, or fails to check, takes the full
+/// check. Hits count on neither. The `metrics` action reports both.
+#[test]
+fn miss_paths_are_counted_and_reported() {
+    let server = server(2);
+    let reversed = "model Rev for Comparable[int] {\n\
+                      boolean equals(int that) { return this == that; }\n\
+                      int compareTo(int that) { return that - this; }\n\
+                    }\n\
+                    int main() { return 1; }";
+    let reqs = vec![
+        fueled(
+            "clean",
+            "int main() { ArrayList[int] l = new ArrayList[int](); l.add(5); return l.get(0); }",
+            100_000,
+        ),
+        fueled(
+            "clean-again",
+            "int main() { ArrayList[int] l = new ArrayList[int](); l.add(5); return l.get(0); }",
+            100_000,
+        ),
+        fueled("prelude-model", reversed, 100_000),
+        fueled("bad", "int main() { return nope; }", 100_000),
+    ];
+    let out = server.run_batch(reqs);
+    assert_eq!(out[0].outcome, Outcome::Ok("5".to_string()));
+    assert_eq!(out[2].outcome, Outcome::Ok("1".to_string()));
+    assert!(matches!(out[3].outcome, Outcome::Error(_)));
+    let s = server.cache_stats();
+    assert_eq!((s.misses, s.hits), (3, 1));
+    assert_eq!((s.base_extends, s.full_checks), (1, 2));
+    assert_eq!(s.compiles, s.base_extends + s.full_checks);
+    let m = genus_common::json::parse(&server.metrics_json()).expect("metrics JSON");
+    let cache = m.get("cache").expect("cache section");
+    assert_eq!(
+        cache.get("base_extends").and_then(|v| v.as_num()),
+        Some(1.0)
+    );
+    assert_eq!(cache.get("full_checks").and_then(|v| v.as_num()), Some(2.0));
+    server.shutdown();
+}
+
 /// The restart-warm path end to end: a server with a `--cache-dir`
 /// persists its compiles; a **new** server over the same directory
 /// answers from disk — zero in-process compiles, `disk_hits > 0`, and

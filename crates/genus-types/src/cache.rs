@@ -155,6 +155,14 @@ impl std::fmt::Debug for QueryCache {
     }
 }
 
+/// A clone starts empty, counters included: entries are derived data,
+/// and a table is cloned to be extended, which clears them anyway.
+impl Clone for QueryCache {
+    fn clone(&self) -> Self {
+        QueryCache::default()
+    }
+}
+
 impl QueryCache {
     /// Drops every entry (including the checker's resolution memo).
     /// Counters survive so benches can observe lifetime totals.

@@ -190,7 +190,7 @@ pub struct UseDef {
 }
 
 /// The collected program.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Table {
     /// All classes and interfaces.
     pub classes: Vec<ClassDef>,

@@ -92,8 +92,7 @@ fn usage() -> ! {
          \x20 --cache-dir=<path> serve/batch: persist compiled bytecode as\n\
          \x20                    versioned artifacts in <path>; a restarted\n\
          \x20                    server answers known programs from disk\n\
-         \x20                    without recompiling (also prewarms the\n\
-         \x20                    stdlib at boot)\n\
+         \x20                    without recompiling\n\
          \x20 --cache-cap=<n>    serve/batch: bound the in-memory program\n\
          \x20                    cache to n entries, evicting least-recently\n\
          \x20                    used (default 1024)\n\
@@ -324,10 +323,6 @@ fn main() -> ExitCode {
             workers,
             default_limits: limits,
             tier_threshold,
-            // Warming the stdlib at boot only pays off when its artifact
-            // can persist; without a cache dir the first request warms it
-            // just as well.
-            prewarm_stdlib: cache_dir.is_some(),
             cache_dir,
             cache_capacity,
             ..ServeConfig::default()

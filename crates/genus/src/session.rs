@@ -5,7 +5,8 @@
 //!
 //! 1. **Stdlib seeding.** The standard library's units are registered as
 //!    always-visible modules and their parse trees come from a
-//!    process-wide memo ([`stdlib_parses`]) — parsed once per process, at
+//!    process-wide memo ([`genus_check::incremental::stdlib_parses`]) —
+//!    parsed once per process, at
 //!    the exact file ids every seeded session assigns them, so the
 //!    memoized spans are valid everywhere. This is what makes repeated
 //!    `Compiler::check_report` calls stop re-parsing four stdlib files
@@ -36,33 +37,8 @@ use crate::{
 use genus_check::{CheckReport, CheckedProgram, Session, SessionReport, SessionStats};
 use genus_common::{Diagnostic, ErrorFormat, Severity, SourceMap};
 use genus_interp::Limits;
-use genus_syntax::memo::{parse_unit, ParsedUnit};
 use genus_vm::{compile_optimized, compile_tier, TierProgram, VmProgram};
-use std::sync::{Arc, OnceLock};
-
-/// The stdlib's parse trees, memoized process-wide.
-///
-/// Parsed against a scratch [`SourceMap`] that mirrors the layout of every
-/// stdlib-seeded session — prelude at file 0, stdlib units at 1..=N in
-/// [`genus_stdlib::sources`] order — so the spans inside the memoized trees
-/// are valid in any session that registers the stdlib first.
-fn stdlib_parses() -> &'static [(&'static str, Arc<ParsedUnit>)] {
-    static PARSES: OnceLock<Vec<(&'static str, Arc<ParsedUnit>)>> = OnceLock::new();
-    PARSES.get_or_init(|| {
-        let mut sm = SourceMap::new();
-        sm.add_file(
-            genus_check::prelude::PRELUDE_NAME,
-            genus_check::prelude::PRELUDE,
-        );
-        genus_stdlib::sources()
-            .iter()
-            .map(|(name, src)| {
-                let file = sm.add_file(*name, *src);
-                (*name, Arc::new(parse_unit(&sm, file, name)))
-            })
-            .collect()
-    })
-}
+use std::sync::Arc;
 
 /// A long-lived, editable compilation pipeline: named units go in via
 /// [`update_source`](CompileSession::update_source), diagnostics and
@@ -101,14 +77,10 @@ impl CompileSession {
     /// A session pre-loaded with the standard library as always-visible
     /// modules, their parses seeded from the process-wide memo.
     pub fn with_stdlib() -> Self {
-        let mut s = CompileSession::new();
-        for (name, src) in genus_stdlib::sources() {
-            s.inner.add_unit(name, src, &[], true);
+        CompileSession {
+            inner: Session::with_stdlib(),
+            ..CompileSession::new()
         }
-        for (name, parsed) in stdlib_parses() {
-            s.inner.seed_parse(name, parsed.clone());
-        }
-        s
     }
 
     /// Selects the bytecode optimization level for [`execute`]

@@ -286,8 +286,7 @@ fn serve_cache_dir_persists_restarts_warm_and_survives_corruption() {
         .filter(|p| p.extension().is_some_and(|e| e == "gbc"))
         .collect();
     assert!(!artifacts.is_empty(), "compiles were persisted");
-    // Warm restart: the request (and the stdlib prewarm) are served
-    // from disk.
+    // Warm restart: the request is served from disk.
     let err = assert_answer(&serve_once());
     assert!(!err.contains(" 0 disk hit(s)"), "{err}");
     // Corrupt every artifact: still the right answer, zero disk hits.
