@@ -36,6 +36,13 @@ for lvl in 0 1 2; do
 done
 cmp target/opt_parity_0.out target/opt_parity_1.out
 cmp target/opt_parity_0.out target/opt_parity_2.out
+# Class-hierarchy analysis gate: at O2 the specializer must turn some of
+# the inheritance sample's virtual calls into direct calls (the sweeps
+# here and in the differential suite check that every engine and level
+# still agrees on them, including the sites CHA must leave dynamic).
+target/release/genus run --engine=vm --stats samples/class_hierarchy.genus \
+  > /dev/null 2> target/cha_stats.err
+grep -Eq '^virtual calls devirted: +[1-9]' target/cha_stats.err
 # Tier-parity gate: the closure-compiled Tier 2 must be observationally
 # identical to the VM (the differential suite above already asserts
 # exact fuel equality between them); here the shipped binary sweeps

@@ -368,8 +368,12 @@ fn bench_vm(c: &mut Criterion) {
         );
         let s = code2.opt_stats;
         opt_rows.push(format!(
-            "    \"{name}\": {{\"vm_o0_ns\": {o0_ns:.0}, \"vm_o2_ns\": {o2_ns:.0}, \"o2_speedup\": {:.3}, \"funcs_specialized\": {}, \"calls_directed\": {}, \"call_model_devirted\": {}}}",
-            o0_ns / o2_ns, s.funcs_specialized, s.calls_directed, s.call_model_devirted
+            "    \"{name}\": {{\"vm_o0_ns\": {o0_ns:.0}, \"vm_o2_ns\": {o2_ns:.0}, \"o2_speedup\": {:.3}, \"funcs_specialized\": {}, \"calls_directed\": {}, \"call_model_devirted\": {}, \"calls_devirted\": {}}}",
+            o0_ns / o2_ns,
+            s.funcs_specialized,
+            s.calls_directed,
+            s.call_model_devirted,
+            s.calls_devirted
         ));
     }
     // The tier A/B: the same O2 bytecode executed by the VM's

@@ -135,6 +135,9 @@ impl<'a> Resolver<'a> {
                             args.len()
                         ),
                     );
+                    // Like an unknown type: a class term of the wrong
+                    // arity would break every substitution downstream.
+                    return Type::Null;
                 }
                 // Wildcard arguments lift the whole type to an existential.
                 let mut ex_params: Vec<TvId> = Vec::new();

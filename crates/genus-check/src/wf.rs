@@ -4,7 +4,10 @@
 //! Dispatch is by `(name, arity)`, so an override must accept exactly the
 //! parameter types of the overridden method (at the subclass's
 //! instantiation) and return a subtype. A concrete class must implement
-//! every method of every interface it transitively implements.
+//! every method of every interface it transitively implements. A class
+//! extends a class and implements interfaces, and an interface extends
+//! interfaces, so a class's subtypes are exactly the classes whose
+//! superclass chain reaches it.
 
 use crate::methods::lookup_methods_patched;
 use genus_common::Diagnostics;
@@ -16,10 +19,50 @@ use genus_types::{is_subtype, subtype::type_eq, ClassId, Model, Subst, Table, Ty
 pub fn check_hierarchy(table: &Table, diags: &mut Diagnostics, from: usize) {
     for ci in from..table.classes.len() {
         let cid = ClassId(ci as u32);
+        check_parent_kinds(table, cid, diags);
         check_overrides(table, cid, diags);
         if !table.class(cid).is_interface && !table.class(cid).is_abstract {
             check_implements(table, cid, diags);
         }
+    }
+}
+
+/// Checks that `extends` names a class and `implements` (an interface's
+/// `extends`) names interfaces.
+fn check_parent_kinds(table: &Table, cid: ClassId, diags: &mut Diagnostics) {
+    let def = table.class(cid);
+    let is_iface = |t: &Type| match t {
+        Type::Class { id, .. } => Some(table.class(*id).is_interface),
+        _ => None,
+    };
+    let bad_extends = def.extends.as_ref().filter(|t| is_iface(t) != Some(false));
+    let bad_implements = def.implements.iter().find(|t| is_iface(t) != Some(true));
+    if let Some(t) = bad_extends {
+        diags.error(
+            "E0305",
+            def.span,
+            format!(
+                "class `{}` extends `{}`, which is not a class",
+                def.name,
+                t.display(table)
+            ),
+        );
+    }
+    if let Some(t) = bad_implements {
+        let verb = if def.is_interface {
+            "extends"
+        } else {
+            "implements"
+        };
+        diags.error(
+            "E0305",
+            def.span,
+            format!(
+                "`{}` {verb} `{}`, which is not an interface",
+                def.name,
+                t.display(table)
+            ),
+        );
     }
 }
 

@@ -61,6 +61,7 @@ registry! {
     "E0302", "wf", "override changes parameter types";
     "E0303", "wf", "override changes the return type";
     "E0304", "wf", "unimplemented interface method";
+    "E0305", "wf", "supertype of the wrong kind";
     // --- default model resolution ---
     "E0401", "resolve", "ambiguous default model";
     "E0402", "resolve", "no model found";

@@ -9,10 +9,13 @@
 //!
 //! The grammar deliberately leans on the paper's feature set rather
 //! than plain imperative code: every program can draw on a user class
-//! (`Pair`), a constraint with three models (`Rank` over `int` twice —
-//! the multimethod-flavored pair the model-swap mutator toggles — and
-//! over `String`), a generic function with a `where` clause called with
-//! use-site `with`, and an existential pack/open round trip.
+//! (`Pair`) and a subclass of it (`Trio`, which may or may not override
+//! `sum`/`tag`, always held in `Pair`-typed locals so calls dispatch
+//! through the base type), a constraint with three models (`Rank` over
+//! `int` twice — the multimethod-flavored pair the model-swap mutator
+//! toggles — and over `String`), a generic function with a `where`
+//! clause called with use-site `with`, and an existential pack/open
+//! round trip.
 //!
 //! Statement-per-line rendering is load-bearing: the mutators and the
 //! minimizer both operate on whole lines, so one statement must never
@@ -69,6 +72,11 @@ struct Gen {
     scopes: Vec<Vec<Var>>,
     tmp: u32,
     has_pair: bool,
+    /// `class Trio extends Pair` is emitted (and `Pair` locals may hold
+    /// one); the two flags say which base methods it overrides.
+    has_sub: bool,
+    sub_overrides_sum: bool,
+    sub_overrides_tag: bool,
     has_rank: bool,
     has_exist: bool,
     /// Remaining statement budget for `main`.
@@ -77,13 +85,33 @@ struct Gen {
     depth: u32,
 }
 
-/// Generates one well-typed Genus program from `seed`.
+/// Generates one well-typed Genus program from `seed` in the base
+/// grammar. Its output for a given seed stays fixed as the grammar grows:
+/// the repository benchmark draws its fresh serve programs from it.
 pub fn generate(seed: u64) -> String {
+    generate_grammar(seed, false)
+}
+
+/// [`generate`] plus single inheritance (`Trio extends Pair`): the
+/// grammar the fuzz loop draws from.
+pub fn generate_with_inheritance(seed: u64) -> String {
+    generate_grammar(seed, true)
+}
+
+/// The generator. With `inheritance` off it draws exactly the random
+/// numbers the base grammar always drew, so [`generate`] keeps its output.
+fn generate_grammar(seed: u64, inheritance: bool) -> String {
     let mut rng = SplitMix64::new(seed);
     let size = 1 + rng.below(3) as i32; // 1..=3
     let has_rank = rng.chance(7, 10);
     let has_exist = has_rank && rng.chance(1, 2);
     let has_pair = rng.chance(4, 5);
+    let has_sub = inheritance && has_pair && rng.chance(1, 2);
+    let (sub_overrides_sum, sub_overrides_tag) = if has_sub {
+        (rng.chance(1, 2), rng.chance(1, 2))
+    } else {
+        (false, false)
+    };
     let mut g = Gen {
         rng,
         lines: Vec::new(),
@@ -91,6 +119,9 @@ pub fn generate(seed: u64) -> String {
         scopes: vec![Vec::new()],
         tmp: 0,
         has_pair,
+        has_sub,
+        sub_overrides_sum,
+        sub_overrides_tag,
         has_rank,
         has_exist,
         budget: 8 + size * 6,
@@ -149,6 +180,9 @@ impl Gen {
         if self.has_pair {
             self.pair_class();
         }
+        if self.has_sub {
+            self.sub_class();
+        }
         if self.has_rank {
             self.rank_section();
         }
@@ -185,6 +219,40 @@ impl Gen {
         self.line("return (\"P\" + this.a);");
         self.indent -= 1;
         self.line("}");
+        self.indent -= 1;
+        self.line("}");
+        self.line("");
+    }
+
+    /// `Trio extends Pair`: one more field and — per the generator's
+    /// flags — overrides of `sum` and `tag`. `scaled` is never
+    /// overridden, so it always has one possible target.
+    fn sub_class(&mut self) {
+        let k = self.rng.range_i64(2, 9);
+        self.line("class Trio extends Pair {");
+        self.indent += 1;
+        self.line("int c;");
+        self.line("Trio(int a, int b, int c) {");
+        self.indent += 1;
+        self.line("this.a = a;");
+        self.line("this.b = b;");
+        self.line("this.c = c;");
+        self.indent -= 1;
+        self.line("}");
+        if self.sub_overrides_sum {
+            self.line("int sum() {");
+            self.indent += 1;
+            self.line(format!("return ((this.a + this.b) + (this.c * {k}));"));
+            self.indent -= 1;
+            self.line("}");
+        }
+        if self.sub_overrides_tag {
+            self.line("String tag() {");
+            self.indent += 1;
+            self.line("return (\"T\" + this.c);");
+            self.indent -= 1;
+            self.line("}");
+        }
         self.indent -= 1;
         self.line("}");
         self.line("");
@@ -570,6 +638,17 @@ impl Gen {
         if self.rng.chance(1, 16) {
             // Rare null to exercise the NPE-trap parity path.
             self.line(format!("Pair {name} = null;"));
+        } else if self.has_sub && self.rng.chance(1, 2) {
+            // A subclass instance behind a base-typed receiver.
+            let a = self.int_expr(1);
+            let b = self.int_expr(1);
+            let c = self.int_expr(1);
+            self.line(format!("Pair {name} = new Trio({a}, {b}, {c});"));
+            // Dispatch through the base type right away, so every
+            // subclass instance meets both override outcomes.
+            self.line(format!("acc = (acc + {name}.sum());"));
+            self.line(format!("acc = (acc + {name}.tag().length());"));
+            self.budget -= 2;
         } else {
             let a = self.int_expr(1);
             let b = self.int_expr(1);
@@ -884,8 +963,22 @@ mod tests {
     fn deterministic_per_seed() {
         for seed in 0..20 {
             assert_eq!(generate(seed), generate(seed), "seed {seed}");
+            assert_eq!(
+                generate_with_inheritance(seed),
+                generate_with_inheritance(seed),
+                "seed {seed}"
+            );
         }
         assert_ne!(generate(1), generate(2));
+    }
+
+    #[test]
+    fn inheritance_is_only_in_the_extended_grammar() {
+        let with_sub = (0..40)
+            .filter(|&seed| generate_with_inheritance(seed).contains("class Trio extends Pair"))
+            .count();
+        assert!(with_sub > 5, "only {with_sub} of 40 programs subclass");
+        assert!((0..40).all(|seed| !generate(seed).contains("Trio")));
     }
 
     #[test]
@@ -895,15 +988,16 @@ mod tests {
         // Block headers (`for (...;...;...) {`) and model one-liners
         // end in `{`/`}` and are never mutation targets.
         for seed in 0..30 {
-            let src = generate(seed);
-            for line in src.lines() {
-                let t = line.trim();
-                if t.ends_with(';') {
-                    assert_eq!(
-                        t.matches(';').count(),
-                        1,
-                        "seed {seed}: multi-statement line {t:?}"
-                    );
+            for src in [generate(seed), generate_with_inheritance(seed)] {
+                for line in src.lines() {
+                    let t = line.trim();
+                    if t.ends_with(';') {
+                        assert_eq!(
+                            t.matches(';').count(),
+                            1,
+                            "seed {seed}: multi-statement line {t:?}"
+                        );
+                    }
                 }
             }
         }
@@ -912,9 +1006,10 @@ mod tests {
     #[test]
     fn always_has_main_and_acc() {
         for seed in 0..30 {
-            let src = generate(seed);
-            assert!(src.contains("int main() {"), "seed {seed}");
-            assert!(src.contains("return (acc % 99991);"), "seed {seed}");
+            for src in [generate(seed), generate_with_inheritance(seed)] {
+                assert!(src.contains("int main() {"), "seed {seed}");
+                assert!(src.contains("return (acc % 99991);"), "seed {seed}");
+            }
         }
     }
 }

@@ -42,7 +42,7 @@ pub mod oracle;
 pub mod pipeline;
 
 pub use corpus::Corpus;
-pub use gen::generate;
+pub use gen::{generate, generate_with_inheritance};
 pub use genus_common::{EdgeMap, EdgeSet, SplitMix64};
 pub use minimize::minimize;
 pub use mutate::mutate;
@@ -218,7 +218,7 @@ pub fn fuzz_on_this_thread(cfg: &FuzzConfig) -> io::Result<FuzzReport> {
         report.cases += 1;
         let src = if corpus.is_empty() || rng.chance(2, 5) {
             report.generated += 1;
-            generate(rng.next_u64())
+            generate_with_inheritance(rng.next_u64())
         } else {
             report.mutated += 1;
             let base = corpus.pick(&mut rng).to_string();

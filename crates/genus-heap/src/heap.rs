@@ -54,7 +54,6 @@ use crate::value::{
 };
 use genus_types::{ClassId, PrimTy};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::mem::size_of;
 use std::rc::Rc;
 
@@ -159,7 +158,7 @@ impl Heap {
 
     /// Allocates an object, charging its exact byte size to `meter`.
     /// `field_slots` is the number of declared instance fields over the
-    /// class's super chain (the eventual field-table capacity).
+    /// class's superclass chain: the object gets that many `null` slots.
     ///
     /// # Errors
     ///
@@ -179,7 +178,7 @@ impl Heap {
             class,
             targs,
             models,
-            fields: RefCell::new(HashMap::new()),
+            fields: RefCell::new(vec![Value::Null; field_slots]),
         }));
         Ok(Value::Obj(self.insert(data, bytes)))
     }
@@ -393,7 +392,7 @@ impl Heap {
                 }
                 match &slot.data {
                     HeapData::Obj(o) => {
-                        for v in o.fields.borrow().values() {
+                        for v in o.fields.borrow().iter() {
                             self.root(&mut work, v);
                         }
                     }
@@ -481,13 +480,13 @@ pub fn model_value_bytes(m: &ModelValue) -> u64 {
 }
 
 /// Exact size of an object: the header (reified type arguments and model
-/// witnesses — the cost of reification, §7.2) plus one field-table entry
-/// per declared instance field over the super chain.
+/// witnesses — the cost of reification, §7.2) plus one `Value` slot per
+/// declared instance field over the superclass chain.
 pub fn obj_bytes(targs: &[RtType], models: &[ModelValue], field_slots: usize) -> u64 {
     size_of::<ObjData>() as u64
         + targs.iter().map(rt_type_bytes).sum::<u64>()
         + models.iter().map(model_value_bytes).sum::<u64>()
-        + field_slots as u64 * (size_of::<(u32, u32)>() + size_of::<Value>()) as u64
+        + (field_slots * size_of::<Value>()) as u64
 }
 
 /// Exact size of an array: header, reified element type, and the
@@ -609,8 +608,8 @@ mod tests {
             panic!("not objects")
         };
         // a.f = b; b.f = a — a cycle refcounting could never free.
-        heap.obj(*ha).fields.borrow_mut().insert((0, 0), b.clone());
-        heap.obj(*hb).fields.borrow_mut().insert((0, 0), a.clone());
+        heap.obj(*ha).fields.borrow_mut()[0] = b.clone();
+        heap.obj(*hb).fields.borrow_mut()[0] = a.clone();
         let mut roots = Vec::new();
         heap.root(&mut roots, &a);
         heap.collect(roots);

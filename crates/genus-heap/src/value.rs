@@ -16,7 +16,6 @@ use crate::heap::Handle;
 use genus_common::{FastMap, Symbol};
 use genus_types::{ClassDef, ClassId, ConstraintId, ModelId, PrimTy};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -200,8 +199,12 @@ impl Storage {
     }
 }
 
-/// An object: class, reified type/model arguments, and fields keyed by
-/// `(declaring class, field index)`.
+/// An object: class, reified type/model arguments, and one field slot per
+/// instance field over the superclass chain. A field's slot is fixed per
+/// `(declaring class, field)`: the instance fields of the declaring
+/// class's superclasses come first, then its own in declaration order
+/// (`genus_interp::rtti::FieldLayout`), so a field access is an indexed
+/// load.
 #[derive(Debug)]
 pub struct ObjData {
     /// Dynamic class.
@@ -210,8 +213,8 @@ pub struct ObjData {
     pub targs: Vec<RtType>,
     /// Reified model witnesses.
     pub models: Vec<ModelValue>,
-    /// Field values.
-    pub fields: RefCell<HashMap<(u32, u32), Value>>,
+    /// Field values by slot; a field not yet initialized reads `null`.
+    pub fields: RefCell<Vec<Value>>,
 }
 
 /// An array with reified element type and specialized storage.

@@ -36,12 +36,12 @@ pub use value::{
 };
 
 use crate::ops::{arith, compare, widen_value};
-use crate::rtti::{ModelDispatchKey, ModelTarget, RecvKind, VirtTarget};
+use crate::rtti::{MEnv, ModelDispatchKey, ModelTarget, RecvKind, TEnv, VirtTarget};
 use genus_check::hir::{self, BinKind, NumKind};
 use genus_check::CheckedProgram;
 use genus_common::{FastMap, Symbol};
 use genus_syntax::ast::BinOp;
-use genus_types::{caches_enabled, ClassId, Model, ModelId, MvId, TvId, Type};
+use genus_types::{caches_enabled, ClassId, Model, ModelId, Type};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -62,8 +62,8 @@ enum Flow {
 #[derive(Default)]
 struct Frame {
     locals: Rc<RefCell<Vec<Value>>>,
-    tenv: HashMap<TvId, RtType>,
-    menv: HashMap<MvId, ModelValue>,
+    tenv: TEnv,
+    menv: MEnv,
 }
 
 /// Hit/miss counters for the interpreter's dispatch caches, snapshot via
@@ -123,6 +123,8 @@ pub struct Interp<'p> {
     statics: RefCell<HashMap<(u32, u32), Value>>,
     output: RefCell<String>,
     dispatch: DispatchTables,
+    /// Field slots of every class (objects store fields by slot).
+    layout: rtti::FieldLayout,
     /// Whether `print` also writes to process stdout.
     pub echo: bool,
     depth: std::cell::Cell<usize>,
@@ -155,6 +157,7 @@ impl<'p> Interp<'p> {
             statics: RefCell::new(HashMap::new()),
             output: RefCell::new(String::new()),
             dispatch: DispatchTables::default(),
+            layout: rtti::FieldLayout::new(prog),
             echo: false,
             depth: std::cell::Cell::new(0),
             // Each Genus frame costs tens of KiB of native stack in debug
@@ -550,12 +553,7 @@ impl<'p> Interp<'p> {
             K::GetField { recv, class, field } => {
                 let r = self.eval(frame, recv)?;
                 let o = self.expect_obj(&r)?;
-                let v = o
-                    .fields
-                    .borrow()
-                    .get(&(class.0, *field as u32))
-                    .cloned()
-                    .unwrap_or(Value::Null);
+                let v = o.fields.borrow()[self.layout.slot(*class, *field)].clone();
                 Ok(v)
             }
             K::SetField {
@@ -567,9 +565,7 @@ impl<'p> Interp<'p> {
                 let r = self.eval(frame, recv)?;
                 let v = self.eval(frame, value)?;
                 let o = self.expect_obj(&r)?;
-                o.fields
-                    .borrow_mut()
-                    .insert((class.0, *field as u32), v.clone());
+                o.fields.borrow_mut()[self.layout.slot(*class, *field)] = v.clone();
                 Ok(v)
             }
             K::GetStatic { class, field } => Ok(self
@@ -1166,7 +1162,7 @@ impl<'p> Interp<'p> {
                     None => self.eval_type(&env, &f.ty).default_value(),
                 };
                 if let Value::Obj(h) = &this {
-                    self.heap.obj(*h).fields.borrow_mut().insert(key, v);
+                    self.heap.obj(*h).fields.borrow_mut()[self.layout.slot(*id, fi)] = v;
                 }
             }
         }

@@ -20,9 +20,52 @@ use std::rc::Rc;
 type RResult<T> = Result<T, RuntimeError>;
 
 /// Type-variable bindings of a runtime environment.
-pub type TEnv = HashMap<TvId, RtType>;
+pub type TEnv = VarEnv<TvId, RtType>;
 /// Model-variable bindings of a runtime environment.
-pub type MEnv = HashMap<MvId, ModelValue>;
+pub type MEnv = VarEnv<MvId, ModelValue>;
+
+/// A frame's variable bindings: a small linear map. Environments hold a
+/// handful of entries (a class's and a method's parameters), so a scan
+/// beats hashing and an empty one never allocates — building a frame
+/// does no hashing at all.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VarEnv<K, V> {
+    entries: Vec<(K, V)>,
+}
+
+impl<K, V> Default for VarEnv<K, V> {
+    fn default() -> Self {
+        VarEnv {
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<K: Copy + Eq, V> VarEnv<K, V> {
+    /// An empty environment.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The binding of `k`, if any.
+    pub fn get(&self, k: &K) -> Option<&V> {
+        self.entries.iter().find(|(ek, _)| ek == k).map(|(_, v)| v)
+    }
+
+    /// Binds `k` to `v`, replacing an earlier binding of `k`.
+    pub fn insert(&mut self, k: K, v: V) {
+        match self.entries.iter_mut().find(|(ek, _)| *ek == k) {
+            Some(slot) => slot.1 = v,
+            None => self.entries.push((k, v)),
+        }
+    }
+
+    /// The bindings, in first-insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.entries.iter().map(|(k, v)| (k, v))
+    }
+}
 
 // ----------------------------------------------------------------------
 // Reification
@@ -739,22 +782,70 @@ pub fn expect_arr(heap: &Heap, v: &Value) -> RResult<Rc<ArrayData>> {
     }
 }
 
+/// The superclass of `id`: its `extends` class (every class but `Object`
+/// has one, and the checker's `E0305` makes it a class, never an
+/// interface).
+pub fn superclass(prog: &CheckedProgram, id: ClassId) -> Option<ClassId> {
+    match &prog.table.class(id).extends {
+        Some(Type::Class { id, .. }) => Some(*id),
+        _ => None,
+    }
+}
+
 /// Number of declared instance fields over `id`'s superclass chain: the
-/// field-table capacity an instance will grow to, used for exact object
-/// sizing at allocation. Static (class structure only), so every engine
-/// computes the same size for the same class.
+/// object's slot count, used for exact object sizing at allocation.
+/// Static (class structure only), so every engine computes the same size
+/// for the same class.
 pub fn instance_field_slots(prog: &CheckedProgram, id: ClassId) -> usize {
     let mut n = 0;
     let mut cur = Some(id);
     while let Some(cid) = cur {
         let def = prog.table.class(cid);
         n += def.fields.iter().filter(|f| !f.is_static).count();
-        cur = def.extends.as_ref().and_then(|t| match t {
-            Type::Class { id, .. } => Some(*id),
-            _ => None,
-        });
+        cur = superclass(prog, cid);
     }
     n
+}
+
+/// The fixed slot of every field of every class. A field's slot holds in
+/// every object whose superclass chain contains its declaring class: the
+/// instance fields of the declaring class's superclasses come first, then
+/// its own instance fields in declaration order. Computed once per engine
+/// (the VM at lowering), so a field access is an indexed load.
+#[derive(Debug, Default)]
+pub struct FieldLayout {
+    /// Per class, the slot of each declared field (statics get a slot
+    /// too; it is never read).
+    slots: Vec<Vec<u32>>,
+}
+
+impl FieldLayout {
+    /// Lays out every class of `prog`.
+    #[must_use]
+    pub fn new(prog: &CheckedProgram) -> Self {
+        let slots = (0..prog.table.classes.len() as u32)
+            .map(|ci| {
+                let cid = ClassId(ci);
+                let mut next = superclass(prog, cid).map_or(0, |s| instance_field_slots(prog, s));
+                let fields = &prog.table.class(cid).fields;
+                fields
+                    .iter()
+                    .map(|f| {
+                        let slot = next as u32;
+                        next += usize::from(!f.is_static);
+                        slot
+                    })
+                    .collect()
+            })
+            .collect();
+        FieldLayout { slots }
+    }
+
+    /// The slot of `class`'s field `field`.
+    #[must_use]
+    pub fn slot(&self, class: ClassId, field: usize) -> usize {
+        self.slots[class.0 as usize][field] as usize
+    }
 }
 
 /// Bounds-checks an array index value.

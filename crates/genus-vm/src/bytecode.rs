@@ -113,21 +113,13 @@ pub enum Op {
     FallOff,
     /// A `break`/`continue` with no enclosing loop reached execution.
     Escaped,
-    /// `dst = obj.field` (missing fields read as `null`, matching the
-    /// interpreter's pre-constructor visibility).
-    GetField {
-        dst: u16,
-        obj: u16,
-        class: ClassId,
-        field: u32,
-    },
-    /// `obj.field = src`.
-    SetField {
-        obj: u16,
-        class: ClassId,
-        field: u32,
-        src: u16,
-    },
+    /// `dst = obj.fields[slot]`: the field's fixed slot
+    /// (`genus_interp::rtti::FieldLayout`), resolved at lowering. A field
+    /// not yet initialized reads `null`, matching the interpreter's
+    /// pre-constructor visibility.
+    GetField { dst: u16, obj: u16, slot: u32 },
+    /// `obj.fields[slot] = src`.
+    SetField { obj: u16, slot: u32, src: u16 },
     /// `dst = Class.field`.
     GetStatic {
         dst: u16,
@@ -235,6 +227,11 @@ pub struct VirtSpec {
     pub margs: Vec<Model>,
     /// Argument registers, in evaluation order.
     pub args: Vec<u16>,
+    /// Static (checked) type of the receiver expression. Recorded for
+    /// the optimizer: a closed class type lets the specializer prove the
+    /// call has one possible target (class-hierarchy analysis). Never
+    /// consulted by the VM's dynamic dispatch.
+    pub recv_ty: Option<Type>,
 }
 
 /// Payload of a [`Op::CallStatic`].

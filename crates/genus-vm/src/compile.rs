@@ -22,6 +22,7 @@ use crate::bytecode::{
 };
 use genus_check::hir::{self, BinKind};
 use genus_check::CheckedProgram;
+use genus_interp::rtti::FieldLayout;
 use genus_types::{ClassId, Type};
 use std::collections::HashMap;
 
@@ -38,8 +39,8 @@ enum ConstKey {
     Void,
 }
 
-/// Program-level accumulation: the constant pool, spec tables, and the
-/// dense virtual-call-site counter.
+/// Program-level accumulation: the constant pool, spec tables, the
+/// dense virtual-call-site counter, and the field layout.
 #[derive(Default)]
 struct Builder {
     consts: Vec<Const>,
@@ -56,6 +57,8 @@ struct Builder {
     open_specs: Vec<OpenSpec>,
     num_sites: usize,
     num_model_sites: usize,
+    /// Field slots, resolved into `GetField`/`SetField` at lowering.
+    layout: FieldLayout,
 }
 
 impl Builder {
@@ -416,12 +419,8 @@ impl<'b> FnCompiler<'b> {
             }
             K::GetField { recv, class, field } => {
                 let r = self.operand(recv, true);
-                self.emit(Op::GetField {
-                    dst,
-                    obj: r,
-                    class: *class,
-                    field: *field as u32,
-                });
+                let slot = self.b.layout.slot(*class, *field) as u32;
+                self.emit(Op::GetField { dst, obj: r, slot });
             }
             K::SetField {
                 recv,
@@ -431,10 +430,10 @@ impl<'b> FnCompiler<'b> {
             } => {
                 let r = self.operand(recv, !writes_locals(value));
                 self.expr(value, dst);
+                let slot = self.b.layout.slot(*class, *field) as u32;
                 self.emit(Op::SetField {
                     obj: r,
-                    class: *class,
-                    field: *field as u32,
+                    slot,
                     src: dst,
                 });
             }
@@ -474,6 +473,7 @@ impl<'b> FnCompiler<'b> {
                     targs: targs.clone(),
                     margs: margs.clone(),
                     args: regs,
+                    recv_ty: Some(recv.ty.clone()),
                 });
                 let site = self.b.site();
                 self.emit(Op::CallVirtual {
@@ -821,7 +821,10 @@ fn init_body(expr: &hir::Expr, num_locals: usize) -> (usize, hir::Block) {
 /// so two compilations of the same program produce identical bytecode.
 #[must_use]
 pub fn compile_program(prog: &CheckedProgram) -> VmProgram {
-    let mut b = Builder::default();
+    let mut b = Builder {
+        layout: FieldLayout::new(prog),
+        ..Builder::default()
+    };
     let mut out = VmProgram::default();
 
     let push = |funcs: &mut Vec<VmFunc>, f: VmFunc| -> FuncId {

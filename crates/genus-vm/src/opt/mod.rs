@@ -50,6 +50,10 @@ pub struct OptStats {
     /// `Op::CallModel` sites devirtualized (to direct, virtual, static,
     /// or primitive calls).
     pub call_model_devirted: usize,
+    /// `Op::CallVirtual` sites rewritten to direct calls by
+    /// class-hierarchy analysis (one possible target in the closed
+    /// class tree).
+    pub calls_devirted: usize,
     /// Specialization requests declined by the clone budget.
     pub budget_fallbacks: usize,
     /// `CallModel` sites kept on dictionary passing because the witness

@@ -20,18 +20,32 @@
 //! - a `CallModel` through a **natural model** becomes a virtual call
 //!   (instance receivers — bit-for-bit the dynamic behaviour, plus an
 //!   inline-cache site) or a static/primitive call (receiver types);
+//! - a `CallVirtual` — from the lowering or from the natural-model rule
+//!   above — becomes a direct call by **class-hierarchy analysis** when
+//!   its receiver's static type is a ground, non-interface class type
+//!   `C[τ̄]`, its method-level arguments are closed, the method resolves
+//!   from `C` to a bodied, non-native implementation, and no strict
+//!   subclass of `C` declares a concrete instance method with the same
+//!   name and arity. The class table is closed — one `VmProgram` is
+//!   compiled per checked program, and a class can only be a subtype of
+//!   `C` through its superclass chain — so every non-null receiver
+//!   resolves to that one target with `C`'s bindings; a null check
+//!   re-creates the dynamic path's `NullPointer` trap;
 //! - everything else — open witnesses (`Open`-bound model variables,
 //!   existential packages), multi-candidate multimethods, over-budget
 //!   requests — keeps the dictionary-passing original.
 
-use super::subst::{contains_existential, model_closed, mv_to_model, rt_to_type, ty_closed};
+use super::subst::{
+    contains_existential, model_closed, mv_to_model, rt_to_type, ty_closed, ty_ground,
+};
 use crate::bytecode::{
     DirectSpec, FuncId, ModelSpec, Op, PrimSpec, StaticSpec, VirtSpec, VmProgram,
 };
 use genus_check::CheckedProgram;
+use genus_common::Symbol;
 use genus_interp::rtti::{self, MEnv, TEnv};
 use genus_interp::{ModelValue, RtType};
-use genus_types::{Model, ModelId, MvId, Subst, TvId, Type};
+use genus_types::{ClassId, Model, ModelId, MvId, Subst, TvId, Type};
 use std::collections::HashMap;
 
 /// Max specialized clones per original function. Beyond this the site
@@ -69,6 +83,7 @@ pub fn specialize(code: &mut VmProgram, prog: &CheckedProgram) {
         clones_per: HashMap::new(),
         total_clones: 0,
         queue: Vec::new(),
+        reads_env: HashMap::new(),
     };
     let n = sp.code.funcs.len() as u32;
     sp.queue.extend((0..n).map(FuncId));
@@ -87,25 +102,42 @@ struct Specializer<'a> {
     clones_per: HashMap<Target, usize>,
     total_clones: usize,
     queue: Vec<FuncId>,
+    /// Per original function, whether its body reads its type/model
+    /// bindings (see [`Specializer::reads_env`]).
+    reads_env: HashMap<FuncId, bool>,
 }
 
 impl Specializer<'_> {
     fn rewrite_fn(&mut self, fid: FuncId) {
-        // Take the body out so spec tables (and other functions, for
-        // cloning) stay mutably reachable while we rewrite it.
-        let mut body = std::mem::take(&mut self.code.funcs[fid.0 as usize].code);
-        for op in &mut body {
-            let new = match *op {
+        // Rewrite in place, one op at a time, so spec tables (and other
+        // functions, for cloning) stay mutably reachable. A request that
+        // clones this very function (`f[T]` calling `f[int]`) copies a
+        // partly rewritten body, which is sound: only closed sites are
+        // rewritten, and their direct calls mean the same under any
+        // substitution.
+        for pc in 0..self.code.funcs[fid.0 as usize].code.len() {
+            let new = match self.code.funcs[fid.0 as usize].code[pc] {
                 Op::CallStatic { dst, spec } => self.rewrite_static(dst, spec),
                 Op::CallGlobal { dst, spec } => self.rewrite_global(dst, spec),
                 Op::CallModel { dst, spec, .. } => self.rewrite_model(dst, spec),
+                Op::CallVirtual {
+                    dst, recv, spec, ..
+                } => {
+                    let s = &self.code.virt_specs[spec as usize];
+                    // Most receivers are open: test before copying.
+                    if s.recv_ty.as_ref().is_some_and(ty_ground) {
+                        let s = s.clone();
+                        self.rewrite_virtual(dst, recv, &s)
+                    } else {
+                        None
+                    }
+                }
                 _ => None,
             };
             if let Some(new) = new {
-                *op = new;
+                self.code.funcs[fid.0 as usize].code[pc] = new;
             }
         }
-        self.code.funcs[fid.0 as usize].code = body;
     }
 
     // ------------------------------------------------------------------
@@ -227,15 +259,21 @@ impl Specializer<'_> {
                 // Otherwise the dynamic path is exactly a virtual call
                 // with no method-level arguments — rewrite to one, which
                 // skips the per-call witness evaluation and gains an
-                // inline-cache site.
-                let idx = self.code.virt_specs.len() as u32;
-                self.code.virt_specs.push(VirtSpec {
+                // inline-cache site, or straight to a direct call when
+                // class-hierarchy analysis proves the target.
+                let v = VirtSpec {
                     name: s.name,
                     arity: s.args.len(),
                     targs: vec![],
                     margs: vec![],
                     args: s.args.clone(),
-                });
+                    recv_ty: s.recv_ty.clone(),
+                };
+                if let Some(op) = self.rewrite_virtual(dst, recv, &v) {
+                    return Some(op);
+                }
+                let idx = self.code.virt_specs.len() as u32;
+                self.code.virt_specs.push(v);
                 let site = self.fresh_site();
                 Some(Op::CallVirtual {
                     dst,
@@ -310,6 +348,80 @@ impl Specializer<'_> {
                 }
             }
         }
+    }
+
+    /// `CallVirtual` by class-hierarchy analysis (see the module docs for
+    /// the four conditions). The dynamic path resolves the target from
+    /// the receiver's class and binds the declaring class's parameters
+    /// from the receiver's instantiation viewed at that class; with a
+    /// ground static type `C[τ̄]` and no override below `C`, both are
+    /// the same for every non-null receiver, so the callee is bound once.
+    fn rewrite_virtual(&mut self, dst: u16, recv: u16, s: &VirtSpec) -> Option<Op> {
+        let rt = s.recv_ty.as_ref()?;
+        if !ty_ground(rt) || !s.targs.iter().all(ty_closed) || !s.margs.iter().all(model_closed) {
+            return None;
+        }
+        let (tenv, menv) = (TEnv::new(), MEnv::new());
+        let RtType::Class { id, args, models } = rtti::eval_type(self.prog, &tenv, &menv, rt)
+        else {
+            return None;
+        };
+        if self.prog.table.class(id).is_interface {
+            return None;
+        }
+        let (cid, mi, cargs, cmodels) =
+            rtti::find_virtual(self.prog, id, &args, &models, s.name, s.arity)?;
+        let def = self.prog.table.class(cid);
+        let m = &def.methods[mi];
+        if m.is_native || m.body.is_none() || self.overridden_below(id, s.name, s.arity) {
+            return None;
+        }
+        let orig = *self.code.methods.get(&(cid.0, mi as u32))?;
+        let tys = def
+            .params
+            .iter()
+            .copied()
+            .zip(cargs.iter().map(rt_to_type))
+            .chain(m.tparams.iter().copied().zip(s.targs.iter().cloned()))
+            .collect();
+        let models = def
+            .wheres
+            .iter()
+            .map(|w| w.mv)
+            .zip(cmodels.iter().map(mv_to_model))
+            .chain(m.wheres.iter().map(|w| w.mv).zip(s.margs.iter().cloned()))
+            .collect();
+        let callee = self.request(Target::Method(cid.0, mi as u32), orig, tys, models)?;
+        self.code.opt_stats.calls_devirted += 1;
+        Some(self.direct(dst, callee, Some(recv), true, s.args.clone()))
+    }
+
+    /// Whether a strict subclass of `class` declares a concrete instance
+    /// method `name`/`arity` — a possible target other than the one
+    /// resolved from `class` itself.
+    fn overridden_below(&self, class: ClassId, name: Symbol, arity: usize) -> bool {
+        let table = &self.prog.table;
+        (0..table.classes.len() as u32).map(ClassId).any(|d| {
+            let declares = table.class(d).methods.iter().any(|m| {
+                m.name == name
+                    && m.params.len() == arity
+                    && !m.is_static
+                    && (m.body.is_some() || m.is_native)
+            });
+            declares && d != class && self.is_subclass(d, class)
+        })
+    }
+
+    /// Whether `class`'s superclass chain reaches `ancestor`.
+    fn is_subclass(&self, class: ClassId, ancestor: ClassId) -> bool {
+        let mut cur = Some(class);
+        while let Some(c) = cur {
+            if c == ancestor {
+                return true;
+            }
+            cur = rtti::superclass(self.prog, c);
+        }
+        false
     }
 
     /// Declared-model operation (a multimethod, §5.1): provable only when
@@ -407,9 +519,10 @@ impl Specializer<'_> {
         mut tys: Vec<(TvId, Type)>,
         mut models: Vec<(MvId, Model)>,
     ) -> Option<FuncId> {
-        if tys.is_empty() && models.is_empty() {
-            // Non-generic callee: the dynamic path would build an empty
-            // environment anyway — call the shared body directly.
+        if tys.is_empty() && models.is_empty() || !self.reads_env(orig) {
+            // Non-generic callee, or one whose body never reads its
+            // bindings (`ArrayList.get`): a clone would run exactly like
+            // the shared body under an empty environment — call that.
             return Some(orig);
         }
         tys.sort_by_key(|(v, _)| *v);
@@ -447,6 +560,59 @@ impl Specializer<'_> {
         Some(fid)
     }
 
+    /// Whether `f`'s body can observe its type/model bindings: some term
+    /// it evaluates is open, or a specialized clone could rewrite one of
+    /// its sites (a receiver type or model-dispatch type that turns
+    /// ground under substitution). When neither holds, a clone equals
+    /// the original run with an empty environment.
+    fn reads_env(&mut self, f: FuncId) -> bool {
+        if let Some(&r) = self.reads_env.get(&f) {
+            return r;
+        }
+        let c = &*self.code;
+        let open = |t: &Type| !ty_closed(t);
+        let open_m = |m: &Model| !model_closed(m);
+        let r = c.funcs[f.0 as usize].code.iter().any(|op| match *op {
+            Op::NewArray { elem: ty, .. }
+            | Op::InstanceOf { ty, .. }
+            | Op::Cast { ty, .. }
+            | Op::DefaultValue { ty, .. } => open(&c.types[ty as usize]),
+            Op::Pack { spec, .. } => {
+                let p = &c.pack_specs[spec as usize];
+                p.types.iter().any(open) || p.models.iter().any(open_m)
+            }
+            Op::Open { .. } => true,
+            Op::CallVirtual { spec, .. } => {
+                let v = &c.virt_specs[spec as usize];
+                v.targs.iter().any(open)
+                    || v.margs.iter().any(open_m)
+                    || v.recv_ty.as_ref().is_some_and(open)
+            }
+            Op::CallStatic { spec, .. } => {
+                let v = &c.static_specs[spec as usize];
+                v.targs.iter().any(open) || v.margs.iter().any(open_m)
+            }
+            Op::CallGlobal { spec, .. } => {
+                let v = &c.global_specs[spec as usize];
+                v.targs.iter().any(open) || v.margs.iter().any(open_m)
+            }
+            Op::CallModel { spec, .. } => {
+                let v = &c.model_specs[spec as usize];
+                open_m(&v.model)
+                    || v.static_recv.as_ref().is_some_and(open)
+                    || v.recv_ty.as_ref().is_some_and(open)
+                    || v.arg_tys.iter().any(open)
+            }
+            Op::New { spec, .. } => {
+                let v = &c.new_specs[spec as usize];
+                v.targs.iter().any(open) || v.models.iter().any(open_m)
+            }
+            _ => false,
+        });
+        self.reads_env.insert(f, r);
+        r
+    }
+
     /// Clones `orig` with `s` applied to every type/model term its code
     /// references, appending fresh spec-table entries (tables only grow,
     /// so existing indices stay valid). Virtual sites in the clone get
@@ -475,6 +641,7 @@ impl Specializer<'_> {
                     let mut v = self.code.virt_specs[*spec as usize].clone();
                     v.targs = v.targs.iter().map(|t| s.apply(t)).collect();
                     v.margs = v.margs.iter().map(|m| s.apply_model(m)).collect();
+                    v.recv_ty = v.recv_ty.as_ref().map(|t| s.apply(t));
                     *spec = self.code.virt_specs.len() as u32;
                     self.code.virt_specs.push(v);
                     *site = self.fresh_site();
@@ -549,5 +716,145 @@ impl Specializer<'_> {
         let s = self.code.num_model_sites as u32;
         self.code.num_model_sites += 1;
         s
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::bytecode::{Op, VmProgram};
+    use crate::{compile_optimized, Vm};
+    use genus_check::check_sources_report;
+    use std::sync::Arc;
+
+    /// One function per class-hierarchy-analysis case; the name says
+    /// whether O2 may make its one virtual call direct.
+    const SRC: &str = "
+        interface Named { String label(); }
+        class Animal implements Named {
+          String name;
+          Animal(String name) { this.name = name; }
+          String sound() { return \"...\"; }
+          String describe() { return name + \" says \" + sound(); }
+          String label() { return name; }
+          boolean equals(Animal o) { return name.equals(o.name); }
+        }
+        class Dog extends Animal {
+          Dog(String name) { this.name = name; }
+          String sound() { return \"woof\"; }
+        }
+        class Puppy extends Dog {
+          Puppy(String name) { this.name = name; }
+        }
+        class Box[T] {
+          T v;
+          Box(T v) { this.v = v; }
+          T get() { return v; }
+          T[] fresh() { return new T[1]; }
+        }
+        String directNoOverrideBelow(Dog d) { return d.sound(); }
+        String directInherited(Puppy p) { return p.describe(); }
+        int directClosedArgs(Box[int] b) { return b.get(); }
+        int directClone(Box[int] b) { return b.fresh().length; }
+        String dynamicOverrideBelow(Animal a) { return a.sound(); }
+        String dynamicInterface(Named n) { return n.label(); }
+        boolean dynamicExistential(Box[?] b) { return b.get() == null; }
+        // Specialized at `Animal`, the natural model's `hashCode` is a
+        // virtual call whose one target is `Object`'s native method.
+        int dynamicNative[T](T x) where Hashable[T] { return x.hashCode(); }
+        T dynamicOpenArgs[T](Box[T] b) { return b.get(); }
+        int main() {
+          Dog d = new Puppy(\"rex\");
+          String s = directNoOverrideBelow(d) + directInherited(new Puppy(\"bit\"))
+            + dynamicOverrideBelow(d) + dynamicInterface(d);
+          Box[int] b = new Box[int](40);
+          return directClosedArgs(b) + directClone(b) + dynamicOpenArgs[int](b) - 39 + s.length()
+            + dynamicNative[Animal](d) * 0;
+        }";
+
+    fn calls(code: &VmProgram, name: &str) -> (usize, usize) {
+        let f = code
+            .funcs
+            .iter()
+            .find(|f| f.name == format!("global {name}"))
+            .unwrap_or_else(|| panic!("no function `{name}`"));
+        let count = |pred: fn(&Op) -> bool| f.code.iter().filter(|op| pred(op)).count();
+        (
+            count(|op| matches!(op, Op::CallDirect { .. })),
+            count(|op| matches!(op, Op::CallVirtual { .. })),
+        )
+    }
+
+    /// The name of the function `global name`'s direct call targets.
+    fn direct_callee(code: &VmProgram, name: &str) -> String {
+        let f = code
+            .funcs
+            .iter()
+            .find(|f| f.name == format!("global {name}"))
+            .unwrap_or_else(|| panic!("no function `{name}`"));
+        let spec = f
+            .code
+            .iter()
+            .find_map(|op| match op {
+                Op::CallDirect { spec, .. } => Some(*spec),
+                _ => None,
+            })
+            .expect("a direct call");
+        let callee = code.direct_specs[spec as usize].func;
+        code.funcs[callee.0 as usize].name.clone()
+    }
+
+    #[test]
+    fn cha_rewrites_exactly_the_closed_single_target_sites() {
+        let mut report = check_sources_report(&[("t.genus", SRC)]);
+        let prog = report.program.take().expect("test program must check");
+        let code = compile_optimized(&prog, 2);
+        for name in [
+            "directNoOverrideBelow",
+            "directInherited",
+            "directClosedArgs",
+            "directClone",
+        ] {
+            assert_eq!(calls(&code, name), (1, 0), "{name} must become direct");
+        }
+        // `get` never reads its bindings, so it needs no clone; `fresh`
+        // allocates a `T[]` and is cloned at `int`.
+        assert_eq!(direct_callee(&code, "directClosedArgs"), "Box::get");
+        assert_eq!(direct_callee(&code, "directClone"), "Box::fresh <spec>");
+        for name in [
+            "dynamicOverrideBelow",
+            "dynamicInterface",
+            "dynamicExistential",
+            // The generic original has no virtual call; its clone at
+            // `Animal` does.
+            "dynamicNative <spec>",
+            "dynamicOpenArgs",
+        ] {
+            assert_eq!(calls(&code, name), (0, 1), "{name} must stay dynamic");
+        }
+        assert!(code.opt_stats.calls_devirted >= 3);
+        // O0 keeps every site dynamic and computes the same answer.
+        let o0 = compile_optimized(&prog, 0);
+        assert_eq!(o0.opt_stats.calls_devirted, 0);
+        assert_eq!(calls(&o0, "directNoOverrideBelow"), (0, 1));
+        let run = |code: VmProgram| {
+            let mut vm = Vm::with_code(&prog, Arc::new(code));
+            let v = vm.run_main().expect("runs");
+            vm.render(&v)
+        };
+        assert_eq!(run(code), run(o0));
+    }
+
+    /// A generic function calling itself at a closed instantiation clones
+    /// its own complete body while that body is being rewritten.
+    #[test]
+    fn self_instantiating_generic_clones_its_whole_body() {
+        let src = "int f[T](int n) { T[] a = new T[1];
+                     if (n > 0) { return f[int](n - 1) + a.length; } return 0; }
+                   int main() { return f[double](3); }";
+        let mut report = check_sources_report(&[("t.genus", src)]);
+        let prog = report.program.take().expect("test program must check");
+        let mut vm = Vm::with_code(&prog, Arc::new(compile_optimized(&prog, 2)));
+        let v = vm.run_main().expect("runs");
+        assert_eq!(vm.render(&v), "3");
     }
 }

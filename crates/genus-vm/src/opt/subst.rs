@@ -101,6 +101,34 @@ fn model_contains_existential(m: &Model) -> bool {
     }
 }
 
+/// Whether `t` is a ground term: no type/model variables, no inference
+/// leftovers, no existentials. A ground receiver type reifies to exactly
+/// the runtime type every value reaching the site has at that class
+/// (invariant reified generics), which is what class-hierarchy analysis
+/// binds its clone under.
+pub fn ty_ground(t: &Type) -> bool {
+    match t {
+        Type::Prim(_) | Type::Null => true,
+        Type::Var(_) | Type::Infer(_) | Type::Existential { .. } => false,
+        Type::Array(e) => ty_ground(e),
+        Type::Class { args, models, .. } => {
+            args.iter().all(ty_ground) && models.iter().all(model_ground)
+        }
+    }
+}
+
+fn model_ground(m: &Model) -> bool {
+    match m {
+        Model::Var(_) | Model::Infer(_) => false,
+        Model::Natural { inst } => inst.args.iter().all(ty_ground),
+        Model::Decl {
+            type_args,
+            model_args,
+            ..
+        } => type_args.iter().all(ty_ground) && model_args.iter().all(model_ground),
+    }
+}
+
 /// Reconstructs the closed static `Type` whose reification is `t` — the
 /// inverse of `rtti::eval_type` on closed terms. Used to turn a dispatch
 /// candidate's runtime environment back into a substitution for cloning.

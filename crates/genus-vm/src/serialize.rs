@@ -205,28 +205,16 @@ fn write_op(w: &mut ByteWriter, op: &Op) {
         Op::ReturnVoid => w.u8(6),
         Op::FallOff => w.u8(7),
         Op::Escaped => w.u8(8),
-        Op::GetField {
-            dst,
-            obj,
-            class,
-            field,
-        } => {
+        Op::GetField { dst, obj, slot } => {
             w.u8(9);
             w.u16(dst);
             w.u16(obj);
-            w.u32(class.0);
-            w.u32(field);
+            w.u32(slot);
         }
-        Op::SetField {
-            obj,
-            class,
-            field,
-            src,
-        } => {
+        Op::SetField { obj, slot, src } => {
             w.u8(10);
             w.u16(obj);
-            w.u32(class.0);
-            w.u32(field);
+            w.u32(slot);
             w.u16(src);
         }
         Op::GetStatic { dst, class, field } => {
@@ -421,13 +409,11 @@ fn read_op(r: &mut ByteReader) -> ReadResult<Op> {
         9 => Op::GetField {
             dst: r.u16()?,
             obj: r.u16()?,
-            class: ClassId(r.u32()?),
-            field: r.u32()?,
+            slot: r.u32()?,
         },
         10 => Op::SetField {
             obj: r.u16()?,
-            class: ClassId(r.u32()?),
-            field: r.u32()?,
+            slot: r.u32()?,
             src: r.u16()?,
         },
         11 => Op::GetStatic {
@@ -688,6 +674,7 @@ pub fn write_program(w: &mut ByteWriter, code: &VmProgram) {
         write_types(w, &s.targs);
         write_models(w, &s.margs);
         write_regs(w, &s.args);
+        write_opt_type(w, s.recv_ty.as_ref());
     }
     w.seq(code.static_specs.len());
     for s in &code.static_specs {
@@ -785,6 +772,7 @@ pub fn write_program(w: &mut ByteWriter, code: &VmProgram) {
     w.usize(st.funcs_specialized);
     w.usize(st.calls_directed);
     w.usize(st.call_model_devirted);
+    w.usize(st.calls_devirted);
     w.usize(st.budget_fallbacks);
     w.usize(st.dynamic_fallbacks);
     w.usize(st.consts_folded);
@@ -835,6 +823,7 @@ pub fn read_program(r: &mut ByteReader, prog: &CheckedProgram) -> ReadResult<VmP
             targs: read_types(r)?,
             margs: read_models(r)?,
             args: read_regs(r)?,
+            recv_ty: read_opt_type(r)?,
         });
     }
     let n = r.seq()?;
@@ -958,6 +947,7 @@ pub fn read_program(r: &mut ByteReader, prog: &CheckedProgram) -> ReadResult<VmP
         funcs_specialized: r.usize()?,
         calls_directed: r.usize()?,
         call_model_devirted: r.usize()?,
+        calls_devirted: r.usize()?,
         budget_fallbacks: r.usize()?,
         dynamic_fallbacks: r.usize()?,
         consts_folded: r.usize()?,

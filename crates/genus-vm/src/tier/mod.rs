@@ -573,39 +573,24 @@ fn op_thunk(code: &VmProgram, op: Op, pc: usize, rest: Thunk, blocks: &BlockMap)
                 "break/continue escaped a body",
             ))
         }),
-        Op::GetField {
-            dst,
-            obj,
-            class,
-            field,
-        } => {
-            let (dst, obj) = (dst as usize, obj as usize);
+        Op::GetField { dst, obj, slot } => {
+            let (dst, obj, slot) = (dst as usize, obj as usize, slot as usize);
             thunk(move |vm, f| {
                 vm.meter.step()?;
                 let o = rtti::expect_obj(&vm.heap, &f.regs[obj])?;
-                let v = o
-                    .fields
-                    .borrow()
-                    .get(&(class.0, field))
-                    .cloned()
-                    .unwrap_or(Value::Null);
+                let v = o.fields.borrow()[slot].clone();
                 f.regs[dst] = v;
                 rest(vm, f)
             })
         }
-        Op::SetField {
-            obj,
-            class,
-            field,
-            src,
-        } => {
-            let (obj, src) = (obj as usize, src as usize);
+        Op::SetField { obj, slot, src } => {
+            let (obj, src, slot) = (obj as usize, src as usize, slot as usize);
             thunk(move |vm, f| {
                 vm.meter.step()?;
                 {
                     let v = f.regs[src].clone();
                     let o = rtti::expect_obj(&vm.heap, &f.regs[obj])?;
-                    o.fields.borrow_mut().insert((class.0, field), v);
+                    o.fields.borrow_mut()[slot] = v;
                 }
                 rest(vm, f)
             })

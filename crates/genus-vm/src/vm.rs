@@ -556,32 +556,17 @@ impl<'p> Vm<'p> {
                         "break/continue escaped a body",
                     ))
                 }
-                Op::GetField {
-                    dst,
-                    obj,
-                    class,
-                    field,
-                } => {
+                Op::GetField { dst, obj, slot } => {
                     let r = frame.regs[obj as usize].clone();
                     let o = rtti::expect_obj(&self.heap, &r)?;
-                    let v = o
-                        .fields
-                        .borrow()
-                        .get(&(class.0, field))
-                        .cloned()
-                        .unwrap_or(Value::Null);
+                    let v = o.fields.borrow()[slot as usize].clone();
                     frame.regs[dst as usize] = v;
                 }
-                Op::SetField {
-                    obj,
-                    class,
-                    field,
-                    src,
-                } => {
+                Op::SetField { obj, slot, src } => {
                     let r = frame.regs[obj as usize].clone();
                     let v = frame.regs[src as usize].clone();
                     let o = rtti::expect_obj(&self.heap, &r)?;
-                    o.fields.borrow_mut().insert((class.0, field), v);
+                    o.fields.borrow_mut()[slot as usize] = v;
                 }
                 Op::GetStatic { dst, class, field } => {
                     frame.regs[dst as usize] = self
@@ -1214,6 +1199,9 @@ impl<'p> Vm<'p> {
                 .into_iter()
                 .find(|(pid, _, _)| !self.prog.table.class(*pid).is_interface);
         }
+        // Slots follow the chain base class first, each class's instance
+        // fields in declaration order (`rtti::FieldLayout`).
+        let mut slot = 0;
         for (id, a, m) in chain.iter().rev() {
             let def = self.prog.table.class(*id);
             let mut tenv = TEnv::default();
@@ -1239,8 +1227,9 @@ impl<'p> Vm<'p> {
                     None => rtti::eval_type(self.prog, &tenv, &menv, &f.ty).default_value(),
                 };
                 if let Value::Obj(h) = &this {
-                    self.heap.obj(*h).fields.borrow_mut().insert(key, v);
+                    self.heap.obj(*h).fields.borrow_mut()[slot] = v;
                 }
+                slot += 1;
             }
         }
         Ok(this)

@@ -163,6 +163,7 @@ fn print_stats(ex: &genus::Execution) {
         eprintln!("functions specialized:   {}", o.funcs_specialized);
         eprintln!("calls made direct:       {}", o.calls_directed);
         eprintln!("model calls devirted:    {}", o.call_model_devirted);
+        eprintln!("virtual calls devirted:  {}", o.calls_devirted);
         eprintln!("budget fallbacks:        {}", o.budget_fallbacks);
         eprintln!("dynamic fallbacks:       {}", o.dynamic_fallbacks);
         eprintln!("constants folded:        {}", o.consts_folded);

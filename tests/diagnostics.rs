@@ -226,6 +226,29 @@ fn wrong_type_arg_arity() {
     );
 }
 
+/// A wrong-arity class type is an error, not a malformed term: redeclaring
+/// a generic stdlib class and instantiating it without arguments used to
+/// panic in the checker.
+#[test]
+fn wrong_type_arg_arity_in_new_does_not_panic() {
+    assert_rejected(
+        "class Stack { Stack() { } }\nvoid main() { Stack s = new Stack(); }",
+        true,
+        "E0208",
+    );
+}
+
+#[test]
+fn supertypes_must_have_the_right_kind() {
+    for src in [
+        "class A { A() { } }\nclass B implements A { B() { } }\nvoid main() { }",
+        "interface I { }\nclass B extends I { B() { } }\nvoid main() { }",
+        "class A { A() { } }\ninterface I extends A { }\nvoid main() { }",
+    ] {
+        assert_rejected(src, false, "E0305");
+    }
+}
+
 #[test]
 fn constraint_arity_checked() {
     assert_rejected(

@@ -108,6 +108,51 @@ fn sample_ci_word_count() {
 }
 
 #[test]
+fn sample_class_hierarchy() {
+    let (outcome, output) = run_on("class_hierarchy.genus", Engine::Vm, 2);
+    assert_eq!(outcome.as_deref(), Ok("void"));
+    assert_eq!(
+        output,
+        "generic says ...\nrex says woof\nbit says woof\ntom says meow\n\
+         nib: woof, 2 tricks\nsize 12, total 39.0\npopped 6.0, then 5.5, left 10\n\
+         #genus\nbadge 7\n"
+    );
+    check_sample("class_hierarchy.genus");
+}
+
+/// A null receiver at a call site the optimizer made direct (no override
+/// below `Dog`) traps exactly like the dynamic dispatch it replaced: the
+/// same `R0002` code and span on every engine and opt level.
+#[test]
+fn class_hierarchy_null_receiver_traps_alike() {
+    let src = sample("class_hierarchy.genus").replace("void main()", "void sampleMain()")
+        + "int main() {\n    Dog d = null;\n    return d.sound().length();\n}\n";
+    let run = |engine: Engine, level: u8| {
+        Compiler::new()
+            .with_stdlib()
+            .engine(engine)
+            .opt_level(level)
+            .source("null_recv.genus".to_string(), src.clone())
+            .execute()
+            .expect("compiles")
+            .outcome
+            .expect_err("must trap on the null receiver")
+    };
+    let ast_err = run(Engine::Ast, 0);
+    assert_eq!(ast_err.code(), "R0002");
+    for level in OPT_LEVELS {
+        for engine in [Engine::Vm, Engine::Jit] {
+            let err = run(engine, level);
+            assert_eq!(
+                (ast_err.code(), ast_err.span),
+                (err.code(), err.span),
+                "null-receiver trap diverges on {engine:?} at opt-level {level}"
+            );
+        }
+    }
+}
+
+#[test]
 fn sample_comparator_sort() {
     let (outcome, output) = run_on("comparator_sort.genus", Engine::Vm, 2);
     assert_eq!(outcome.as_deref(), Ok("void"));
@@ -344,6 +389,7 @@ fn all_samples_are_covered() {
         found,
         [
             "ci_word_count.genus",
+            "class_hierarchy.genus",
             "comparator_sort.genus",
             "existential_registry.genus",
             "gc_churn.genus",

@@ -10,14 +10,18 @@ use std::sync::Arc;
 #[test]
 fn generated_programs_compile() {
     for seed in 0..40u64 {
-        let src = genus_fuzz::generate(seed);
-        let report = pipeline::compile(&src);
-        assert!(
-            report.program.is_some(),
-            "seed {seed} generated an ill-typed program:\n{}\n--- diagnostics ---\n{}",
-            src,
-            report.render_errors_short()
-        );
+        for src in [
+            genus_fuzz::generate(seed),
+            genus_fuzz::generate_with_inheritance(seed),
+        ] {
+            let report = pipeline::compile(&src);
+            assert!(
+                report.program.is_some(),
+                "seed {seed} generated an ill-typed program:\n{}\n--- diagnostics ---\n{}",
+                src,
+                report.render_errors_short()
+            );
+        }
     }
 }
 
@@ -26,10 +30,14 @@ fn generated_programs_compile() {
 #[test]
 fn generated_programs_pass_oracles() {
     for seed in 0..12u64 {
-        let src = genus_fuzz::generate(seed);
-        match genus_fuzz::replay(&src, 100_000) {
-            Verdict::Pass | Verdict::ResourceSkip => {}
-            v => panic!("seed {seed}: oracle verdict {v:?} on\n{src}"),
+        for src in [
+            genus_fuzz::generate(seed),
+            genus_fuzz::generate_with_inheritance(seed),
+        ] {
+            match genus_fuzz::replay(&src, 100_000) {
+                Verdict::Pass | Verdict::ResourceSkip => {}
+                v => panic!("seed {seed}: oracle verdict {v:?} on\n{src}"),
+            }
         }
     }
 }
@@ -132,6 +140,7 @@ fn replay_passes_on_shipped_samples() {
         "word_count",
         "existential_registry",
         "ci_word_count",
+        "class_hierarchy",
         "comparator_sort",
     ] {
         let src = std::fs::read_to_string(format!("samples/{sample}.genus")).unwrap();
