@@ -13,7 +13,12 @@ cargo fmt --check
 # bare `cargo build` only builds the root package — the CLI sweep below
 # needs the freshly built target/release/genus.
 cargo build --release --workspace
-cargo test -q
+# --workspace: a bare `cargo test` runs only the root package's tests,
+# not the unit, integration and doc tests of the member crates.
+cargo test -q --workspace
+# One interpreter stack: the 256 MiB the AST engine's depth guard is
+# calibrated for is defined once, in genus-interp.
+test "$(grep -rn '256 << 20' crates --include=*.rs | wc -l)" -eq 1
 # The differential harness again with every dispatch/type-query cache
 # bypassed: both engines must agree on the slow paths too.
 cargo test -q --features no-cache
@@ -21,10 +26,10 @@ cargo clippy --all-targets -- -D warnings
 RUSTDOCFLAGS=-Dwarnings cargo doc --no-deps -q
 # The diagnostics rendering contract, exercised end to end in both the
 # human (snippet) and machine (JSON) --error-format modes: the golden
-# files pin the human/short/json renderings, and the CLI suite drives the
-# binary with --error-format=human/short/json plus the exit-code tiers.
+# files pin the human/short/json renderings, and the CLI suite (genus's
+# tests/cli.rs, in the workspace step above) drives the binary with
+# --error-format=human/short/json plus the exit-code tiers.
 cargo test -q --test render_golden --test diagnostics --test errors_doc
-cargo test -q -p genus --test cli
 # Opt-parity gate: the bytecode optimizer must be observationally
 # invisible. The differential suite sweeps --opt-level 0/1/2 internally
 # and the property suite fuzzes O0-vs-O2 (opt_levels_agree); on top, a
@@ -85,12 +90,10 @@ test -z "$(ls -A target/fuzz_smoke/crashes 2>/dev/null)"
 # through the full oracle suite (pass, or compile-reject with proper
 # diagnostics) — a divergence or panic here means a fixed bug returned.
 target/release/genus fuzz --replay fuzz/crashes/*.genus
-# The execution service: unit + integration suite (program-cache
-# coherence, worker pool, resource traps, session ordering, TCP), then an
-# end-to-end gate piping a 3-request JSON-lines batch — one OK, one
-# fuel-exhausting, one compile error — through the shipped binary and
-# checking each response line's outcome.
-cargo test -q -p genus-serve
+# The execution service end to end: a 3-request JSON-lines batch — one
+# OK, one fuel-exhausting, one compile error — piped through the shipped
+# binary, checking each response line's outcome. (Its unit and
+# integration suites run in the workspace test step above.)
 printf '%s\n' \
   '{"id": "ok", "source": "int main() { println(\"hi\"); return 7; }"}' \
   '{"id": "spin", "source": "int main() { while (true) {} return 0; }", "fuel": 50000}' \

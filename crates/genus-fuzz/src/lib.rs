@@ -171,8 +171,7 @@ pub fn fuzz(cfg: FuzzConfig) -> io::Result<FuzzReport> {
 /// Runs one source through the full oracle suite (on a big-stack
 /// thread) — the replay entry point for checked-in crash repros.
 pub fn replay(src: &str, fuel: u64) -> Verdict {
-    let src = src.to_string();
-    pipeline::with_big_stack(move || oracle::Harness::new(fuel, None).run_case(&src))
+    pipeline::with_big_stack(|| oracle::Harness::new(fuel, None).run_case(src))
 }
 
 /// The fuzz loop proper. Requires a big native stack (see

@@ -1,20 +1,11 @@
-//! Compile-and-run plumbing for the fuzzer.
+//! Compile-and-run plumbing for the fuzzer's oracles.
 //!
-//! `genus-fuzz` sits *below* the `genus` facade crate (the facade's CLI
-//! depends on this crate, so depending back on it would be a cycle).
-//! This module therefore re-creates the two thin pieces of facade
-//! machinery the oracles need:
-//!
-//! 1. **Stdlib-seeded sessions** ([`stdlib_session`]): a
-//!    [`genus_check::Session`] with the prelude and standard library
-//!    registered as always-visible units and their parse trees taken
-//!    from a process-wide memo, exactly mirroring the facade's
-//!    `CompileSession::with_stdlib` layout (prelude at file 0, stdlib
-//!    units at 1..=N) so memoized spans are valid in every session.
-//! 2. **Per-engine leg runners** ([`run_ast`], [`run_vm`], [`run_tier`]):
-//!    each executes `main()` on one engine and captures the [`Leg`]
-//!    observables the oracles compare — rendered value or structured
-//!    `(code, span)` trap, printed output, and resource counters.
+//! Checking goes through the same stdlib-seeded [`genus_check::Session`]
+//! the facade's `CompileSession` wraps ([`stdlib_session`], [`compile`]),
+//! and every engine leg through the one run path,
+//! [`genus_vm::exec::execute`]. A [`Leg`] keeps the part of an
+//! [`Execution`] the oracles compare: rendered value or structured
+//! `(code, span)` trap, printed output, and resource counters.
 //!
 //! The AST interpreter needs a large native stack; callers run whole
 //! fuzz loops inside [`with_big_stack`] rather than per-case threads.
@@ -22,18 +13,16 @@
 use genus_check::{CheckReport, CheckedProgram, Session};
 use genus_common::{ByteReader, ByteWriter, EdgeMap, Span};
 use genus_heap::Heap;
-use genus_interp::{Interp, Limits, ResourceStats, RuntimeError};
+use genus_interp::{Limits, ResourceStats, RuntimeError};
+use genus_vm::exec::{execute, execute_vm, Code, Execution};
 use genus_vm::{read_program, write_program, TierProgram, Vm, VmProgram};
 use std::rc::Rc;
 use std::sync::Arc;
 
+pub use genus_interp::with_interp_stack as with_big_stack;
+
 /// Unit name every fuzz case is checked under.
 pub const UNIT_NAME: &str = "fuzz.genus";
-
-/// Native stack for anything that runs the AST interpreter: each Genus
-/// frame costs tens of KiB of host stack in debug builds (same constant
-/// as the facade's `INTERP_STACK_SIZE`).
-pub const INTERP_STACK_SIZE: usize = 256 << 20;
 
 /// A fresh checker session with the standard library registered and its
 /// memoized parse trees installed.
@@ -64,6 +53,16 @@ pub struct Leg {
     pub stats: ResourceStats,
 }
 
+impl From<Execution> for Leg {
+    fn from(ex: Execution) -> Leg {
+        Leg {
+            outcome: ex.outcome,
+            output: ex.output,
+            stats: ex.resource_stats,
+        }
+    }
+}
+
 impl Leg {
     /// Whether the run died on the fuel/deadline meter (`R0009`). Fuel
     /// is counted in engine-specific units (AST statements vs VM
@@ -88,14 +87,7 @@ impl Leg {
 /// Runs `main()` on the tree-walking interpreter. The caller must
 /// provide a big native stack (see [`with_big_stack`]).
 pub fn run_ast(prog: &CheckedProgram, limits: Limits) -> Leg {
-    let mut interp = Interp::new(prog);
-    interp.set_limits(limits);
-    let outcome = interp.run_main().map(|v| interp.render(&v));
-    Leg {
-        outcome,
-        stats: interp.resource_stats(),
-        output: interp.take_output(),
-    }
+    execute(prog, Code::Ast, limits).into()
 }
 
 /// Runs `main()` on the bytecode VM. `stress` swaps in a
@@ -116,25 +108,12 @@ pub fn run_vm(
         map.reset();
         vm.set_coverage(Rc::clone(map));
     }
-    vm.set_limits(limits);
-    let outcome = vm.run_main().map(|v| vm.render(&v));
-    Leg {
-        outcome,
-        stats: vm.resource_stats(),
-        output: vm.take_output(),
-    }
+    execute_vm(vm, None, limits).into()
 }
 
 /// Runs `main()` on the Tier 2 closure-compiled engine.
 pub fn run_tier(prog: &CheckedProgram, tier: &TierProgram, limits: Limits) -> Leg {
-    let mut vm = Vm::with_code(prog, Arc::clone(tier.code()));
-    vm.set_limits(limits);
-    let outcome = vm.run_main_tier(tier).map(|v| vm.render(&v));
-    Leg {
-        outcome,
-        stats: vm.resource_stats(),
-        output: vm.take_output(),
-    }
+    execute(prog, Code::Tier(tier), limits).into()
 }
 
 /// Serializes compiled bytecode and reads it back (the round-trip
@@ -145,22 +124,4 @@ pub fn roundtrip(code: &VmProgram, prog: &CheckedProgram) -> Result<VmProgram, S
     let bytes = w.into_bytes();
     let mut r = ByteReader::new(&bytes);
     read_program(&mut r, prog)
-}
-
-/// Runs `f` on a thread with enough native stack for the AST
-/// interpreter and returns its result. Fuzz loops (and oracle replays)
-/// run entirely inside one such thread instead of paying a thread spawn
-/// per case.
-pub fn with_big_stack<R, F>(f: F) -> R
-where
-    R: Send + 'static,
-    F: FnOnce() -> R + Send + 'static,
-{
-    std::thread::Builder::new()
-        .name("genus-fuzz".to_string())
-        .stack_size(INTERP_STACK_SIZE)
-        .spawn(f)
-        .expect("spawn fuzz thread")
-        .join()
-        .expect("fuzz thread panicked")
 }

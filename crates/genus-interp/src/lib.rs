@@ -22,18 +22,16 @@
 //! assert_eq!(interp.take_output(), "hi\n");
 //! ```
 
-pub mod meter;
 pub mod natives;
 pub mod ops;
 pub mod rtti;
-pub mod value;
 
-pub use genus_heap::{Handle, Heap, HeapStats};
-pub use meter::{Limits, Meter, ResourceStats};
-pub use value::{
+pub use genus_heap::meter::{Limits, Meter, ResourceStats};
+pub use genus_heap::value::{
     ArrayData, ClassMethodIndex, ErrorKind, ModelValue, ObjData, PackedData, RtType, RuntimeError,
     Storage, Value,
 };
+pub use genus_heap::{Handle, Heap, HeapStats};
 
 use crate::ops::{arith, compare, widen_value};
 use crate::rtti::{MEnv, ModelDispatchKey, ModelTarget, RecvKind, TEnv, VirtTarget};
@@ -117,6 +115,27 @@ fn bump(c: &Cell<u64>) {
     c.set(c.get() + 1);
 }
 
+/// Native stack the interpreter needs: each Genus frame costs tens of KiB
+/// of host stack in debug builds, and [`Interp::max_depth`]'s default of
+/// 1000 frames is calibrated so the recursion guard, not the native
+/// stack, is what a deep program hits.
+pub const INTERP_STACK_SIZE: usize = 256 << 20;
+
+/// Runs `f` on a scoped thread with [`INTERP_STACK_SIZE`] of native stack
+/// and returns its result. A panic in `f` is re-raised on the caller with
+/// its original payload.
+pub fn with_interp_stack<R: Send, F: FnOnce() -> R + Send>(f: F) -> R {
+    let joined = std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .name("genus-interp".to_string())
+            .stack_size(INTERP_STACK_SIZE)
+            .spawn_scoped(scope, f)
+            .expect("spawn interpreter thread")
+            .join()
+    });
+    joined.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+}
+
 /// The interpreter. Holds static fields and captured output across calls.
 pub struct Interp<'p> {
     prog: &'p CheckedProgram,
@@ -160,9 +179,7 @@ impl<'p> Interp<'p> {
             layout: rtti::FieldLayout::new(prog),
             echo: false,
             depth: std::cell::Cell::new(0),
-            // Each Genus frame costs tens of KiB of native stack in debug
-            // builds; run deep programs on a large-stack thread (the
-            // `genus` facade does this automatically).
+            // Deep programs need `with_interp_stack`'s native stack.
             max_depth: 1000,
             meter: Meter::unlimited(),
             heap: Heap::new(),
@@ -1375,6 +1392,13 @@ mod tests {
             .unwrap_or_else(|e| panic!("runtime error: {e}"));
         let out = i.take_output();
         (v, out)
+    }
+
+    #[test]
+    fn interp_stack_keeps_the_panic_payload() {
+        let payload = std::panic::catch_unwind(|| with_interp_stack(|| panic!("boom")))
+            .expect_err("the panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
     }
 
     #[test]

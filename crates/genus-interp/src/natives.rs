@@ -2,10 +2,10 @@
 //! `String`/`Object` built-ins (the "common methods" of natural models,
 //! §3.3).
 
-use crate::value::{ErrorKind, RtType, RuntimeError, Value};
 use crate::{Heap, Interp};
 use genus_check::hir::NativeOp;
 use genus_common::Symbol;
+use genus_heap::value::{ErrorKind, RtType, RuntimeError, Value};
 use genus_types::PrimTy;
 use std::rc::Rc;
 

@@ -1,7 +1,7 @@
 //! Primitive operator semantics: arithmetic, comparison, and widening.
 
-use crate::value::{ErrorKind, RuntimeError, Value};
 use genus_check::hir::NumKind;
+use genus_heap::value::{ErrorKind, RuntimeError, Value};
 use genus_syntax::ast::BinOp;
 use genus_types::PrimTy;
 

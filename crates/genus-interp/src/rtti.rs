@@ -8,10 +8,12 @@
 //! environments, so an engine only contributes its evaluation strategy and
 //! its caches, never a second copy of the rules.
 
-use crate::value::{ClassMethodIndex, ErrorKind, ModelValue, ObjData, RtType, RuntimeError, Value};
 use crate::{ArrayData, Heap, Meter};
 use genus_check::CheckedProgram;
 use genus_common::{FastMap, Symbol};
+use genus_heap::value::{
+    ClassMethodIndex, ErrorKind, ModelValue, ObjData, RtType, RuntimeError, Value,
+};
 use genus_types::{ClassId, Model, ModelId, MvId, PrimTy, TvId, Type, WhereReq};
 use std::cell::RefCell;
 use std::collections::HashMap;

@@ -12,12 +12,13 @@
 //! closes the classic lost-wakeup race without making submitters wait on
 //! sleeping workers.
 //!
-//! Each worker gets a big stack (the AST interpreter recurses on the
-//! host stack, so serve workers need the same headroom the facade's
-//! dedicated interpreter thread provides). Shutdown is cooperative:
+//! Each worker gets the interpreter's big stack
+//! ([`genus_interp::INTERP_STACK_SIZE`]): the AST engine recurses on the
+//! host stack and runs on the worker itself. Shutdown is cooperative:
 //! [`WorkerPool::shutdown`] lets queued jobs drain, then joins every
 //! worker.
 
+use genus_interp::INTERP_STACK_SIZE;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -72,12 +73,6 @@ pub struct WorkerPool {
     workers: Vec<JoinHandle<()>>,
 }
 
-/// Native stack per worker: the AST engine runs Genus frames on the host
-/// stack, and its `max_depth` recursion guard is calibrated against a
-/// 256 MiB stack (same size the `genus` facade uses for its dedicated
-/// interpreter thread).
-pub const WORKER_STACK_SIZE: usize = 256 << 20;
-
 impl WorkerPool {
     /// Spawns `workers` threads (at least one), each with its own queue
     /// shard.
@@ -97,7 +92,7 @@ impl WorkerPool {
                 let state = Arc::clone(&state);
                 std::thread::Builder::new()
                     .name(format!("genus-serve-worker-{i}"))
-                    .stack_size(WORKER_STACK_SIZE)
+                    .stack_size(INTERP_STACK_SIZE)
                     .spawn(move || worker_loop(&state, i))
                     .expect("spawn serve worker")
             })

@@ -49,6 +49,7 @@
 
 use genus_common::json::{self, Json};
 use genus_interp::Limits;
+use genus_vm::exec::Execution;
 
 /// Which engine executes a request.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -386,6 +387,34 @@ impl Response {
             cache_hit: false,
             ms: 0,
             engine: EngineKind::default(),
+            reuse: None,
+        }
+    }
+
+    /// The response to one run on `engine`: its value or trap, output
+    /// and resource counters. The caller sets `cache_hit`, `ms` and
+    /// `reuse`.
+    #[must_use]
+    pub fn from_execution(id: String, run: Execution, engine: EngineKind) -> Response {
+        let stats = run.resource_stats;
+        Response {
+            id,
+            outcome: match run.outcome {
+                Ok(value) => Outcome::Ok(value),
+                Err(e) => Outcome::Trap {
+                    code: e.code().to_string(),
+                    message: e.to_string(),
+                },
+            },
+            output: run.output,
+            fuel_used: stats.fuel_used,
+            mem_used: stats.mem_used,
+            live_bytes: stats.live_bytes,
+            peak_bytes: stats.peak_bytes,
+            collections: stats.collections,
+            cache_hit: false,
+            ms: 0,
+            engine,
             reuse: None,
         }
     }

@@ -20,15 +20,15 @@
 //!   signal-handling dependency, and serve holds no on-disk state that
 //!   could be corrupted mid-request.)
 
-use crate::cache::{CachedProgram, ProgramCache, ProgramCacheStats, DEFAULT_CAPACITY};
+use crate::cache::{ProgramCache, ProgramCacheStats, DEFAULT_CAPACITY};
 use crate::metrics::ServerMetrics;
 use crate::persist::DiskCache;
 use crate::pool::WorkerPool;
 use crate::proto::{Action, EngineKind, Outcome, Request, Response};
 use crate::session::SessionRegistry;
 use genus_check::CheckedBase;
-use genus_interp::{Interp, Limits, ResourceStats, RuntimeError};
-use genus_vm::Vm;
+use genus_interp::Limits;
+use genus_vm::exec::{execute, Code};
 use std::io::{BufRead, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -332,8 +332,8 @@ fn handle_request(
     };
     // Hotness promotion. Every run counts toward the entry's hotness;
     // `auto` requests read the count to climb AST → VM → Tier 2. The
-    // tier compiles lazily in `execute` (behind the entry's `OnceLock`),
-    // so a program that never gets hot never pays for it.
+    // tier compiles lazily on the entry's first Tier 2 run (behind its
+    // `OnceLock`), so a program that never gets hot never pays for it.
     let invocations = cached.bump_invocations();
     let engine = match req.engine {
         EngineKind::Auto => {
@@ -358,120 +358,48 @@ fn handle_request(
         let waited = ms_since(submitted);
         if waited >= deadline {
             return Response {
-                id: req.id,
                 outcome: Outcome::Trap {
                     code: "R0009".to_string(),
                     message: "wall-clock deadline exceeded".to_string(),
                 },
-                output: String::new(),
-                fuel_used: 0,
-                mem_used: 0,
-                live_bytes: 0,
-                peak_bytes: 0,
-                collections: 0,
                 cache_hit,
                 ms: waited,
                 engine,
-                reuse: None,
+                ..Response::error(req.id, "")
             };
         }
         limits.deadline_ms = Some(deadline - waited);
     }
-    let run = match execute(&cached, engine, limits) {
-        Ok(run) => run,
-        // Only the AST engine's lazy full compile of a disk-loaded
-        // entry can fail here.
-        Err(message) => {
-            return Response {
-                ms: ms_since(submitted),
-                cache_hit,
-                engine,
-                ..Response::error(req.id, message)
-            };
+    // Each run gets a **fresh heap** that dies with the engine, so
+    // serve's resident memory stays flat across requests however much a
+    // program allocates. The worker's big stack hosts the AST engine.
+    let run = match engine {
+        // The AST engine walks HIR bodies, which disk-loaded entries do
+        // not carry: `ast_prog` full-compiles lazily, and its (cached)
+        // failure is the only error a run can raise here.
+        EngineKind::Ast => match cached.ast_prog() {
+            Ok(prog) => execute(prog, Code::Ast, limits),
+            Err(message) => {
+                return Response {
+                    ms: ms_since(submitted),
+                    cache_hit,
+                    engine,
+                    ..Response::error(req.id, message)
+                };
+            }
+        },
+        EngineKind::Vm | EngineKind::Auto => {
+            execute(&cached.prog, Code::Vm(&cached.vm_code()), limits)
         }
+        // `tier_code()` blocks racing requests on the entry's `OnceLock`
+        // so exactly one thread tier-compiles.
+        EngineKind::Jit => execute(&cached.prog, Code::Tier(&cached.tier_code()), limits),
     };
     Response {
-        id: req.id,
-        outcome: match run.outcome {
-            Ok(value) => Outcome::Ok(value),
-            Err(e) => Outcome::Trap {
-                code: e.code().to_string(),
-                message: e.to_string(),
-            },
-        },
-        output: run.output,
-        fuel_used: run.stats.fuel_used,
-        mem_used: run.stats.mem_used,
-        live_bytes: run.stats.live_bytes,
-        peak_bytes: run.stats.peak_bytes,
-        collections: run.stats.collections,
         cache_hit,
         ms: ms_since(submitted),
-        engine,
-        reuse: None,
+        ..Response::from_execution(req.id, run, engine)
     }
-}
-
-struct RunOutcome {
-    outcome: Result<String, RuntimeError>,
-    output: String,
-    stats: ResourceStats,
-}
-
-/// Runs `main()` on the selected engine against the shared program. The
-/// worker's big stack hosts the AST interpreter directly; the VM shares
-/// the entry's compiled bytecode. Each run gets a **fresh heap** that
-/// dies with the engine, so serve's resident memory stays flat across
-/// requests regardless of how much a program allocates.
-///
-/// # Errors
-///
-/// The AST engine walks HIR bodies, which disk-loaded entries do not
-/// carry — [`CachedProgram::ast_prog`] full-compiles lazily, and its
-/// (cached) failure surfaces here as rendered diagnostics.
-fn execute(
-    cached: &CachedProgram,
-    engine: EngineKind,
-    limits: Limits,
-) -> Result<RunOutcome, String> {
-    Ok(match engine {
-        EngineKind::Ast => {
-            let mut interp = Interp::new(cached.ast_prog()?);
-            interp.set_limits(limits);
-            let outcome = interp.run_main().map(|v| interp.render(&v));
-            RunOutcome {
-                outcome,
-                stats: interp.resource_stats(),
-                output: interp.take_output(),
-            }
-        }
-        EngineKind::Vm => {
-            let mut vm = Vm::with_code(&cached.prog, cached.vm_code());
-            vm.set_limits(limits);
-            let outcome = vm.run_main().map(|v| vm.render(&v));
-            RunOutcome {
-                outcome,
-                stats: vm.resource_stats(),
-                output: vm.take_output(),
-            }
-        }
-        EngineKind::Jit => {
-            // `tier_code()` blocks racing requests on the entry's
-            // `OnceLock` so exactly one thread tier-compiles.
-            let tier = cached.tier_code();
-            let mut vm = Vm::with_code(&cached.prog, Arc::clone(tier.code()));
-            vm.set_limits(limits);
-            let outcome = vm.run_main_tier(&tier).map(|v| vm.render(&v));
-            RunOutcome {
-                outcome,
-                stats: vm.resource_stats(),
-                output: vm.take_output(),
-            }
-        }
-        // `Auto` is resolved in `handle_request` before execution; run
-        // it like the default engine if a caller bypasses that path.
-        EngineKind::Auto => execute(cached, EngineKind::Vm, limits)?,
-    })
 }
 
 #[allow(clippy::cast_possible_truncation)]

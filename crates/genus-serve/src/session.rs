@@ -20,8 +20,9 @@
 use crate::proto::{Action, EngineKind, Outcome, Request, Response, SessionReuse};
 use genus_check::Session;
 use genus_common::Severity;
-use genus_interp::{Interp, ResourceStats, RuntimeError};
-use genus_vm::{compile_optimized, compile_tier, TierProgram, Vm, VmProgram};
+use genus_interp::with_interp_stack;
+use genus_vm::exec::{execute, Code};
+use genus_vm::{compile_optimized, compile_tier, TierProgram, VmProgram};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -123,110 +124,47 @@ impl SessionEntry {
             .inner
             .program()
             .expect("no errors implies a checked program");
-        let mut cache_hit = false;
-        let run = match engine {
-            EngineKind::Ast => {
-                // The submitting thread is not a pool worker, so give the
-                // recursive interpreter its big stack explicitly.
-                std::thread::scope(|scope| {
-                    std::thread::Builder::new()
-                        .name("genus-session-interp".to_string())
-                        .stack_size(crate::pool::WORKER_STACK_SIZE)
-                        .spawn_scoped(scope, || {
-                            let mut interp = Interp::new(prog);
-                            interp.set_limits(req.limits);
-                            let outcome = interp.run_main().map(|v| interp.render(&v));
-                            RunOutcome {
-                                outcome,
-                                stats: interp.resource_stats(),
-                                output: interp.take_output(),
-                            }
-                        })
-                        .expect("spawn session interpreter thread")
-                        .join()
-                        .expect("session interpreter thread panicked")
-                })
-            }
-            EngineKind::Vm | EngineKind::Auto => {
-                let code = match &self.vm_code {
-                    Some((g, o, code)) if *g == generation && *o == opt => {
-                        cache_hit = true;
-                        code.clone()
-                    }
+        // `cache_hit` reports whether the code this engine runs was
+        // reused: the bytecode on the VM, the closures on Tier 2.
+        let (run, cache_hit) = match engine {
+            // The submitting thread is not a pool worker, so the
+            // recursive interpreter gets its big stack here.
+            EngineKind::Ast => (
+                with_interp_stack(|| execute(prog, Code::Ast, req.limits)),
+                false,
+            ),
+            EngineKind::Vm | EngineKind::Auto | EngineKind::Jit => {
+                let (code, code_hit) = match &self.vm_code {
+                    Some((g, o, code)) if *g == generation && *o == opt => (code.clone(), true),
                     _ => {
                         let code = Arc::new(compile_optimized(prog, opt));
                         self.vm_code = Some((generation, opt, code.clone()));
                         self.tier_code = None;
-                        code
+                        (code, false)
                     }
                 };
-                let mut vm = Vm::with_code(prog, code);
-                vm.set_limits(req.limits);
-                let outcome = vm.run_main().map(|v| vm.render(&v));
-                RunOutcome {
-                    outcome,
-                    stats: vm.resource_stats(),
-                    output: vm.take_output(),
-                }
-            }
-            EngineKind::Jit => {
-                let code = match &self.vm_code {
-                    Some((g, o, code)) if *g == generation && *o == opt => code.clone(),
-                    _ => {
-                        let code = Arc::new(compile_optimized(prog, opt));
-                        self.vm_code = Some((generation, opt, code.clone()));
-                        self.tier_code = None;
-                        code
-                    }
-                };
-                let tier = match &self.tier_code {
-                    Some((g, o, tier)) if *g == generation && *o == opt => {
-                        cache_hit = true;
-                        tier.clone()
-                    }
-                    _ => {
-                        let tier = Arc::new(compile_tier(&code));
-                        self.tier_code = Some((generation, opt, tier.clone()));
-                        tier
-                    }
-                };
-                let mut vm = Vm::with_code(prog, Arc::clone(tier.code()));
-                vm.set_limits(req.limits);
-                let outcome = vm.run_main_tier(&tier).map(|v| vm.render(&v));
-                RunOutcome {
-                    outcome,
-                    stats: vm.resource_stats(),
-                    output: vm.take_output(),
+                if engine != EngineKind::Jit {
+                    (execute(prog, Code::Vm(&code), req.limits), code_hit)
+                } else {
+                    let (tier, tier_hit) = match &self.tier_code {
+                        Some((g, o, tier)) if *g == generation && *o == opt => (tier.clone(), true),
+                        _ => {
+                            let tier = Arc::new(compile_tier(&code));
+                            self.tier_code = Some((generation, opt, tier.clone()));
+                            (tier, false)
+                        }
+                    };
+                    (execute(prog, Code::Tier(&tier), req.limits), tier_hit)
                 }
             }
         };
         Response {
-            id: req.id,
-            outcome: match run.outcome {
-                Ok(value) => Outcome::Ok(value),
-                Err(e) => Outcome::Trap {
-                    code: e.code().to_string(),
-                    message: e.to_string(),
-                },
-            },
-            output: run.output,
-            fuel_used: run.stats.fuel_used,
-            mem_used: run.stats.mem_used,
-            live_bytes: run.stats.live_bytes,
-            peak_bytes: run.stats.peak_bytes,
-            collections: run.stats.collections,
             cache_hit,
             ms: ms_since(submitted),
-            engine,
             reuse: Some(reuse),
+            ..Response::from_execution(req.id, run, engine)
         }
     }
-}
-
-struct RunOutcome {
-    outcome: Result<String, RuntimeError>,
-    output: String,
-    stats: ResourceStats,
 }
 
 /// The server's named-session table. Sessions are created on first use

@@ -11,9 +11,10 @@
 
 use genus_check::{check_sources_report, CheckReport, CheckedProgram};
 use genus_common::ErrorFormat;
-use genus_interp::{Interp, Limits, ResourceStats, RuntimeError};
+use genus_interp::{with_interp_stack, Limits, ResourceStats, RuntimeError};
 use genus_serve::cache::{compile, CheckPath, REQUEST_NAME};
-use genus_vm::{compile_optimized, compile_tier, Vm};
+use genus_vm::exec::{execute, Code};
+use genus_vm::{compile_optimized, compile_tier};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -44,30 +45,17 @@ fn limits() -> Limits {
 
 /// Runs `main()` on the AST interpreter, the VM at O2 and Tier 2.
 fn run_all(prog: &CheckedProgram) -> [Run; 3] {
-    let ast = std::thread::scope(|s| {
-        std::thread::Builder::new()
-            .stack_size(genus_serve::pool::WORKER_STACK_SIZE)
-            .spawn_scoped(s, || {
-                let mut interp = Interp::new(prog);
-                interp.set_limits(limits());
-                let v = interp.run_main().map(|v| interp.render(&v));
-                (v, interp.take_output(), interp.resource_stats())
-            })
-            .expect("spawn interpreter thread")
-            .join()
-            .expect("interpreter thread")
-    });
     let code = Arc::new(compile_optimized(prog, 2));
-    let mut vm = Vm::with_code(prog, Arc::clone(&code));
-    vm.set_limits(limits());
-    let v = vm.run_main().map(|v| vm.render(&v));
-    let vm_run = (v, vm.take_output(), vm.resource_stats());
     let tier = compile_tier(&code);
-    let mut vm = Vm::with_code(prog, Arc::clone(tier.code()));
-    vm.set_limits(limits());
-    let v = vm.run_main_tier(&tier).map(|v| vm.render(&v));
-    let jit = (v, vm.take_output(), vm.resource_stats());
-    [ast, vm_run, jit]
+    let run = |code| {
+        let ex = execute(prog, code, limits());
+        (ex.outcome, ex.output, ex.resource_stats)
+    };
+    [
+        with_interp_stack(|| run(Code::Ast)),
+        run(Code::Vm(&code)),
+        run(Code::Tier(&tier)),
+    ]
 }
 
 /// Compiles `src` through the miss path and the full check, asserts they

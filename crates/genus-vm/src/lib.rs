@@ -34,6 +34,7 @@
 
 pub mod bytecode;
 pub mod compile;
+pub mod exec;
 pub mod opt;
 pub mod serialize;
 pub mod tier;

@@ -1291,7 +1291,7 @@ mod tests {
     use super::*;
     use crate::opt::compile_optimized;
     use genus_check::check_source;
-    use genus_interp::meter::Limits;
+    use genus_heap::meter::Limits;
 
     fn run_both_tiers(
         src: &str,

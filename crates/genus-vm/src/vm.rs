@@ -38,8 +38,8 @@ use crate::compile::compile_program;
 use genus_check::hir::{NativeOp, NumKind};
 use genus_check::CheckedProgram;
 use genus_common::{FastMap, Symbol};
+use genus_heap::meter::{Limits, Meter, ResourceStats};
 use genus_heap::str_bytes;
-use genus_interp::meter::{Limits, Meter, ResourceStats};
 use genus_interp::natives;
 use genus_interp::ops::{arith, compare, widen_value};
 use genus_interp::rtti::{self, MEnv, ModelDispatchKey, ModelTarget, RecvKind, TEnv, VirtTarget};

@@ -20,7 +20,7 @@
 //! `0` success, `1` compile errors (or warnings under `--deny-warnings`),
 //! `2` usage or I/O errors, `3` runtime trap.
 
-use genus::{CheckReport, Engine, ErrorFormat, Limits};
+use genus::{CompileSession, Engine, ErrorFormat, Limits, Severity};
 use genus_serve::{EngineKind, Outcome, Request, ServeConfig, Server, DEFAULT_FUEL};
 use std::process::ExitCode;
 
@@ -179,16 +179,18 @@ fn print_stats(ex: &genus::Execution) {
     }
 }
 
-/// Prints the report's warnings to stderr in the chosen format.
-fn print_warnings(report: &CheckReport, format: ErrorFormat) {
+/// Prints the last check's warnings to stderr in the chosen format.
+fn print_warnings(session: &CompileSession, format: ErrorFormat) {
     let sep = if format == ErrorFormat::Human {
         "\n\n"
     } else {
         "\n"
     };
-    let rendered: Vec<String> = report
-        .warnings()
-        .map(|d| d.render_with(&report.sm, format))
+    let rendered: Vec<String> = session
+        .last_diags()
+        .iter()
+        .filter(|d| d.severity == Severity::Warning)
+        .map(|d| d.render_with(session.sm(), format))
         .collect();
     if !rendered.is_empty() {
         eprintln!("{}", rendered.join(sep));
@@ -343,17 +345,15 @@ fn main() -> ExitCode {
         }
         return cmd_watch(&files, stdlib, format);
     }
-    let mut compiler = genus::Compiler::new()
-        .engine(engine)
-        .opt_level(opt_level)
-        .error_format(format)
-        .limits(limits);
-    if stdlib {
-        compiler = compiler.with_stdlib();
-    }
+    let mut session = if stdlib {
+        CompileSession::with_stdlib()
+    } else {
+        CompileSession::new()
+    };
+    session.opt_level(opt_level);
     for f in &files {
         match std::fs::read_to_string(f) {
-            Ok(src) => compiler = compiler.source(f.clone(), src),
+            Ok(src) => session.update_source(f, &src),
             Err(e) => {
                 eprintln!("error: cannot read `{f}`: {e}");
                 return ExitCode::from(EXIT_USAGE);
@@ -363,20 +363,20 @@ fn main() -> ExitCode {
 
     // Type-check once up front so warnings can be surfaced (with their
     // stable codes) even on successful runs.
-    let mut report = compiler.check_report();
+    let report = session.check();
     if report.has_errors() {
-        eprintln!("{}", report.render(format));
+        eprintln!("{}", session.render_diags(format));
         return ExitCode::from(EXIT_COMPILE);
     }
-    print_warnings(&report, format);
-    if deny_warnings && report.warnings().next().is_some() {
+    print_warnings(&session, format);
+    if deny_warnings && report.diags.iter().any(|d| d.severity == Severity::Warning) {
         eprintln!("error: warnings denied by --deny-warnings");
         return ExitCode::from(EXIT_COMPILE);
     }
-    let prog = report.program.take().expect("no errors implies a program");
 
     match cmd.as_str() {
         "check" => {
+            let prog = session.program().expect("no errors implies a program");
             println!(
                 "ok: {} classes, {} constraints, {} models, {} top-level methods",
                 prog.table.classes.len(),
@@ -387,7 +387,9 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "run" => {
-            let ex = compiler.execute_checked(prog);
+            let ex = session
+                .execute(engine, limits)
+                .expect("the program checked above");
             // Output printed before a trap is still shown.
             print!("{}", ex.output);
             let code = match &ex.outcome {
@@ -400,7 +402,7 @@ fn main() -> ExitCode {
                 Err(e) => {
                     // Render the trap like a diagnostic, format-aware, so
                     // `--error-format=json` stays machine-readable end to end.
-                    eprintln!("{}", e.to_diagnostic().render_with(&report.sm, format));
+                    eprintln!("{}", e.to_diagnostic().render_with(session.sm(), format));
                     ExitCode::from(EXIT_TRAP)
                 }
             };

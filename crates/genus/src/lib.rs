@@ -32,8 +32,10 @@ pub use genus_common::{
 };
 pub use genus_interp::{
     DispatchStats, ErrorKind, Interp, Limits, Meter, ResourceStats, RuntimeError, Value,
+    INTERP_STACK_SIZE,
 };
 pub use genus_types::{caches_enabled, set_caches_enabled, CacheStats};
+pub use genus_vm::exec::Execution;
 pub use genus_vm::{
     compile_optimized, compile_program, compile_tier, OptStats, TierProgram, TierStats, Vm,
     VmProgram,
@@ -88,33 +90,6 @@ pub struct RunResult {
     pub rendered_value: String,
     /// Everything printed by the program.
     pub output: String,
-}
-
-/// Full outcome of [`Compiler::execute`]: unlike [`Compiler::run`], the
-/// captured output and statistics are available even when `main` traps.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Execution {
-    /// `main`'s rendered return value, or the structured runtime trap
-    /// (stable `R0xxx` code + message + optional span).
-    pub outcome: Result<String, RuntimeError>,
-    /// Everything printed before completion (or before the trap).
-    pub output: String,
-    /// The engine's dispatch-cache counters for this run.
-    pub dispatch_stats: DispatchStats,
-    /// The type-level query-cache counters (subtype/prereq/conforms/
-    /// resolve), accumulated over checking and execution.
-    pub cache_stats: CacheStats,
-    /// Bytecode-optimizer counters (specialization, folding, …). `None`
-    /// on the AST engine, which has no bytecode to optimize.
-    pub opt_stats: Option<OptStats>,
-    /// Resources consumed by this run: fuel steps, exact allocated
-    /// bytes (see [`Limits`]), plus the heap's live/peak byte counters
-    /// and the number of collections. Counted even when no limit is set.
-    pub resource_stats: ResourceStats,
-    /// Tier-compilation counters. `Some` only on [`Engine::Jit`] — the
-    /// anti-vacuity signal for differential tests (a parity claim means
-    /// nothing if no function was actually tiered).
-    pub tier_stats: Option<TierStats>,
 }
 
 /// A builder-style compiler front end.
@@ -225,15 +200,38 @@ impl Compiler {
     /// machinery, seeded with the process-wide stdlib parse memo, so
     /// repeated `check_report` calls re-parse only the user sources.
     pub fn check_report(&self) -> CheckReport {
+        self.session().into_report()
+    }
+
+    /// A fresh [`CompileSession`] over this compiler's sources, stdlib
+    /// choice and opt level: the one pipeline behind checking and
+    /// running.
+    fn session(&self) -> CompileSession {
         let mut session = if self.stdlib {
             CompileSession::with_stdlib()
         } else {
             CompileSession::new()
         };
+        session.opt_level(self.opt_level);
         for (name, src) in &self.sources {
             session.update_source(name, src);
         }
-        session.into_report()
+        session
+    }
+
+    /// Runs `main()` on `engine` through `session`, rendering compile
+    /// errors in the selected [`error_format`](Compiler::error_format).
+    fn execute_in(
+        &self,
+        session: &mut CompileSession,
+        engine: Engine,
+    ) -> Result<Execution, String> {
+        session
+            .execute(engine, self.limits)
+            .map_err(|short| match self.format {
+                ErrorFormat::Short => short,
+                format => session.render_diags(format),
+            })
     }
 
     /// Type-checks everything and returns the checked program.
@@ -262,26 +260,7 @@ impl Compiler {
     /// Returns rendered diagnostics on compile errors. Runtime errors
     /// are reported inside [`Execution::outcome`], not here.
     pub fn execute(&self) -> Result<Execution, String> {
-        let prog = self.compile()?;
-        Ok(self.execute_checked(prog))
-    }
-
-    /// Runs an already-checked program on the selected engine. Useful when
-    /// the caller obtained the program via [`Compiler::check_report`] (to
-    /// render warnings first) and wants to reuse it.
-    pub fn execute_checked(&self, prog: CheckedProgram) -> Execution {
-        match self.engine {
-            Engine::Ast => execute_ast(prog, self.limits).0,
-            Engine::Vm => {
-                let code = std::sync::Arc::new(compile_optimized(&prog, self.opt_level));
-                execute_vm_shared(&prog, &code, self.limits)
-            }
-            Engine::Jit => {
-                let code = std::sync::Arc::new(compile_optimized(&prog, self.opt_level));
-                let tier = compile_tier(&code);
-                execute_tier_shared(&prog, &tier, self.limits)
-            }
-        }
+        self.execute_in(&mut self.session(), self.engine)
     }
 
     /// Compiles and runs `main()`, returning its value and captured output.
@@ -313,12 +292,10 @@ impl Compiler {
     /// the engines disagree — the backstop assertion of the differential
     /// test suite.
     pub fn run_differential(&self) -> Result<RunResult, String> {
-        let prog = self.compile()?;
-        let (ast, prog) = execute_ast(prog, self.limits);
-        let code = std::sync::Arc::new(compile_optimized(&prog, self.opt_level));
-        let vm = execute_vm_shared(&prog, &code, self.limits);
-        let tier = compile_tier(&code);
-        let jit = execute_tier_shared(&prog, &tier, self.limits);
+        let mut session = self.session();
+        let ast = self.execute_in(&mut session, Engine::Ast)?;
+        let vm = self.execute_in(&mut session, Engine::Vm)?;
+        let jit = self.execute_in(&mut session, Engine::Jit)?;
         let pair_agrees = |a: &Execution, b: &Execution| {
             let outcomes = match (&a.outcome, &b.outcome) {
                 (Ok(x), Ok(y)) => x == y,
@@ -342,100 +319,6 @@ impl Compiler {
             ));
         }
         finish(vm)
-    }
-}
-
-/// Runs on the tree-walking interpreter. The program (with its warmed-up
-/// query caches) moves onto a dedicated thread, and the big stack keeps
-/// the interpreter's recursion guard, not the native stack, the binding
-/// limit. The program is handed back so callers can reuse the
-/// compilation (differential runs).
-fn execute_ast(prog: CheckedProgram, limits: Limits) -> (Execution, CheckedProgram) {
-    std::thread::Builder::new()
-        .name("genus-interp".to_string())
-        .stack_size(INTERP_STACK_SIZE)
-        .spawn(move || {
-            let ex = execute_ast_shared(&prog, limits);
-            (ex, prog)
-        })
-        .expect("spawn interpreter thread")
-        .join()
-        .expect("interpreter thread panicked")
-}
-
-/// How much native stack the AST interpreter needs: each Genus frame
-/// costs tens of KiB of host stack in debug builds, so the facade (and
-/// the serve worker pool) runs it under a 256 MiB stack.
-pub const INTERP_STACK_SIZE: usize = 256 << 20;
-
-/// Runs `main()` on the tree-walking interpreter against a **shared**
-/// checked program (the caller is responsible for providing enough
-/// native stack — see [`INTERP_STACK_SIZE`]; the facade's big-stack
-/// thread or a serve worker both qualify). Cache counters in the result
-/// are the delta accumulated during this run, so concurrent runs over
-/// one cached program report per-request numbers.
-pub fn execute_ast_shared(prog: &CheckedProgram, limits: Limits) -> Execution {
-    let cache_base = prog.table.cache.stats();
-    let mut interp = Interp::new(prog);
-    interp.set_limits(limits);
-    let outcome = interp.run_main().map(|v| interp.render(&v));
-    Execution {
-        outcome,
-        resource_stats: interp.resource_stats(),
-        output: interp.take_output(),
-        dispatch_stats: interp.dispatch_stats(),
-        cache_stats: prog.table.cache.stats().since(&cache_base),
-        opt_stats: None,
-        tier_stats: None,
-    }
-}
-
-/// Runs `main()` on the bytecode VM over a **shared** compiled program.
-/// The VM's dispatch loop keeps the host stack flat, so no dedicated
-/// thread is needed; `code` is `Send + Sync` and may be served to many
-/// workers at once. Cache counters in the result are the delta
-/// accumulated during this run.
-pub fn execute_vm_shared(
-    prog: &CheckedProgram,
-    code: &std::sync::Arc<VmProgram>,
-    limits: Limits,
-) -> Execution {
-    let cache_base = prog.table.cache.stats();
-    let opt_stats = Some(code.opt_stats);
-    let mut vm = Vm::with_code(prog, std::sync::Arc::clone(code));
-    vm.set_limits(limits);
-    let outcome = vm.run_main().map(|v| vm.render(&v));
-    Execution {
-        outcome,
-        resource_stats: vm.resource_stats(),
-        output: vm.take_output(),
-        dispatch_stats: vm.dispatch_stats(),
-        cache_stats: prog.table.cache.stats().since(&cache_base),
-        opt_stats,
-        tier_stats: None,
-    }
-}
-
-/// Runs `main()` on the closure-compiled Tier 2 over a **shared**
-/// [`TierProgram`]. Like the VM, the tier keeps Genus frames in an
-/// explicit stack (host stack stays flat) and the compiled closures are
-/// `Send + Sync`, so one tier program may be served to many workers at
-/// once. Cache counters in the result are the delta accumulated during
-/// this run.
-pub fn execute_tier_shared(prog: &CheckedProgram, tier: &TierProgram, limits: Limits) -> Execution {
-    let cache_base = prog.table.cache.stats();
-    let opt_stats = Some(tier.code().opt_stats);
-    let mut vm = Vm::with_code(prog, std::sync::Arc::clone(tier.code()));
-    vm.set_limits(limits);
-    let outcome = vm.run_main_tier(tier).map(|v| vm.render(&v));
-    Execution {
-        outcome,
-        resource_stats: vm.resource_stats(),
-        output: vm.take_output(),
-        dispatch_stats: vm.dispatch_stats(),
-        cache_stats: prog.table.cache.stats().since(&cache_base),
-        opt_stats,
-        tier_stats: Some(tier.stats),
     }
 }
 

@@ -30,13 +30,11 @@
 //! assert!(report.stats.units_not_rechecked() >= 5);
 //! ```
 
-use crate::{
-    execute_ast_shared, execute_tier_shared, execute_vm_shared, finish, Engine, Execution,
-    RunResult, INTERP_STACK_SIZE,
-};
+use crate::{finish, Engine, Execution, RunResult};
 use genus_check::{CheckReport, CheckedProgram, Session, SessionReport, SessionStats};
 use genus_common::{Diagnostic, ErrorFormat, Severity, SourceMap};
-use genus_interp::Limits;
+use genus_interp::{with_interp_stack, Limits};
+use genus_vm::exec::{execute, Code};
 use genus_vm::{compile_optimized, compile_tier, TierProgram, VmProgram};
 use std::sync::Arc;
 
@@ -185,18 +183,10 @@ impl CompileSession {
             .program()
             .expect("no errors implies a checked program");
         Ok(match engine {
-            Engine::Ast => std::thread::scope(|scope| {
-                std::thread::Builder::new()
-                    .name("genus-interp".to_string())
-                    .stack_size(INTERP_STACK_SIZE)
-                    .spawn_scoped(scope, || execute_ast_shared(prog, limits))
-                    .expect("spawn interpreter thread")
-                    .join()
-                    .expect("interpreter thread panicked")
-            }),
+            Engine::Ast => with_interp_stack(|| execute(prog, Code::Ast, limits)),
             Engine::Vm => {
                 let code = cached_code(&mut self.vm_code, generation, prog, opt_level);
-                execute_vm_shared(prog, &code, limits)
+                execute(prog, Code::Vm(&code), limits)
             }
             Engine::Jit => {
                 let code = cached_code(&mut self.vm_code, generation, prog, opt_level);
@@ -208,7 +198,7 @@ impl CompileSession {
                         tier
                     }
                 };
-                execute_tier_shared(prog, &tier, limits)
+                execute(prog, Code::Tier(&tier), limits)
             }
         })
     }

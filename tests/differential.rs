@@ -6,9 +6,17 @@
 //! (0, 1, 2), so the heterogeneous-translation specializer, the cleanup
 //! passes, and the tier compiler are held to the same parity bar as the
 //! baseline compiler. The VM and Tier 2 additionally run the *same*
-//! bytecode, so their fuel accounting is asserted exactly equal.
+//! bytecode, so their fuel accounting is asserted exactly equal. Every
+//! sample also runs through the facade, a `CompileSession`, the server and
+//! the fuzzer's legs, which must report the same run, counters included.
 
-use genus_repro::{Compiler, Engine, RuntimeError};
+use genus_fuzz::pipeline;
+use genus_repro::{
+    compile_optimized, compile_tier, CompileSession, Compiler, Engine, Limits, ResourceStats,
+    RuntimeError,
+};
+use genus_serve::{EngineKind, Outcome, Request, ServeConfig, Server};
+use std::sync::Arc;
 
 /// Every VM optimization level the harness sweeps.
 const OPT_LEVELS: [u8; 3] = [0, 1, 2];
@@ -17,6 +25,18 @@ fn sample(name: &str) -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/samples");
     std::fs::read_to_string(format!("{path}/{name}"))
         .unwrap_or_else(|e| panic!("cannot read sample `{name}`: {e}"))
+}
+
+/// Every file in `samples/`, sorted.
+fn sample_names() -> Vec<String> {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/samples");
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("samples/ directory exists")
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.ends_with(".genus"))
+        .collect();
+    names.sort();
+    names
 }
 
 /// Run one sample on a specific engine and return (outcome, output).
@@ -302,13 +322,7 @@ fn open_null_trap_parity_across_levels() {
 /// batch` applies at run time.
 #[test]
 fn all_samples_terminate_under_default_fuel() {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/samples");
-    let mut names: Vec<String> = std::fs::read_dir(dir)
-        .expect("samples/ directory exists")
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .filter(|n| n.ends_with(".genus"))
-        .collect();
-    names.sort();
+    let names = sample_names();
     assert!(!names.is_empty());
     for name in &names {
         for (engine, level) in [
@@ -337,6 +351,92 @@ fn all_samples_terminate_under_default_fuel() {
             );
         }
     }
+}
+
+/// One run as every run path reports it: value or trap code, printed
+/// output, and the fuel, allocated-byte and collection counters.
+type Observed = (Result<String, String>, String, [u64; 3]);
+
+fn observed(
+    outcome: &Result<String, RuntimeError>,
+    output: &str,
+    stats: &ResourceStats,
+) -> Observed {
+    (
+        outcome.clone().map_err(|e| e.code().to_string()),
+        output.to_string(),
+        [stats.fuel_used, stats.mem_used, stats.collections],
+    )
+}
+
+/// The facade, a compile session, the server and the fuzzer's legs each
+/// run `main()` through the one run path: on every sample and engine they
+/// must report the same run, counters included.
+#[test]
+fn run_paths_agree_on_every_sample() {
+    let names = sample_names();
+    let engines = [Engine::Ast, Engine::Vm, Engine::Jit];
+    let server = Server::new(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let requests = names
+        .iter()
+        .flat_map(|name| {
+            engines.iter().map(move |engine| Request {
+                engine: EngineKind::from_name(engine.name()).unwrap(),
+                ..Request::new(format!("{name}/{}", engine.name()), sample(name))
+            })
+        })
+        .collect();
+    let mut served = server.run_batch(requests).into_iter();
+    for name in &names {
+        let src = sample(name);
+        let prog = pipeline::compile(&src).program.expect("sample checks");
+        let code = Arc::new(compile_optimized(&prog, 2));
+        let tier = compile_tier(&code);
+        let mut session = CompileSession::with_stdlib();
+        session.update_source(name, &src);
+        for engine in engines {
+            let facade = Compiler::new()
+                .with_stdlib()
+                .engine(engine)
+                .source(name.clone(), src.clone())
+                .execute()
+                .unwrap();
+            let want = observed(&facade.outcome, &facade.output, &facade.resource_stats);
+            let ex = session.execute(engine, Limits::default()).unwrap();
+            assert_eq!(
+                observed(&ex.outcome, &ex.output, &ex.resource_stats),
+                want,
+                "`{name}`: session on {engine:?}"
+            );
+            let r = served.next().unwrap();
+            let outcome = match r.outcome {
+                Outcome::Ok(value) => Ok(value),
+                Outcome::Trap { code, .. } => Err(code),
+                Outcome::Error(e) => panic!("`{name}`: serve error on {engine:?}: {e}"),
+            };
+            assert_eq!(
+                (outcome, r.output, [r.fuel_used, r.mem_used, r.collections]),
+                want,
+                "`{name}`: serve on {engine:?}"
+            );
+            let leg = match engine {
+                Engine::Ast => {
+                    pipeline::with_big_stack(|| pipeline::run_ast(&prog, Limits::default()))
+                }
+                Engine::Vm => pipeline::run_vm(&prog, &code, Limits::default(), false, None),
+                Engine::Jit => pipeline::run_tier(&prog, &tier, Limits::default()),
+            };
+            assert_eq!(
+                observed(&leg.outcome, &leg.output, &leg.stats),
+                want,
+                "`{name}`: fuzz leg on {engine:?}"
+            );
+        }
+    }
+    server.shutdown();
 }
 
 /// Fuel exhaustion must have the same error identity everywhere: the same
@@ -378,15 +478,8 @@ fn fuel_trap_parity_across_levels() {
 /// this test forces them to add a differential case for it above.
 #[test]
 fn all_samples_are_covered() {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/samples");
-    let mut found: Vec<String> = std::fs::read_dir(dir)
-        .expect("samples/ directory exists")
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .filter(|n| n.ends_with(".genus"))
-        .collect();
-    found.sort();
     assert_eq!(
-        found,
+        sample_names(),
         [
             "ci_word_count.genus",
             "class_hierarchy.genus",
