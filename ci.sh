@@ -48,6 +48,13 @@ cmp target/opt_parity_0.out target/opt_parity_2.out
 target/release/genus run --engine=vm --stats samples/class_hierarchy.genus \
   > /dev/null 2> target/cha_stats.err
 grep -Eq '^virtual calls devirted: +[1-9]' target/cha_stats.err
+# Leaf-inlining gate: at O2 the Table 1 sorts' element operations (`at`,
+# `get`, `compareTo` on the boxed class) must be spliced into their
+# callers rather than called (the sweeps here and in the differential
+# suite check that every engine and level still agrees on them).
+target/release/genus run --engine=vm --stats samples/table1_sorts.genus \
+  > /dev/null 2> target/inline_stats.err
+grep -Eq '^calls inlined: +[1-9]' target/inline_stats.err
 # Tier-parity gate: the closure-compiled Tier 2 must be observationally
 # identical to the VM (the differential suite above already asserts
 # exact fuel equality between them); here the shipped binary sweeps

@@ -204,6 +204,20 @@ pub enum Op {
     /// the product of the optimizer's heterogeneous translation (§7.3):
     /// dispatch already resolved, environments already substituted away.
     CallDirect { dst: u16, spec: u32 },
+    /// Prologue of a leaf call the optimizer spliced into its caller: the
+    /// checks the replaced `CallDirect` made before pushing its frame, in
+    /// the same order, with no frame pushed. With a receiver `recv`, a
+    /// null value traps like "call on null" (when `null_check`) and the
+    /// unpacked receiver is copied into `this`, the register standing
+    /// for the callee's `this`. Then the depth probe: `StackOverflow`
+    /// when the Genus depth plus `nest` (the inlined frames enclosing
+    /// this call) has reached `max_depth`.
+    Inline {
+        recv: Option<u16>,
+        this: u16,
+        null_check: bool,
+        nest: u16,
+    },
     /// Object construction through `new_specs[spec]`: allocates, runs the
     /// field-initializer chain, then pushes the constructor frame.
     New { dst: u16, spec: u32 },
@@ -368,6 +382,10 @@ pub struct VmFunc {
     /// Debug name (`Class::method`, `global fib`, …).
     pub name: String,
     /// HIR local slots (parameters first; slot 0 is `this` when present).
+    /// Registers from here up are compiler temporaries, which cleanup may
+    /// coalesce into the instruction that consumes them; a body with
+    /// inlined calls sets it to `num_regs`, since spliced code reads its
+    /// parameters and locals more than once.
     pub num_locals: usize,
     /// Total register-file size including temporaries.
     pub num_regs: usize,

@@ -19,12 +19,12 @@ use genus_interp::ops::{arith, compare, widen_value};
 use genus_interp::Value;
 use std::collections::{HashMap, HashSet};
 
-/// Runs the cleanup passes over every function until fixpoint.
-pub fn cleanup(code: &mut VmProgram) {
+/// Runs the cleanup passes to fixpoint over every function `only` flags.
+pub fn cleanup(code: &mut VmProgram, only: &[bool]) {
     let mut consts = std::mem::take(&mut code.consts);
     let mut stats = std::mem::take(&mut code.opt_stats);
     let mut pool = Pool::build(&consts);
-    for f in &mut code.funcs {
+    for (f, _) in code.funcs.iter_mut().zip(only).filter(|(_, &on)| on) {
         clean_fn(f, &mut consts, &mut pool, &mut stats);
     }
     code.consts = consts;
@@ -110,7 +110,7 @@ fn clean_fn(f: &mut VmFunc, consts: &mut Vec<Const>, pool: &mut Pool, stats: &mu
 }
 
 /// Registers written by an instruction (the call ops write on return).
-fn op_dst(op: &Op) -> Option<u16> {
+pub(super) fn op_dst(op: &Op) -> Option<u16> {
     match *op {
         Op::Const { dst, .. }
         | Op::Move { dst, .. }
@@ -139,6 +139,7 @@ fn op_dst(op: &Op) -> Option<u16> {
         | Op::New { dst, .. }
         | Op::PrimCall { dst, .. }
         | Op::Native { dst, .. } => Some(dst),
+        Op::Inline { recv, this, .. } => recv.map(|_| this),
         Op::Jump { .. }
         | Op::JumpIfFalse { .. }
         | Op::JumpIfTrue { .. }
@@ -366,7 +367,7 @@ fn peephole_pass(f: &mut VmFunc, stats: &mut OptStats) -> bool {
     changed
 }
 
-fn set_dst(op: &mut Op, new: u16) {
+pub(super) fn set_dst(op: &mut Op, new: u16) {
     match op {
         Op::Const { dst, .. }
         | Op::Move { dst, .. }
@@ -394,7 +395,8 @@ fn set_dst(op: &mut Op, new: u16) {
         | Op::CallDirect { dst, .. }
         | Op::New { dst, .. }
         | Op::PrimCall { dst, .. }
-        | Op::Native { dst, .. } => *dst = new,
+        | Op::Native { dst, .. }
+        | Op::Inline { this: dst, .. } => *dst = new,
         _ => unreachable!("set_dst on an instruction without a destination"),
     }
 }
@@ -440,7 +442,7 @@ fn dce_pass(f: &mut VmFunc, stats: &mut OptStats) -> bool {
 /// Drops `!keep` instructions and remaps branch targets. A target that
 /// pointed at a dropped instruction maps to the next surviving one,
 /// which preserves semantics for the no-op/unreachable removals above.
-fn compact(f: &mut VmFunc, keep: &[bool], stats: &mut OptStats) {
+pub(super) fn compact(f: &mut VmFunc, keep: &[bool], stats: &mut OptStats) {
     let len = f.code.len();
     let mut map = vec![0u32; len + 1];
     let mut n = 0u32;

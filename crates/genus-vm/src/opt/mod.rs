@@ -8,6 +8,11 @@
 //! gap to the *heterogeneous* translation the paper credits for its
 //! Table 1 wins, without giving up the dictionary-passing fallback:
 //!
+//! 0. **Reachability** ([`reach`], level 2): a name-based call graph from
+//!    `main` and the initializers. The later passes touch only what it
+//!    reaches (and the clones made from it); everything else keeps its
+//!    valid unoptimized body, so an over-approximation costs compile
+//!    time and a miss costs speed, never correctness.
 //! 1. **Specialization** ([`specialize`]): walk every function, find call
 //!    sites whose type/model-argument tuples are closed terms (statically
 //!    known), clone the callee per tuple with the bindings substituted
@@ -20,7 +25,10 @@
 //! 2. **Cleanup** ([`cleanup`]): constant folding and propagation, branch
 //!    folding on constant conditions, jump threading, `Move` coalescing,
 //!    and unreachable-code elimination.
-//! 3. **Type reification**: `types`-table entries that are closed and
+//! 3. **Inlining** ([`inline`], level 2): splice each `Op::CallDirect` to a
+//!    small frameless leaf into its caller behind an `Op::Inline` prologue
+//!    that keeps the call's traps, then clean the changed bodies again.
+//! 4. **Type reification**: `types`-table entries that are closed and
 //!    existential-free are pre-evaluated once into
 //!    [`VmProgram::rt_types`], so `NewArray`/`DefaultValue`/`InstanceOf`/
 //!    `Cast` skip per-execution type evaluation.
@@ -30,6 +38,8 @@
 //! suites check at every opt level.
 
 mod cleanup;
+mod inline;
+mod reach;
 mod specialize;
 pub(crate) mod subst;
 
@@ -67,6 +77,11 @@ pub struct OptStats {
     pub moves_coalesced: usize,
     /// Instructions removed (dead code, threaded jumps, no-ops).
     pub ops_eliminated: usize,
+    /// `Op::CallDirect` sites replaced by the callee's body.
+    pub calls_inlined: usize,
+    /// Compiled functions outside the set reachable from `main` and the
+    /// initializers, left unoptimized.
+    pub funcs_unreached: usize,
     /// `types`-table entries pre-reified into `rt_types`.
     pub types_reified: usize,
 }
@@ -80,8 +95,12 @@ pub fn compile_optimized(prog: &CheckedProgram, level: u8) -> VmProgram {
     code
 }
 
-/// Runs the pipeline in place: specialization (level ≥ 2), then cleanup
-/// and type reification (level ≥ 1). Level 0 leaves the program untouched.
+/// Runs the pipeline in place. Level 1 is cleanup and type reification
+/// over every function. Level 2 first finds the functions reachable from
+/// `main` and the initializers, then runs specialization, cleanup,
+/// inlining and a second cleanup (of the bodies inlining changed) over
+/// those and their clones only; the rest keep their unoptimized bodies.
+/// Level 0 leaves the program untouched.
 pub fn optimize(code: &mut VmProgram, prog: &CheckedProgram, level: u8) {
     let level = level.min(2);
     code.opt_stats.level = level;
@@ -89,10 +108,34 @@ pub fn optimize(code: &mut VmProgram, prog: &CheckedProgram, level: u8) {
         return;
     }
     if level >= 2 {
-        specialize::specialize(code, prog);
+        let live = specialize_reachable(code, prog);
+        cleanup::cleanup(code, &live);
+        let inlined = inline::inline(code, &live);
+        cleanup::cleanup(code, &inlined);
+    } else {
+        cleanup::cleanup(code, &vec![true; code.funcs.len()]);
     }
-    cleanup::cleanup(code);
     reify_types(code, prog);
+}
+
+/// The first O2 stage: finds the reachable functions and specializes
+/// them. Returns the set to optimize further, one flag per function:
+/// the reachable originals and every clone.
+fn specialize_reachable(code: &mut VmProgram, prog: &CheckedProgram) -> Vec<bool> {
+    let mut live = reach::reachable(code, prog);
+    code.opt_stats.funcs_unreached = live.iter().filter(|&&r| !r).count();
+    specialize::specialize(code, prog, &live);
+    live.resize(code.funcs.len(), true);
+    live
+}
+
+/// Compiles `prog` and stops the O2 pipeline right after specialization,
+/// so tests see the specializer's own output.
+#[cfg(test)]
+pub(crate) fn compile_specialized(prog: &CheckedProgram) -> VmProgram {
+    let mut code = compile_program(prog);
+    specialize_reachable(&mut code, prog);
+    code
 }
 
 /// Pre-evaluates every closed, existential-free `types` entry. Closed

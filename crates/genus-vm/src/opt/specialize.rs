@@ -1,7 +1,7 @@
 //! The heterogeneous translation (§7.3): per-tuple function cloning and
 //! call devirtualization.
 //!
-//! A worklist walks every compiled function. At each call site whose
+//! A worklist walks every reachable function. At each call site whose
 //! type/model-argument tuple is a *closed* term (see [`super::subst`]),
 //! the callee is cloned with the tuple substituted through its spec
 //! tables and the site is rewritten to [`Op::CallDirect`] — no runtime
@@ -74,8 +74,9 @@ struct SpecKey {
     models: Vec<(MvId, Model)>,
 }
 
-/// Runs specialization over `code` in place.
-pub fn specialize(code: &mut VmProgram, prog: &CheckedProgram) {
+/// Runs specialization in place over the functions `live` flags and the
+/// clones it makes for them.
+pub fn specialize(code: &mut VmProgram, prog: &CheckedProgram, live: &[bool]) {
     let mut sp = Specializer {
         code,
         prog,
@@ -85,8 +86,11 @@ pub fn specialize(code: &mut VmProgram, prog: &CheckedProgram) {
         queue: Vec::new(),
         reads_env: HashMap::new(),
     };
-    let n = sp.code.funcs.len() as u32;
-    sp.queue.extend((0..n).map(FuncId));
+    sp.queue.extend(
+        (0..live.len() as u32)
+            .map(FuncId)
+            .filter(|f| live[f.0 as usize]),
+    );
     let mut i = 0;
     while i < sp.queue.len() {
         let fid = sp.queue[i];
@@ -722,6 +726,7 @@ impl Specializer<'_> {
 #[cfg(test)]
 mod tests {
     use crate::bytecode::{Op, VmProgram};
+    use crate::opt::compile_specialized;
     use crate::{compile_optimized, Vm};
     use genus_check::check_sources_report;
     use std::sync::Arc;
@@ -771,7 +776,8 @@ mod tests {
             + dynamicNative[Animal](d) * 0;
         }";
 
-    fn calls(code: &VmProgram, name: &str) -> (usize, usize) {
+    /// `global name`'s `CallDirect`, `CallVirtual` and `Inline` counts.
+    fn ops(code: &VmProgram, name: &str) -> (usize, usize, usize) {
         let f = code
             .funcs
             .iter()
@@ -781,7 +787,13 @@ mod tests {
         (
             count(|op| matches!(op, Op::CallDirect { .. })),
             count(|op| matches!(op, Op::CallVirtual { .. })),
+            count(|op| matches!(op, Op::Inline { .. })),
         )
+    }
+
+    fn calls(code: &VmProgram, name: &str) -> (usize, usize) {
+        let (direct, virt, _) = ops(code, name);
+        (direct, virt)
     }
 
     /// The name of the function `global name`'s direct call targets.
@@ -807,7 +819,9 @@ mod tests {
     fn cha_rewrites_exactly_the_closed_single_target_sites() {
         let mut report = check_sources_report(&[("t.genus", SRC)]);
         let prog = report.program.take().expect("test program must check");
-        let code = compile_optimized(&prog, 2);
+        // The specializer's own output: the inliner later replaces some
+        // of these direct calls with the callee's body.
+        let code = compile_specialized(&prog);
         for name in [
             "directNoOverrideBelow",
             "directInherited",
@@ -842,6 +856,42 @@ mod tests {
             vm.render(&v)
         };
         assert_eq!(run(code), run(o0));
+    }
+
+    /// What the O2 inliner makes of the same program: the direct calls to
+    /// one-field or one-constant leaves become their bodies, calls to
+    /// bodies that concatenate or allocate stay framed, and dynamic
+    /// sites are untouched.
+    #[test]
+    fn inliner_splices_exactly_the_leaf_targets() {
+        let mut report = check_sources_report(&[("t.genus", SRC)]);
+        let prog = report.program.take().expect("test program must check");
+        let code = compile_optimized(&prog, 2);
+        // `Dog.sound` returns a constant and `Box.get` a field.
+        for name in ["directNoOverrideBelow", "directClosedArgs"] {
+            assert_eq!(ops(&code, name), (0, 0, 1), "{name} must be inlined");
+        }
+        // `describe` concatenates and calls; `fresh` allocates a `T[]`.
+        for name in ["directInherited", "directClone"] {
+            assert_eq!(ops(&code, name), (1, 0, 0), "{name} must stay a call");
+        }
+        for name in [
+            "dynamicOverrideBelow",
+            "dynamicInterface",
+            "dynamicNative <spec>",
+            "dynamicOpenArgs",
+        ] {
+            assert_eq!(ops(&code, name), (0, 1, 0), "{name} must stay dynamic");
+        }
+        // `dynamicExistential` is never called, so O2 leaves it alone.
+        assert!(code.opt_stats.funcs_unreached >= 1);
+        assert!(code.opt_stats.calls_inlined >= 2);
+        let run = |code: VmProgram| {
+            let mut vm = Vm::with_code(&prog, Arc::new(code));
+            let v = vm.run_main().expect("runs");
+            vm.render(&v)
+        };
+        assert_eq!(run(code), run(compile_optimized(&prog, 0)));
     }
 
     /// A generic function calling itself at a closed instantiation clones

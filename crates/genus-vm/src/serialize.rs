@@ -380,6 +380,18 @@ fn write_op(w: &mut ByteWriter, op: &Op) {
             w.u16(dst);
             w.u32(spec);
         }
+        Op::Inline {
+            recv,
+            this,
+            null_check,
+            nest,
+        } => {
+            w.u8(38);
+            write_opt_reg(w, recv);
+            w.u16(this);
+            w.bool(null_check);
+            w.u16(nest);
+        }
     }
 }
 
@@ -546,6 +558,12 @@ fn read_op(r: &mut ByteReader) -> ReadResult<Op> {
         37 => Op::Native {
             dst: r.u16()?,
             spec: r.u32()?,
+        },
+        38 => Op::Inline {
+            recv: read_opt_reg(r)?,
+            this: r.u16()?,
+            null_check: r.bool()?,
+            nest: r.u16()?,
         },
         b => return Err(format!("invalid op tag {b}")),
     })
@@ -779,6 +797,8 @@ pub fn write_program(w: &mut ByteWriter, code: &VmProgram) {
     w.usize(st.branches_folded);
     w.usize(st.moves_coalesced);
     w.usize(st.ops_eliminated);
+    w.usize(st.calls_inlined);
+    w.usize(st.funcs_unreached);
     // `types_reified` is intentionally not persisted: the reification
     // pass recounts it on load.
 }
@@ -954,6 +974,8 @@ pub fn read_program(r: &mut ByteReader, prog: &CheckedProgram) -> ReadResult<VmP
         branches_folded: r.usize()?,
         moves_coalesced: r.usize()?,
         ops_eliminated: r.usize()?,
+        calls_inlined: r.usize()?,
+        funcs_unreached: r.usize()?,
         types_reified: 0,
     };
     if had_rt {
@@ -1038,6 +1060,29 @@ mod tests {
             };
             assert_eq!(direct, loaded);
         }
+    }
+
+    /// At O2 the leaf calls (`IntOrd.before`, `Box.get`) become
+    /// `Op::Inline` prologues plus spliced bodies; the codec keeps every
+    /// instruction and the optimizer counters exactly.
+    #[test]
+    fn inlined_program_round_trips() {
+        let (prog, code) = compile(SRC, 2);
+        let inlines = |c: &VmProgram| {
+            c.funcs
+                .iter()
+                .flat_map(|f| &f.code)
+                .filter(|op| matches!(op, Op::Inline { .. }))
+                .count()
+        };
+        assert!(inlines(&code) >= 2, "the leaf calls must be inlined");
+        let mut w = ByteWriter::new();
+        write_program(&mut w, &code);
+        let bytes = w.into_bytes();
+        let restored = read_program(&mut ByteReader::new(&bytes), &prog).expect("round trip");
+        let listing = |c: &VmProgram| format!("{:?}", c.funcs);
+        assert_eq!(listing(&restored), listing(&code));
+        assert_eq!(restored.opt_stats, code.opt_stats);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! - Operands become **captured register indices**; there is no operand
 //!   decoding at run time.
 //! - `CallDirect` payloads are **resolved at tier-compile time**: the
-//!   callee [`FuncId`], receiver/argument registers, and null-check flag
-//!   are captured directly, so a specialized call is a frame push with
-//!   zero dispatch.
+//!   callee, receiver/argument registers, and null-check flag are
+//!   captured directly, so a specialized call is a frame push with zero
+//!   dispatch. (Most small frameless callees never get here: at O2 the
+//!   optimizer has already spliced them into their callers.)
 //! - Reified type images (`rt_types`) are **pre-materialized** into the
 //!   closures for `instanceof`/casts/array allocation, hoisting the
 //!   side-table lookup out of the hot path.
@@ -44,14 +45,6 @@
 //! jump-table match, so the tier's wins come from doing *less work per
 //! executed op*, never from skipping accounting:
 //!
-//! - **Leaf call inlining.** A `CallDirect` whose callee never pushes a
-//!   Genus frame (no calls, no `new` — the shape §7.3 specialization
-//!   produces for model methods like `IntOrd.before`) embeds the
-//!   callee's compiled blocks in the call-site closure and runs them to
-//!   completion on a pooled local frame: no argument vector, no
-//!   `Ctl::Call` round trip through the outer loop, no frame-stack
-//!   push/pop. Depth is still counted (`StackOverflow` parity) and every
-//!   callee op still steps the meter.
 //! - **Compare-and-branch fusion.** `Cmp` immediately followed by a
 //!   `JumpIfFalse`/`JumpIfTrue` on its destination (the shape of every
 //!   loop header) becomes one closure that steps twice, still writes the
@@ -73,7 +66,7 @@
 //! stringification, static initializers) runs on the VM loop via the
 //! shared `run_call` machinery, which meters identically.
 
-use crate::bytecode::{Const, FuncId, Op, VmFunc, VmProgram};
+use crate::bytecode::{Const, Op, VmFunc, VmProgram};
 use crate::vm::{Action, Vm, VmFrame};
 use genus_check::hir::NumKind;
 use genus_common::FastMap;
@@ -258,10 +251,6 @@ fn compile_func(code: &VmProgram, f: &VmFunc) -> CompiledFunc {
             Op::Jump { target }
             | Op::JumpIfFalse { target, .. }
             | Op::JumpIfTrue { target, .. } => leaders.push(*target as usize),
-            // An inlined leaf call completes inside its own closure, so
-            // execution falls straight through — no resume block needed.
-            Op::CallDirect { spec, .. }
-                if leaf_func(code, code.direct_specs[*spec as usize].func).is_some() => {}
             Op::CallDirect { .. }
             | Op::CallVirtual { .. }
             | Op::CallStatic { .. }
@@ -382,32 +371,6 @@ fn int_cmp(op: BinOp, a: i32, b: i32) -> Option<bool> {
         BinOp::Ne => a != b,
         _ => return None,
     })
-}
-
-/// The callee of a `CallDirect` site, if it is a *leaf* the tier can
-/// inline: a function that never pushes a Genus frame (no calls, no
-/// `new`), so its compiled blocks can run to completion inside the
-/// call-site closure on a local frame. Leaves cannot recurse, so the
-/// native stack stays bounded; nested VM execution inside leaf ops
-/// (stringification, natives) is fine — it meters and traps
-/// identically. Depth is still counted at entry, preserving the
-/// `StackOverflow` trap point.
-fn leaf_func(code: &VmProgram, func: FuncId) -> Option<&VmFunc> {
-    let f = &code.funcs[func.0 as usize];
-    f.code
-        .iter()
-        .all(|op| {
-            !matches!(
-                op,
-                Op::CallVirtual { .. }
-                    | Op::CallStatic { .. }
-                    | Op::CallGlobal { .. }
-                    | Op::CallModel { .. }
-                    | Op::CallDirect { .. }
-                    | Op::New { .. }
-            )
-        })
-        .then_some(f)
 }
 
 /// The block index a jump target belongs to (targets are leaders by
@@ -952,141 +915,11 @@ fn op_thunk(code: &VmProgram, op: Op, pc: usize, rest: Thunk, blocks: &BlockMap)
             let (func, recv, null_check) = (s.func, s.recv, s.null_check);
             let argv = s.args;
             let num_regs = code.funcs[func.0 as usize].num_regs;
-            if let Some(callee) = leaf_func(code, func) {
-                // Pattern collapse: a leaf whose entire body is one
-                // comparison returning its result (`return this < other;`
-                // and friends) needs no callee frame at all — the
-                // comparison reads the caller's registers directly. The
-                // call, the `Cmp`, and the `Return` each still meter one
-                // step, and the depth still bumps across the collapsed
-                // call, so fuel traps and depth limits land exactly where
-                // the framed path puts them.
-                if let [Op::Cmp {
-                    dst: cd,
-                    op,
-                    nk,
-                    l,
-                    r,
-                }, Op::Return { src }] = callee.code[..]
-                {
-                    let nparams = recv.is_some() as u16 + argv.len() as u16;
-                    if src == cd && l < nparams && r < nparams {
-                        // Callee parameter register -> caller register;
-                        // `this` (reg 0) additionally unpacks, exactly as
-                        // frame building would.
-                        let map = |p: u16| match (recv, p) {
-                            (Some(rr), 0) => (rr as usize, true),
-                            (Some(_), p) => (argv[p as usize - 1] as usize, false),
-                            (None, p) => (argv[p as usize] as usize, false),
-                        };
-                        let ((lr, l_this), (rr, r_this)) = (map(l), map(r));
-                        let nullchk = if null_check {
-                            recv.map(|r| r as usize)
-                        } else {
-                            None
-                        };
-                        let dst = dst as usize;
-                        return thunk(move |vm, f| {
-                            vm.meter.step()?; // the call
-                            if let Some(rg) = nullchk {
-                                if vm.heap.is_null(&f.regs[rg]) {
-                                    return Err(RuntimeError::new(
-                                        ErrorKind::NullPointer,
-                                        "call on null",
-                                    ));
-                                }
-                            }
-                            vm.enter(true)?;
-                            vm.meter.step()?; // the Cmp
-                            let v = match (&f.regs[lr], &f.regs[rr]) {
-                                (&Value::Int(a), &Value::Int(b)) if nk == NumKind::Int => {
-                                    match int_cmp(op, a, b) {
-                                        Some(t) => Value::Bool(t),
-                                        None => compare(op, nk, Value::Int(a), Value::Int(b))?,
-                                    }
-                                }
-                                _ => {
-                                    let lv = f.regs[lr].clone();
-                                    let rv = f.regs[rr].clone();
-                                    let lv = if l_this { vm.heap.unpack(lv) } else { lv };
-                                    let rv = if r_this { vm.heap.unpack(rv) } else { rv };
-                                    compare(op, nk, lv, rv)?
-                                }
-                            };
-                            vm.meter.step()?; // the Return
-                            vm.depth.set(vm.depth.get() - 1);
-                            f.regs[dst] = v;
-                            rest(vm, f)
-                        });
-                    }
-                }
-                // Leaf inlining: run the callee's compiled blocks to
-                // completion right here on a pooled local frame, then
-                // continue straight-line — the outer loop never sees
-                // this call. Same steps, same depth accounting, same
-                // trap points as the frame-pushing path.
-                let leaf = compile_func(code, callee);
-                let dst = dst as usize;
-                return thunk(move |vm, f| {
-                    vm.meter.step()?;
-                    let this = match recv {
-                        Some(r) => {
-                            let v = f.regs[r as usize].clone();
-                            if null_check && vm.heap.is_null(&v) {
-                                return Err(RuntimeError::new(
-                                    ErrorKind::NullPointer,
-                                    "call on null",
-                                ));
-                            }
-                            Some(vm.heap.unpack(v))
-                        }
-                        None => None,
-                    };
-                    vm.enter(true)?;
-                    let mut regs = vm.grab_regs(num_regs);
-                    let mut slot = 0;
-                    if let Some(t) = this {
-                        regs[0] = t;
-                        slot = 1;
-                    }
-                    for &a in &argv {
-                        regs[slot] = f.regs[a as usize].clone();
-                        slot += 1;
-                    }
-                    let mut lf = VmFrame {
-                        func,
-                        pc: 0,
-                        regs,
-                        tenv: Default::default(),
-                        menv: Default::default(),
-                        dst: None,
-                        counted: true,
-                    };
-                    let mut b = 0usize;
-                    let v = loop {
-                        match leaf.blocks[b](vm, &mut lf)? {
-                            Ctl::Jump(x) => b = x as usize,
-                            Ctl::Ret(v) => break v,
-                            Ctl::Call => unreachable!("leaf function pushed a frame"),
-                        }
-                    };
-                    vm.depth.set(vm.depth.get() - 1);
-                    vm.recycle_regs(lf.regs);
-                    f.regs[dst] = v;
-                    rest(vm, f)
-                });
-            }
             let resume = target_block(blocks, pc as u32 + 1);
             thunk(move |vm, f| {
                 vm.meter.step()?;
                 let this = match recv {
-                    Some(r) => {
-                        let v = f.regs[r as usize].clone();
-                        if null_check && vm.heap.is_null(&v) {
-                            return Err(RuntimeError::new(ErrorKind::NullPointer, "call on null"));
-                        }
-                        Some(vm.heap.unpack(v))
-                    }
+                    Some(r) => Some(vm.direct_recv(f.regs[r as usize].clone(), null_check)?),
                     None => None,
                 };
                 let mut regs = vm.grab_regs(num_regs);
@@ -1111,6 +944,22 @@ fn op_thunk(code: &VmProgram, op: Op, pc: usize, rest: Thunk, blocks: &BlockMap)
                 f.pc = resume as usize;
                 vm.pending_call.set(Some(callee));
                 Ok(Ctl::Call)
+            })
+        }
+        Op::Inline {
+            recv,
+            this,
+            null_check,
+            nest,
+        } => {
+            let this = this as usize;
+            thunk(move |vm, f| {
+                vm.meter.step()?;
+                if let Some(r) = recv {
+                    f.regs[this] = vm.direct_recv(f.regs[r as usize].clone(), null_check)?;
+                }
+                vm.probe_depth(nest)?;
+                rest(vm, f)
             })
         }
         Op::New { dst, spec } => {

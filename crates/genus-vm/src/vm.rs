@@ -399,13 +399,30 @@ impl<'p> Vm<'p> {
     /// `run_body` prologue.
     pub(crate) fn enter(&self, counted: bool) -> RResult<()> {
         if counted {
-            if self.depth.get() >= self.max_depth {
-                return Err(RuntimeError::new(
-                    ErrorKind::StackOverflow,
-                    "call depth exceeded",
-                ));
-            }
+            self.probe_depth(0)?;
             self.depth.set(self.depth.get() + 1);
+        }
+        Ok(())
+    }
+
+    /// The receiver a direct call (framed or inlined) binds to the
+    /// callee's `this`: null-checked when the spec asks, then unpacked.
+    pub(crate) fn direct_recv(&self, v: Value, null_check: bool) -> RResult<Value> {
+        if null_check && self.heap.is_null(&v) {
+            return Err(RuntimeError::new(ErrorKind::NullPointer, "call on null"));
+        }
+        Ok(self.heap.unpack(v))
+    }
+
+    /// The depth check of a call made `nest` inlined levels below the
+    /// current frame: `StackOverflow` once the frame it would push is
+    /// over `max_depth`. Counts nothing; [`Vm::enter`] does that.
+    pub(crate) fn probe_depth(&self, nest: u16) -> RResult<()> {
+        if self.depth.get() + nest as usize >= self.max_depth {
+            return Err(RuntimeError::new(
+                ErrorKind::StackOverflow,
+                "call depth exceeded",
+            ));
         }
         Ok(())
     }
@@ -865,13 +882,7 @@ impl<'p> Vm<'p> {
                     let recv = match s.recv {
                         Some(r) => {
                             let v = frame.regs[r as usize].clone();
-                            if s.null_check && self.heap.is_null(&v) {
-                                return Err(RuntimeError::new(
-                                    ErrorKind::NullPointer,
-                                    "call on null",
-                                ));
-                            }
-                            Some(self.heap.unpack(v))
+                            Some(self.direct_recv(v, s.null_check)?)
                         }
                         None => None,
                     };
@@ -882,6 +893,18 @@ impl<'p> Vm<'p> {
                         .collect();
                     let f = self.frame(s.func, recv, args, true);
                     self.apply(&mut stack, dst, Action::Frame(f))?;
+                }
+                Op::Inline {
+                    recv,
+                    this,
+                    null_check,
+                    nest,
+                } => {
+                    if let Some(r) = recv {
+                        let v = frame.regs[r as usize].clone();
+                        frame.regs[this as usize] = self.direct_recv(v, null_check)?;
+                    }
+                    self.probe_depth(nest)?;
                 }
                 Op::New { dst, spec } => {
                     let s = &code.new_specs[spec as usize];

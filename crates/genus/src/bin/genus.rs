@@ -170,6 +170,8 @@ fn print_stats(ex: &genus::Execution) {
         eprintln!("branches folded:         {}", o.branches_folded);
         eprintln!("moves coalesced:         {}", o.moves_coalesced);
         eprintln!("instructions eliminated: {}", o.ops_eliminated);
+        eprintln!("calls inlined:           {}", o.calls_inlined);
+        eprintln!("functions unreached:     {}", o.funcs_unreached);
         eprintln!("types pre-reified:       {}", o.types_reified);
     }
     if let Some(t) = &ex.tier_stats {

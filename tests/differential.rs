@@ -474,6 +474,222 @@ fn fuel_trap_parity_across_levels() {
     }
 }
 
+/// The paper's Table 1 as a correctness workload: the nine sorts agree
+/// on every engine and level, and all nine print the same checksum.
+#[test]
+fn sample_table1_sorts() {
+    let (outcome, output) = run_on("table1_sorts.genus", Engine::Vm, 2);
+    assert_eq!(outcome.as_deref(), Ok("void"));
+    let sums: Vec<&str> = output
+        .lines()
+        .map(|l| l.rsplit(' ').next().unwrap())
+        .collect();
+    assert_eq!(sums.len(), 9, "{output}");
+    assert!(sums.iter().all(|s| *s == "532534.171875"), "{output}");
+    check_sample("table1_sorts.genus");
+}
+
+/// Runs `src` on the AST engine and on the VM and Tier 2 at every opt
+/// level; all must agree on the outcome (value, or trap code and message)
+/// and on the output, including what was printed before a trap. Returns
+/// the AST engine's outcome as a value or a trap code, and its output.
+fn check_levels(name: &str, src: &str) -> (Result<String, String>, String) {
+    let run = |engine: Engine, level: u8| {
+        let ex = Compiler::new()
+            .with_stdlib()
+            .engine(engine)
+            .opt_level(level)
+            .source(name.to_string(), src.to_string())
+            .execute()
+            .unwrap_or_else(|e| panic!("`{name}` failed to compile: {e}"));
+        let outcome = ex.outcome.map_err(|e| format!("{} {e}", e.code()));
+        (outcome, ex.output)
+    };
+    let want = run(Engine::Ast, 0);
+    for level in OPT_LEVELS {
+        for engine in [Engine::Vm, Engine::Jit] {
+            assert_eq!(
+                run(engine, level),
+                want,
+                "`{name}` diverges on {engine:?} at opt-level {level}"
+            );
+        }
+    }
+    let (outcome, output) = want;
+    (outcome.map_err(|e| e[..5].to_string()), output)
+}
+
+/// The depth sweeps below: a recursion `n` frames deep under `main`, whose
+/// innermost frame makes a call the O2 inliner splices. Sweeping `n`
+/// across the default depth limit puts that call exactly at the limit for
+/// one `n`. Returns the outcome for each `n` in the sweep.
+fn depth_sweep(name: &str, body: &str, arg: &str) -> Vec<Result<String, String>> {
+    (994..=1000)
+        .map(|n| {
+            let src = format!(
+                "class Box {{ int v; Box(int v) {{ this.v = v; }} int get() {{ return v; }} }}
+                 int at(Box b) {{ return b.get(); }}
+                 int one() {{ return 1; }}
+                 int two() {{ return one() + 1; }}
+                 int three() {{ return one() + two(); }}
+                 int dive(Box b, int n) {{
+                   if (n % 250 == 0) {{ println(\"depth \" + n); }}
+                   if (n == 0) {{ return {body}; }}
+                   return dive(b, n - 1);
+                 }}
+                 int main() {{ println(\"start\"); return dive({arg}, {n}); }}"
+            );
+            check_levels(name, &src).0
+        })
+        .collect()
+}
+
+/// A null receiver at a spliced call that also sits at the depth limit:
+/// as on the framed path, the null check runs before the depth check, so
+/// `NullPointer` wins until the recursion itself overflows.
+#[test]
+fn inlined_null_receiver_at_depth_limit_traps_null_first() {
+    let outcomes = depth_sweep("inline_null_depth.genus", "b.get()", "null");
+    assert!(outcomes.contains(&Err("R0002".to_string())), "{outcomes:?}");
+    assert!(outcomes.contains(&Err("R0007".to_string())), "{outcomes:?}");
+}
+
+/// A recursion that reaches `max_depth` exactly at a spliced call, one,
+/// two and three inlined levels deep (`at` calls `get`; `three` calls
+/// `one`, whose check covers its own, then `two`, which calls `one` a
+/// level deeper): `StackOverflow` fires at the same call on every engine
+/// and level.
+#[test]
+fn inlined_call_at_depth_limit_overflows_alike() {
+    for (body, value) in [("b.get()", "7"), ("at(b)", "7"), ("three()", "3")] {
+        let outcomes = depth_sweep("inline_depth.genus", body, "new Box(7)");
+        assert!(outcomes.contains(&Ok(value.to_string())), "{outcomes:?}");
+        assert!(outcomes.contains(&Err("R0007".to_string())), "{outcomes:?}");
+    }
+}
+
+/// Leaves of every shape the inliner splices, each called from a loop
+/// and checked against the framed and dynamic paths.
+#[test]
+fn inlined_leaf_shapes_agree() {
+    // A void leaf, including a void result the caller reads.
+    let (outcome, output) = check_levels(
+        "inline_void.genus",
+        "class Counter { int n; Counter() { n = 0; } void bump() { n = n + 1; } }
+         int main() {
+           Counter c = new Counter();
+           for (int i = 0; i < 5; i = i + 1) { c.bump(); }
+           println(c.bump());
+           String s = \"got \" + c.bump();
+           println(s);
+           return c.n;
+         }",
+    );
+    assert_eq!(
+        (outcome, output.as_str()),
+        (Ok("7".into()), "void\ngot void\n")
+    );
+    // A branchy leaf with several returns.
+    let (outcome, _) = check_levels(
+        "inline_branchy.genus",
+        "int sign(int x) { if (x < 0) { return -1; } if (x > 0) { return 1; } return 0; }
+         int main() {
+           int s = 0;
+           for (int i = -3; i < 4; i = i + 1) { s = s * 3 + sign(i) + 1; }
+           return s;
+         }",
+    );
+    assert_eq!(outcome, Ok("53".into()));
+    // Repeated calls on one receiver: only the first one checks it,
+    // unless the receiver register is written in between.
+    let (outcome, output) = check_levels(
+        "inline_same_receiver.genus",
+        "class Cell { int v; Cell(int v) { this.v = v; } int get() { return v; } }
+         int twice(Cell c) { return c.get() + c.get(); }
+         int swap(Cell c, Cell d) { int a = c.get(); c = d; return a + c.get(); }
+         int main() {
+           Cell x = new Cell(4);
+           println(twice(x));
+           println(swap(x, new Cell(5)));
+           return swap(x, null);
+         }",
+    );
+    assert_eq!((outcome, output.as_str()), (Err("R0002".into()), "8\n9\n"));
+    // A `return` that is also a branch target: the instruction before it
+    // runs on one path only, so it cannot produce the result alone.
+    let (outcome, _) = check_levels(
+        "inline_join_return.genus",
+        "int pos(int x) { int r = 0; if (x > 0) { r = x * 2; } return r; }
+         int main() {
+           int s = 0;
+           for (int i = -2; i < 3; i = i + 1) { s = s * 10 + pos(i) + 1; }
+           return s;
+         }",
+    );
+    assert_eq!(outcome, Ok("11135".into()));
+    // A leaf that writes its own parameter: the caller's local survives.
+    let (outcome, output) = check_levels(
+        "inline_param_write.genus",
+        "int bump(int x) { x = x + 1; return x * 2; }
+         int main() {
+           int a = 5;
+           int b = bump(a);
+           println(a + \" \" + b);
+           return bump(a + 1) + a;
+         }",
+    );
+    assert_eq!((outcome, output.as_str()), (Ok("19".into()), "5 12\n"));
+    // `x = f(x)`: the call's destination is also its argument.
+    let (outcome, _) = check_levels(
+        "inline_dst_alias.genus",
+        "int step(int v) { if (v > 10) { return v - 10; } return v * 2 + 1; }
+         int mix(int v) { int w = v * 3; return w - v; }
+         int main() {
+           int x = 1;
+           for (int i = 0; i < 6; i = i + 1) { x = step(x); x = mix(x); }
+           return x;
+         }",
+    );
+    assert_eq!(outcome, Ok("116".into()));
+    // Locals that copy each other: cleanup must not treat the spliced
+    // locals as dying temporaries.
+    let (outcome, _) = check_levels(
+        "inline_local_copies.genus",
+        "int sq(int x) { int y = x; return x * y; }
+         int chain(int x) { int y = x; int z = y; return z * y + x; }
+         int main() {
+           int s = 0;
+           for (int i = 1; i < 4; i = i + 1) { s = s + sq(i) + chain(i + 1); }
+           return s;
+         }",
+    );
+    assert_eq!(outcome, Ok("52".into()));
+}
+
+/// A spliced call whose receiver is an existential package: the
+/// `Op::Inline` prologue unpacks it like the framed call's frame set-up.
+#[test]
+fn inlined_call_on_existential_receiver_unpacks() {
+    let (outcome, output) = check_levels(
+        "inline_packed_recv.genus",
+        "constraint Peek[T] { T T.self(); }
+         model ObjPeek for Peek[Object] { Object self() { return this; } }
+         T peek[T](T x) where Peek[T] { return x.self(); }
+         int main() {
+           ArrayList[int] base = new ArrayList[int]();
+           base.add(3);
+           List[?] l = base;
+           Object o = l;
+           Object back = peek[Object with ObjPeek](o);
+           println(back == base);
+           println(back instanceof ArrayList[?]);
+           ArrayList[int] again = (ArrayList[int]) o;
+           return again.size() + again.get(0);
+         }",
+    );
+    assert_eq!((outcome, output.as_str()), (Ok("4".into()), "true\ntrue\n"));
+}
+
 /// No sample file is left out of the harness: if someone adds a new sample,
 /// this test forces them to add a differential case for it above.
 #[test]
@@ -488,6 +704,7 @@ fn all_samples_are_covered() {
             "gc_churn.genus",
             "hello.genus",
             "scheduler.genus",
+            "table1_sorts.genus",
             "word_count.genus"
         ],
         "new sample added: cover it in tests/differential.rs"
