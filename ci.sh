@@ -55,6 +55,13 @@ grep -Eq '^virtual calls devirted: +[1-9]' target/cha_stats.err
 target/release/genus run --engine=vm --stats samples/table1_sorts.genus \
   > /dev/null 2> target/inline_stats.err
 grep -Eq '^calls inlined: +[1-9]' target/inline_stats.err
+# Lazy-translation gate: Tier 2 translates a function on its first entry,
+# so the Table 1 sorts must translate at least one function and fewer
+# than the program holds (most of the linked stdlib never runs).
+target/release/genus run --engine=jit --stats samples/table1_sorts.genus \
+  > /dev/null 2> target/tier_stats.err
+awk '/^functions tiered:/ { t = $3 } /^functions in program:/ { n = $4 }
+     END { exit !(t >= 1 && t < n) }' target/tier_stats.err
 # Tier-parity gate: the closure-compiled Tier 2 must be observationally
 # identical to the VM (the differential suite above already asserts
 # exact fuel equality between them); here the shipped binary sweeps

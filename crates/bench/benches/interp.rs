@@ -403,8 +403,8 @@ fn bench_vm(c: &mut Criterion) {
         tier_rows.push(format!(
             "    \"{name}\": {{\"vm_o2_ns\": {vm_ns:.0}, \"tier_ns\": {tier_ns:.0}, \"tier_speedup\": {:.3}, \"funcs_tiered\": {}, \"blocks\": {}}}",
             vm_ns / tier_ns,
-            tier.stats.funcs_tiered,
-            tier.stats.blocks
+            tier.compiled().funcs_tiered,
+            tier.compiled().blocks
         ));
     }
     // The GC A/B: the same allocation-heavy dispatch workload on the VM

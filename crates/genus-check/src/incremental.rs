@@ -167,7 +167,8 @@ struct Sem {
     unit_diag_files: Vec<Vec<(u32, Fp)>>,
 }
 
-/// Bound on retained verdicts (FIFO eviction).
+/// Bound on retained verdicts (least recently inserted or restored goes
+/// first).
 const VERDICT_CAPACITY: usize = 128;
 
 /// Process-wide memoized prelude parse (the prelude is a compile-time
@@ -531,6 +532,12 @@ impl Session {
                     sem.live_keys[i] = Some(key);
                     sem.unit_diags[i] = v.diags;
                     sem.unit_diag_files[i] = v.diag_files;
+                    // Most recently used goes to the back, so a verdict
+                    // restored on every signature edit never ages out.
+                    if let Some(at) = self.verdict_order.iter().position(|k| *k == key) {
+                        self.verdict_order.remove(at);
+                        self.verdict_order.push(key);
+                    }
                     self.stats.units_restored += 1;
                     self.generation += 1;
                     continue;
@@ -1168,6 +1175,27 @@ mod tests {
         assert!(!r.has_errors());
         assert_eq!(r.stats.units_restored, before.units_restored + 1);
         assert_eq!(r.stats.units_rechecked, before.units_rechecked);
+    }
+
+    #[test]
+    fn a_verdict_restored_each_edit_is_never_evicted() {
+        let mut s = Session::new();
+        s.update_source("a.genus", "int a() { return 1; }");
+        s.update_source("b.genus", "int main() { return 0; }");
+        s.check();
+        for i in 0..200 {
+            // A fresh `b` verdict every round, and `a` flips to a variant
+            // and back, so its original verdict is restored each round.
+            s.update_source("b.genus", &format!("int main() {{ return {i}; }}"));
+            s.update_source("a.genus", "int a() { return 2; }");
+            s.check();
+            let before = s.stats();
+            s.update_source("a.genus", "int a() { return 1; }");
+            let r = s.check();
+            assert_eq!(r.stats.units_rechecked, before.units_rechecked, "round {i}");
+            assert_eq!(r.stats.units_restored, before.units_restored + 1);
+        }
+        assert!(s.stats().verdict_evictions > 0, "the bound was reached");
     }
 
     #[test]

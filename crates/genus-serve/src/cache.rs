@@ -126,7 +126,8 @@ impl CachedProgram {
     /// The shared Tier 2 closure program, compiling it (and the bytecode
     /// underneath, if this entry never ran on the VM) on first use. Under
     /// racing submissions exactly one thread tier-compiles; the rest
-    /// block on the `OnceLock` and share the result.
+    /// block on the `OnceLock` and share the result. Its functions are
+    /// translated later, each by the first run that enters it.
     pub fn tier_code(&self) -> Arc<TierProgram> {
         Arc::clone(
             self.tier_code

@@ -54,9 +54,12 @@ pub struct Execution {
     /// bytes (see [`Limits`]), plus the heap's live/peak byte counters
     /// and the number of collections. Counted even when no limit is set.
     pub resource_stats: ResourceStats,
-    /// Tier-compilation counters. `Some` only on Tier 2 — the
-    /// anti-vacuity signal for differential tests (a parity claim means
-    /// nothing if no function was actually tiered).
+    /// Tier-translation counters, read after the run. `Some` only on
+    /// Tier 2 — the anti-vacuity signal for differential tests (a parity
+    /// claim means nothing if no function was actually tiered). A tier
+    /// program translates each function once, on its first entry, so a
+    /// program shared by several runs counts each function once over all
+    /// of them.
     pub tier_stats: Option<TierStats>,
 }
 
@@ -113,7 +116,7 @@ pub fn execute_vm(mut vm: Vm<'_>, tier: Option<&TierProgram>, limits: Limits) ->
         cache_stats: vm.prog.table.cache.stats().since(&cache_base),
         opt_stats: Some(vm.code.opt_stats),
         resource_stats: vm.resource_stats(),
-        tier_stats: tier.map(|tier| tier.stats),
+        tier_stats: tier.map(TierProgram::compiled),
     }
 }
 
@@ -148,7 +151,8 @@ mod tests {
         assert_eq!(vm.resource_stats.fuel_used, jit.resource_stats.fuel_used);
         assert!(ast.opt_stats.is_none() && ast.tier_stats.is_none());
         assert!(vm.opt_stats.is_some() && vm.tier_stats.is_none());
-        assert!(jit.tier_stats.is_some_and(|s| s.funcs_tiered >= 1));
+        let tiered = jit.tier_stats.expect("jit runs carry tier stats");
+        assert!(tiered.funcs_tiered >= 1 && tiered.blocks >= tiered.funcs_tiered);
     }
 
     #[test]

@@ -45,10 +45,6 @@
 //! jump-table match, so the tier's wins come from doing *less work per
 //! executed op*, never from skipping accounting:
 //!
-//! - **Compare-and-branch fusion.** `Cmp` immediately followed by a
-//!   `JumpIfFalse`/`JumpIfTrue` on its destination (the shape of every
-//!   loop header) becomes one closure that steps twice, still writes the
-//!   compare result register, and branches on the unboxed boolean.
 //! - **Borrowed fast paths.** Array and field ops index the register
 //!   file in place — no `Rc` refcount round trip on the receiver, one
 //!   `RefCell` borrow instead of two. Primitive constants are captured
@@ -65,8 +61,23 @@
 //! Nested execution (field-initializer chains, `toString` dispatch from
 //! stringification, static initializers) runs on the VM loop via the
 //! shared `run_call` machinery, which meters identically.
+//!
+//! # Lazy translation
+//!
+//! [`compile_tier`] only allocates one empty slot per bytecode function;
+//! a function is translated on its first entry, as a JVM compiles a
+//! method when it first runs. A program that links the whole stdlib
+//! therefore pays only for the functions it actually calls. Each slot is
+//! a [`OnceLock`], so one `Arc<TierProgram>` stays shareable across serve
+//! workers: racing first entries translate a function exactly once, and
+//! the losers wait for the winner's result. Translation itself never
+//! touches a slot — thunks capture callee [`FuncId`]s, never another
+//! function's compiled form — so a recursive call cannot re-enter its own
+//! initialization, and recursion needs no special case. When a function
+//! is translated changes nothing a run can observe: its thunks, their
+//! metering and nested VM-loop execution do not depend on it.
 
-use crate::bytecode::{Const, Op, VmFunc, VmProgram};
+use crate::bytecode::{Const, FuncId, Op, VmFunc, VmProgram};
 use crate::vm::{Action, Vm, VmFrame};
 use genus_check::hir::NumKind;
 use genus_common::FastMap;
@@ -78,7 +89,8 @@ use genus_interp::{ErrorKind, ModelValue, RtType, RuntimeError, Value};
 use genus_syntax::ast::BinOp;
 use genus_types::Type;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 type RResult<T> = Result<T, RuntimeError>;
 
@@ -111,22 +123,32 @@ pub struct CompiledFunc {
     pub(crate) blocks: Vec<Thunk>,
 }
 
-/// Counters from tier compilation (the `funcs_tiered` anti-vacuity
-/// signal of the differential proptests).
+/// Tier-translation counters (the `funcs_tiered` anti-vacuity signal of
+/// the differential tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierStats {
     /// Functions translated to closure trees.
     pub funcs_tiered: usize,
-    /// Total basic blocks across all functions.
+    /// Total basic blocks across those functions.
     pub blocks: usize,
+    /// Functions in the bytecode, translated or not.
+    pub funcs_in_program: usize,
 }
 
-/// A whole program compiled to Tier 2, pinned to the exact bytecode it
+/// A whole program prepared for Tier 2, pinned to the exact bytecode it
 /// was built from (thunks capture indices into that program's pools).
+/// Each function is translated on its first entry; see the module docs
+/// on lazy translation.
 pub struct TierProgram {
     code: Arc<VmProgram>,
-    pub(crate) funcs: Vec<CompiledFunc>,
-    /// Compilation counters.
+    /// One slot per bytecode function, filled by [`TierProgram::func`].
+    funcs: Vec<OnceLock<CompiledFunc>>,
+    funcs_tiered: AtomicUsize,
+    blocks: AtomicUsize,
+    /// What [`compile_tier`] translated up front: its `funcs_tiered` and
+    /// `blocks` are always zero, since every function is translated on
+    /// its first entry. Read [`TierProgram::compiled`] for what running
+    /// the program translated.
     pub stats: TierStats,
 }
 
@@ -135,6 +157,29 @@ impl TierProgram {
     #[must_use]
     pub fn code(&self) -> &Arc<VmProgram> {
         &self.code
+    }
+
+    /// The functions translated so far, over every run of this program.
+    #[must_use]
+    pub fn compiled(&self) -> TierStats {
+        TierStats {
+            funcs_tiered: self.funcs_tiered.load(Ordering::Relaxed),
+            blocks: self.blocks.load(Ordering::Relaxed),
+            funcs_in_program: self.funcs.len(),
+        }
+    }
+
+    /// Function `id`'s closure trees, translating it on first entry.
+    /// Sound for recursion only because [`compile_func`] never touches a
+    /// slot: re-entering `get_or_init` on the slot being filled is an
+    /// error (it deadlocks or panics).
+    fn func(&self, id: FuncId) -> &CompiledFunc {
+        self.funcs[id.0 as usize].get_or_init(|| {
+            let cf = compile_func(&self.code, &self.code.funcs[id.0 as usize]);
+            self.funcs_tiered.fetch_add(1, Ordering::Relaxed);
+            self.blocks.fetch_add(cf.blocks.len(), Ordering::Relaxed);
+            cf
+        })
     }
 }
 
@@ -145,24 +190,19 @@ const _: fn() = || {
     assert_send_sync::<TierProgram>();
 };
 
-/// Compiles every function of `code` into closure trees.
+/// Prepares `code` for Tier 2: one empty slot per function, each filled
+/// on the function's first entry.
 #[must_use]
 pub fn compile_tier(code: &Arc<VmProgram>) -> TierProgram {
-    let mut funcs = Vec::with_capacity(code.funcs.len());
-    let mut blocks = 0;
-    for f in &code.funcs {
-        let cf = compile_func(code, f);
-        blocks += cf.blocks.len();
-        funcs.push(cf);
-    }
-    let stats = TierStats {
-        funcs_tiered: funcs.len(),
-        blocks,
-    };
     TierProgram {
         code: Arc::clone(code),
-        funcs,
-        stats,
+        funcs: code.funcs.iter().map(|_| OnceLock::new()).collect(),
+        funcs_tiered: AtomicUsize::new(0),
+        blocks: AtomicUsize::new(0),
+        stats: TierStats {
+            funcs_in_program: code.funcs.len(),
+            ..TierStats::default()
+        },
     }
 }
 
@@ -210,7 +250,7 @@ impl<'p> Vm<'p> {
     /// transfers against the same explicit frame stack as the VM.
     fn tier_frames(&self, tier: &TierProgram, root: VmFrame) -> RResult<Value> {
         self.enter(root.counted)?;
-        let mut cur: &CompiledFunc = &tier.funcs[root.func.0 as usize];
+        let mut cur = tier.func(root.func);
         let mut stack: Vec<VmFrame> = vec![root];
         loop {
             // Block granularity is a coarser GC cadence than the VM
@@ -226,12 +266,12 @@ impl<'p> Vm<'p> {
                     if let Some(v) = self.pop_frame(&mut stack, v) {
                         return Ok(v);
                     }
-                    cur = &tier.funcs[stack.last().expect("frame").func.0 as usize];
+                    cur = tier.func(stack.last().expect("frame").func);
                 }
                 Ctl::Call => {
                     let callee = self.pending_call.take().expect("parked callee frame");
                     self.enter(callee.counted)?;
-                    cur = &tier.funcs[callee.func.0 as usize];
+                    cur = tier.func(callee.func);
                     stack.push(callee);
                 }
             }
@@ -242,6 +282,9 @@ impl<'p> Vm<'p> {
 /// Type alias soup for the block maps.
 type BlockMap = FastMap<usize, u32>;
 
+/// Translates one function. It reads only the bytecode, never a
+/// [`TierProgram`] slot, so [`TierProgram::func`] may call it inside the
+/// slot's `get_or_init`.
 fn compile_func(code: &VmProgram, f: &VmFunc) -> CompiledFunc {
     // Leaders: entry, every jump target, and the resume point after
     // every frame-pushing call (returns re-enter at a block boundary).
@@ -291,86 +334,10 @@ fn compile_block(
         Some(&b) => Box::new(move |_, _| Ok(Ctl::Jump(b))),
         None => Box::new(|_, _| unreachable!("block falls off the function end")),
     };
-    let mut pc = end;
-    while pc > start {
-        pc -= 1;
-        // Fuse `Cmp` + `JumpIf*` on its result (nothing can enter at the
-        // branch: it is inside the block, hence not a leader).
-        if pc > start {
-            if let (Op::Cmp { dst, op, nk, l, r }, jump) = (f.code[pc - 1], f.code[pc]) {
-                let taken = match jump {
-                    Op::JumpIfFalse { cond, target } if cond == dst => Some((false, target)),
-                    Op::JumpIfTrue { cond, target } if cond == dst => Some((true, target)),
-                    _ => None,
-                };
-                if let Some((jump_on, target)) = taken {
-                    let b = target_block(blocks, target);
-                    next = fused_cmp_branch(dst, op, nk, l, r, jump_on, b, next);
-                    pc -= 1;
-                    continue;
-                }
-            }
-        }
+    for pc in (start..end).rev() {
         next = op_thunk(code, f.code[pc], pc, next, blocks);
     }
     next
-}
-
-/// A `Cmp` and the conditional branch on its result as one closure: two
-/// meter steps (one per fused op), the result register still written,
-/// but the branch decided on the unboxed boolean with no second
-/// dispatch.
-#[allow(clippy::too_many_arguments)]
-fn fused_cmp_branch(
-    dst: u16,
-    op: BinOp,
-    nk: NumKind,
-    l: u16,
-    r: u16,
-    jump_on: bool,
-    target: u32,
-    rest: Thunk,
-) -> Thunk {
-    let (dst, l, r) = (dst as usize, l as usize, r as usize);
-    let int_kind = matches!(nk, NumKind::Int);
-    thunk(move |vm, f| {
-        vm.meter.step()?;
-        let v = match (&f.regs[l], &f.regs[r]) {
-            (&Value::Int(a), &Value::Int(b)) if int_kind => match int_cmp(op, a, b) {
-                Some(t) => Value::Bool(t),
-                None => compare(op, nk, Value::Int(a), Value::Int(b))?,
-            },
-            _ => compare(op, nk, f.regs[l].clone(), f.regs[r].clone())?,
-        };
-        let taken = match &v {
-            Value::Bool(t) => Some(*t),
-            _ => None,
-        };
-        f.regs[dst] = v;
-        vm.meter.step()?;
-        match taken {
-            Some(t) if t == jump_on => Ok(Ctl::Jump(target)),
-            Some(_) => rest(vm, f),
-            None => Err(RuntimeError::new(
-                ErrorKind::Other,
-                format!("condition evaluated to non-boolean {:?}", f.regs[dst]),
-            )),
-        }
-    })
-}
-
-/// `int × int` comparison outcomes (`None`: not a comparison operator —
-/// fall through to the shared helper for its exact error).
-fn int_cmp(op: BinOp, a: i32, b: i32) -> Option<bool> {
-    Some(match op {
-        BinOp::Lt => a < b,
-        BinOp::Le => a <= b,
-        BinOp::Gt => a > b,
-        BinOp::Ge => a >= b,
-        BinOp::Eq => a == b,
-        BinOp::Ne => a != b,
-        _ => return None,
-    })
 }
 
 /// The block index a jump target belongs to (targets are leaders by
@@ -1236,7 +1203,91 @@ mod tests {
         let prog = check_source("int main() { return 1; }").expect("checks");
         let code = Arc::new(compile_optimized(&prog, 2));
         let tier = compile_tier(&code);
-        assert!(tier.stats.funcs_tiered >= 1);
-        assert!(tier.stats.blocks >= tier.stats.funcs_tiered);
+        Vm::with_code(&prog, Arc::clone(&code))
+            .run_main_tier(&tier)
+            .expect("runs");
+        let stats = tier.compiled();
+        assert!(stats.funcs_tiered >= 1);
+        assert!(stats.blocks >= stats.funcs_tiered);
+    }
+
+    #[test]
+    fn uncalled_functions_are_never_translated() {
+        let prog = check_source(
+            "int unused(int x) { return x * 2; }
+             int main() { return 1; }",
+        )
+        .expect("checks");
+        let code = Arc::new(compile_optimized(&prog, 2));
+        let tier = compile_tier(&code);
+        assert_eq!(tier.compiled().funcs_tiered, 0);
+        Vm::with_code(&prog, Arc::clone(&code))
+            .run_main_tier(&tier)
+            .expect("runs");
+        let slot = |name: &str| {
+            let id = code.funcs.iter().position(|f| f.name == name).expect(name);
+            tier.funcs[id].get().is_some()
+        };
+        assert!(slot("global main"));
+        assert!(!slot("global unused"));
+        assert!(tier.compiled().funcs_tiered < code.funcs.len());
+        assert_eq!(tier.stats.funcs_tiered, 0);
+    }
+
+    #[test]
+    fn recursion_translates_on_first_entry() {
+        assert_parity(
+            "int fact(int n) { if (n <= 1) { return 1; } return n * fact(n - 1); }
+             int main() { println(\"fact \" + fact(10)); return fact(12); }",
+            None,
+        );
+        assert_parity(
+            "boolean isEven(int n) { if (n == 0) { return true; } return isOdd(n - 1); }
+             boolean isOdd(int n) { if (n == 0) { return false; } return isEven(n - 1); }
+             int main() {
+               int c = 0;
+               for (int i = 0; i < 30; i = i + 1) { if (isEven(i)) { c = c + 1; } }
+               println(\"evens \" + c);
+               return c;
+             }",
+            None,
+        );
+    }
+
+    #[test]
+    fn a_shared_program_translates_each_function_once() {
+        let src = "class Acc { int n; Acc() { this.n = 0; } void add(int x) { n = n + x; } }
+             int sq(int x) { return x * x; }
+             int sum(int k) { Acc a = new Acc(); for (int i = 0; i < k; i = i + 1) { a.add(sq(i)); } return a.n; }
+             int main() { println(\"sum \" + sum(40)); return sum(20); }";
+        let prog = check_source(src).expect("checks");
+        let code = Arc::new(compile_optimized(&prog, 2));
+        let run = |tier: &TierProgram| {
+            let mut vm = Vm::with_code(&prog, Arc::clone(&code));
+            let v = vm.run_main_tier(tier).map(|v| vm.render(&v));
+            (v, vm.take_output(), vm.resource_stats().fuel_used)
+        };
+        let alone = compile_tier(&code);
+        let expected = run(&alone);
+        let shared = Arc::new(compile_tier(&code));
+        let start = std::sync::Barrier::new(4);
+        let runs: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        run(&shared)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("runner thread"))
+                .collect()
+        });
+        for r in &runs {
+            assert_eq!(r, &expected);
+        }
+        assert_eq!(shared.compiled(), alone.compiled());
     }
 }

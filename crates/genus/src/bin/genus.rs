@@ -175,9 +175,10 @@ fn print_stats(ex: &genus::Execution) {
         eprintln!("types pre-reified:       {}", o.types_reified);
     }
     if let Some(t) = &ex.tier_stats {
-        eprintln!("--- tier-2 compile stats ---");
+        eprintln!("--- tier-2 compile stats (translated during this run) ---");
         eprintln!("functions tiered:        {}", t.funcs_tiered);
         eprintln!("basic blocks compiled:   {}", t.blocks);
+        eprintln!("functions in program:    {}", t.funcs_in_program);
     }
 }
 
