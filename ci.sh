@@ -87,6 +87,21 @@ for sample in samples/*.genus; do
   cmp "$out.ast" "$out.vm"
   cmp "$out.vm" "$out.jit"
 done
+# Nesting gate: input nested past the parser's limit must get the stable
+# E0102 diagnostic (exit status 1), never a stack overflow (death by a
+# signal): 100 000 nested parentheses, and a 20 000-term operator chain,
+# which the parser builds in a loop but every later phase recurses over.
+python3 -c 'n = 100000; print("int main() { return " + "(" * n + "1" + ")" * n + "; }")' \
+  > target/nest_parens.genus
+python3 -c 'print("int main() { return 1" + "+1" * 19999 + "; }")' > target/nest_chain.genus
+for src in target/nest_parens.genus target/nest_chain.genus; do
+  set +e
+  target/release/genus check "$src" 2> target/nest.err
+  status=$?
+  set -e
+  test "$status" -eq 1
+  grep -q 'E0102' target/nest.err
+done
 # Fuzz smoke gate: a seeded run of the coverage-guided differential
 # fuzzer (grammar-generated well-typed programs, mutation over a corpus,
 # all oracles: four-way engine parity, GC-stress byte parity, bytecode

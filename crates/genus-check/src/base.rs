@@ -16,30 +16,18 @@
 //!
 //! Extension answers only when it provably agrees with
 //! [`crate::check_sources_report`] over the base's sources plus the unit.
-//! It declines (returns `None`, and the caller runs the full check) when
-//! the unit could change a base verdict, or when the unit is not clean:
-//!
-//! - `use` declarations are candidates in every scope, and declared models
-//!   are searched whole-program by default model resolution (`resolve.rs`,
-//!   rule 3). A `use`, an `enrich`, or a model whose constraint has a base
-//!   constraint in its prerequisite closure could therefore change how a
-//!   base body resolves.
-//! - A top-level method sharing a base global's name would join that
-//!   global's overload set; a colliding type, constraint or model name is
-//!   reported by collection and falls under the next rule.
-//! - Any diagnostic at all (parse, collection, prefix or body; errors and
-//!   warnings alike), and any `import`: the full check renders them.
-//!
-//! Everything else a unit declares only extends the table: classes look
-//! their supertypes up, never down, and structural conformance reads the
-//! type's own members, so base subtyping, method lookup and natural models
-//! are unchanged.
+//! The declarations are extended by the crate's one reuse rule,
+//! `extend_prefix` in the crate root, which incremental sessions also
+//! apply when an interface edit rebuilds their prefix. It declines a unit
+//! with a `use`, an `enrich`, an overload of a base global, a model whose
+//! prerequisite closure reaches a base constraint, or any collection or
+//! prefix diagnostic. On top of it, extension declines (returns `None`,
+//! and the caller runs the full check) any diagnostic at all (parse or
+//! body, errors and warnings alike) and any `import`: the full check
+//! renders them.
 
-use crate::collect;
-use crate::entail::prereq_closure;
-use crate::{check_bodies_filter, finish_prefix, CheckedProgram, Session, Start};
+use crate::{check_bodies_filter, extend_prefix, CheckedProgram, Session};
 use genus_common::{Diagnostics, SourceMap};
-use genus_syntax::ast;
 use std::sync::OnceLock;
 
 /// The prelude (and optionally the stdlib), checked once per process.
@@ -83,32 +71,11 @@ impl CheckedBase {
         let file = sm.add_file(name, src);
         let parsed = genus_syntax::parse_unit(&sm, file, name);
         let prog = parsed.program.as_ref();
-        if !parsed.diags.is_empty() || !prog.imports.is_empty() || !unit_is_local(base, prog) {
+        if !parsed.diags.is_empty() || !prog.imports.is_empty() {
             return None;
         }
-
-        let mut table = base.table.clone();
-        let from = Start::end_of(&table);
+        let table = extend_prefix(&base.table, &[prog])?;
         let mut diags = Diagnostics::new();
-        collect::collect_into(&mut table, &[prog], &mut diags);
-        let base_constraints = base.table.constraints.len();
-        let reaches_base = |inst| {
-            prereq_closure(&table, inst)
-                .iter()
-                .any(|c| (c.id.0 as usize) < base_constraints)
-        };
-        if !diags.is_empty()
-            || table.models[from.models..]
-                .iter()
-                .any(|m| reaches_base(&m.for_inst))
-        {
-            return None;
-        }
-        finish_prefix(&mut table, &mut diags, from);
-        if !diags.is_empty() {
-            return None;
-        }
-
         let mut checked = CheckedProgram {
             table,
             method_bodies: base.method_bodies.clone(),
@@ -121,18 +88,6 @@ impl CheckedBase {
         check_bodies_filter(&mut checked, &mut diags, Some(file));
         diags.is_empty().then_some(checked)
     }
-}
-
-/// Whether `prog` declares nothing that could change a verdict of `base`:
-/// no `use`, no `enrich`, and no top-level method named like a base
-/// global. (Models are checked after collection, when their constraints'
-/// prerequisites are known.)
-fn unit_is_local(base: &CheckedProgram, prog: &ast::Program) -> bool {
-    prog.decls.iter().all(|d| match d {
-        ast::Decl::Use(_) | ast::Decl::Enrich(_) => false,
-        ast::Decl::Method(m) => base.table.globals.iter().all(|g| g.name != m.name),
-        _ => true,
-    })
 }
 
 #[cfg(test)]

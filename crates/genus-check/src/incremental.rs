@@ -13,7 +13,11 @@
 //!   by the *interface* fingerprints of every unit. A body-only edit keeps
 //!   every interface fingerprint, so the prefix [`Table`] survives; the edited
 //!   unit's bodies and spans are patched into it positionally
-//!   ([`patch_unit`]).
+//!   ([`patch_unit`]). An interface edit rebuilds it, after the first
+//!   check by extending a snapshot of the leading always-visible units'
+//!   prefix with the other units (`extend_prefix` in the crate root, the
+//!   reuse rule the checked stdlib base also applies), and by a full
+//!   build only when that rule declines.
 //! * **Per-unit verdicts** (lowered HIR bodies plus diagnostics) are keyed by
 //!   `(content fingerprint, deps fingerprint)`, where the deps fingerprint
 //!   folds the global environment fingerprint (models and `use` declarations
@@ -54,8 +58,14 @@ pub struct SessionStats {
     pub parse_reused: u64,
     /// Parses that actually ran.
     pub parse_new: u64,
-    /// Times the semantic prefix (collect → wf) was rebuilt from scratch.
+    /// Times the semantic prefix (collect → wf) was rebuilt: every new
+    /// table, whether built from scratch or extended from the base
+    /// snapshot.
     pub prefix_rebuilt: u64,
+    /// Rebuilds that extended the snapshot of the leading always-visible
+    /// units' prefix instead of building every unit's (a subset of
+    /// `prefix_rebuilt`).
+    pub prefix_extended: u64,
     /// Units whose bodies/spans were patched into a reused prefix table.
     pub units_patched: u64,
     /// Units whose live verdict (HIR + diagnostics) was reused unchanged.
@@ -167,6 +177,21 @@ struct Sem {
     unit_diag_files: Vec<Vec<(u32, Fp)>>,
 }
 
+/// The semantic prefix of a session's leading always-visible units (the
+/// prelude, plus the stdlib under [`Session::with_stdlib`]), taken at the
+/// first prefix rebuild after a check and extended by every later rebuild
+/// the reuse rule allows.
+#[derive(Debug)]
+struct BaseSnapshot {
+    /// Content fingerprints of the base units it was built from.
+    contents: Vec<Fp>,
+    /// Their prefix table; `None` when building it reported a diagnostic,
+    /// and every rebuild is then a full one.
+    table: Option<Table>,
+    /// The base units' definition fingerprints over `table`.
+    def_fps: Vec<Fp>,
+}
+
 /// Bound on retained verdicts (least recently inserted or restored goes
 /// first).
 const VERDICT_CAPACITY: usize = 128;
@@ -234,6 +259,7 @@ pub struct Session {
     units: Vec<Unit>,
     parse_cache: ParseCache,
     sem: Option<Sem>,
+    base: Option<BaseSnapshot>,
     verdicts: FastMap<VKey, Verdict>,
     verdict_order: Vec<VKey>,
     stats: SessionStats,
@@ -268,6 +294,7 @@ impl Session {
             }],
             parse_cache,
             sem: None,
+            base: None,
             verdicts: FastMap::default(),
             verdict_order: Vec::new(),
             stats: SessionStats::default(),
@@ -461,17 +488,28 @@ impl Session {
         }
 
         if !reuse_prefix {
-            let mut diags = Diagnostics::new();
             let programs: Vec<&ast::Program> = parsed.iter().map(|p| p.program.as_ref()).collect();
-            let table = crate::build_prefix(&programs, &mut diags);
-            let prefix_diags = diags.take();
+            // A cold check builds every unit's prefix; a rebuild after a
+            // check extends the base snapshot unless the rule declines.
+            let extended = match self.sem {
+                Some(_) => self.extend_base(&programs, &content_fps),
+                None => None,
+            };
+            let (table, prefix_diags, mut def_fps) = match extended {
+                Some((table, base_def_fps)) => {
+                    self.stats.prefix_extended += 1;
+                    (table, Vec::new(), base_def_fps)
+                }
+                None => {
+                    let mut diags = Diagnostics::new();
+                    let table = crate::build_prefix(&programs, &mut diags);
+                    (table, diags.take(), Vec::new())
+                }
+            };
             let prefix_diag_files = diag_file_snapshot(&prefix_diags, &content_fps);
-            let def_fps: Vec<Fp> = self
-                .units
-                .iter()
-                .enumerate()
-                .map(|(i, u)| def_fp(&table, u.file, i))
-                .collect();
+            for (i, u) in self.units.iter().enumerate().skip(def_fps.len()) {
+                def_fps.push(def_fp(&table, u.file, i));
+            }
             let n = self.units.len();
             self.sem = Some(Sem {
                 checked: new_checked_shell(table),
@@ -626,6 +664,32 @@ impl Session {
             diags: self.last_diags,
             program,
         }
+    }
+
+    /// The prefix of every unit as the base snapshot extended by the units
+    /// after it, with the base units' definition fingerprints; `None` when
+    /// the reuse rule declines. (Re)takes the snapshot when the leading
+    /// always-visible units changed since it was taken.
+    fn extend_base(
+        &mut self,
+        programs: &[&ast::Program],
+        content_fps: &[Fp],
+    ) -> Option<(Table, Vec<Fp>)> {
+        let n = self.units.iter().take_while(|u| u.always_visible).count();
+        if self.base.as_ref().map(|b| b.contents.as_slice()) != Some(&content_fps[..n]) {
+            let mut diags = Diagnostics::new();
+            let table = crate::build_prefix(&programs[..n], &mut diags);
+            self.base = Some(BaseSnapshot {
+                contents: content_fps[..n].to_vec(),
+                def_fps: (0..n)
+                    .map(|i| def_fp(&table, self.units[i].file, i))
+                    .collect(),
+                table: diags.is_empty().then_some(table),
+            });
+        }
+        let base = self.base.as_ref().expect("snapshot taken above");
+        let table = crate::extend_prefix(base.table.as_ref()?, &programs[n..])?;
+        Some((table, base.def_fps.clone()))
     }
 
     fn report(&self) -> SessionReport {
@@ -1351,6 +1415,89 @@ mod tests {
         s.update_source("main.genus", "int main() { return 0; }");
         let r = s.check();
         assert!(!r.has_errors());
+    }
+
+    /// A user unit with a generic class, a constraint and a model.
+    const RANK: &str = "constraint Rank[T] { int rank(); }\n\
+        class Box[E] { E item; Box(E item) { this.item = item; } }\n\
+        model BoxRank[E] for Rank[Box[E]] { int rank() { return 1; } }\n";
+
+    /// A stdlib session over two user units, checked once.
+    fn checked_stdlib_session() -> Session {
+        let mut s = Session::with_stdlib();
+        s.update_source("rank.genus", RANK);
+        s.update_source("main.genus", "int main() { return 0; }");
+        let r = s.check();
+        assert!(!r.has_errors(), "{:?}", codes(&r));
+        s
+    }
+
+    #[test]
+    fn the_extended_table_has_the_ids_of_a_full_build() {
+        let mut s = checked_stdlib_session();
+        s.update_source("main.genus", "long main() { return 0; }");
+        assert!(!s.check().has_errors());
+        assert_eq!(s.stats().prefix_extended, 1);
+        let programs: Vec<&ast::Program> = s
+            .units
+            .iter()
+            .map(|u| u.parsed.as_ref().expect("parsed").program.as_ref())
+            .collect();
+        let mut diags = Diagnostics::new();
+        let full = crate::build_prefix(&programs, &mut diags);
+        assert!(diags.is_empty());
+        let ext = &s.program().expect("checks").table;
+        let names = |t: &Table| {
+            (
+                t.classes.iter().map(|c| c.name).collect::<Vec<_>>(),
+                t.constraints.iter().map(|c| c.name).collect::<Vec<_>>(),
+                t.models.iter().map(|m| m.name).collect::<Vec<_>>(),
+                t.globals.iter().map(|g| g.name).collect::<Vec<_>>(),
+            )
+        };
+        assert_eq!(names(ext), names(&full));
+        assert_eq!(ext.class_by_name, full.class_by_name);
+        assert_eq!(ext.constraint_by_name, full.constraint_by_name);
+        assert_eq!(ext.model_by_name, full.model_by_name);
+    }
+
+    #[test]
+    fn only_a_rebuild_after_a_check_extends_and_base_edits_resnapshot() {
+        let mut s = checked_stdlib_session();
+        assert_eq!(s.stats().prefix_extended, 0, "a cold check never extends");
+        assert!(s.base.is_none(), "a cold check takes no snapshot");
+
+        s.update_source("main.genus", "long main() { return 0; }");
+        s.check();
+        let first = s
+            .base
+            .as_ref()
+            .expect("taken at the first rebuild")
+            .contents
+            .clone();
+        assert_eq!(first.len(), 1 + genus_stdlib::sources().len());
+
+        // An interface edit of a stdlib unit changes the snapshot's key:
+        // the next rebuild takes a new snapshot and extends it.
+        let (name, src) = genus_stdlib::sources()[0];
+        let edited = format!("{src}\nclass Extra {{ Extra() {{ }} }}\n");
+        s.update_source(name, &edited);
+        let warm = s.check();
+        assert_eq!(warm.stats.prefix_extended, 2);
+        let second = &s.base.as_ref().expect("retaken").contents;
+        assert_ne!(*second, first);
+        assert_eq!(
+            second[1],
+            s.units[1].parsed.as_ref().expect("parsed").content_fp
+        );
+
+        let mut cold = Session::with_stdlib();
+        cold.update_source(name, &edited);
+        cold.update_source("rank.genus", RANK);
+        cold.update_source("main.genus", "long main() { return 0; }");
+        let cold = cold.check();
+        assert_eq!(cold.stats.prefix_extended, 0);
+        assert_eq!(warm.diags, cold.diags);
     }
 
     #[test]

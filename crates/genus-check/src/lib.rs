@@ -240,6 +240,66 @@ pub(crate) fn finish_prefix(table: &mut Table, diags: &mut Diagnostics, from: St
     wf::check_hierarchy(table, diags, from.classes);
 }
 
+/// Extends a copy of `base`, the clean semantic prefix of a library, with
+/// the declarations of `units`: collection after the base's declarations
+/// (so class, constraint, model and global ids match [`build_prefix`] over
+/// the base's units plus these), then [`finish_prefix`] over the new
+/// declarations only. Returns `None` when the reuse rule declines, and the
+/// caller must build the whole prefix instead.
+///
+/// # The reuse rule
+///
+/// Genus resolves models per instantiation (§4) and subtyping is nominal,
+/// so a library's prefix does not depend on the units checked after it,
+/// except through what the rule excludes:
+///
+/// - `use` declarations are candidates in every scope, and declared models
+///   are searched whole-program by default model resolution (`resolve.rs`,
+///   rule 3). A `use`, an `enrich`, or a model whose constraint has a base
+///   constraint in its prerequisite closure could therefore change how a
+///   base signature or body resolves.
+/// - A top-level method sharing a base global's name would join that
+///   global's overload set; a colliding type, constraint or model name is
+///   reported by collection and falls under the next rule.
+/// - Any collection or prefix diagnostic: the full build reports it, with
+///   the whole table in view.
+///
+/// Everything else a unit declares only extends the table: classes look
+/// their supertypes up, never down, and structural conformance reads the
+/// type's own members, so base subtyping, method lookup and natural models
+/// are unchanged.
+pub(crate) fn extend_prefix(base: &Table, units: &[&ast::Program]) -> Option<Table> {
+    let is_local = |p: &&ast::Program| {
+        p.decls.iter().all(|d| match d {
+            ast::Decl::Use(_) | ast::Decl::Enrich(_) => false,
+            ast::Decl::Method(m) => base.globals.iter().all(|g| g.name != m.name),
+            _ => true,
+        })
+    };
+    if !units.iter().all(is_local) {
+        return None;
+    }
+    let mut table = base.clone();
+    let from = Start::end_of(&table);
+    let mut diags = Diagnostics::new();
+    collect::collect_into(&mut table, units, &mut diags);
+    let base_constraints = base.constraints.len();
+    let reaches_base = |inst| {
+        entail::prereq_closure(&table, inst)
+            .iter()
+            .any(|c| (c.id.0 as usize) < base_constraints)
+    };
+    if !diags.is_empty()
+        || table.models[from.models..]
+            .iter()
+            .any(|m| reaches_base(&m.for_inst))
+    {
+        return None;
+    }
+    finish_prefix(&mut table, &mut diags, from);
+    diags.is_empty().then_some(table)
+}
+
 /// An empty [`CheckedProgram`] around a prefix table, to be filled by
 /// [`check_bodies_filter`].
 pub(crate) fn new_checked_shell(table: Table) -> CheckedProgram {

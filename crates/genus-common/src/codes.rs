@@ -39,6 +39,7 @@ registry! {
     "E0005", "lex", "unexpected character";
     // --- parser ---
     "E0101", "parse", "syntax error";
+    "E0102", "parse", "nesting too deep";
     // --- declaration collection ---
     "E0201", "collect", "duplicate type declaration";
     "E0202", "collect", "duplicate constraint declaration";

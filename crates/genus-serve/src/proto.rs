@@ -43,9 +43,9 @@
 //! `update` replaces one named unit's text, `check` re-derives
 //! diagnostics reusing everything content hashes allow, and `run`
 //! re-checks then executes `main()` (reusing compiled bytecode when
-//! nothing changed). Sessionful `check`/`run` responses append two
-//! counters, `"reused"` and `"rechecked"` — the per-request incremental
-//! reuse evidence. Stateless response lines are unchanged, byte for byte.
+//! nothing changed). Sessionful `check`/`run` responses append three
+//! counters, `"extended"`, `"reused"` and `"rechecked"` — the per-request
+//! incremental reuse evidence. Stateless response lines are unchanged, byte for byte.
 
 use genus_common::json::{self, Json};
 use genus_interp::Limits;
@@ -329,6 +329,9 @@ pub enum Outcome {
 /// responses, so stateless response lines keep their historical bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionReuse {
+    /// Prefix rebuilds that extended the session's snapshot of the
+    /// prelude and stdlib instead of rebuilding every unit's (0 or 1).
+    pub extended: u64,
     /// Unit verdicts reused (live or restored from the LRU) by this check.
     pub reused: u64,
     /// Units fully re-checked by this check.
@@ -422,9 +425,9 @@ impl Response {
     /// Serializes the response as one JSON line (no trailing newline).
     /// Key order is fixed — `id, outcome, [value | code, message |
     /// message], output, fuel_used, mem_used, live_bytes, peak_bytes,
-    /// collections, cache, ms, engine[, reused, rechecked]` — so a given
-    /// response always renders to the same bytes. The trailing reuse
-    /// counters appear only on sessionful responses.
+    /// collections, cache, ms, engine[, extended, reused, rechecked]` — so
+    /// a given response always renders to the same bytes. The trailing
+    /// reuse counters appear only on sessionful responses.
     #[must_use]
     pub fn to_json_line(&self) -> String {
         let mut s = String::with_capacity(128);
@@ -461,8 +464,8 @@ impl Response {
         ));
         if let Some(r) = &self.reuse {
             s.push_str(&format!(
-                ",\"reused\":{},\"rechecked\":{}",
-                r.reused, r.rechecked
+                ",\"extended\":{},\"reused\":{},\"rechecked\":{}",
+                r.extended, r.reused, r.rechecked
             ));
         }
         s.push('}');
@@ -568,6 +571,7 @@ mod tests {
         let mut r = Response::error("e1", "boom");
         assert!(!r.to_json_line().contains("reused"));
         r.reuse = Some(SessionReuse {
+            extended: 1,
             reused: 5,
             rechecked: 1,
         });
@@ -576,6 +580,7 @@ mod tests {
         let v = json::parse(&line).unwrap();
         assert_eq!(v.get("reused").and_then(Json::as_num), Some(5.0));
         assert_eq!(v.get("rechecked").and_then(Json::as_num), Some(1.0));
+        assert_eq!(v.get("extended").and_then(Json::as_num), Some(1.0));
     }
 
     #[test]

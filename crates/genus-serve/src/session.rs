@@ -71,6 +71,7 @@ impl SessionEntry {
                 let report = self.inner.check();
                 let after = self.inner.stats();
                 let reuse = SessionReuse {
+                    extended: after.prefix_extended - before.prefix_extended,
                     reused: after.units_not_rechecked() - before.units_not_rechecked(),
                     rechecked: after.units_rechecked - before.units_rechecked,
                 };
@@ -279,6 +280,26 @@ mod tests {
         let reuse = r.reuse.unwrap();
         assert!(reuse.reused >= 2, "prelude + util reused: {reuse:?}");
         assert_eq!(reuse.rechecked, 1, "only main re-checked: {reuse:?}");
+    }
+
+    #[test]
+    fn signature_edits_report_extending_the_stdlib_snapshot() {
+        let reg = SessionRegistry::new();
+        let t = Instant::now();
+        let check = |id: &str, source: &str| {
+            let line =
+                format!(r#"{{"id":"{id}","session":"s","action":"check","source":"{source}"}}"#);
+            let r = reg.handle(req(&line), t);
+            assert_eq!(r.outcome, Outcome::Ok("checked".to_string()));
+            r.reuse.expect("sessionful check carries counters")
+        };
+        assert_eq!(check("c1", "int main() { return 1; }").extended, 0, "cold");
+        assert_eq!(check("c2", "long main() { return 1; }").extended, 1);
+        assert_eq!(
+            check("c3", "long main() { return 2; }").extended,
+            0,
+            "body edit"
+        );
     }
 
     #[test]

@@ -701,3 +701,26 @@ fn fuel_trap_parity_across_engines_and_levels() {
     }
     server.shutdown();
 }
+
+/// A request nested far past the parser's limit gets an `E0102` error
+/// reply instead of taking the worker down, and the next request on the
+/// same worker is answered.
+#[test]
+fn deeply_nested_request_is_an_error_reply() {
+    let server = server(1);
+    let deep = format!(
+        "int main() {{ return {}1{}; }}",
+        "(".repeat(100_000),
+        ")".repeat(100_000)
+    );
+    let r = server.submit(Request::new("deep", &deep)).recv().unwrap();
+    let Outcome::Error(message) = &r.outcome else {
+        panic!("expected a compile error: {}", r.to_json_line());
+    };
+    assert!(message.contains("E0102"), "{message}");
+    let r = server
+        .submit(Request::new("next", "int main() { return 7; }"))
+        .recv()
+        .unwrap();
+    assert_eq!(r.outcome, Outcome::Ok("7".to_string()));
+}

@@ -4,11 +4,24 @@
 //! casts vs. parenthesized expressions, local declarations vs. expression
 //! statements, generic type arguments vs. array indexing, and for-each vs.
 //! C-style `for`.
+//!
+//! Nesting is bounded by [`MAX_NESTING`]: every later phase (checking,
+//! lowering, dropping the tree) recurses over the syntax tree on the
+//! host stack, so a deeper program is rejected with `E0102` here instead
+//! of overflowing a stack downstream.
 
 use crate::ast::*;
 use crate::lexer::lex;
 use crate::token::{Token, TokenKind};
 use genus_common::{Diagnostics, FileId, SourceMap, Span, Symbol};
+
+/// The deepest nesting a program may have: parentheses, prefix operators,
+/// casts, operator chains (which build one tree level per operator),
+/// member-access chains, nested statements and blocks, and type and model
+/// arguments all count. A quarter of the smallest depth that overflows an
+/// 8 MiB thread through parse, check, lowering and drop (see
+/// `docs/IMPLEMENTATION.md`, "Nesting limit").
+pub const MAX_NESTING: usize = 256;
 
 /// Parses the registered file `file` into a [`Program`].
 ///
@@ -16,12 +29,7 @@ use genus_common::{Diagnostics, FileId, SourceMap, Span, Symbol};
 /// and statement boundaries so a partial AST is produced on error.
 pub fn parse_program(sm: &SourceMap, file: FileId, diags: &mut Diagnostics) -> Program {
     let tokens = lex(sm, file, diags);
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        diags,
-    };
-    p.program()
+    Parser::new(tokens, diags).program()
 }
 
 /// The parser state. Exposed so embedders can parse fragments in tests.
@@ -29,6 +37,11 @@ pub struct Parser<'d> {
     tokens: Vec<Token>,
     pos: usize,
     diags: &'d mut Diagnostics,
+    /// Nesting of the tree under construction (see [`MAX_NESTING`]).
+    depth: usize,
+    /// Where the nesting first exceeded [`MAX_NESTING`]; from then on the
+    /// parse is abandoned and reports only this.
+    too_deep: Option<Span>,
 }
 
 type PResult<T> = Result<T, ()>;
@@ -43,6 +56,8 @@ impl<'d> Parser<'d> {
             tokens,
             pos: 0,
             diags,
+            depth: 0,
+            too_deep: None,
         }
     }
 
@@ -101,8 +116,43 @@ impl<'d> Parser<'d> {
     }
 
     fn error_here(&mut self, msg: String) {
-        let sp = self.span();
-        self.diags.error("E0101", sp, msg);
+        // Past the nesting limit the parse unwinds without a syntax error
+        // per level.
+        if self.too_deep.is_none() {
+            let sp = self.span();
+            self.diags.error("E0101", sp, msg);
+        }
+    }
+
+    /// Enters one more level of nesting, failing (once with `E0102`, and
+    /// at once ever after) past [`MAX_NESTING`]. Called inside
+    /// [`Parser::keep_depth`], which leaves the level again.
+    fn enter(&mut self) -> PResult<()> {
+        self.depth += 1;
+        if self.too_deep.is_none() && self.depth > MAX_NESTING {
+            self.too_deep = Some(self.span());
+        }
+        match self.too_deep {
+            Some(_) => Err(()),
+            None => Ok(()),
+        }
+    }
+
+    /// Runs `f` and restores the nesting depth it started at, whether `f`
+    /// succeeds or not.
+    fn keep_depth<T>(&mut self, f: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        let depth = self.depth;
+        let r = f(self);
+        self.depth = depth;
+        r
+    }
+
+    /// Runs `f` one nesting level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        self.keep_depth(|p| {
+            p.enter()?;
+            f(p)
+        })
     }
 
     fn ident(&mut self) -> PResult<(Symbol, Span)> {
@@ -178,6 +228,13 @@ impl<'d> Parser<'d> {
                 }
             }
         }
+        if let Some(sp) = self.too_deep {
+            self.diags.error(
+                "E0102",
+                sp,
+                format!("nesting exceeds the limit of {MAX_NESTING} levels"),
+            );
+        }
         Program { imports, decls }
     }
 
@@ -187,7 +244,18 @@ impl<'d> Parser<'d> {
             && matches!(self.peek_at(2), TokenKind::Semi)
     }
 
+    /// Past the nesting limit there is nothing to recover: skips to the end.
+    fn abandon_if_too_deep(&mut self) -> bool {
+        if self.too_deep.is_some() {
+            self.pos = self.tokens.len() - 1;
+        }
+        self.too_deep.is_some()
+    }
+
     fn recover_to_decl(&mut self) {
+        if self.abandon_if_too_deep() {
+            return;
+        }
         let mut depth = 0usize;
         loop {
             match self.peek() {
@@ -385,6 +453,9 @@ impl<'d> Parser<'d> {
     }
 
     fn recover_in_body(&mut self) {
+        if self.abandon_if_too_deep() {
+            return;
+        }
         let mut depth = 0usize;
         loop {
             match self.peek() {
@@ -808,6 +879,10 @@ impl<'d> Parser<'d> {
 
     /// Parses a type.
     pub fn ty(&mut self) -> PResult<Ty> {
+        self.nested(Self::ty_unnested)
+    }
+
+    fn ty_unnested(&mut self) -> PResult<Ty> {
         let lo = self.span();
         let base = match self.peek().clone() {
             TokenKind::Int => {
@@ -908,6 +983,7 @@ impl<'d> Parser<'d> {
 
     fn array_suffix(&mut self, mut base: Ty) -> PResult<Ty> {
         while self.at(&TokenKind::LBracket) && matches!(self.peek_at(1), TokenKind::RBracket) {
+            self.enter()?;
             self.bump();
             let hi = self.span();
             self.bump();
@@ -935,6 +1011,10 @@ impl<'d> Parser<'d> {
 
     /// Parses a model expression (`with`-clause operand or expander).
     pub fn model_expr(&mut self) -> PResult<ModelExpr> {
+        self.nested(Self::model_expr_unnested)
+    }
+
+    fn model_expr_unnested(&mut self) -> PResult<ModelExpr> {
         if self.at(&TokenKind::Question) {
             let span = self.span();
             self.bump();
@@ -1014,6 +1094,10 @@ impl<'d> Parser<'d> {
 
     /// Parses one statement.
     pub fn stmt(&mut self) -> PResult<Stmt> {
+        self.nested(Self::stmt_unnested)
+    }
+
+    fn stmt_unnested(&mut self) -> PResult<Stmt> {
         let lo = self.span();
         match self.peek() {
             TokenKind::LBrace => {
@@ -1232,7 +1316,7 @@ impl<'d> Parser<'d> {
 
     /// Parses an expression.
     pub fn expr(&mut self) -> PResult<Expr> {
-        self.assignment()
+        self.nested(Self::assignment)
     }
 
     fn assignment(&mut self) -> PResult<Expr> {
@@ -1245,7 +1329,7 @@ impl<'d> Parser<'d> {
         };
         let is_plain = matches!(self.peek(), TokenKind::Assign);
         self.bump();
-        let rhs = self.assignment()?;
+        let rhs = self.expr()?;
         let span = lhs.span.to(rhs.span);
         let op = if is_plain { None } else { op };
         Ok(Expr {
@@ -1277,146 +1361,96 @@ impl<'d> Parser<'d> {
         Ok(cond)
     }
 
+    /// A left-associative chain `next (op next)*`, which builds one tree
+    /// level per operator.
+    fn binary_chain(
+        &mut self,
+        next: fn(&mut Self) -> PResult<Expr>,
+        op_of: fn(&TokenKind) -> Option<BinOp>,
+    ) -> PResult<Expr> {
+        self.keep_depth(|p| {
+            let mut lhs = next(p)?;
+            while let Some(op) = op_of(p.peek()) {
+                p.bump();
+                p.enter()?;
+                let rhs = next(p)?;
+                lhs = binary(op, lhs, rhs);
+            }
+            Ok(lhs)
+        })
+    }
+
     fn or_expr(&mut self) -> PResult<Expr> {
-        let mut lhs = self.and_expr()?;
-        while self.eat(&TokenKind::OrOr) {
-            let rhs = self.and_expr()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr {
-                kind: ExprKind::Binary {
-                    op: BinOp::Or,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                span,
-            };
-        }
-        Ok(lhs)
+        self.binary_chain(Self::and_expr, |k| match k {
+            TokenKind::OrOr => Some(BinOp::Or),
+            _ => None,
+        })
     }
 
     fn and_expr(&mut self) -> PResult<Expr> {
-        let mut lhs = self.equality()?;
-        while self.eat(&TokenKind::AndAnd) {
-            let rhs = self.equality()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr {
-                kind: ExprKind::Binary {
-                    op: BinOp::And,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                span,
-            };
-        }
-        Ok(lhs)
+        self.binary_chain(Self::equality, |k| match k {
+            TokenKind::AndAnd => Some(BinOp::And),
+            _ => None,
+        })
     }
 
     fn equality(&mut self) -> PResult<Expr> {
-        let mut lhs = self.relational()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::EqEq => BinOp::Eq,
-                TokenKind::NotEq => BinOp::Ne,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.relational()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr {
-                kind: ExprKind::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                span,
-            };
-        }
-        Ok(lhs)
+        self.binary_chain(Self::relational, |k| match k {
+            TokenKind::EqEq => Some(BinOp::Eq),
+            TokenKind::NotEq => Some(BinOp::Ne),
+            _ => None,
+        })
     }
 
     fn relational(&mut self) -> PResult<Expr> {
-        let mut lhs = self.additive()?;
-        loop {
-            if self.at(&TokenKind::Instanceof) {
-                self.bump();
-                let ty = self.ty()?;
-                let span = lhs.span.to(ty.span);
-                lhs = Expr {
-                    kind: ExprKind::InstanceOf {
-                        expr: Box::new(lhs),
-                        ty,
-                    },
-                    span,
+        self.keep_depth(|p| {
+            let mut lhs = p.additive()?;
+            loop {
+                if p.at(&TokenKind::Instanceof) {
+                    p.bump();
+                    p.enter()?;
+                    let ty = p.ty()?;
+                    let span = lhs.span.to(ty.span);
+                    lhs = Expr {
+                        kind: ExprKind::InstanceOf {
+                            expr: Box::new(lhs),
+                            ty,
+                        },
+                        span,
+                    };
+                    continue;
+                }
+                let op = match p.peek() {
+                    TokenKind::Lt => BinOp::Lt,
+                    TokenKind::Le => BinOp::Le,
+                    TokenKind::Gt => BinOp::Gt,
+                    TokenKind::Ge => BinOp::Ge,
+                    _ => break,
                 };
-                continue;
+                p.bump();
+                p.enter()?;
+                let rhs = p.additive()?;
+                lhs = binary(op, lhs, rhs);
             }
-            let op = match self.peek() {
-                TokenKind::Lt => BinOp::Lt,
-                TokenKind::Le => BinOp::Le,
-                TokenKind::Gt => BinOp::Gt,
-                TokenKind::Ge => BinOp::Ge,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.additive()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr {
-                kind: ExprKind::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                span,
-            };
-        }
-        Ok(lhs)
+            Ok(lhs)
+        })
     }
 
     fn additive(&mut self) -> PResult<Expr> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.multiplicative()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr {
-                kind: ExprKind::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                span,
-            };
-        }
-        Ok(lhs)
+        self.binary_chain(Self::multiplicative, |k| match k {
+            TokenKind::Plus => Some(BinOp::Add),
+            TokenKind::Minus => Some(BinOp::Sub),
+            _ => None,
+        })
     }
 
     fn multiplicative(&mut self) -> PResult<Expr> {
-        let mut lhs = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Rem,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.unary()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr {
-                kind: ExprKind::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                span,
-            };
-        }
-        Ok(lhs)
+        self.binary_chain(Self::unary, |k| match k {
+            TokenKind::Star => Some(BinOp::Mul),
+            TokenKind::Slash => Some(BinOp::Div),
+            TokenKind::Percent => Some(BinOp::Rem),
+            _ => None,
+        })
     }
 
     fn unary(&mut self) -> PResult<Expr> {
@@ -1424,7 +1458,7 @@ impl<'d> Parser<'d> {
         match self.peek() {
             TokenKind::Not => {
                 self.bump();
-                let e = self.unary()?;
+                let e = self.nested(Self::unary)?;
                 let span = lo.to(e.span);
                 Ok(Expr {
                     kind: ExprKind::Unary {
@@ -1436,7 +1470,7 @@ impl<'d> Parser<'d> {
             }
             TokenKind::Minus => {
                 self.bump();
-                let e = self.unary()?;
+                let e = self.nested(Self::unary)?;
                 let span = lo.to(e.span);
                 Ok(Expr {
                     kind: ExprKind::Unary {
@@ -1469,7 +1503,7 @@ impl<'d> Parser<'d> {
                     ) {
                         return Err(());
                     }
-                    let e = p.unary()?;
+                    let e = p.nested(Self::unary)?;
                     Ok((ty, e))
                 });
                 if let Some((ty, e)) = cast {
@@ -1528,8 +1562,17 @@ impl<'d> Parser<'d> {
     }
 
     fn postfix(&mut self) -> PResult<Expr> {
+        self.keep_depth(Self::postfix_chain)
+    }
+
+    /// A primary and its `.name`, call and index suffixes, which build one
+    /// tree level each.
+    fn postfix_chain(&mut self) -> PResult<Expr> {
         let mut e = self.primary()?;
         loop {
+            if self.at(&TokenKind::Dot) || self.at(&TokenKind::LBracket) {
+                self.enter()?;
+            }
             if self.at(&TokenKind::Dot) {
                 // `.name`, `.name(args)`, `.name[T](args)`, or expander
                 // `.(modelExpr.name)(args)`.
@@ -1850,6 +1893,19 @@ impl<'d> Parser<'d> {
                 Err(())
             }
         }
+    }
+}
+
+/// `lhs op rhs`, spanning both operands.
+fn binary(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
+    let span = lhs.span.to(rhs.span);
+    Expr {
+        kind: ExprKind::Binary {
+            op,
+            lhs: Box::new(lhs),
+            rhs: Box::new(rhs),
+        },
+        span,
     }
 }
 
@@ -2327,5 +2383,54 @@ mod tests {
             .decls
             .iter()
             .any(|dd| dd.name().map(|n| n.as_str()) == Some("Ok")));
+    }
+
+    /// The codes of a parse of `src`, on a thread with room for the
+    /// parser's frames in a debug build.
+    fn parse_codes(src: String) -> Vec<&'static str> {
+        std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(move || {
+                let mut sm = SourceMap::new();
+                let f = sm.add_file("t.genus", &src);
+                let mut d = Diagnostics::new();
+                let _ = parse_program(&sm, f, &mut d);
+                d.iter().map(|d| d.code).collect()
+            })
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_one_e0102() {
+        let parens = |n: usize| {
+            format!(
+                "int main() {{ return {}1{}; }}",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        let chain = |n: usize| format!("int main() {{ return 1{}; }}", "+1".repeat(n));
+        let tyargs = |n: usize| {
+            format!(
+                "int main() {{ Object o = new {}C{}(); return 0; }}\nint after() {{ return 0; }}",
+                "B[".repeat(n),
+                "]".repeat(n)
+            )
+        };
+        let blocks = |n: usize| format!("void main() {{ {}{} }}", "{".repeat(n), "}".repeat(n));
+        for src in [
+            chain(2000),
+            parens(1500),
+            parens(100_000),
+            tyargs(MAX_NESTING + 1),
+            blocks(MAX_NESTING + 1),
+        ] {
+            assert_eq!(parse_codes(src.clone()), ["E0102"], "{}", &src[..60]);
+        }
+        for src in [chain(100), parens(100), tyargs(100), blocks(100)] {
+            assert_eq!(parse_codes(src), [] as [&str; 0]);
+        }
     }
 }

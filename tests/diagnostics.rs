@@ -391,3 +391,81 @@ fn stack_overflow_guard() {
         "R0007"
     );
 }
+
+/// `main` nesting one construct `n` levels deep.
+fn nested_program(kind: &str, n: usize) -> String {
+    let wrap = |open: &str, inner: &str, close: &str| {
+        format!("{}{inner}{}", open.repeat(n), close.repeat(n))
+    };
+    match kind {
+        "parens" => format!("int main() {{ return {}; }}", wrap("(", "1", ")")),
+        "negation" => format!("int main() {{ return {}1; }}", "- ".repeat(n)),
+        "chain" => format!("int main() {{ return 1{}; }}", "+1".repeat(n)),
+        "calls" => format!(
+            "class C {{ C() {{ }} C m() {{ return this; }} int v() {{ return 3; }} }}\n\
+             int main() {{ return new C(){}.v(); }}",
+            ".m()".repeat(n)
+        ),
+        "blocks" => format!(
+            "int main() {{ int x = 2; {} return x; }}",
+            wrap("{", "x = x + 1;", "}")
+        ),
+        "ifs" => format!(
+            "int main() {{ {}return 4; return 5; }}",
+            "if (true) ".repeat(n)
+        ),
+        "type_args" => format!(
+            "class B[T] {{ B() {{ }} }}\nclass C {{ C() {{ }} }}\n\
+             int main() {{ {} b = null; return 6; }}",
+            wrap("B[", "C", "]")
+        ),
+        _ => unreachable!("{kind}"),
+    }
+}
+
+/// Whether the parser rejects `src` for its nesting.
+fn too_deep(src: &str) -> bool {
+    let report = Compiler::new().source("deep.genus", src).check_report();
+    report.error_codes().contains(&"E0102")
+}
+
+#[test]
+fn programs_just_under_the_nesting_limit_run_alike_on_every_engine() {
+    // Checking and lowering recurse over the tree; a debug build needs more
+    // than a test thread's stack for a program at the limit.
+    std::thread::Builder::new()
+        .stack_size(genus_repro::INTERP_STACK_SIZE)
+        .spawn(|| {
+            for kind in [
+                "parens",
+                "negation",
+                "chain",
+                "calls",
+                "blocks",
+                "ifs",
+                "type_args",
+            ] {
+                // The deepest nesting the parser accepts.
+                let (mut ok, mut bad) = (1, 1024);
+                assert!(too_deep(&nested_program(kind, bad)), "{kind}");
+                while bad - ok > 1 {
+                    let mid = (ok + bad) / 2;
+                    if too_deep(&nested_program(kind, mid)) {
+                        bad = mid;
+                    } else {
+                        ok = mid;
+                    }
+                }
+                assert!(ok > 200, "{kind}: the limit cuts in at {ok}");
+                let src = nested_program(kind, ok);
+                let r = Compiler::new()
+                    .source("deep.genus", &src)
+                    .run_differential();
+                assert!(r.is_ok(), "{kind} at {ok}: {r:?}");
+                assert_eq!(reject_codes(&nested_program(kind, bad), false), ["E0102"]);
+            }
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+}

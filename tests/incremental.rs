@@ -3,7 +3,7 @@
 //! verdict-LRU eviction accounting, and parity between warm re-checks
 //! and from-scratch one-shot checks.
 
-use genus_repro::{CompileSession, Compiler, Engine, Limits};
+use genus_repro::{CompileSession, Compiler, Engine, Limits, Severity};
 
 /// Four closed modules in two independent import pairs:
 /// `base <-> dep` and `sib <-> sib2`. Mutual imports keep every unit
@@ -135,4 +135,153 @@ fn import_errors_have_stable_codes_at_the_facade() {
         "unimported reference: {:?}",
         r.diags
     );
+}
+
+/// A stdlib project: `geom` declares the signature the edits change (the
+/// return type of `Pt.norm`, which leaves the global environment as it
+/// is), `order` and `main` import it, and `order` declares a constraint
+/// and a model for it (which number type variables ahead of the
+/// stdlib's in a full build).
+fn geom(norm: &str) -> String {
+    format!(
+        "class Pt {{ int x; int y; Pt(int x, int y) {{ this.x = x; this.y = y; }}\n\
+             {norm} norm() {{ return x * x + y * y; }} }}\n"
+    )
+}
+
+const ORDER: &str = "import geom;\n\
+    constraint Ranked[T] { int T.rank(); }\n\
+    model PtRank for Ranked[Pt] { int rank() { return this.x * 3 + this.y; } }\n\
+    int maxRank[T](ArrayList[T] l) where Ranked[T] {\n\
+        int best = -1;\n\
+        for (int i = 0; i < l.size(); i = i + 1) { int r = l.get(i).rank(); if (r > best) { best = r; } }\n\
+        return best;\n\
+    }\n";
+
+const MAIN: &str = "import geom;\nimport order;\n\
+    int main() {\n\
+        ArrayList[Pt] l = new ArrayList[Pt]();\n\
+        for (int i = 0; i < 9; i = i + 1) { l.add(new Pt(i, 9 - i)); }\n\
+        println(maxRank[Pt with PtRank](l));\n\
+        return l.size();\n\
+    }\n";
+
+/// A checked stdlib session over the project.
+fn stdlib_project() -> CompileSession {
+    let mut s = CompileSession::with_stdlib();
+    s.update_source("geom.genus", &geom("int"));
+    s.update_source("order.genus", ORDER);
+    s.update_source("main.genus", MAIN);
+    assert!(!s.check().has_errors());
+    s
+}
+
+/// Asserts the session's last check and a VM run of its program agree
+/// with a cold `Compiler::with_stdlib()` over the same sources.
+fn assert_matches_cold(s: &mut CompileSession, sources: &[(&str, &str)]) {
+    let mut cold = Compiler::new().with_stdlib().engine(Engine::Vm);
+    for (name, src) in sources {
+        cold = cold.source(*name, *src);
+    }
+    assert_eq!(s.last_diags(), cold.check_report().diags.as_slice());
+    assert_eq!(s.run(Engine::Vm, Limits::default()), cold.run());
+}
+
+#[test]
+fn signature_edit_extends_the_stdlib_snapshot() {
+    let mut s = stdlib_project();
+    assert_eq!(s.stats().prefix_extended, 0, "a cold check never extends");
+    // Each signature edit of `geom` rebuilds the prefix by extending the
+    // snapshot of the prelude and stdlib. The first takes the snapshot;
+    // its type variables are numbered apart from the cold full build's,
+    // so the base verdicts re-check once.
+    for (k, norm) in ["long", "double", "long"].into_iter().enumerate() {
+        let before = s.stats();
+        let src = geom(norm);
+        s.update_source("geom.genus", &src);
+        assert!(!s.check().has_errors());
+        let after = s.stats();
+        assert_eq!(after.prefix_rebuilt - before.prefix_rebuilt, 1);
+        assert_eq!(after.prefix_extended - before.prefix_extended, 1);
+        let rechecked = after.units_rechecked - before.units_rechecked;
+        let restored = after.units_restored - before.units_restored;
+        match k {
+            0 => assert_eq!(rechecked, 8, "{after:?}"),
+            // geom and the two units that import it re-check; the prelude
+            // and the four stdlib units are restored, not re-checked.
+            1 => assert_eq!((rechecked, restored), (3, 5), "{after:?}"),
+            // Reverting to the first edit's text restores every unit.
+            _ => assert_eq!((rechecked, restored), (0, 8), "{after:?}"),
+        }
+        assert_matches_cold(
+            &mut s,
+            &[
+                ("geom.genus", &src),
+                ("order.genus", ORDER),
+                ("main.genus", MAIN),
+            ],
+        );
+    }
+}
+
+/// A unit the reuse rule lets extend the base: its own constraint, class
+/// and model.
+const LOCAL: &str = "constraint Rank[T] { int rank(); }\n\
+    class K { K() { } }\n\
+    class K2 extends K { K2() { } }\n\
+    model KR for Rank[K] { int rank() { return 1; } }\n";
+
+#[test]
+fn units_that_could_change_the_base_take_the_full_rebuild() {
+    let mut s = stdlib_project();
+    let sources = |extra: &'static str| {
+        [
+            ("geom.genus", geom("int")),
+            ("order.genus", ORDER.to_string()),
+            ("main.genus", MAIN.to_string()),
+            ("extra.genus", extra.to_string()),
+        ]
+    };
+    let edit = |s: &mut CompileSession, extra: &'static str| {
+        let before = s.stats();
+        s.update_source("extra.genus", extra);
+        s.check();
+        let after = s.stats();
+        let owned = sources(extra);
+        let pairs: Vec<(&str, &str)> = owned.iter().map(|(n, t)| (*n, t.as_str())).collect();
+        assert_matches_cold(s, &pairs);
+        assert_eq!(after.prefix_rebuilt - before.prefix_rebuilt, 1, "{extra}");
+        after.prefix_extended - before.prefix_extended
+    };
+    assert_eq!(edit(&mut s, LOCAL), 1, "a local unit extends the base");
+    // (shape, whether a full check accepts it)
+    for (shape, clean) in [
+        // A `use`.
+        (
+            "constraint Rank[T] { int rank(); }\nclass K { K() { } }\n\
+             model KR for Rank[K] { int rank() { return 1; } }\nuse KR;\n",
+            true,
+        ),
+        // An `enrich`.
+        (
+            "constraint Rank[T] { int rank(); }\nclass K { K() { } }\nclass K2 extends K { K2() { } }\n\
+             model KR for Rank[K] { int rank() { return 1; } }\nenrich KR { int K2.rank() { return 2; } }\n",
+            true,
+        ),
+        // A model whose constraint reaches a prelude one.
+        (
+            "class K { int v; K(int v) { this.v = v; } }\n\
+             model KCmp for Comparable[K] { boolean equals(K that) { return v == that.v; } int compareTo(K that) { return v - that.v; } }\n",
+            true,
+        ),
+        // An overload of a stdlib global.
+        ("int sortList(int x) { return x; }\n", true),
+        // A duplicate stdlib class.
+        ("class ArrayList { ArrayList() { } }\n", false),
+    ] {
+        assert_eq!(edit(&mut s, shape), 0, "declines: {shape}");
+        let errors = s.last_diags().iter().any(|d| d.severity == Severity::Error);
+        assert_eq!(errors, !clean, "{shape}: {:?}", s.last_diags());
+        assert_eq!(edit(&mut s, LOCAL), 1, "extends again after: {shape}");
+    }
 }
