@@ -22,8 +22,10 @@ test "$(grep -rn '256 << 20' crates --include=*.rs | wc -l)" -eq 1
 # The differential harness again with every dispatch/type-query cache
 # bypassed: both engines must agree on the slow paths too.
 cargo test -q --features no-cache
-cargo clippy --all-targets -- -D warnings
-RUSTDOCFLAGS=-Dwarnings cargo doc --no-deps -q
+# --workspace: lint and document every member crate, not only the root
+# package.
+cargo clippy --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS=-Dwarnings cargo doc --workspace --no-deps -q
 # The diagnostics rendering contract, exercised end to end in both the
 # human (snippet) and machine (JSON) --error-format modes: the golden
 # files pin the human/short/json renderings, and the CLI suite (genus's
@@ -62,6 +64,12 @@ target/release/genus run --engine=jit --stats samples/table1_sorts.genus \
   > /dev/null 2> target/tier_stats.err
 awk '/^functions tiered:/ { t = $3 } /^functions in program:/ { n = $4 }
      END { exit !(t >= 1 && t < n) }' target/tier_stats.err
+# Table 1 gate: the twelve sorts of samples/table1_sorts.genus on VM-O0,
+# VM-O2 and Tier 2 must print Rust's checksums, and the paper's four
+# shape claims must hold on fuel (the report exits 1 otherwise). Fuel
+# does not depend on the host or the size, so a small run decides them.
+TABLE1_N=200 TABLE1_REPS=1 cargo run -q --release --example table1_report \
+  > target/table1_report.out
 # Tier-parity gate: the closure-compiled Tier 2 must be observationally
 # identical to the VM (the differential suite above already asserts
 # exact fuel equality between them); here the shipped binary sweeps

@@ -1,75 +1,11 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
-//!
-//! * **model indirection** — the per-compare cost of dispatching through a
-//!   model object vs. direct comparison (why unspecialized Genus trails
-//!   specialized code, §8.3);
-//! * **boxing** — unboxed (`double`) vs boxed (`Double`) element storage at
-//!   fixed genericity (why primitive type arguments pay off even without
-//!   specialization);
-//! * **reified fast path** — Figure 7's `addAll` with same-ordering
-//!   detection, matching vs non-matching models, in the interpreter.
+//! Ablation benchmark for the reified fast path: Figure 7's `addAll` with
+//! same-ordering detection, matching vs non-matching models, in the
+//! interpreter. The costs of model indirection and of boxing are read off
+//! Table 1 on the engines instead (`examples/table1_report`: its VM-O0
+//! against VM-O2 columns, and its `double` against `Num` rows).
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use genus::{CheckedProgram, Compiler, Interp};
-use genus_translate::genus as tgenus;
-use genus_translate::specialized;
-use genus_translate::workload::random_doubles;
-use std::rc::Rc;
-
-const N: usize = 2000;
-
-fn ablation_model_indirection(c: &mut Criterion) {
-    let input = random_doubles(N, 1);
-    let mut g = c.benchmark_group("ablation_model_indirection");
-    g.bench_function("direct_compare", |b| {
-        b.iter_batched(
-            || input.clone(),
-            |mut v| specialized::sort_slice(&mut v),
-            BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("model_dispatched_compare", |b| {
-        b.iter_batched(
-            || {
-                let mut a = tgenus::ObjectModel::new_array(&tgenus::DoubleModel, N);
-                for (i, v) in input.iter().enumerate() {
-                    tgenus::ObjectModel::array_set(
-                        &tgenus::DoubleModel,
-                        &mut a,
-                        i,
-                        tgenus::GValue::D(*v),
-                    );
-                }
-                a
-            },
-            |mut a| tgenus::sort_array_generic(&mut a, &tgenus::DoubleModel),
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
-}
-
-fn ablation_boxing(c: &mut Criterion) {
-    let input = random_doubles(N, 2);
-    let dm: Rc<dyn tgenus::ComparableModel> = Rc::new(tgenus::DoubleModel);
-    let bm: Rc<dyn tgenus::ComparableModel> = Rc::new(tgenus::BoxedDoubleModel);
-    let mut g = c.benchmark_group("ablation_boxing");
-    g.bench_function("unboxed_storage", |b| {
-        b.iter_batched(
-            || tgenus::GenusArrayList::from_values(dm.clone(), &input),
-            |mut l| tgenus::sort_list_generic(&mut l),
-            BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("boxed_storage", |b| {
-        b.iter_batched(
-            || tgenus::GenusArrayList::from_values(bm.clone(), &input),
-            |mut l| tgenus::sort_list_generic(&mut l),
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
-}
 
 fn compile(src: &str) -> CheckedProgram {
     Compiler::new()
@@ -121,6 +57,6 @@ fn ablation_reified_fast_path(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = ablation_model_indirection, ablation_boxing, ablation_reified_fast_path
+    targets = ablation_reified_fast_path
 }
 criterion_main!(benches);

@@ -442,7 +442,7 @@ fn bench_vm(c: &mut Criterion) {
         || std::mem::drop(churn_stats(true)),
         15,
     );
-    let heap_rows = vec![format!(
+    let heap_rows = [format!(
         "    \"alloc_churn\": {{\"gc_on_ns\": {gc_on_ns:.0}, \"gc_off_ns\": {gc_off_ns:.0}, \"gc_overhead\": {:.3}, \"mem_used\": {}, \"collections\": {}, \"peak_live_gc_on\": {}, \"peak_live_gc_off\": {}}}",
         gc_on_ns / gc_off_ns,
         on_stats.mem_used,

@@ -632,6 +632,7 @@ fn collect_headers(programs: &[&ast::Program], table: &mut Table, diags: &mut Di
             }
         }
     }
+    break_inheritance_cycles(table, diags);
     // Model bodies (method signatures) and extends.
     for p in programs {
         for d in &p.decls {
@@ -849,6 +850,74 @@ fn collect_class_body(c: &ast::ClassDecl, table: &mut Table, diags: &mut Diagnos
     def.fields = fields;
     def.ctors = ctors;
     def.methods = methods;
+}
+
+/// Reports each class or interface that is its own supertype (`E0217`)
+/// and cuts the edge that closes the cycle: a class's `extends` falls back
+/// to `Object`, an interface's `extends` entry is dropped. Every later walk
+/// up the hierarchy then ends. The depth-first search keeps its own stack,
+/// so a chain of any length needs constant host stack.
+fn break_inheritance_cycles(table: &mut Table, diags: &mut Diagnostics) {
+    // The supertypes of a class: `extends`, then `implements`.
+    let parent = |t: &Table, c: usize, edge: usize| {
+        let def = &t.classes[c];
+        def.extends
+            .iter()
+            .chain(&def.implements)
+            .nth(edge)
+            .map(|ty| match ty {
+                Type::Class { id, .. } => Some(id.0 as usize),
+                _ => None,
+            })
+    };
+    // 0: not reached yet, 1: on the stack, 2: done.
+    let mut state = vec![0u8; table.classes.len()];
+    let mut cuts = Vec::new();
+    for root in 0..state.len() {
+        if state[root] != 0 {
+            continue;
+        }
+        state[root] = 1;
+        let mut stack = vec![(root, 0)];
+        while let Some((c, edge)) = stack.last_mut() {
+            let (c, e) = (*c, *edge);
+            *edge += 1;
+            match parent(table, c, e) {
+                None => {
+                    state[c] = 2;
+                    stack.pop();
+                }
+                Some(Some(p)) if state[p] == 0 => {
+                    state[p] = 1;
+                    stack.push((p, 0));
+                }
+                Some(Some(p)) if state[p] == 1 => cuts.push((c, e, p)),
+                Some(_) => {}
+            }
+        }
+    }
+    let object = table.lookup_class(Symbol::intern("Object"));
+    // A class's cuts were found in edge order; undo them from the last so
+    // each index still names its edge.
+    for &(c, e, p) in cuts.iter().rev() {
+        let (name, parent_name) = (table.classes[c].name, table.classes[p].name);
+        let def = &mut table.classes[c];
+        diags.error(
+            "E0217",
+            def.span,
+            format!("`{name}` is its own supertype, through `{parent_name}`"),
+        );
+        if def.extends.is_some() && e == 0 {
+            def.extends = object.map(|id| Type::Class {
+                id,
+                args: vec![],
+                models: vec![],
+            });
+        } else {
+            def.implements
+                .remove(e - usize::from(def.extends.is_some()));
+        }
+    }
 }
 
 fn collect_interface_body(i: &ast::InterfaceDecl, table: &mut Table, diags: &mut Diagnostics) {

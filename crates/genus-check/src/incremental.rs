@@ -13,7 +13,7 @@
 //!   by the *interface* fingerprints of every unit. A body-only edit keeps
 //!   every interface fingerprint, so the prefix [`Table`] survives; the edited
 //!   unit's bodies and spans are patched into it positionally
-//!   ([`patch_unit`]). An interface edit rebuilds it, after the first
+//!   (`patch_unit`). An interface edit rebuilds it, after the first
 //!   check by extending a snapshot of the leading always-visible units'
 //!   prefix with the other units (`extend_prefix` in the crate root, the
 //!   reuse rule the checked stdlib base also applies), and by a full

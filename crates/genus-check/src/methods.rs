@@ -57,49 +57,49 @@ fn push_unshadowed(out: &mut Vec<FoundMethod>, fm: FoundMethod) {
     out.push(fm);
 }
 
+/// Depth first from `recv_ty`, on its own stack rather than the host's,
+/// so a hierarchy of any depth is walked in constant host stack.
 fn collect_from(table: &Table, recv_ty: &Type, name: Symbol, out: &mut Vec<FoundMethod>) {
-    match recv_ty {
-        Type::Class { id, args, models } => {
-            let def = table.class(*id);
-            let subst = Subst::from_pairs(&def.params, args)
-                .with_models(&def.wheres.iter().map(|w| w.mv).collect::<Vec<_>>(), models);
-            for (mi, m) in def.methods.iter().enumerate() {
-                if m.name == name {
-                    push_unshadowed(
-                        out,
-                        FoundMethod {
-                            owner: MethodOwner::Class(*id, mi),
-                            name,
-                            is_static: m.is_static,
-                            is_native: m.is_native,
-                            tparams: m.tparams.clone(),
-                            wheres: m.wheres.iter().map(|w| subst.apply_where(w)).collect(),
-                            params: m.params.iter().map(|(_, t)| subst.apply(t)).collect(),
-                            ret: subst.apply(&m.ret),
-                        },
-                    );
+    let mut stack = vec![recv_ty.clone()];
+    while let Some(ty) = stack.pop() {
+        match ty {
+            Type::Class { id, args, models } => {
+                let def = table.class(id);
+                let subst = Subst::from_pairs(&def.params, &args).with_models(
+                    &def.wheres.iter().map(|w| w.mv).collect::<Vec<_>>(),
+                    &models,
+                );
+                for (mi, m) in def.methods.iter().enumerate() {
+                    if m.name == name {
+                        push_unshadowed(
+                            out,
+                            FoundMethod {
+                                owner: MethodOwner::Class(id, mi),
+                                name,
+                                is_static: m.is_static,
+                                is_native: m.is_native,
+                                tparams: m.tparams.clone(),
+                                wheres: m.wheres.iter().map(|w| subst.apply_where(w)).collect(),
+                                params: m.params.iter().map(|(_, t)| subst.apply(t)).collect(),
+                                ret: subst.apply(&m.ret),
+                            },
+                        );
+                    }
+                }
+                // `extends` is walked before `implements`.
+                let parents = def.extends.iter().chain(&def.implements);
+                stack.extend(parents.rev().map(|t| subst.apply(t)));
+            }
+            Type::Var(v) => stack.extend(table.tv_bound(v).cloned()),
+            Type::Prim(p) => {
+                for fm in prim_methods(p) {
+                    if fm.name == name {
+                        push_unshadowed(out, fm);
+                    }
                 }
             }
-            if let Some(ext) = &def.extends {
-                collect_from(table, &subst.apply(ext), name, out);
-            }
-            for i in &def.implements {
-                collect_from(table, &subst.apply(i), name, out);
-            }
+            _ => {}
         }
-        Type::Var(v) => {
-            if let Some(b) = table.tv_bound(*v) {
-                collect_from(table, &b.clone(), name, out);
-            }
-        }
-        Type::Prim(p) => {
-            for fm in prim_methods(*p) {
-                if fm.name == name {
-                    push_unshadowed(out, fm);
-                }
-            }
-        }
-        _ => {}
     }
 }
 
@@ -116,33 +116,33 @@ pub struct FoundField {
     pub ty: Type,
 }
 
-/// Finds field `name` reachable from `recv_ty`.
+/// Finds field `name` reachable from `recv_ty`, up the superclass chain
+/// in a loop (constant host stack at any depth).
 pub fn lookup_field(table: &Table, recv_ty: &Type, name: Symbol) -> Option<FoundField> {
-    match recv_ty {
-        Type::Class { id, args, models } => {
-            let def = table.class(*id);
-            let subst = Subst::from_pairs(&def.params, args)
-                .with_models(&def.wheres.iter().map(|w| w.mv).collect::<Vec<_>>(), models);
-            for (fi, f) in def.fields.iter().enumerate() {
-                if f.name == name {
-                    return Some(FoundField {
-                        class: *id,
-                        index: fi,
-                        is_static: f.is_static,
-                        ty: subst.apply(&f.ty),
-                    });
+    let mut ty = recv_ty.clone();
+    loop {
+        ty = match ty {
+            Type::Class { id, args, models } => {
+                let def = table.class(id);
+                let subst = Subst::from_pairs(&def.params, &args).with_models(
+                    &def.wheres.iter().map(|w| w.mv).collect::<Vec<_>>(),
+                    &models,
+                );
+                for (fi, f) in def.fields.iter().enumerate() {
+                    if f.name == name {
+                        return Some(FoundField {
+                            class: id,
+                            index: fi,
+                            is_static: f.is_static,
+                            ty: subst.apply(&f.ty),
+                        });
+                    }
                 }
+                subst.apply(def.extends.as_ref()?)
             }
-            if let Some(ext) = &def.extends {
-                return lookup_field(table, &subst.apply(ext), name);
-            }
-            None
-        }
-        Type::Var(v) => table
-            .tv_bound(*v)
-            .cloned()
-            .and_then(|b| lookup_field(table, &b, name)),
-        _ => None,
+            Type::Var(v) => table.tv_bound(v)?.clone(),
+            _ => return None,
+        };
     }
 }
 

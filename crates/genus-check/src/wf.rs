@@ -11,20 +11,78 @@
 
 use crate::methods::lookup_methods_patched;
 use genus_common::Diagnostics;
-use genus_types::{is_subtype, subtype::type_eq, ClassId, Model, Subst, Table, Type};
+use genus_types::subtype::{direct_supertypes, type_eq};
+use genus_types::{is_subtype, ClassDef, ClassId, MethodDef, Model, Subst, Table, Type};
 
 /// Runs hierarchy checks over every class from index `from` on (a class's
 /// checks read only its own supertypes, so earlier classes keep their
 /// verdicts when classes are appended).
+///
+/// A class's supertypes are listed only when a check reads them: when it
+/// declares an instance method, or when it is concrete and inherits a
+/// method it must implement. So a long chain of classes without such
+/// methods is checked in linear time.
 pub fn check_hierarchy(table: &Table, diags: &mut Diagnostics, from: usize) {
-    for ci in from..table.classes.len() {
+    let obliged = inherits_obligations(table);
+    for (ci, &obliged) in obliged.iter().enumerate().skip(from) {
         let cid = ClassId(ci as u32);
         check_parent_kinds(table, cid, diags);
-        check_overrides(table, cid, diags);
-        if !table.class(cid).is_interface && !table.class(cid).is_abstract {
-            check_implements(table, cid, diags);
+        let def = table.class(cid);
+        let overrides = def.methods.iter().any(|m| !m.is_static);
+        let implements = !def.is_interface && !def.is_abstract && obliged;
+        if !overrides && !implements {
+            continue;
+        }
+        let supers = supertypes(table, &self_type(table, cid));
+        if overrides {
+            check_overrides(table, cid, &supers, diags);
+        }
+        if implements {
+            check_implements(table, cid, &supers, diags);
         }
     }
+}
+
+/// Whether a supertype's method `m` must be implemented by a concrete
+/// subclass.
+fn needs_impl(sup: &ClassDef, m: &MethodDef) -> bool {
+    (sup.is_interface || m.is_abstract) && m.body.is_none() && !m.is_native && !m.is_static
+}
+
+/// For every class, whether some strict supertype declares a method the
+/// class must implement (when concrete). Memoized bottom-up on an
+/// explicit stack; collection has cut every inheritance cycle (`E0217`),
+/// so the walk ends.
+fn inherits_obligations(table: &Table) -> Vec<bool> {
+    let parents = |c: usize| {
+        let def = &table.classes[c];
+        def.extends
+            .iter()
+            .chain(&def.implements)
+            .filter_map(|t| match t {
+                Type::Class { id, .. } => Some(id.0 as usize),
+                _ => None,
+            })
+            .collect::<Vec<_>>()
+    };
+    let declares = |c: usize| {
+        let def = &table.classes[c];
+        def.methods.iter().any(|m| needs_impl(def, m))
+    };
+    let mut memo: Vec<Option<bool>> = vec![None; table.classes.len()];
+    for root in 0..memo.len() {
+        let mut stack = vec![root];
+        while let Some(&c) = stack.last() {
+            let ps = parents(c);
+            if let Some(&p) = ps.iter().find(|&&p| memo[p].is_none()) {
+                stack.push(p);
+                continue;
+            }
+            memo[c] = Some(ps.iter().any(|&p| declares(p) || memo[p] == Some(true)));
+            stack.pop();
+        }
+    }
+    memo.into_iter().map(|o| o == Some(true)).collect()
 }
 
 /// Checks that `extends` names a class and `implements` (an interface's
@@ -75,40 +133,46 @@ fn self_type(table: &Table, cid: ClassId) -> Type {
     }
 }
 
-/// Every supertype of a class instantiation (transitive, substituted).
-fn supertypes(table: &Table, ty: &Type, out: &mut Vec<Type>) {
-    let Type::Class { id, args, models } = ty else {
-        return;
+/// Every supertype of a class instantiation (transitive, substituted),
+/// each after its own supertypes, without repeats. Walked on an explicit
+/// stack, so a chain of any length needs constant host stack.
+fn supertypes(table: &Table, ty: &Type) -> Vec<Type> {
+    // The direct supertypes of a class type, last first; no others are
+    // walked.
+    let parents = |t: &Type| {
+        let mut ps = match t {
+            Type::Class { .. } => direct_supertypes(table, t),
+            _ => Vec::new(),
+        };
+        ps.reverse();
+        ps
     };
-    let def = table.class(*id);
-    let subst = Subst::from_pairs(&def.params, args)
-        .with_models(&def.wheres.iter().map(|w| w.mv).collect::<Vec<_>>(), models);
-    let push = |t: Type, out: &mut Vec<Type>| {
-        if !out.iter().any(|o| type_eq(table, o, &t)) {
-            supertypes(table, &t, out);
-            out.push(t);
+    let mut out: Vec<Type> = Vec::new();
+    // One frame per type being walked: its supertypes still to visit, and
+    // the type itself, listed once they are (none for `ty`).
+    let mut stack = vec![(parents(ty), None)];
+    while let Some((pending, _)) = stack.last_mut() {
+        match pending.pop() {
+            Some(t) => {
+                if !out.iter().any(|o| type_eq(table, o, &t)) {
+                    stack.push((parents(&t), Some(t)));
+                }
+            }
+            None => out.extend(stack.pop().and_then(|(_, t)| t)),
         }
-    };
-    if let Some(e) = &def.extends {
-        push(subst.apply(e), out);
     }
-    for i in &def.implements {
-        push(subst.apply(i), out);
-    }
+    out
 }
 
 /// Checks that each method of `cid` is signature-compatible with any
 /// same-name/same-arity method in a supertype.
-fn check_overrides(table: &Table, cid: ClassId, diags: &mut Diagnostics) {
+fn check_overrides(table: &Table, cid: ClassId, supers: &[Type], diags: &mut Diagnostics) {
     let def = table.class(cid);
-    let self_ty = self_type(table, cid);
-    let mut supers = Vec::new();
-    supertypes(table, &self_ty, &mut supers);
     for m in &def.methods {
         if m.is_static {
             continue;
         }
-        for sup in &supers {
+        for sup in supers {
             for fm in lookup_methods_patched(table, sup, m.name) {
                 if fm.is_static || fm.params.len() != m.params.len() {
                     continue;
@@ -173,22 +237,16 @@ fn check_overrides(table: &Table, cid: ClassId, diags: &mut Diagnostics) {
 
 /// Checks that a concrete class provides an implementation for every
 /// interface method it inherits.
-fn check_implements(table: &Table, cid: ClassId, diags: &mut Diagnostics) {
+fn check_implements(table: &Table, cid: ClassId, supers: &[Type], diags: &mut Diagnostics) {
     let def = table.class(cid);
     let self_ty = self_type(table, cid);
-    let mut supers = Vec::new();
-    supertypes(table, &self_ty, &mut supers);
-    for sup in &supers {
+    for sup in supers {
         let Type::Class { id: sid, .. } = sup else {
             continue;
         };
         let sdef = table.class(*sid);
         for m in &sdef.methods {
-            let needs_impl = (sdef.is_interface || m.is_abstract)
-                && m.body.is_none()
-                && !m.is_native
-                && !m.is_static;
-            if !needs_impl {
+            if !needs_impl(sdef, m) {
                 continue;
             }
             let impls = lookup_methods_patched(table, &self_ty, m.name);

@@ -57,6 +57,7 @@ registry! {
     "E0214", "collect", "invalid constraint receiver";
     "E0215", "collect", "prerequisite cycle";
     "E0216", "collect", "overloads must differ in arity";
+    "E0217", "collect", "cyclic inheritance";
     // --- class hierarchy well-formedness ---
     "E0301", "wf", "override changes the generic signature";
     "E0302", "wf", "override changes parameter types";

@@ -5,16 +5,16 @@
 //!
 //! 1. an input is either **generated** from scratch — well-typed by
 //!    construction ([`gen`]) — or **mutated** from a corpus entry
-//!    ([`mutate`]);
+//!    ([`mutate`](mod@mutate));
 //! 2. it runs through the full **oracle suite** ([`oracle`]): warm/
 //!    scratch incremental parity, the four-way engine differential,
 //!    GC-stress byte parity, and the bytecode serialization round trip;
 //! 3. the VM-O2 leg executes under an AFL-style **edge-coverage map**
 //!    (the `coverage` feature of `genus-vm`); inputs that light up new
 //!    edges join the **corpus** ([`corpus`]) and become mutation bases;
-//! 4. any divergence is **minimized** ([`minimize`]) while re-checking
-//!    the same oracle at every step, then written out as a standalone
-//!    `.genus` repro.
+//! 4. any divergence is **minimized** ([`minimize`](mod@minimize))
+//!    while re-checking the same oracle at every step, then written out
+//!    as a standalone `.genus` repro.
 //!
 //! Everything is driven by one [`SplitMix64`] seed: with a fixed seed,
 //! case budget, and starting corpus, two runs produce identical corpora,

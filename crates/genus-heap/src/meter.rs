@@ -14,7 +14,7 @@
 //!   construction. Live-set statistics (what the collector actually holds)
 //!   are reported separately by [`crate::Heap`].
 //! * **deadline** — a wall-clock instant checked every
-//!   [`DEADLINE_CHECK_MASK`]+1 steps; passing it traps with `R0009` (the
+//!   `DEADLINE_CHECK_MASK + 1` steps; passing it traps with `R0009` (the
 //!   scheduler treats a missed deadline as a form of fuel exhaustion so the
 //!   response code is stable regardless of which limit fired first).
 //!

@@ -12,28 +12,7 @@ use genus_common::Symbol;
 
 /// Whether `sub` is a subtype of `sup`.
 pub fn is_subtype(table: &Table, sub: &Type, sup: &Type) -> bool {
-    if type_eq(table, sub, sup) {
-        return true;
-    }
-    // null <: every reference type.
-    if matches!(sub, Type::Null) && sup.is_reference() {
-        return true;
-    }
-    // Every reference type (and type variables, which range over any type
-    // but are only subtypes of Object when used as references) <: Object.
-    if let Some(obj) = object_class(table) {
-        if let Type::Class { id, args, .. } = sup {
-            if *id == obj && args.is_empty() && sub.is_reference() {
-                return true;
-            }
-        }
-    }
-    // Only the hierarchy-walking cases below are worth memoizing; the
-    // fast paths above already handled everything else.
-    if !matches!(sub, Type::Class { .. } | Type::Var(_)) {
-        return false;
-    }
-    if let Some(r) = table.cache.subtype_get(sub, sup) {
+    if let Some(r) = shortcut(table, sub, sup) {
         return r;
     }
     let r = subtype_walk(table, sub, sup);
@@ -41,34 +20,95 @@ pub fn is_subtype(table: &Table, sub: &Type, sup: &Type) -> bool {
     r
 }
 
-/// The uncached hierarchy walk backing [`is_subtype`]. Recursive calls
-/// re-enter the cached entry point, so every level along the walk is
-/// memoized independently.
-fn subtype_walk(table: &Table, sub: &Type, sup: &Type) -> bool {
-    match (sub, sup) {
-        // A type variable is a subtype of its declared upper bound's
-        // supertypes.
-        (Type::Var(v), _) => match table.tv_bound(*v) {
-            Some(b) => is_subtype(table, b, sup),
-            None => false,
-        },
-        (Type::Class { id, args, models }, _) => {
+/// The part of [`is_subtype`] that needs no walk up the hierarchy: the
+/// fast paths, then the cache. `None` means the hierarchy must decide.
+fn shortcut(table: &Table, sub: &Type, sup: &Type) -> Option<bool> {
+    if type_eq(table, sub, sup) {
+        return Some(true);
+    }
+    // null <: every reference type.
+    if matches!(sub, Type::Null) && sup.is_reference() {
+        return Some(true);
+    }
+    // Every reference type (and type variables, which range over any type
+    // but are only subtypes of Object when used as references) <: Object.
+    if let Some(obj) = object_class(table) {
+        if let Type::Class { id, args, .. } = sup {
+            if *id == obj && args.is_empty() && sub.is_reference() {
+                return Some(true);
+            }
+        }
+    }
+    // Only the hierarchy-walking cases below are worth memoizing; the
+    // fast paths above already handled everything else.
+    if !matches!(sub, Type::Class { .. } | Type::Var(_)) {
+        return Some(false);
+    }
+    table.cache.subtype_get(sub, sup)
+}
+
+/// The direct supertypes of `ty`, in declaration order: a class's
+/// `extends` then its `implements`, substituted at its arguments, or a
+/// type variable's bound.
+pub fn direct_supertypes(table: &Table, ty: &Type) -> Vec<Type> {
+    match ty {
+        Type::Class { id, args, models } => {
             let def = table.class(*id);
             let subst = Subst::from_pairs(&def.params, args)
                 .with_models(&def.wheres.iter().map(|w| w.mv).collect::<Vec<_>>(), models);
-            if let Some(ext) = &def.extends {
-                if is_subtype(table, &subst.apply(ext), sup) {
-                    return true;
-                }
-            }
-            for i in &def.implements {
-                if is_subtype(table, &subst.apply(i), sup) {
-                    return true;
-                }
-            }
-            false
+            def.extends
+                .iter()
+                .chain(&def.implements)
+                .map(|t| subst.apply(t))
+                .collect()
         }
-        _ => false,
+        Type::Var(v) => table.tv_bound(*v).cloned().into_iter().collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// The uncached hierarchy walk backing [`is_subtype`]. It keeps its own
+/// stack rather than the host's, so a hierarchy of any depth is walked in
+/// constant host stack. It visits and memoizes what recursing through
+/// [`is_subtype`] would: each direct supertype is tried by the fast paths
+/// and the cache first, and each one whose own supertypes had to be
+/// walked gets its own cache entry.
+fn subtype_walk(table: &Table, sub: &Type, sup: &Type) -> bool {
+    // One frame per type being walked: the type, and its direct
+    // supertypes still to try, last first.
+    let frame = |t: Type| {
+        let mut pending = direct_supertypes(table, &t);
+        pending.reverse();
+        (t, pending)
+    };
+    let mut stack = vec![frame(sub.clone())];
+    // The verdict of the frame popped last, for the frame below it.
+    let mut popped = None;
+    loop {
+        let (_, pending) = stack.last_mut().expect("the root frame is popped last");
+        let verdict = if popped.take() == Some(true) {
+            Some(true)
+        } else {
+            match pending.pop() {
+                None => Some(false),
+                Some(t) => match shortcut(table, &t, sup) {
+                    Some(true) => Some(true),
+                    Some(false) => None,
+                    None => {
+                        stack.push(frame(t));
+                        None
+                    }
+                },
+            }
+        };
+        if let Some(v) = verdict {
+            let (t, _) = stack.pop().expect("a frame decided");
+            if stack.is_empty() {
+                return v;
+            }
+            table.cache.subtype_put(&t, sup, v);
+            popped = Some(v);
+        }
     }
 }
 
@@ -209,33 +249,18 @@ fn object_class(table: &Table) -> Option<crate::table::ClassId> {
 /// Finds the instantiation of `sub` (a class type) viewed at ancestor class
 /// `target`, if any: e.g. `ArrayList[String]` viewed at `List` is
 /// `List[String]`. Used by call-site inference to lift argument types to
-/// parameter classes before unification.
+/// parameter classes before unification. Depth first, `extends` before
+/// `implements`, on its own stack: a hierarchy of any depth is walked in
+/// constant host stack.
 pub fn supertype_at(table: &Table, sub: &Type, target: crate::table::ClassId) -> Option<Type> {
-    match sub {
-        Type::Class { id, args, models } => {
-            if *id == target {
-                return Some(sub.clone());
-            }
-            let def = table.class(*id);
-            let subst = Subst::from_pairs(&def.params, args)
-                .with_models(&def.wheres.iter().map(|w| w.mv).collect::<Vec<_>>(), models);
-            if let Some(ext) = &def.extends {
-                if let Some(t) = supertype_at(table, &subst.apply(ext), target) {
-                    return Some(t);
-                }
-            }
-            for i in &def.implements {
-                if let Some(t) = supertype_at(table, &subst.apply(i), target) {
-                    return Some(t);
-                }
-            }
-            None
+    let mut stack = vec![sub.clone()];
+    while let Some(t) = stack.pop() {
+        if matches!(t, Type::Class { id, .. } if id == target) {
+            return Some(t);
         }
-        Type::Var(v) => table
-            .tv_bound(*v)
-            .and_then(|b| supertype_at(table, b, target)),
-        _ => None,
+        stack.extend(direct_supertypes(table, &t).into_iter().rev());
     }
+    None
 }
 
 #[cfg(test)]

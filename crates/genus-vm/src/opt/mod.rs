@@ -8,12 +8,12 @@
 //! gap to the *heterogeneous* translation the paper credits for its
 //! Table 1 wins, without giving up the dictionary-passing fallback:
 //!
-//! 0. **Reachability** ([`reach`], level 2): a name-based call graph from
+//! 0. **Reachability** (`reach`, level 2): a name-based call graph from
 //!    `main` and the initializers. The later passes touch only what it
 //!    reaches (and the clones made from it); everything else keeps its
 //!    valid unoptimized body, so an over-approximation costs compile
 //!    time and a miss costs speed, never correctness.
-//! 1. **Specialization** ([`specialize`]): walk every function, find call
+//! 1. **Specialization** (`specialize`): walk every function, find call
 //!    sites whose type/model-argument tuples are closed terms (statically
 //!    known), clone the callee per tuple with the bindings substituted
 //!    into its spec tables, and rewrite the site to a direct call. Inside
@@ -22,10 +22,10 @@
 //!    global clone budget bounds code growth; over-budget or dynamically
 //!    known sites (model variables bound by `Open`, existential
 //!    witnesses) keep the dictionary-passing original.
-//! 2. **Cleanup** ([`cleanup`]): constant folding and propagation, branch
+//! 2. **Cleanup** (`cleanup`): constant folding and propagation, branch
 //!    folding on constant conditions, jump threading, `Move` coalescing,
 //!    and unreachable-code elimination.
-//! 3. **Inlining** ([`inline`], level 2): splice each `Op::CallDirect` to a
+//! 3. **Inlining** (`inline`, level 2): splice each `Op::CallDirect` to a
 //!    small frameless leaf into its caller behind an `Op::Inline` prologue
 //!    that keeps the call's traps, then clean the changed bodies again.
 //! 4. **Type reification**: `types`-table entries that are closed and

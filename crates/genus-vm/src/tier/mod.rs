@@ -23,7 +23,7 @@
 //!   the VM uses.
 //! - Hot arithmetic/comparison shapes (`int` add/sub/mul and the six
 //!   orderings) are specialized into closures that test the operand
-//!   variants inline, falling back to the shared [`ops`] helpers — and
+//!   variants inline, falling back to the shared `ops` helpers — and
 //!   their exact error identities — on any mismatch.
 //!
 //! # Block structure and the outer loop
@@ -32,7 +32,7 @@
 //! frame-pushing call. Each block is compiled *backwards* into one nested
 //! closure chain: the closure for instruction `i` captures the closure
 //! for instruction `i + 1` and tail-calls it, so straight-line code runs
-//! with no dispatch at all. A block returns a [`Ctl`] transfer:
+//! with no dispatch at all. A block returns a `Ctl` transfer:
 //! `Jump(block)`, `Ret(value)`, or `Call(frame)`. The outer loop in
 //! [`Vm::run_main_tier`] keeps Genus frames in the same explicit stack
 //! the VM uses (`VmFrame::pc` is reinterpreted as a *block* index — entry
@@ -55,7 +55,7 @@
 //! Every op closure begins with `vm.meter.step()?` — exactly one step per
 //! executed opcode, the same accounting as the VM loop's per-iteration
 //! step — and allocation sites charge the same costs through
-//! [`Meter::charge`]. Fuel and memory traps therefore fire after the
+//! `Meter::charge`. Fuel and memory traps therefore fire after the
 //! *identical* step/unit sequence on both tiers: the differential
 //! harness asserts `fuel_used` equality, not mere trap agreement.
 //! Nested execution (field-initializer chains, `toString` dispatch from
@@ -1109,13 +1109,10 @@ mod tests {
     use genus_check::check_source;
     use genus_heap::meter::Limits;
 
-    fn run_both_tiers(
-        src: &str,
-        limits: Option<Limits>,
-    ) -> (
-        (RResult<String>, String, u64),
-        (RResult<String>, String, u64),
-    ) {
+    /// One engine's run: its rendered outcome, output and fuel.
+    type TierRun = (RResult<String>, String, u64);
+
+    fn run_both_tiers(src: &str, limits: Option<Limits>) -> (TierRun, TierRun) {
         let prog = check_source(src).unwrap_or_else(|e| panic!("check failed:\n{e}"));
         let code = Arc::new(compile_optimized(&prog, 2));
         let mut vm = Vm::with_code(&prog, Arc::clone(&code));

@@ -1,33 +1,49 @@
-//! Regenerates the paper's Table 1 (§8.3) and checks its qualitative shape.
+//! Regenerates the paper's Table 1 (§8.3) on the engines and checks its
+//! shape: the twelve insertion sorts of `samples/table1_sorts.genus` on
+//! VM-O0 (the homogeneous "Genus" column), VM-O2 and Tier 2 (the
+//! bracketed "specialized" column). Every checksum is checked against
+//! Rust's sort, and the paper's four claims are decided on fuel. Exits 1
+//! when a checksum is wrong or a claim is lost.
 //!
 //! Run with: `cargo run --release --example table1_report`
-//! (a debug build works but exaggerates constant factors).
 //!
 //! Environment:
-//! * `TABLE1_N` — elements per sort (default 4000)
-//! * `TABLE1_REPS` — repetitions per cell, median taken (default 5)
+//! * `TABLE1_N` — elements per sort (default 1000)
+//! * `TABLE1_REPS` — runs per cell and configuration, median taken
+//!   (default 5)
 
-use genus_translate::run_table1;
+use genus_repro::table1;
 
 fn main() {
-    let n: usize = std::env::var("TABLE1_N")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4000);
-    let reps: usize = std::env::var("TABLE1_REPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5);
+    let env = |name: &str, default: usize| {
+        std::env::var(name)
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(default)
+    };
+    let (n, reps) = (env("TABLE1_N", 1000), env("TABLE1_REPS", 5));
     eprintln!("measuring Table 1 with n = {n}, reps = {reps} ...");
-    let table = run_table1(n, reps);
-    println!("{}", table.render());
-    let (report, ok) = table.shape_report();
-    println!("shape checks (the paper's qualitative claims):");
-    print!("{report}");
-    if ok {
-        println!("all shape checks PASS");
-    } else {
-        println!("some shape checks FAILED (rerun with --release and a larger TABLE1_N)");
+    let table = match table1::measure(n, reps) {
+        Ok(table) => table,
+        Err(e) => {
+            println!("FAILED: {e}");
+            std::process::exit(1);
+        }
+    };
+    print!("{}", table.render());
+    println!("every checksum equals Rust's sort; Tier 2 fuel equals VM-O2 fuel");
+    println!("shape claims (the paper's, on the sorts' own fuel):");
+    let mut ok = true;
+    for claim in table.claims() {
+        println!(
+            "{} {}\n{}",
+            if claim.holds { "PASS" } else { "FAIL" },
+            claim.name,
+            claim.detail
+        );
+        ok &= claim.holds;
+    }
+    if !ok {
         std::process::exit(1);
     }
 }

@@ -12,8 +12,8 @@
 
 use genus_fuzz::pipeline;
 use genus_repro::{
-    compile_optimized, compile_tier, CompileSession, Compiler, Engine, Limits, ResourceStats,
-    RuntimeError,
+    compile_optimized, compile_tier, table1, CompileSession, Compiler, Engine, Limits,
+    ResourceStats, RuntimeError,
 };
 use genus_serve::{EngineKind, Outcome, Request, ServeConfig, Server};
 use std::sync::Arc;
@@ -474,8 +474,10 @@ fn fuel_trap_parity_across_levels() {
     }
 }
 
-/// The paper's Table 1 as a correctness workload: the nine sorts agree
-/// on every engine and level, and all nine print the same checksum.
+/// The paper's Table 1 as a correctness workload: the twelve sorts agree
+/// on every engine and level, and all twelve print Rust's checksum. So
+/// does each cell's own program, derived from the sample as the Table 1
+/// report derives it.
 #[test]
 fn sample_table1_sorts() {
     let (outcome, output) = run_on("table1_sorts.genus", Engine::Vm, 2);
@@ -484,9 +486,22 @@ fn sample_table1_sorts() {
         .lines()
         .map(|l| l.rsplit(' ').next().unwrap())
         .collect();
-    assert_eq!(sums.len(), 9, "{output}");
+    assert_eq!(sums.len(), 12, "{output}");
     assert!(sums.iter().all(|s| *s == "532534.171875"), "{output}");
     check_sample("table1_sorts.genus");
+    let want = table1::checksum(40, table1::SEED);
+    for cell in table1::CELLS {
+        let src = table1::cell_program(&cell, 40, table1::SEED);
+        let (outcome, _) = check_levels("table1_cell.genus", &src);
+        let got = outcome.map(|v| v.parse::<f64>().ok());
+        assert_eq!(
+            got,
+            Ok(Some(want)),
+            "{} {}",
+            cell.kind.label(),
+            cell.data.label()
+        );
+    }
 }
 
 /// Runs `src` on the AST engine and on the VM and Tier 2 at every opt

@@ -3,52 +3,34 @@
 // Every program in this suite runs on BOTH engines (AST interpreter and
 // bytecode VM) with a divergence check — the differential harness.
 use genus_repro::run_differential_with_stdlib as run_with_stdlib;
+use genus_repro::table1;
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
-// Translation strategies agree with each other and with std's sort
+// The Table 1 sorts agree with std's sort on every engine
 // ---------------------------------------------------------------------
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
+    /// Every Table 1 cell program, over a random length and seed, returns
+    /// the checksum of Rust's sort on the AST engine, VM-O0, VM-O2 and
+    /// Tier 2, with the same fuel on VM-O2 and Tier 2 (`table1::run`
+    /// checks the three bytecode configurations and the fuel).
     #[test]
-    fn translation_strategies_sort_identically(values in prop::collection::vec(-1e6f64..1e6, 0..120)) {
-        use genus_translate::{genus, java, specialized};
-        use std::rc::Rc;
-
-        let mut expect = values.clone();
-        expect.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-
-        // Java strategy.
-        let mut j = java::JArrayList::from_values(&values);
-        java::sort_generic_comparable_list(&mut j);
-        prop_assert_eq!(j.to_doubles(), expect.clone());
-
-        // Genus homogeneous strategy, unboxed and boxed models.
-        let mut gd = genus::GenusArrayList::from_values(Rc::new(genus::DoubleModel), &values);
-        genus::sort_list_generic(&mut gd);
-        prop_assert_eq!(gd.to_doubles(), expect.clone());
-        let mut gb = genus::GenusArrayList::from_values(Rc::new(genus::BoxedDoubleModel), &values);
-        genus::sort_arraylike_generic(&mut gb, &genus::ArrayListAsArrayLike, &genus::BoxedDoubleModel);
-        prop_assert_eq!(gb.to_doubles(), expect.clone());
-
-        // Specialized strategy.
-        let mut s = values.clone();
-        specialized::sort_slice(&mut s);
-        prop_assert_eq!(s, expect);
-    }
-
-    #[test]
-    fn genus_array_storage_roundtrip(values in prop::collection::vec(-1e9f64..1e9, 1..64)) {
-        use genus_translate::genus::{DoubleModel, GValue, ObjectModel};
-        let m = DoubleModel;
-        let mut a = m.new_array(values.len());
-        for (i, v) in values.iter().enumerate() {
-            m.array_set(&mut a, i, GValue::D(*v));
-        }
-        for (i, v) in values.iter().enumerate() {
-            prop_assert_eq!(m.array_get(&a, i).as_f64(), *v);
+    fn table1_cells_sort_like_std_on_every_engine(n in 0usize..48, seed in 0u32..65537) {
+        let want = table1::checksum(n, seed);
+        for cell in table1::CELLS {
+            let src = table1::cell_program(&cell, n, seed);
+            let label = format!("{} {} (n = {n}, seed = {seed})", cell.kind.label(), cell.data.label());
+            let ast = genus::Compiler::new()
+                .with_stdlib()
+                .source("table1_cell.genus", src.clone())
+                .execute()
+                .map_err(TestCaseError::fail)?;
+            let got = ast.outcome.ok().and_then(|v| v.parse::<f64>().ok());
+            prop_assert_eq!(got, Some(want), "AST engine: {}", label);
+            table1::run(&src, 1, Some(want)).map_err(|e| TestCaseError::fail(format!("{label}: {e}")))?;
         }
     }
 }
