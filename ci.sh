@@ -110,6 +110,14 @@ for src in target/nest_parens.genus target/nest_chain.genus; do
   test "$status" -eq 1
   grep -q 'E0102' target/nest.err
 done
+# The same for protocol lines: a serve request nesting a million JSON
+# arrays must get a `bad request` reply, and the next request on the
+# session must still be answered.
+python3 -c 'n = 1000000; print("{\"id\":\"a\",\"source\":\"int main() { return 1; }\",\"x\":" + "[" * n + "1" + "]" * n + "}"); print("{\"id\":\"next\",\"source\":\"int main() { return 7; }\"}")' \
+  | target/release/genus serve --workers=1 > target/nest_serve.out
+test "$(wc -l < target/nest_serve.out)" -eq 2
+head -n 1 target/nest_serve.out | grep -q '"outcome":"error".*bad request: nesting'
+grep -q '"id":"next".*"value":"7"' target/nest_serve.out
 # Fuzz smoke gate: a seeded run of the coverage-guided differential
 # fuzzer (grammar-generated well-typed programs, mutation over a corpus,
 # all oracles: four-way engine parity, GC-stress byte parity, bytecode
@@ -232,6 +240,11 @@ test "$(wc -l < target/serve_session.out)" -eq 3
 grep -q '"id":"u1","outcome":"ok","value":"updated"' target/serve_session.out
 grep -q '"id":"c1","outcome":"ok","value":"checked".*"rechecked":6' target/serve_session.out
 grep -q '"id":"r1","outcome":"ok","value":"42".*"reused":[1-9][0-9]*,"rechecked":1' target/serve_session.out
+# Lowered-base gate: a session driven through body edits, member and
+# global signature edits and a revert must copy the lowered prelude and
+# stdlib on every compile after the first under each base stamp (exact
+# counts), and each compile must equal a cold lowering byte for byte.
+cargo test -q --release --test lowered_base
 # Benchmarks must at least compile; running them is a manual step
 # (`cargo bench -p bench`), which also writes BENCH_vm.json.
 # --workspace: a bare `cargo bench --no-run` only builds the root

@@ -53,10 +53,18 @@ impl CheckedBase {
         }
     }
 
-    fn build(session: Session) -> CheckedBase {
+    /// Checks `session`'s units as the base. Unlike other one-shot
+    /// checks, the base program keeps its stamp: every extension shares
+    /// it, so their lowerings share the base's bytecode.
+    fn build(mut session: Session) -> CheckedBase {
+        session.check();
+        let stamp = session.program().and_then(|p| p.base);
         let report = session.into_report();
         CheckedBase {
-            program: report.program.filter(|_| report.diags.is_empty()),
+            program: report
+                .program
+                .filter(|_| report.diags.is_empty())
+                .map(|p| CheckedProgram { base: stamp, ..p }),
             sm: report.sm,
         }
     }
@@ -84,6 +92,7 @@ impl CheckedBase {
             model_bodies: base.model_bodies.clone(),
             field_inits: base.field_inits.clone(),
             static_inits: base.static_inits.clone(),
+            base: base.base,
         };
         check_bodies_filter(&mut checked, &mut diags, Some(file));
         diags.is_empty().then_some(checked)

@@ -641,6 +641,7 @@ fn collect_headers(programs: &[&ast::Program], table: &mut Table, diags: &mut Di
             }
         }
     }
+    break_model_cycles(table, diags);
     // Enrichments.
     for p in programs {
         for d in &p.decls {
@@ -855,12 +856,11 @@ fn collect_class_body(c: &ast::ClassDecl, table: &mut Table, diags: &mut Diagnos
 /// Reports each class or interface that is its own supertype (`E0217`)
 /// and cuts the edge that closes the cycle: a class's `extends` falls back
 /// to `Object`, an interface's `extends` entry is dropped. Every later walk
-/// up the hierarchy then ends. The depth-first search keeps its own stack,
-/// so a chain of any length needs constant host stack.
+/// up the hierarchy then ends.
 fn break_inheritance_cycles(table: &mut Table, diags: &mut Diagnostics) {
     // The supertypes of a class: `extends`, then `implements`.
-    let parent = |t: &Table, c: usize, edge: usize| {
-        let def = &t.classes[c];
+    let cuts = cycle_cuts(table.classes.len(), |c, edge| {
+        let def = &table.classes[c];
         def.extends
             .iter()
             .chain(&def.implements)
@@ -869,33 +869,7 @@ fn break_inheritance_cycles(table: &mut Table, diags: &mut Diagnostics) {
                 Type::Class { id, .. } => Some(id.0 as usize),
                 _ => None,
             })
-    };
-    // 0: not reached yet, 1: on the stack, 2: done.
-    let mut state = vec![0u8; table.classes.len()];
-    let mut cuts = Vec::new();
-    for root in 0..state.len() {
-        if state[root] != 0 {
-            continue;
-        }
-        state[root] = 1;
-        let mut stack = vec![(root, 0)];
-        while let Some((c, edge)) = stack.last_mut() {
-            let (c, e) = (*c, *edge);
-            *edge += 1;
-            match parent(table, c, e) {
-                None => {
-                    state[c] = 2;
-                    stack.pop();
-                }
-                Some(Some(p)) if state[p] == 0 => {
-                    state[p] = 1;
-                    stack.push((p, 0));
-                }
-                Some(Some(p)) if state[p] == 1 => cuts.push((c, e, p)),
-                Some(_) => {}
-            }
-        }
-    }
+    });
     let object = table.lookup_class(Symbol::intern("Object"));
     // A class's cuts were found in edge order; undo them from the last so
     // each index still names its edge.
@@ -918,6 +892,69 @@ fn break_inheritance_cycles(table: &mut Table, diags: &mut Diagnostics) {
                 .remove(e - usize::from(def.extends.is_some()));
         }
     }
+}
+
+/// Reports each model that extends itself (`E0217`) and drops the
+/// `extends` entry that closes the cycle, so every later walk up a model
+/// hierarchy ends.
+fn break_model_cycles(table: &mut Table, diags: &mut Diagnostics) {
+    let cuts = cycle_cuts(table.models.len(), |m, edge| {
+        table.models[m]
+            .extends
+            .get(edge)
+            .map(|parent| match parent {
+                Model::Decl { id, .. } => Some(id.0 as usize),
+                _ => None,
+            })
+    });
+    for &(m, e, p) in cuts.iter().rev() {
+        let (name, parent_name) = (table.models[m].name, table.models[p].name);
+        let def = &mut table.models[m];
+        diags.error(
+            "E0217",
+            def.span,
+            format!("model `{name}` extends itself, through `{parent_name}`"),
+        );
+        def.extends.remove(e);
+    }
+}
+
+/// The edges that close a cycle among `n` nodes, as `(node, edge index,
+/// target)` in the order a depth-first search finds them. `edge(node, k)`
+/// is the node's `k`-th edge: `None` past its last, `Some(None)` for an
+/// edge leaving the graph. The search keeps its own stack, so a chain of
+/// any length needs constant host stack.
+fn cycle_cuts(
+    n: usize,
+    edge: impl Fn(usize, usize) -> Option<Option<usize>>,
+) -> Vec<(usize, usize, usize)> {
+    // 0: not reached yet, 1: on the stack, 2: done.
+    let mut state = vec![0u8; n];
+    let mut cuts = Vec::new();
+    for root in 0..n {
+        if state[root] != 0 {
+            continue;
+        }
+        state[root] = 1;
+        let mut stack = vec![(root, 0)];
+        while let Some((c, k)) = stack.last_mut() {
+            let (c, e) = (*c, *k);
+            *k += 1;
+            match edge(c, e) {
+                None => {
+                    state[c] = 2;
+                    stack.pop();
+                }
+                Some(Some(p)) if state[p] == 0 => {
+                    state[p] = 1;
+                    stack.push((p, 0));
+                }
+                Some(Some(p)) if state[p] == 1 => cuts.push((c, e, p)),
+                Some(_) => {}
+            }
+        }
+    }
+    cuts
 }
 
 fn collect_interface_body(i: &ast::InterfaceDecl, table: &mut Table, diags: &mut Diagnostics) {

@@ -35,7 +35,8 @@
 
 use crate::hir::{Body, Expr};
 use crate::{
-    check_bodies_filter, imports, new_checked_shell, prelude, CheckReport, CheckedProgram,
+    check_bodies_filter, imports, new_checked_shell, prelude, BaseStamp, CheckReport,
+    CheckedProgram,
 };
 use genus_common::{Diagnostic, Diagnostics, FastMap, FileId, Severity, SourceMap, Span};
 use genus_syntax::ast;
@@ -625,6 +626,7 @@ impl Session {
         sem.checked
             .static_inits
             .sort_by_key(|(cid, fi, _)| (cid.0, *fi));
+        sem.checked.base = base_stamp(&self.units, &parsed, sem);
 
         // ---- Assemble the normalized report. ----
         let mut sink = Diagnostics::new();
@@ -646,6 +648,10 @@ impl Session {
     }
 
     /// Consumes the session into the historical one-shot [`CheckReport`].
+    ///
+    /// The report's program carries no base stamp: a one-shot check has
+    /// no later check that shares its base, and stamping each would fill
+    /// the process-wide lowered-base cache with bases nothing reuses.
     pub fn into_report(mut self) -> CheckReport {
         if !self.checked_once {
             self.check();
@@ -657,7 +663,10 @@ impl Session {
         let program = if has_errors {
             None
         } else {
-            self.sem.map(|s| s.checked)
+            self.sem.map(|s| CheckedProgram {
+                base: None,
+                ..s.checked
+            })
         };
         CheckReport {
             sm: self.sm,
@@ -801,6 +810,38 @@ fn snapshot_ok(snapshot: &[(u32, Fp)], content_fps: &[Fp]) -> bool {
     snapshot
         .iter()
         .all(|(f, fp)| content_fps.get(*f as usize) == Some(fp))
+}
+
+/// The stamp of the program's base, the leading always-visible units:
+/// their verdict keys and definition fingerprints, which decide their
+/// bodies and definitions exactly (the rule that restores verdicts).
+/// `None` when a later unit could change what the base declares (a `use`,
+/// an `enrich`, an overload of a base global): those programs take the
+/// full rebuild, and their lowering reuses nothing.
+fn base_stamp(units: &[Unit], parsed: &[Arc<ParsedUnit>], sem: &Sem) -> Option<BaseStamp> {
+    let n = units.iter().take_while(|u| u.always_visible).count();
+    let table = &sem.checked.table;
+    let is_base_global = |name| {
+        table
+            .globals
+            .iter()
+            .any(|g| (g.span.file.0 as usize) < n && g.name == name)
+    };
+    if !parsed[n..]
+        .iter()
+        .all(|p| crate::leaves_base_alone(&p.program, is_base_global))
+    {
+        return None;
+    }
+    let mut fps = vec![n as Fp];
+    for i in 0..n {
+        let (file, content, deps) = sem.live_keys[i]?;
+        fps.extend([Fp::from(file), content, deps, sem.def_fps[i]]);
+    }
+    Some(BaseStamp {
+        files: n as u32,
+        fp: combine_fps(fps),
+    })
 }
 
 fn combine_def_fps(def_fps: &[Fp], visible: &[usize]) -> Fp {

@@ -67,6 +67,33 @@ pub struct CheckedProgram {
     pub field_inits: HashMap<(u32, u32), Arc<hir::Expr>>,
     /// Static field initializers in declaration order — run at startup.
     pub static_inits: Vec<(ClassId, usize, Arc<hir::Expr>)>,
+    /// What the checker vouches for about the program's base (the prelude
+    /// and stdlib); `None` when it vouches for nothing.
+    pub base: Option<BaseStamp>,
+}
+
+/// The checker's word that a program's base part is exactly what any
+/// other program with an equal stamp has: the same definitions under the
+/// same ids and the same checked bodies. The base is the program's first
+/// `files` source files; a definition belongs to it when its span does.
+///
+/// Minted by [`Session`] from the base units' verdict keys and definition
+/// fingerprints, so equal stamps mean equal content, whatever the bodies'
+/// addresses; [`CheckedBase::extend`] passes its base's stamp on. Code
+/// generators use it to lower the base once and reuse the result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct BaseStamp {
+    /// How many leading source files form the base.
+    pub(crate) files: u32,
+    /// Fingerprint of the base's verdict keys and definitions.
+    pub(crate) fp: u64,
+}
+
+impl BaseStamp {
+    /// Whether a definition declared at `span` belongs to the base.
+    pub fn owns(&self, span: genus_common::Span) -> bool {
+        span.file.0 < self.files
+    }
 }
 
 impl CheckedProgram {
@@ -269,14 +296,8 @@ pub(crate) fn finish_prefix(table: &mut Table, diags: &mut Diagnostics, from: St
 /// type's own members, so base subtyping, method lookup and natural models
 /// are unchanged.
 pub(crate) fn extend_prefix(base: &Table, units: &[&ast::Program]) -> Option<Table> {
-    let is_local = |p: &&ast::Program| {
-        p.decls.iter().all(|d| match d {
-            ast::Decl::Use(_) | ast::Decl::Enrich(_) => false,
-            ast::Decl::Method(m) => base.globals.iter().all(|g| g.name != m.name),
-            _ => true,
-        })
-    };
-    if !units.iter().all(is_local) {
+    let is_base_global = |name| base.globals.iter().any(|g| g.name == name);
+    if !units.iter().all(|p| leaves_base_alone(p, is_base_global)) {
         return None;
     }
     let mut table = base.clone();
@@ -300,6 +321,19 @@ pub(crate) fn extend_prefix(base: &Table, units: &[&ast::Program]) -> Option<Tab
     diags.is_empty().then_some(table)
 }
 
+/// The syntactic half of the reuse rule: `unit` declares no `use`, no
+/// `enrich` and no top-level method named like a base global.
+pub(crate) fn leaves_base_alone(
+    unit: &ast::Program,
+    is_base_global: impl Fn(Symbol) -> bool,
+) -> bool {
+    unit.decls.iter().all(|d| match d {
+        ast::Decl::Use(_) | ast::Decl::Enrich(_) => false,
+        ast::Decl::Method(m) => !is_base_global(m.name),
+        _ => true,
+    })
+}
+
 /// An empty [`CheckedProgram`] around a prefix table, to be filled by
 /// [`check_bodies_filter`].
 pub(crate) fn new_checked_shell(table: Table) -> CheckedProgram {
@@ -311,6 +345,7 @@ pub(crate) fn new_checked_shell(table: Table) -> CheckedProgram {
         model_bodies: HashMap::new(),
         field_inits: HashMap::new(),
         static_inits: Vec::new(),
+        base: None,
     }
 }
 

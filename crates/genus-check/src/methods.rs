@@ -117,26 +117,37 @@ pub struct FoundField {
 }
 
 /// Finds field `name` reachable from `recv_ty`, up the superclass chain
-/// in a loop (constant host stack at any depth).
+/// in a loop (constant host stack at any depth). The declaring class
+/// comes from `declaring_class`, so the walk substitutes level by level
+/// only for a field of a generic class.
 pub fn lookup_field(table: &Table, recv_ty: &Type, name: Symbol) -> Option<FoundField> {
     let mut ty = recv_ty.clone();
     loop {
         ty = match ty {
             Type::Class { id, args, models } => {
+                let (class, index) = declaring_class(table, id, name)?;
+                let decl = table.class(class);
+                let f = &decl.fields[index];
+                let found = |ty| {
+                    Some(FoundField {
+                        class,
+                        index,
+                        is_static: f.is_static,
+                        ty,
+                    })
+                };
+                // Nothing of the receiver's instantiation reaches the
+                // field of a class without parameters.
+                if decl.params.is_empty() && decl.wheres.is_empty() {
+                    return found(f.ty.clone());
+                }
                 let def = table.class(id);
                 let subst = Subst::from_pairs(&def.params, &args).with_models(
                     &def.wheres.iter().map(|w| w.mv).collect::<Vec<_>>(),
                     &models,
                 );
-                for (fi, f) in def.fields.iter().enumerate() {
-                    if f.name == name {
-                        return Some(FoundField {
-                            class: id,
-                            index: fi,
-                            is_static: f.is_static,
-                            ty: subst.apply(&f.ty),
-                        });
-                    }
+                if class == id {
+                    return found(subst.apply(&f.ty));
                 }
                 subst.apply(def.extends.as_ref()?)
             }
@@ -144,6 +155,30 @@ pub fn lookup_field(table: &Table, recv_ty: &Type, name: Symbol) -> Option<Found
             _ => return None,
         };
     }
+}
+
+/// The class up `class`'s superclass chain that declares field `name`,
+/// and the field's index there. Memoized for every class the walk
+/// passes, so the lookups of a whole chain are linear in its length.
+fn declaring_class(table: &Table, class: ClassId, name: Symbol) -> Option<(ClassId, usize)> {
+    let mut walked = Vec::new();
+    let mut c = class;
+    let found = loop {
+        if let Some(hit) = table.cache.field_get(c, name) {
+            break hit;
+        }
+        walked.push(c);
+        let def = table.class(c);
+        if let Some(i) = def.fields.iter().position(|f| f.name == name) {
+            break Some((c, i));
+        }
+        match &def.extends {
+            Some(Type::Class { id, .. }) => c = *id,
+            _ => break None,
+        }
+    };
+    table.cache.field_put(&walked, name, found);
+    found
 }
 
 /// The built-in methods of a primitive type. These are what primitives'

@@ -12,65 +12,74 @@ use genus_common::Diagnostics;
 use genus_types::{
     is_subtype, subtype::type_eq, ConstraintInst, Model, ModelId, ModelMethod, Subst, Table, Type,
 };
+use std::collections::HashSet;
 
 /// All method definitions visible in a model: its own plus those inherited
 /// through `extends` (§5.3), with inherited ones substituted. Own methods
 /// shadow inherited ones with identical dispatch tuples.
 pub fn visible_methods(table: &Table, mid: ModelId) -> Vec<ModelMethod> {
     let mut out: Vec<ModelMethod> = Vec::new();
-    gather(table, mid, &Subst::new(), &mut out, 0);
-    out
-}
-
-fn gather(table: &Table, mid: ModelId, subst: &Subst, out: &mut Vec<ModelMethod>, depth: usize) {
-    if depth > 16 {
-        return; // cyclic model inheritance is reported elsewhere
-    }
-    let def = table.model(mid);
-    for m in &def.methods {
-        let inst = ModelMethod {
-            name: m.name,
-            is_static: m.is_static,
-            receiver: subst.apply(&m.receiver),
-            params: m.params.iter().map(|(n, t)| (*n, subst.apply(t))).collect(),
-            ret: subst.apply(&m.ret),
-            body: m.body.clone(),
-            from_enrich: m.from_enrich,
-            span: m.span,
+    // Depth first, a model's own methods before each parent's, parents in
+    // declaration order, so the first definition of a dispatch tuple is
+    // the one that shadows. Collection cut every `extends` cycle (E0217),
+    // so the walk ends; it keeps its own stack, so a chain of any length
+    // needs constant host stack. A model reached again under the same
+    // arguments would add only shadowed copies, so it is skipped.
+    let mut seen = HashSet::new();
+    // A parent's type and model arguments; the root has none to bind.
+    type Args = Option<(Vec<Type>, Vec<Model>)>;
+    let mut stack: Vec<(ModelId, Args)> = vec![(mid, None)];
+    while let Some((mid, args)) = stack.pop() {
+        let def = table.model(mid);
+        let subst = match args {
+            None => Subst::new(),
+            Some((targs, margs)) => {
+                if !seen.insert((mid, targs.clone(), margs.clone())) {
+                    continue;
+                }
+                let mvs: Vec<_> = def.wheres.iter().map(|w| w.mv).collect();
+                Subst::from_pairs(&def.tparams, &targs).with_models(&mvs, &margs)
+            }
         };
-        let shadowed = out.iter().any(|e| {
-            e.name == inst.name
-                && e.is_static == inst.is_static
-                && e.params.len() == inst.params.len()
-                && type_eq(table, &e.receiver, &inst.receiver)
-                && e.params
-                    .iter()
-                    .zip(&inst.params)
-                    .all(|((_, a), (_, b))| type_eq(table, a, b))
-        });
-        if !shadowed {
-            out.push(inst);
-        }
-    }
-    for parent in &def.extends {
-        if let Model::Decl {
-            id,
-            type_args,
-            model_args,
-        } = parent
-        {
-            let pdef = table.model(*id);
-            let s = Subst::from_pairs(&pdef.tparams, &subst_apply_all(subst, type_args))
-                .with_models(
-                    &pdef.wheres.iter().map(|w| w.mv).collect::<Vec<_>>(),
-                    &model_args
+        for m in &def.methods {
+            let inst = ModelMethod {
+                name: m.name,
+                is_static: m.is_static,
+                receiver: subst.apply(&m.receiver),
+                params: m.params.iter().map(|(n, t)| (*n, subst.apply(t))).collect(),
+                ret: subst.apply(&m.ret),
+                body: m.body.clone(),
+                from_enrich: m.from_enrich,
+                span: m.span,
+            };
+            let shadowed = out.iter().any(|e| {
+                e.name == inst.name
+                    && e.is_static == inst.is_static
+                    && e.params.len() == inst.params.len()
+                    && type_eq(table, &e.receiver, &inst.receiver)
+                    && e.params
                         .iter()
-                        .map(|m| subst.apply_model(m))
-                        .collect::<Vec<_>>(),
-                );
-            gather(table, *id, &s, out, depth + 1);
+                        .zip(&inst.params)
+                        .all(|((_, a), (_, b))| type_eq(table, a, b))
+            });
+            if !shadowed {
+                out.push(inst);
+            }
+        }
+        for parent in def.extends.iter().rev() {
+            if let Model::Decl {
+                id,
+                type_args,
+                model_args,
+            } = parent
+            {
+                let targs = subst_apply_all(&subst, type_args);
+                let margs = model_args.iter().map(|m| subst.apply_model(m)).collect();
+                stack.push((*id, Some((targs, margs))));
+            }
         }
     }
+    out
 }
 
 fn subst_apply_all(s: &Subst, ts: &[Type]) -> Vec<Type> {

@@ -96,8 +96,10 @@ pub fn escape(s: &str) -> String {
 /// Returns a message with a byte offset on malformed input.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -108,9 +110,17 @@ pub fn parse(input: &str) -> Result<Json, String> {
     Ok(v)
 }
 
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so the cap keeps it far inside any thread's stack; protocol
+/// messages nest two or three levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -159,13 +169,21 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash as one slice:
+            // both are ASCII, so they never fall inside a multibyte
+            // character and the run ends on a character boundary.
+            let start = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            out.push_str(&self.src[start..self.pos]);
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -192,16 +210,20 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
             }
         }
+    }
+
+    /// Enters one more array or object level, refusing past [`MAX_DEPTH`].
+    fn enter(&mut self) -> Result<(), String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -220,12 +242,19 @@ impl Parser<'_> {
     }
 
     fn array(&mut self) -> Result<Json, String> {
+        self.enter()?;
+        let items = self.items();
+        self.depth -= 1;
+        items.map(Json::Arr)
+    }
+
+    fn items(&mut self) -> Result<Vec<Json>, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(items);
         }
         loop {
             self.skip_ws();
@@ -235,7 +264,7 @@ impl Parser<'_> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(items);
                 }
                 _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
             }
@@ -243,12 +272,19 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<Json, String> {
+        self.enter()?;
+        let members = self.members();
+        self.depth -= 1;
+        members.map(Json::Obj)
+    }
+
+    fn members(&mut self) -> Result<BTreeMap<String, Json>, String> {
         self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(map));
+            return Ok(map);
         }
         loop {
             self.skip_ws();
@@ -263,7 +299,7 @@ impl Parser<'_> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(map));
+                    return Ok(map);
                 }
                 _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
             }
@@ -291,6 +327,38 @@ mod tests {
             Some(-2.5)
         );
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("d"));
+    }
+
+    #[test]
+    fn decodes_a_megabyte_string_in_linear_time() {
+        // Runs of ASCII and multibyte characters between escapes.
+        let piece = "plain ascii é ü 漢字 \"quoted\" back\\slash\n\t\u{1} 🦀 ";
+        let raw = piece.repeat((1 << 20) / piece.len() + 1);
+        let lit = escape(&raw);
+        assert!(lit.len() > 1 << 20);
+        let start = std::time::Instant::now();
+        assert_eq!(parse(&lit).unwrap(), Json::Str(raw));
+        // Quadratic decoding took minutes at this size; linear takes
+        // milliseconds even unoptimized.
+        assert!(start.elapsed().as_secs() < 10, "{:?}", start.elapsed());
+        let v = parse(r#""\u00e9\u6f22 a\/b""#).unwrap();
+        assert_eq!(v.as_str(), Some("é漢 a/b"));
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error() {
+        let nest =
+            |n: usize, open: &str, close: &str| format!("{}1{}", open.repeat(n), close.repeat(n));
+        assert!(parse(&nest(MAX_DEPTH, "[", "]")).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1, "[", "]")).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        assert!(parse(&nest(MAX_DEPTH, "{\"k\":", "}")).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1, "{\"k\":", "}")).is_err());
+        // A million levels is refused without recursing that deep.
+        assert!(parse(&nest(1_000_000, "[", "]")).is_err());
+        // The depth is per path, not per document.
+        let wide = format!("[{}]", vec![nest(MAX_DEPTH - 1, "[", "]"); 3].join(","));
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]

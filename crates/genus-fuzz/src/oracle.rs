@@ -24,6 +24,9 @@
 //!    source ([`genus_check::CheckedBase::extend`]), the scratch check
 //!    must report no diagnostics, and the extended program must run
 //!    identically to the scratch program (exact fuel included).
+//! 7. **Lowered-base parity** — the warm and the extended program carry
+//!    a base stamp; lowering each through the process-wide cache of
+//!    lowered bases must give the bytes a cold lowering gives.
 //!
 //! Cases where *any* engine trips the fuel meter are reported as
 //! [`Verdict::ResourceSkip`] rather than compared: fuel is counted in
@@ -34,7 +37,7 @@ use crate::pipeline::{self, Leg, UNIT_NAME};
 use genus_check::{CheckedBase, Session};
 use genus_common::{EdgeMap, Severity};
 use genus_interp::Limits;
-use genus_vm::{compile_optimized, compile_tier};
+use genus_vm::{compile_optimized, compile_program, compile_program_uncached, compile_tier};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -42,7 +45,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct Divergence {
     /// Which oracle fired: `engine`, `gc-stress`, `roundtrip`,
-    /// `incremental`, `base`, or `planted` (test harness).
+    /// `incremental`, `base`, `lowering`, or `planted` (test harness).
     pub oracle: &'static str,
     /// Human-readable description of the disagreement.
     pub detail: String,
@@ -245,6 +248,18 @@ impl Harness {
         let warm_run = pipeline::run_vm(warm_prog, &warm_code, limits, false, None);
         if let Some(d) = compare("incremental", "vm-o2", &vm2, "vm-o2-warm", &warm_run, true) {
             return Verdict::Divergence(d);
+        }
+
+        // Oracle 7: lowering from the lowered-base cache changes nothing.
+        for prog in std::iter::once(warm_prog).chain(&extended) {
+            if pipeline::lowered_bytes(&compile_program(prog))
+                != pipeline::lowered_bytes(&compile_program_uncached(prog))
+            {
+                return Verdict::Divergence(Divergence {
+                    oracle: "lowering",
+                    detail: "a lowering from the base cache differs from a cold one".to_string(),
+                });
+            }
         }
 
         // Oracle 6: the base-extended program must run identically too.

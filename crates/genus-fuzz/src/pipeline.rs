@@ -119,9 +119,14 @@ pub fn run_tier(prog: &CheckedProgram, tier: &TierProgram, limits: Limits) -> Le
 /// Serializes compiled bytecode and reads it back (the round-trip
 /// oracle's subject). Errors are the decoder's message.
 pub fn roundtrip(code: &VmProgram, prog: &CheckedProgram) -> Result<VmProgram, String> {
-    let mut w = ByteWriter::new();
-    write_program(&mut w, code);
-    let bytes = w.into_bytes();
+    let bytes = lowered_bytes(code);
     let mut r = ByteReader::new(&bytes);
     read_program(&mut r, prog)
+}
+
+/// The bytes [`write_program`] encodes `code` as.
+pub fn lowered_bytes(code: &VmProgram) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    write_program(&mut w, code);
+    w.into_bytes()
 }

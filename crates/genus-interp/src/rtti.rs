@@ -16,7 +16,7 @@ use genus_heap::value::{
 };
 use genus_types::{ClassId, Model, ModelId, MvId, PrimTy, TvId, Type, WhereReq};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 type RResult<T> = Result<T, RuntimeError>;
@@ -922,40 +922,52 @@ pub enum RecvKind<'a> {
 }
 
 /// Collects `(model id, method index, env)` candidates: the model's own
-/// methods plus those inherited via `extends` (§5.3). Public so the VM
-/// optimizer can enumerate the same candidate set when proving a
-/// `CallModel` site devirtualizable at compile time.
+/// methods plus those inherited via `extends` (§5.3), depth first, own
+/// methods before each parent's. Public so the VM optimizer can enumerate
+/// the same candidate set when proving a `CallModel` site devirtualizable
+/// at compile time.
+///
+/// The checker cut every `extends` cycle, so the walk ends; it keeps its
+/// own stack, so a chain of any length needs constant host stack. A model
+/// reached again under the same arguments would only add candidates an
+/// earlier identical one wins every tie against, so it is skipped.
 pub fn model_candidates(
     prog: &CheckedProgram,
     id: ModelId,
     targs: &[RtType],
     margs: &[ModelValue],
     out: &mut Vec<(ModelId, usize, TEnv, MEnv)>,
-    depth: usize,
 ) {
-    if depth > 16 {
-        return;
-    }
-    let def = prog.table.model(id);
-    let mut tenv = TEnv::new();
-    let mut menv = MEnv::new();
-    for (tv, t) in def.tparams.iter().zip(targs) {
-        tenv.insert(*tv, t.clone());
-    }
-    for (w, m) in def.wheres.iter().zip(margs) {
-        menv.insert(w.mv, m.clone());
-    }
-    for (mi, _) in def.methods.iter().enumerate() {
-        out.push((id, mi, tenv.clone(), menv.clone()));
-    }
-    for parent in &def.extends {
-        if let ModelValue::Decl {
-            id: pid,
-            targs: pt,
-            margs: pm,
-        } = eval_model(prog, &tenv, &menv, parent)
-        {
-            model_candidates(prog, pid, &pt, &pm, out, depth + 1);
+    let mut seen = HashSet::new();
+    let mut stack = vec![(id, targs.to_vec(), margs.to_vec())];
+    let mut root = true;
+    while let Some((id, targs, margs)) = stack.pop() {
+        // The root is never reached again (that would be a cycle), so a
+        // model without parents allocates no set.
+        if !std::mem::take(&mut root) && !seen.insert((id, targs.clone(), margs.clone())) {
+            continue;
+        }
+        let def = prog.table.model(id);
+        let mut tenv = TEnv::new();
+        let mut menv = MEnv::new();
+        for (tv, t) in def.tparams.iter().zip(targs) {
+            tenv.insert(*tv, t);
+        }
+        for (w, m) in def.wheres.iter().zip(margs) {
+            menv.insert(w.mv, m);
+        }
+        for (mi, _) in def.methods.iter().enumerate() {
+            out.push((id, mi, tenv.clone(), menv.clone()));
+        }
+        for parent in def.extends.iter().rev() {
+            if let ModelValue::Decl {
+                id: pid,
+                targs: pt,
+                margs: pm,
+            } = eval_model(prog, &tenv, &menv, parent)
+            {
+                stack.push((pid, pt, pm));
+            }
         }
     }
 }
@@ -980,7 +992,7 @@ pub fn select_model_target(
 ) -> Option<Rc<ModelTarget>> {
     let is_static = !matches!(recv, Some(RecvKind::Value(..)));
     let mut cands = Vec::new();
-    model_candidates(prog, id, targs, margs, &mut cands, 0);
+    model_candidates(prog, id, targs, margs, &mut cands);
     // Applicability: the dynamic receiver and argument values must be
     // instances of the declared (evaluated) types.
     let mut applicable: Vec<(usize, Vec<RtType>)> = Vec::new();

@@ -221,6 +221,7 @@ pub fn decode(
         model_bodies: HashMap::new(),
         field_inits: HashMap::new(),
         static_inits: Vec::new(),
+        base: None,
     };
     let code = genus_vm::read_program(&mut r, &prog)?;
     if r.remaining() != 0 {

@@ -376,6 +376,45 @@ fn tcp_session_round_trip() {
     assert!(lines[1].contains(r#""id":"b""#) && lines[1].contains(r#""code":"R0009""#));
 }
 
+/// A request line nesting a million JSON arrays is a `bad request` reply
+/// on its TCP connection (whose thread has the default stack), and the
+/// next request on the same connection is still answered.
+#[test]
+fn deeply_nested_json_is_a_bad_request_reply() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap();
+    let server = Arc::new(server(1));
+    {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || {
+            let _ = server.serve_tcp(&listener);
+        });
+    }
+    let n = 1_000_000;
+    let deep = format!(
+        r#"{{"id":"a","source":"int main() {{ return 1; }}","x":{}1{}}}"#,
+        "[".repeat(n),
+        "]".repeat(n)
+    );
+    let mut conn = std::net::TcpStream::connect(addr).expect("connect");
+    conn.write_all(format!("{deep}\n").as_bytes()).unwrap();
+    conn.write_all(b"{\"id\": \"next\", \"source\": \"int main() { return 7; }\"}\n")
+        .unwrap();
+    conn.shutdown(std::net::Shutdown::Write).unwrap();
+    let lines: Vec<String> = BufReader::new(&conn).lines().map(|l| l.unwrap()).collect();
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    assert!(
+        lines[0].contains(r#""outcome":"error""#) && lines[0].contains("bad request: nesting"),
+        "{}",
+        lines[0]
+    );
+    assert!(
+        lines[1].contains(r#""id":"next""#) && lines[1].contains(r#""value":"7""#),
+        "{}",
+        lines[1]
+    );
+}
+
 /// `{"action":"metrics"}` is part of the wire protocol: it needs no
 /// source, is answered synchronously, and its value is the full metrics
 /// JSON — request counters, engine mix, cache counters, pool health, and

@@ -19,8 +19,9 @@
 //! turns every cache into a pass-through so benches can A/B the caching
 //! layer and tests can compare cached against uncached results.
 
+use crate::table::ClassId;
 use crate::ty::{ConstraintInst, Type};
-use genus_common::FastMap;
+use genus_common::{FastMap, Symbol};
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
@@ -96,6 +97,9 @@ fn hash_pair(sub: &Type, sup: &Type) -> u64 {
     h.finish()
 }
 
+/// Where a field is declared: the class and the field's index there.
+pub type FieldDecl = (ClassId, usize);
+
 /// One hash bucket of structurally keyed subtype verdicts.
 type SubtypeBucket = Vec<(Type, Type, bool)>;
 
@@ -110,6 +114,10 @@ pub struct QueryCache {
     prereq: Mutex<FastMap<ConstraintInst, Arc<Vec<ConstraintInst>>>>,
     /// Structural conformance (`natural::conforms`) results.
     conforms: Mutex<FastMap<ConstraintInst, bool>>,
+    /// `(class, field name) → (declaring class, field index)`, for every
+    /// class a field lookup walked through (uncounted: a lookup always
+    /// hits its own walk).
+    fields: Mutex<FastMap<(ClassId, Symbol), Option<FieldDecl>>>,
     /// Opaque slot for the checker's resolution memo: the value type
     /// involves checker-crate types, so it is stored type-erased here
     /// and downcast by `genus-check`. `Send` so a checked program (and
@@ -170,6 +178,7 @@ impl QueryCache {
         self.subtype.lock().unwrap().clear();
         self.prereq.lock().unwrap().clear();
         self.conforms.lock().unwrap().clear();
+        self.fields.lock().unwrap().clear();
         *self.resolve_slot.lock().unwrap() = None;
     }
 
@@ -286,6 +295,26 @@ impl QueryCache {
             return;
         }
         self.conforms.lock().unwrap().insert(inst.clone(), result);
+    }
+
+    /// Cached declaring class and index of field `name` as seen from
+    /// `class`: `Some(None)` when no class up its chain declares it.
+    pub fn field_get(&self, class: ClassId, name: Symbol) -> Option<Option<FieldDecl>> {
+        if !caches_enabled() {
+            return None;
+        }
+        self.fields.lock().unwrap().get(&(class, name)).copied()
+    }
+
+    /// Stores where field `name` of each of `classes` is declared.
+    pub fn field_put(&self, classes: &[ClassId], name: Symbol, found: Option<FieldDecl>) {
+        if !caches_enabled() {
+            return;
+        }
+        let mut map = self.fields.lock().unwrap();
+        for &c in classes {
+            map.insert((c, name), found);
+        }
     }
 
     /// Grants scoped access to the type-erased resolution-memo slot.

@@ -26,6 +26,7 @@ use genus_interp::{RtType, Value};
 use genus_syntax::ast::BinOp;
 use genus_types::{ClassId, Model, MvId, PrimTy, TvId, Type};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Index of a compiled function in [`VmProgram::funcs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -395,36 +396,127 @@ pub struct VmFunc {
     pub is_void: bool,
 }
 
+/// An append-only table whose leading entries may be shared with other
+/// programs: a program lowered from a cached base shares the base's
+/// entries instead of copying them (see [`crate::compile_program`]).
+/// Indexing, `len`, `push` and iteration read like a `Vec`'s.
+#[derive(Debug, Clone)]
+pub struct SharedVec<T> {
+    shared: Arc<[T]>,
+    own: Vec<T>,
+}
+
+impl<T> Default for SharedVec<T> {
+    fn default() -> Self {
+        SharedVec {
+            shared: Arc::from(Vec::new()),
+            own: Vec::new(),
+        }
+    }
+}
+
+impl<T> SharedVec<T> {
+    /// Number of entries.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.shared.len() + self.own.len()
+    }
+
+    /// Whether there are no entries.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Appends an entry; it gets index `len()` before the call.
+    pub fn push(&mut self, v: T) {
+        self.own.push(v);
+    }
+
+    /// Reserves room for `n` more entries.
+    pub fn reserve(&mut self, n: usize) {
+        self.own.reserve(n);
+    }
+
+    /// The entries in index order.
+    pub fn iter(&self) -> std::iter::Chain<std::slice::Iter<'_, T>, std::slice::Iter<'_, T>> {
+        self.into_iter()
+    }
+
+    /// Moves every entry into the shared part, so that clones of the table
+    /// share them instead of copying them.
+    pub(crate) fn share(&mut self)
+    where
+        T: Clone,
+    {
+        if self.own.is_empty() {
+            return;
+        }
+        let mut all: Vec<T> = Vec::with_capacity(self.len());
+        all.extend(self.shared.iter().cloned());
+        all.append(&mut self.own);
+        self.shared = Arc::from(all);
+    }
+}
+
+/// Equal entries, however they are split between shared and owned.
+impl<T: PartialEq> PartialEq for SharedVec<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other)
+    }
+}
+
+impl<T> std::ops::Index<usize> for SharedVec<T> {
+    type Output = T;
+
+    #[inline]
+    fn index(&self, i: usize) -> &T {
+        match self.shared.get(i) {
+            Some(v) => v,
+            None => &self.own[i - self.shared.len()],
+        }
+    }
+}
+
+impl<'a, T> IntoIterator for &'a SharedVec<T> {
+    type Item = &'a T;
+    type IntoIter = std::iter::Chain<std::slice::Iter<'a, T>, std::slice::Iter<'a, T>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.shared.iter().chain(&self.own)
+    }
+}
+
 /// A fully lowered program: every executable body compiled once, plus the
 /// shared constant pool and spec tables.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct VmProgram {
     /// All compiled functions.
     pub funcs: Vec<VmFunc>,
     /// Constant pool (literals, `null`, `void`).
-    pub consts: Vec<Const>,
+    pub consts: SharedVec<Const>,
     /// Open types for `NewArray`/`InstanceOf`/`Cast`/`DefaultValue`.
-    pub types: Vec<Type>,
+    pub types: SharedVec<Type>,
     /// `CallVirtual` payloads.
-    pub virt_specs: Vec<VirtSpec>,
+    pub virt_specs: SharedVec<VirtSpec>,
     /// `CallStatic` payloads.
-    pub static_specs: Vec<StaticSpec>,
+    pub static_specs: SharedVec<StaticSpec>,
     /// `CallGlobal` payloads.
-    pub global_specs: Vec<GlobalSpec>,
+    pub global_specs: SharedVec<GlobalSpec>,
     /// `CallModel` payloads.
-    pub model_specs: Vec<ModelSpec>,
+    pub model_specs: SharedVec<ModelSpec>,
     /// `CallDirect` payloads (optimizer output; empty at `--opt-level=0`).
     pub direct_specs: Vec<DirectSpec>,
     /// `New` payloads.
-    pub new_specs: Vec<NewSpec>,
+    pub new_specs: SharedVec<NewSpec>,
     /// `PrimCall` payloads.
-    pub prim_specs: Vec<PrimSpec>,
+    pub prim_specs: SharedVec<PrimSpec>,
     /// `Native` payloads.
-    pub native_specs: Vec<NativeSpec>,
+    pub native_specs: SharedVec<NativeSpec>,
     /// `Pack` payloads.
-    pub pack_specs: Vec<PackSpec>,
+    pub pack_specs: SharedVec<PackSpec>,
     /// `Open` payloads.
-    pub open_specs: Vec<OpenSpec>,
+    pub open_specs: SharedVec<OpenSpec>,
     /// `(class, method index) → function`.
     pub methods: HashMap<(u32, u32), FuncId>,
     /// `(class, ctor index) → function`.
@@ -449,6 +541,9 @@ pub struct VmProgram {
     pub rt_types: Vec<Option<RtType>>,
     /// Counters from the optimization pipeline that produced this program.
     pub opt_stats: OptStats,
+    /// Functions copied from a cached lowering of the program's base
+    /// instead of lowered (0 when the base was lowered here).
+    pub funcs_reused: usize,
 }
 
 impl VmProgram {

@@ -18,16 +18,17 @@
 
 use crate::bytecode::{
     Const, FuncId, GlobalSpec, ModelSpec, NativeSpec, NewSpec, Op, OpenSpec, PackSpec, PrimSpec,
-    StaticSpec, VirtSpec, VmFunc, VmProgram,
+    SharedVec, StaticSpec, VirtSpec, VmFunc, VmProgram,
 };
 use genus_check::hir::{self, BinKind};
-use genus_check::CheckedProgram;
+use genus_check::{BaseStamp, CheckedProgram};
+use genus_common::Span;
 use genus_interp::rtti::FieldLayout;
 use genus_types::{ClassId, Type};
 use std::collections::HashMap;
 
 /// Hashable key for constant-pool deduplication (doubles by bit pattern).
-#[derive(PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 enum ConstKey {
     Int(i32),
     Long(i64),
@@ -39,26 +40,24 @@ enum ConstKey {
     Void,
 }
 
-/// Program-level accumulation: the constant pool, spec tables, the
-/// dense virtual-call-site counter, and the field layout.
-#[derive(Default)]
+/// Program-level accumulation: the constant pool, spec tables and the
+/// dense call-site counters.
+#[derive(Default, Clone)]
 struct Builder {
-    consts: Vec<Const>,
+    consts: SharedVec<Const>,
     const_map: HashMap<ConstKey, u32>,
-    types: Vec<Type>,
-    virt_specs: Vec<VirtSpec>,
-    static_specs: Vec<StaticSpec>,
-    global_specs: Vec<GlobalSpec>,
-    model_specs: Vec<ModelSpec>,
-    new_specs: Vec<NewSpec>,
-    prim_specs: Vec<PrimSpec>,
-    native_specs: Vec<NativeSpec>,
-    pack_specs: Vec<PackSpec>,
-    open_specs: Vec<OpenSpec>,
+    types: SharedVec<Type>,
+    virt_specs: SharedVec<VirtSpec>,
+    static_specs: SharedVec<StaticSpec>,
+    global_specs: SharedVec<GlobalSpec>,
+    model_specs: SharedVec<ModelSpec>,
+    new_specs: SharedVec<NewSpec>,
+    prim_specs: SharedVec<PrimSpec>,
+    native_specs: SharedVec<NativeSpec>,
+    pack_specs: SharedVec<PackSpec>,
+    open_specs: SharedVec<OpenSpec>,
     num_sites: usize,
     num_model_sites: usize,
-    /// Field slots, resolved into `GetField`/`SetField` at lowering.
-    layout: FieldLayout,
 }
 
 impl Builder {
@@ -82,6 +81,21 @@ impl Builder {
         let s = self.num_sites as u32;
         self.num_sites += 1;
         s
+    }
+
+    /// Shares every table so far with the builder's clones.
+    fn share(&mut self) {
+        self.consts.share();
+        self.types.share();
+        self.virt_specs.share();
+        self.static_specs.share();
+        self.global_specs.share();
+        self.model_specs.share();
+        self.new_specs.share();
+        self.prim_specs.share();
+        self.native_specs.share();
+        self.pack_specs.share();
+        self.open_specs.share();
     }
 
     fn model_site(&mut self) -> u32 {
@@ -152,6 +166,8 @@ struct LoopFrame {
 /// Per-function compilation state.
 struct FnCompiler<'b> {
     b: &'b mut Builder,
+    /// Field slots, resolved into `GetField`/`SetField` at lowering.
+    layout: &'b FieldLayout,
     code: Vec<Op>,
     /// Next free temporary register.
     sp: u16,
@@ -160,11 +176,12 @@ struct FnCompiler<'b> {
 }
 
 impl<'b> FnCompiler<'b> {
-    fn new(b: &'b mut Builder, num_locals: usize) -> Self {
+    fn new(b: &'b mut Builder, layout: &'b FieldLayout, num_locals: usize) -> Self {
         assert!(num_locals < usize::from(u16::MAX), "register file overflow");
         let base = num_locals as u16;
         FnCompiler {
             b,
+            layout,
             code: Vec::new(),
             sp: base,
             max_regs: base,
@@ -419,7 +436,7 @@ impl<'b> FnCompiler<'b> {
             }
             K::GetField { recv, class, field } => {
                 let r = self.operand(recv, true);
-                let slot = self.b.layout.slot(*class, *field) as u32;
+                let slot = self.layout.slot(*class, *field) as u32;
                 self.emit(Op::GetField { dst, obj: r, slot });
             }
             K::SetField {
@@ -430,7 +447,7 @@ impl<'b> FnCompiler<'b> {
             } => {
                 let r = self.operand(recv, !writes_locals(value));
                 self.expr(value, dst);
-                let slot = self.b.layout.slot(*class, *field) as u32;
+                let slot = self.layout.slot(*class, *field) as u32;
                 self.emit(Op::SetField {
                     obj: r,
                     slot,
@@ -782,12 +799,13 @@ impl<'b> FnCompiler<'b> {
 
 fn compile_fn(
     b: &mut Builder,
+    layout: &FieldLayout,
     name: String,
     num_locals: usize,
     block: &hir::Block,
     is_void: bool,
 ) -> VmFunc {
-    let mut f = FnCompiler::new(b, num_locals);
+    let mut f = FnCompiler::new(b, layout, num_locals);
     f.block(block);
     // Falling off the end: void bodies return `void`, non-void bodies
     // raise the interpreter's MissingReturn error.
@@ -817,131 +835,217 @@ fn init_body(expr: &hir::Expr, num_locals: usize) -> (usize, hir::Block) {
 
 /// Compiles every executable body of a checked program to bytecode.
 ///
-/// Function and call-site numbering is deterministic (table-key order),
-/// so two compilations of the same program produce identical bytecode.
+/// Bodies are lowered kind by kind (methods, constructors, globals, model
+/// methods, field initializers, static initializers), each kind in
+/// table-key order, so two compilations of the same program produce
+/// identical bytecode. A program whose checker vouched for its base (a
+/// [`BaseStamp`]) lowers the base's bodies first and then its own: the
+/// base's functions and pool state go into a bounded process-wide cache
+/// keyed by the stamp, and a later program with an equal stamp copies
+/// them and lowers only its own bodies. Either way the result is what
+/// lowering everything in that order gives, byte for byte.
 #[must_use]
 pub fn compile_program(prog: &CheckedProgram) -> VmProgram {
-    let mut b = Builder {
-        layout: FieldLayout::new(prog),
-        ..Builder::default()
-    };
-    let mut out = VmProgram::default();
+    lower_program(prog, true)
+}
 
-    let push = |funcs: &mut Vec<VmFunc>, f: VmFunc| -> FuncId {
-        let id = FuncId(funcs.len() as u32);
-        funcs.push(f);
+/// Lowers `prog` exactly as [`compile_program`] does, in the same order,
+/// without reading or filling the base cache: the cold lowering a cached
+/// one must equal.
+#[must_use]
+pub fn compile_program_uncached(prog: &CheckedProgram) -> VmProgram {
+    lower_program(prog, false)
+}
+
+fn lower_program(prog: &CheckedProgram, cached: bool) -> VmProgram {
+    let layout = FieldLayout::new(prog);
+    let mut lw = Lowering {
+        prog,
+        layout: &layout,
+        b: Builder::default(),
+        out: VmProgram::default(),
+    };
+    match prog.base {
+        None => lw.lower(|_| true),
+        Some(stamp) => {
+            match cached.then(|| base_cache::get(stamp)).flatten() {
+                Some(base) => {
+                    lw.b = base.b.clone();
+                    lw.out = base.out.clone();
+                    lw.out.funcs_reused = lw.out.funcs.len();
+                }
+                None => {
+                    lw.lower(|span| stamp.owns(span));
+                    if cached {
+                        lw.b.share();
+                        base_cache::insert(BaseLowering {
+                            stamp,
+                            b: lw.b.clone(),
+                            out: lw.out.clone(),
+                        });
+                    }
+                }
+            }
+            lw.lower(|span| !stamp.owns(span));
+        }
+    }
+    lw.finish()
+}
+
+/// The keys `keep` accepts, sorted.
+fn picked<'k, K: Ord + Copy + 'k>(
+    keys: impl Iterator<Item = &'k K>,
+    keep: impl Fn(K) -> bool,
+) -> Vec<K> {
+    let mut keys: Vec<K> = keys.copied().filter(|&k| keep(k)).collect();
+    keys.sort_unstable();
+    keys
+}
+
+/// A base's lowered functions and the builder state after them.
+struct BaseLowering {
+    stamp: BaseStamp,
+    b: Builder,
+    out: VmProgram,
+}
+
+/// The process-wide cache of lowered bases, least recently used first.
+mod base_cache {
+    use super::BaseLowering;
+    use genus_check::BaseStamp;
+    use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+
+    /// Bound on cached bases. A session's base stamp changes with the
+    /// global environment (its verdict keys fold it in), so a session
+    /// cycling through a few environments keeps one base per environment.
+    pub(super) const CAPACITY: usize = 4;
+
+    /// The cache, most recently used last. A panic while it was locked
+    /// leaves it valid (every update is one `remove` or `push`), so a
+    /// poisoned lock is taken over.
+    fn cache() -> MutexGuard<'static, Vec<Arc<BaseLowering>>> {
+        static CACHE: OnceLock<Mutex<Vec<Arc<BaseLowering>>>> = OnceLock::new();
+        let cache = CACHE.get_or_init(|| Mutex::new(Vec::with_capacity(CAPACITY)));
+        cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub(super) fn get(stamp: BaseStamp) -> Option<Arc<BaseLowering>> {
+        let mut cache = cache();
+        let at = cache.iter().position(|b| b.stamp == stamp)?;
+        let base = cache.remove(at);
+        cache.push(Arc::clone(&base));
+        Some(base)
+    }
+
+    pub(super) fn insert(base: BaseLowering) {
+        let mut cache = cache();
+        if cache.iter().any(|b| b.stamp == base.stamp) {
+            return;
+        }
+        if cache.len() >= CAPACITY {
+            cache.remove(0);
+        }
+        cache.push(Arc::new(base));
+    }
+}
+
+/// One program's lowering in progress.
+struct Lowering<'p> {
+    prog: &'p CheckedProgram,
+    layout: &'p FieldLayout,
+    b: Builder,
+    out: VmProgram,
+}
+
+impl Lowering<'_> {
+    /// Lowers, in the fixed order, every body whose owner's declaring
+    /// span `pick` accepts.
+    fn lower(&mut self, pick: impl Fn(Span) -> bool) {
+        let prog = self.prog;
+        let class_span = |cid: u32| prog.table.class(ClassId(cid)).span;
+        let model_method = |mid: u32, mi: u32| {
+            let def = prog.table.model(genus_types::ModelId(mid));
+            (def, &def.methods[mi as usize])
+        };
+
+        for (cid, mi) in picked(prog.method_bodies.keys(), |(c, _)| pick(class_span(c))) {
+            let body = &prog.method_bodies[&(cid, mi)];
+            let def = prog.table.class(ClassId(cid));
+            let m = &def.methods[mi as usize];
+            let name = format!("{}::{}", def.name, m.name);
+            let id = self.push(name, body.num_locals, &body.block, m.ret.is_void());
+            self.out.methods.insert((cid, mi), id);
+        }
+        for (cid, ci) in picked(prog.ctor_bodies.keys(), |(c, _)| pick(class_span(c))) {
+            let body = &prog.ctor_bodies[&(cid, ci)];
+            let name = format!("{}::<ctor {ci}>", prog.table.class(ClassId(cid)).name);
+            let id = self.push(name, body.num_locals, &body.block, true);
+            self.out.ctors.insert((cid, ci), id);
+        }
+        let global_span = |gi: u32| prog.table.globals[gi as usize].span;
+        for gi in picked(prog.global_bodies.keys(), |gi| pick(global_span(gi))) {
+            let body = &prog.global_bodies[&gi];
+            let g = &prog.table.globals[gi as usize];
+            let name = format!("global {}", g.name);
+            let id = self.push(name, body.num_locals, &body.block, g.ret.is_void());
+            self.out.globals.insert(gi, id);
+        }
+        let model_span = |(mid, mi)| model_method(mid, mi).1.span;
+        for (mid, mi) in picked(prog.model_bodies.keys(), |k| pick(model_span(k))) {
+            let body = &prog.model_bodies[&(mid, mi)];
+            let (def, m) = model_method(mid, mi);
+            let name = format!("{}::{}", def.name, m.name);
+            let id = self.push(name, body.num_locals, &body.block, m.ret.is_void());
+            self.out.model_methods.insert((mid, mi), id);
+        }
+        for (cid, fi) in picked(prog.field_inits.keys(), |(c, _)| pick(class_span(c))) {
+            let init = &prog.field_inits[&(cid, fi)];
+            let name = format!("{}::<field {fi}>", prog.table.class(ClassId(cid)).name);
+            let (num_locals, block) = init_body(init, 1);
+            let id = self.push(name, num_locals, &block, false);
+            self.out.field_inits.insert((cid, fi), id);
+        }
+        for (cid, fi, init) in &prog.static_inits {
+            let def = prog.table.class(*cid);
+            if !pick(def.span) {
+                continue;
+            }
+            let name = format!("{}::<static {fi}>", def.name);
+            let (num_locals, block) = init_body(init, 0);
+            let id = self.push(name, num_locals, &block, false);
+            self.out.static_inits.push((*cid, *fi, id));
+        }
+    }
+
+    /// Lowers one body as the next function.
+    fn push(
+        &mut self,
+        name: String,
+        num_locals: usize,
+        block: &hir::Block,
+        is_void: bool,
+    ) -> FuncId {
+        let f = compile_fn(&mut self.b, self.layout, name, num_locals, block, is_void);
+        let id = FuncId(self.out.funcs.len() as u32);
+        self.out.funcs.push(f);
         id
-    };
-
-    let mut keys: Vec<_> = prog.method_bodies.keys().copied().collect();
-    keys.sort_unstable();
-    for (cid, mi) in keys {
-        let body = &prog.method_bodies[&(cid, mi)];
-        let def = prog.table.class(ClassId(cid));
-        let m = &def.methods[mi as usize];
-        let f = compile_fn(
-            &mut b,
-            format!("{}::{}", def.name, m.name),
-            body.num_locals,
-            &body.block,
-            m.ret.is_void(),
-        );
-        let id = push(&mut out.funcs, f);
-        out.methods.insert((cid, mi), id);
     }
 
-    let mut keys: Vec<_> = prog.ctor_bodies.keys().copied().collect();
-    keys.sort_unstable();
-    for (cid, ci) in keys {
-        let body = &prog.ctor_bodies[&(cid, ci)];
-        let def = prog.table.class(ClassId(cid));
-        let f = compile_fn(
-            &mut b,
-            format!("{}::<ctor {ci}>", def.name),
-            body.num_locals,
-            &body.block,
-            true,
-        );
-        let id = push(&mut out.funcs, f);
-        out.ctors.insert((cid, ci), id);
+    fn finish(self) -> VmProgram {
+        let Lowering { b, mut out, .. } = self;
+        out.consts = b.consts;
+        out.types = b.types;
+        out.virt_specs = b.virt_specs;
+        out.static_specs = b.static_specs;
+        out.global_specs = b.global_specs;
+        out.model_specs = b.model_specs;
+        out.new_specs = b.new_specs;
+        out.prim_specs = b.prim_specs;
+        out.native_specs = b.native_specs;
+        out.pack_specs = b.pack_specs;
+        out.open_specs = b.open_specs;
+        out.num_sites = b.num_sites;
+        out.num_model_sites = b.num_model_sites;
+        out
     }
-
-    let mut keys: Vec<_> = prog.global_bodies.keys().copied().collect();
-    keys.sort_unstable();
-    for gi in keys {
-        let body = &prog.global_bodies[&gi];
-        let g = &prog.table.globals[gi as usize];
-        let f = compile_fn(
-            &mut b,
-            format!("global {}", g.name),
-            body.num_locals,
-            &body.block,
-            g.ret.is_void(),
-        );
-        let id = push(&mut out.funcs, f);
-        out.globals.insert(gi, id);
-    }
-
-    let mut keys: Vec<_> = prog.model_bodies.keys().copied().collect();
-    keys.sort_unstable();
-    for (mid, mi) in keys {
-        let body = &prog.model_bodies[&(mid, mi)];
-        let def = prog.table.model(genus_types::ModelId(mid));
-        let m = &def.methods[mi as usize];
-        let f = compile_fn(
-            &mut b,
-            format!("{}::{}", def.name, m.name),
-            body.num_locals,
-            &body.block,
-            m.ret.is_void(),
-        );
-        let id = push(&mut out.funcs, f);
-        out.model_methods.insert((mid, mi), id);
-    }
-
-    let mut keys: Vec<_> = prog.field_inits.keys().copied().collect();
-    keys.sort_unstable();
-    for (cid, fi) in keys {
-        let init = &prog.field_inits[&(cid, fi)];
-        let def = prog.table.class(ClassId(cid));
-        let (num_locals, block) = init_body(init, 1);
-        let f = compile_fn(
-            &mut b,
-            format!("{}::<field {fi}>", def.name),
-            num_locals,
-            &block,
-            false,
-        );
-        let id = push(&mut out.funcs, f);
-        out.field_inits.insert((cid, fi), id);
-    }
-
-    for (cid, fi, init) in &prog.static_inits {
-        let def = prog.table.class(*cid);
-        let (num_locals, block) = init_body(init, 0);
-        let f = compile_fn(
-            &mut b,
-            format!("{}::<static {fi}>", def.name),
-            num_locals,
-            &block,
-            false,
-        );
-        let id = push(&mut out.funcs, f);
-        out.static_inits.push((*cid, *fi, id));
-    }
-
-    out.consts = b.consts;
-    out.types = b.types;
-    out.virt_specs = b.virt_specs;
-    out.static_specs = b.static_specs;
-    out.global_specs = b.global_specs;
-    out.model_specs = b.model_specs;
-    out.new_specs = b.new_specs;
-    out.prim_specs = b.prim_specs;
-    out.native_specs = b.native_specs;
-    out.pack_specs = b.pack_specs;
-    out.open_specs = b.open_specs;
-    out.num_sites = b.num_sites;
-    out.num_model_sites = b.num_model_sites;
-    out
 }

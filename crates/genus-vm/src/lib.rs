@@ -41,7 +41,7 @@ pub mod tier;
 pub mod vm;
 
 pub use bytecode::{FuncId, Op, VmFunc, VmProgram};
-pub use compile::compile_program;
+pub use compile::{compile_program, compile_program_uncached};
 pub use opt::{compile_optimized, optimize, OptStats};
 pub use serialize::{read_program, write_program};
 pub use tier::{compile_tier, TierProgram, TierStats};

@@ -12,7 +12,7 @@
 //! one engine would break the cross-engine `mem_used` parity the
 //! differential suites assert.
 
-use crate::bytecode::{Const, Op, VmFunc, VmProgram};
+use crate::bytecode::{Const, Op, SharedVec, VmFunc, VmProgram};
 use crate::opt::OptStats;
 use genus_check::hir::NumKind;
 use genus_interp::ops::{arith, compare, widen_value};
@@ -77,7 +77,7 @@ struct Pool {
 }
 
 impl Pool {
-    fn build(consts: &[Const]) -> Pool {
+    fn build(consts: &SharedVec<Const>) -> Pool {
         let mut map = HashMap::new();
         for (i, c) in consts.iter().enumerate() {
             map.entry(ckey(c)).or_insert(i as u32);
@@ -85,7 +85,7 @@ impl Pool {
         Pool { map }
     }
 
-    fn intern(&mut self, consts: &mut Vec<Const>, v: Value) -> u32 {
+    fn intern(&mut self, consts: &mut SharedVec<Const>, v: Value) -> u32 {
         let key = vkey(&v).expect("folded values are poolable");
         if let Some(&k) = self.map.get(&key) {
             return k;
@@ -97,7 +97,7 @@ impl Pool {
     }
 }
 
-fn clean_fn(f: &mut VmFunc, consts: &mut Vec<Const>, pool: &mut Pool, stats: &mut OptStats) {
+fn clean_fn(f: &mut VmFunc, consts: &mut SharedVec<Const>, pool: &mut Pool, stats: &mut OptStats) {
     for _ in 0..10 {
         let mut changed = fold_pass(f, consts, pool, stats);
         changed |= thread_jumps(f);
@@ -176,7 +176,7 @@ fn label_set(code: &[Op]) -> HashSet<usize> {
 /// knowledge resets at every jump target.
 fn fold_pass(
     f: &mut VmFunc,
-    consts: &mut Vec<Const>,
+    consts: &mut SharedVec<Const>,
     pool: &mut Pool,
     stats: &mut OptStats,
 ) -> bool {
@@ -190,7 +190,7 @@ fn fold_pass(
         let get = |known: &HashMap<u16, u32>, r: u16| {
             known.get(&r).map(|&k| consts[k as usize].to_value())
         };
-        let mut fold = |v: Value, consts: &mut Vec<Const>| pool.intern(consts, v);
+        let mut fold = |v: Value, consts: &mut SharedVec<Const>| pool.intern(consts, v);
         let mut new_op: Option<Op> = None;
         match f.code[i] {
             Op::Move { dst, src } => {

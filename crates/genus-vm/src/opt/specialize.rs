@@ -440,7 +440,7 @@ impl Specializer<'_> {
         margs: &[ModelValue],
     ) -> Option<Op> {
         let mut cands = Vec::new();
-        rtti::model_candidates(self.prog, id, targs, margs, &mut cands, 0);
+        rtti::model_candidates(self.prog, id, targs, margs, &mut cands);
         let is_static = s.recv.is_none();
         let mut matching = cands.iter().filter(|c| {
             let m = &self.prog.table.model(c.0).methods[c.1];

@@ -684,7 +684,10 @@ pub fn write_program(w: &mut ByteWriter, code: &VmProgram) {
     for c in &code.consts {
         write_const(w, c);
     }
-    write_types(w, &code.types);
+    w.seq(code.types.len());
+    for t in &code.types {
+        write_type(w, t);
+    }
     w.seq(code.virt_specs.len());
     for s in &code.virt_specs {
         write_sym(w, s.name);
@@ -833,7 +836,9 @@ pub fn read_program(r: &mut ByteReader, prog: &CheckedProgram) -> ReadResult<VmP
     for _ in 0..n {
         code.consts.push(read_const(r)?);
     }
-    code.types = read_types(r)?;
+    for t in read_types(r)? {
+        code.types.push(t);
+    }
     let n = r.seq()?;
     code.virt_specs.reserve(n);
     for _ in 0..n {
@@ -1099,6 +1104,7 @@ mod tests {
             model_bodies: HashMap::new(),
             field_inits: HashMap::new(),
             static_inits: Vec::new(),
+            base: None,
         };
         for cut in [0, 1, 7, bytes.len() / 3, bytes.len() - 1] {
             let mut r = ByteReader::new(&bytes[..cut]);

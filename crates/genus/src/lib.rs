@@ -37,8 +37,8 @@ pub use genus_interp::{
 pub use genus_types::{caches_enabled, set_caches_enabled, CacheStats};
 pub use genus_vm::exec::Execution;
 pub use genus_vm::{
-    compile_optimized, compile_program, compile_tier, OptStats, TierProgram, TierStats, Vm,
-    VmProgram,
+    compile_optimized, compile_program, compile_program_uncached, compile_tier, OptStats,
+    TierProgram, TierStats, Vm, VmProgram,
 };
 pub use session::CompileSession;
 

@@ -53,6 +53,8 @@ pub struct CompileSession {
     vm_code: Option<(u64, Arc<VmProgram>)>,
     /// Tier-2 closure program, keyed the same way.
     tier_code: Option<(u64, Arc<TierProgram>)>,
+    /// Compiles whose base functions came from the lowered-base cache.
+    lowerings_reused: u64,
 }
 
 impl Default for CompileSession {
@@ -69,6 +71,7 @@ impl CompileSession {
             opt_level: 2,
             vm_code: None,
             tier_code: None,
+            lowerings_reused: 0,
         }
     }
 
@@ -106,6 +109,13 @@ impl CompileSession {
     /// Cumulative reuse statistics over the session's lifetime.
     pub fn stats(&self) -> SessionStats {
         self.inner.stats()
+    }
+
+    /// How many of this session's bytecode compiles copied the lowered
+    /// prelude and stdlib from the process-wide cache instead of lowering
+    /// them (see [`genus_vm::compile_program`]).
+    pub fn lowerings_reused(&self) -> u64 {
+        self.lowerings_reused
     }
 
     /// Changes whenever a check may have changed the runnable program.
@@ -185,11 +195,23 @@ impl CompileSession {
         Ok(match engine {
             Engine::Ast => with_interp_stack(|| execute(prog, Code::Ast, limits)),
             Engine::Vm => {
-                let code = cached_code(&mut self.vm_code, generation, prog, opt_level);
+                let code = cached_code(
+                    &mut self.vm_code,
+                    &mut self.lowerings_reused,
+                    generation,
+                    prog,
+                    opt_level,
+                );
                 execute(prog, Code::Vm(&code), limits)
             }
             Engine::Jit => {
-                let code = cached_code(&mut self.vm_code, generation, prog, opt_level);
+                let code = cached_code(
+                    &mut self.vm_code,
+                    &mut self.lowerings_reused,
+                    generation,
+                    prog,
+                    opt_level,
+                );
                 let tier = match &self.tier_code {
                     Some((g, tier)) if *g == generation => tier.clone(),
                     _ => {
@@ -215,9 +237,11 @@ impl CompileSession {
 }
 
 /// Returns the cached bytecode when `generation` still matches, compiling
-/// (and re-keying the slot) otherwise.
+/// (and re-keying the slot, and counting a reused base in `reused`)
+/// otherwise.
 fn cached_code(
     slot: &mut Option<(u64, Arc<VmProgram>)>,
+    reused: &mut u64,
     generation: u64,
     prog: &CheckedProgram,
     opt_level: u8,
@@ -228,6 +252,7 @@ fn cached_code(
         }
     }
     let code = Arc::new(compile_optimized(prog, opt_level));
+    *reused += u64::from(code.funcs_reused > 0);
     *slot = Some((generation, code.clone()));
     code
 }

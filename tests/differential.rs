@@ -504,6 +504,58 @@ fn sample_table1_sorts() {
     }
 }
 
+/// `write_program` bytes of a lowering.
+fn lowered_bytes(code: &genus_repro::VmProgram) -> Vec<u8> {
+    let mut w = genus_common::bytes::ByteWriter::new();
+    genus_vm::write_program(&mut w, code);
+    w.into_bytes()
+}
+
+/// A lowering that copies the prelude and stdlib from the lowered-base
+/// cache equals a cold lowering in the same order, byte for byte, for
+/// every sample, every Table 1 cell program and generated programs of
+/// both fuzz grammars, on both paths that stamp a program's base: a
+/// stdlib `CompileSession` and an extension of the checked stdlib base
+/// (serve's miss path). The second `compile_program` of a program finds
+/// the base its first one cached (the cache is shared with the other
+/// tests of this binary, so a rare eviction in between only makes it
+/// lower cold again; `tests/lowered_base.rs` counts reuse exactly).
+#[test]
+fn lowering_from_the_base_cache_equals_a_cold_lowering() {
+    let mut programs: Vec<(String, String)> = sample_names()
+        .into_iter()
+        .map(|name| {
+            let src = sample(&name);
+            (name, src)
+        })
+        .collect();
+    for cell in table1::CELLS {
+        let src = table1::cell_program(&cell, 40, table1::SEED);
+        programs.push((format!("{} {}", cell.kind.label(), cell.data.label()), src));
+    }
+    for seed in 0..8 {
+        programs.push((format!("fuzz {seed}"), genus_fuzz::gen::generate(seed)));
+        let src = genus_fuzz::gen::generate_with_inheritance(seed);
+        programs.push((format!("fuzz inheritance {seed}"), src));
+    }
+    let base = genus_check::CheckedBase::get(true);
+    for (name, src) in &programs {
+        let mut session = CompileSession::with_stdlib();
+        session.update_source("main.genus", src);
+        assert!(!session.check().has_errors(), "{name}");
+        let extended = base.extend("main.genus", src);
+        let stamped = [session.program(), extended.as_ref()];
+        for prog in stamped.into_iter().flatten() {
+            assert!(prog.base.is_some(), "{name}");
+            let cold = lowered_bytes(&genus_repro::compile_program_uncached(prog));
+            for _ in 0..2 {
+                let code = genus_repro::compile_program(prog);
+                assert_eq!(lowered_bytes(&code), cold, "{name}");
+            }
+        }
+    }
+}
+
 /// Runs `src` on the AST engine and on the VM and Tier 2 at every opt
 /// level; all must agree on the outcome (value, or trap code and message)
 /// and on the output, including what was printed before a trap. Returns

@@ -231,6 +231,49 @@ const LOCAL: &str = "constraint Rank[T] { int rank(); }\n\
     class K2 extends K { K2() { } }\n\
     model KR for Rank[K] { int rank() { return 1; } }\n";
 
+/// A unit with a `use`, an `enrich` or an overload of a stdlib global
+/// could change what the base declares, so the session stamps no base on
+/// its program: lowering it copies nothing from the lowered-base cache,
+/// and the program is still exactly the cold one. The next clean edit is
+/// stamped again.
+#[test]
+fn full_rebuild_programs_lower_without_the_base_cache() {
+    let mut s = stdlib_project();
+    for shape in [
+        "constraint Rank[T] { int rank(); }\nclass K { K() { } }\n\
+         model KR for Rank[K] { int rank() { return 1; } }\nuse KR;\n",
+        "constraint Rank[T] { int rank(); }\nclass K { K() { } }\nclass K2 extends K { K2() { } }\n\
+         model KR for Rank[K] { int rank() { return 1; } }\nenrich KR { int K2.rank() { return 2; } }\n",
+        "int sortList(int x) { return x; }\n",
+    ] {
+        s.update_source("extra.genus", shape);
+        let reused = s.lowerings_reused();
+        let geom = geom("int");
+        let sources = [
+            ("geom.genus", geom.as_str()),
+            ("order.genus", ORDER),
+            ("main.genus", MAIN),
+            ("extra.genus", shape),
+        ];
+        assert_matches_cold(&mut s, &sources);
+        assert_eq!(s.lowerings_reused(), reused, "{shape}");
+        let prog = s.program().expect("checks");
+        assert_eq!(prog.base, None, "{shape}");
+        let code = genus_repro::compile_program(prog);
+        assert_eq!(code.funcs_reused, 0, "{shape}");
+        let cold = genus_repro::compile_program_uncached(prog);
+        let bytes = |code: &genus_repro::VmProgram| {
+            let mut w = genus_common::bytes::ByteWriter::new();
+            genus_vm::write_program(&mut w, code);
+            w.into_bytes()
+        };
+        assert_eq!(bytes(&code), bytes(&cold), "{shape}");
+        s.update_source("extra.genus", LOCAL);
+        assert!(!s.check().has_errors());
+        assert!(s.program().expect("checks").base.is_some(), "after {shape}");
+    }
+}
+
 #[test]
 fn units_that_could_change_the_base_take_the_full_rebuild() {
     let mut s = stdlib_project();
