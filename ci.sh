@@ -95,6 +95,21 @@ for sample in samples/*.genus; do
   cmp "$out.ast" "$out.vm"
   cmp "$out.vm" "$out.jit"
 done
+# Byte- and fuel-accounting gate: building objects from per-class
+# construction plans must charge exactly the bytes and fuel that walking
+# the class chain on every `new` charged. The pinned values are what
+# `genus run --stats` printed for these samples on each engine with the
+# chain walks, just before the plans replaced them; the VM and Tier 2 run
+# the same bytecode, so they share one fuel figure.
+for pin in "gc_churn ast 110014 1360000" "gc_churn vm 70009 1360000" \
+           "gc_churn jit 70009 1360000" "construction ast 40655 449567" \
+           "construction vm 27962 449567" "construction jit 27962 449567"; do
+  set -- $pin
+  target/release/genus run --engine="$2" --stats "samples/$1.genus" \
+    > /dev/null 2> "target/accounting_$1.$2.err"
+  grep -Eq "^fuel used: +$3 steps$" "target/accounting_$1.$2.err"
+  grep -Eq "^allocated: +$4 bytes$" "target/accounting_$1.$2.err"
+done
 # Nesting gate: input nested past the parser's limit must get the stable
 # E0102 diagnostic (exit status 1), never a stack overflow (death by a
 # signal): 100 000 nested parentheses, and a 20 000-term operator chain,
@@ -116,7 +131,7 @@ done
 python3 -c 'n = 1000000; print("{\"id\":\"a\",\"source\":\"int main() { return 1; }\",\"x\":" + "[" * n + "1" + "]" * n + "}"); print("{\"id\":\"next\",\"source\":\"int main() { return 7; }\"}")' \
   | target/release/genus serve --workers=1 > target/nest_serve.out
 test "$(wc -l < target/nest_serve.out)" -eq 2
-head -n 1 target/nest_serve.out | grep -q '"outcome":"error".*bad request: nesting'
+head -n 1 target/nest_serve.out | grep -q '"id":"a","outcome":"error".*bad request: nesting'
 grep -q '"id":"next".*"value":"7"' target/nest_serve.out
 # Fuzz smoke gate: a seeded run of the coverage-guided differential
 # fuzzer (grammar-generated well-typed programs, mutation over a corpus,

@@ -261,8 +261,9 @@ pub(crate) fn finish_prefix(table: &mut Table, diags: &mut Diagnostics, from: St
     // entries could observe; drop them. The table is only read from here
     // on, so the caches filled below stay valid for good.
     table.cache.clear();
+    let mut visible = multimethod::VisibleMethods::default();
     for i in from.models..table.models.len() {
-        multimethod::check_model_conformance(table, ModelId(i as u32), diags);
+        multimethod::check_model_conformance(table, &mut visible, ModelId(i as u32), diags);
     }
     wf::check_hierarchy(table, diags, from.classes);
 }

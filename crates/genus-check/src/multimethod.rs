@@ -12,46 +12,62 @@ use genus_common::Diagnostics;
 use genus_types::{
     is_subtype, subtype::type_eq, ConstraintInst, Model, ModelId, ModelMethod, Subst, Table, Type,
 };
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 
 /// All method definitions visible in a model: its own plus those inherited
 /// through `extends` (§5.3), with inherited ones substituted. Own methods
 /// shadow inherited ones with identical dispatch tuples.
 pub fn visible_methods(table: &Table, mid: ModelId) -> Vec<ModelMethod> {
-    let mut out: Vec<ModelMethod> = Vec::new();
-    // Depth first, a model's own methods before each parent's, parents in
-    // declaration order, so the first definition of a dispatch tuple is
-    // the one that shadows. Collection cut every `extends` cycle (E0217),
-    // so the walk ends; it keeps its own stack, so a chain of any length
-    // needs constant host stack. A model reached again under the same
-    // arguments would add only shadowed copies, so it is skipped.
-    let mut seen = HashSet::new();
-    // A parent's type and model arguments; the root has none to bind.
-    type Args = Option<(Vec<Type>, Vec<Model>)>;
-    let mut stack: Vec<(ModelId, Args)> = vec![(mid, None)];
-    while let Some((mid, args)) = stack.pop() {
-        let def = table.model(mid);
-        let subst = match args {
-            None => Subst::new(),
-            Some((targs, margs)) => {
-                if !seen.insert((mid, targs.clone(), margs.clone())) {
-                    continue;
-                }
-                let mvs: Vec<_> = def.wheres.iter().map(|w| w.mv).collect();
-                Subst::from_pairs(&def.tparams, &targs).with_models(&mvs, &margs)
+    VisibleMethods::default().get(table, mid).to_vec()
+}
+
+/// [`visible_methods`] of every model a pass asks about, each list built
+/// once from its parents' lists, so a pass over a chain of any length
+/// does work linear in the lists it builds instead of re-walking every
+/// model's whole `extends` chain.
+#[derive(Default)]
+pub(crate) struct VisibleMethods {
+    lists: HashMap<ModelId, Rc<[ModelMethod]>>,
+}
+
+impl VisibleMethods {
+    /// The methods visible in `mid`: its own, then each parent's list in
+    /// declaration order under the parent's arguments (a depth-first walk
+    /// of the `extends` graph), each kept unless an earlier definition
+    /// has the same dispatch tuple. Parents are built first, on an
+    /// explicit stack, so a chain of any length needs constant host
+    /// stack. Collection cut every `extends` cycle (E0217); a parent
+    /// still being built is skipped should one survive.
+    pub(crate) fn get(&mut self, table: &Table, mid: ModelId) -> Rc<[ModelMethod]> {
+        let mut building = HashSet::new();
+        let mut stack = vec![(mid, false)];
+        while let Some((m, parents_done)) = stack.pop() {
+            if self.lists.contains_key(&m) {
+                continue;
             }
-        };
-        for m in &def.methods {
-            let inst = ModelMethod {
-                name: m.name,
-                is_static: m.is_static,
-                receiver: subst.apply(&m.receiver),
-                params: m.params.iter().map(|(n, t)| (*n, subst.apply(t))).collect(),
-                ret: subst.apply(&m.ret),
-                body: m.body.clone(),
-                from_enrich: m.from_enrich,
-                span: m.span,
-            };
+            if parents_done {
+                let list = self.build(table, m);
+                self.lists.insert(m, list);
+                continue;
+            }
+            if !building.insert(m) {
+                continue;
+            }
+            stack.push((m, true));
+            for (pid, _, _) in parents(table, m) {
+                if !self.lists.contains_key(&pid) && !building.contains(&pid) {
+                    stack.push((pid, false));
+                }
+            }
+        }
+        Rc::clone(&self.lists[&mid])
+    }
+
+    /// `mid`'s list from its own methods and its parents' built lists.
+    fn build(&self, table: &Table, mid: ModelId) -> Rc<[ModelMethod]> {
+        let mut out: Vec<ModelMethod> = Vec::new();
+        let mut push = |inst: ModelMethod| {
             let shadowed = out.iter().any(|e| {
                 e.name == inst.name
                     && e.is_static == inst.is_static
@@ -65,33 +81,62 @@ pub fn visible_methods(table: &Table, mid: ModelId) -> Vec<ModelMethod> {
             if !shadowed {
                 out.push(inst);
             }
+        };
+        for m in &table.model(mid).methods {
+            push(m.clone());
         }
-        for parent in def.extends.iter().rev() {
-            if let Model::Decl {
+        for (pid, targs, margs) in parents(table, mid) {
+            let Some(inherited) = self.lists.get(&pid) else {
+                continue;
+            };
+            let pdef = table.model(pid);
+            let mvs: Vec<_> = pdef.wheres.iter().map(|w| w.mv).collect();
+            let subst = Subst::from_pairs(&pdef.tparams, targs).with_models(&mvs, margs);
+            for m in inherited.iter() {
+                push(ModelMethod {
+                    name: m.name,
+                    is_static: m.is_static,
+                    receiver: subst.apply(&m.receiver),
+                    params: m.params.iter().map(|(n, t)| (*n, subst.apply(t))).collect(),
+                    ret: subst.apply(&m.ret),
+                    body: m.body.clone(),
+                    from_enrich: m.from_enrich,
+                    span: m.span,
+                });
+            }
+        }
+        out.into()
+    }
+}
+
+/// The models `mid` extends, in declaration order, with the type and
+/// model arguments it gives each.
+fn parents(table: &Table, mid: ModelId) -> impl Iterator<Item = (ModelId, &[Type], &[Model])> {
+    table
+        .model(mid)
+        .extends
+        .iter()
+        .filter_map(|parent| match parent {
+            Model::Decl {
                 id,
                 type_args,
                 model_args,
-            } = parent
-            {
-                let targs = subst_apply_all(&subst, type_args);
-                let margs = model_args.iter().map(|m| subst.apply_model(m)).collect();
-                stack.push((*id, Some((targs, margs))));
-            }
-        }
-    }
-    out
-}
-
-fn subst_apply_all(s: &Subst, ts: &[Type]) -> Vec<Type> {
-    ts.iter().map(|t| s.apply(t)).collect()
+            } => Some((*id, type_args.as_slice(), model_args.as_slice())),
+            _ => None,
+        })
 }
 
 /// Checks that model `mid` witnesses its declared constraint: every
 /// operation of the constraint (and of its prerequisites) has an applicable
 /// definition covering the constrained types, with a conformant signature.
-pub fn check_model_conformance(table: &Table, mid: ModelId, diags: &mut Diagnostics) {
+pub(crate) fn check_model_conformance(
+    table: &Table,
+    visible: &mut VisibleMethods,
+    mid: ModelId,
+    diags: &mut Diagnostics,
+) {
     let def = table.model(mid);
-    let methods = visible_methods(table, mid);
+    let methods = visible.get(table, mid);
     for inst in crate::entail::prereq_closure(table, &def.for_inst).iter() {
         check_ops_covered(
             table,

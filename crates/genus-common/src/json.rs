@@ -95,12 +95,7 @@ pub fn escape(s: &str) -> String {
 ///
 /// Returns a message with a byte offset on malformed input.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        src: input,
-        bytes: input.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
+    let mut p = Parser::new(input);
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -108,6 +103,25 @@ pub fn parse(input: &str) -> Result<Json, String> {
         return Err(format!("trailing input at byte {}", p.pos));
     }
     Ok(v)
+}
+
+/// The string value of `key` when it is the first member of the object
+/// `input` opens with, decoded without reading past it: the rest of the
+/// input may be anything, malformed or nested past [`MAX_DEPTH`]. Lets
+/// the reply to a line the parser refuses still carry the line's id.
+#[must_use]
+pub fn leading_string_member(input: &str, key: &str) -> Option<String> {
+    let mut p = Parser::new(input);
+    p.skip_ws();
+    p.expect(b'{').ok()?;
+    p.skip_ws();
+    if p.string().ok()? != key {
+        return None;
+    }
+    p.skip_ws();
+    p.expect(b':').ok()?;
+    p.skip_ws();
+    p.string().ok()
 }
 
 /// How deeply arrays and objects may nest. The parser recurses once per
@@ -123,7 +137,16 @@ struct Parser<'a> {
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Self {
+        Parser {
+            src,
+            bytes: src.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
@@ -310,6 +333,16 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_leading_string_member_decodes_alone() {
+        let deep = format!("{{ \"id\" : \"a\\\"b\", \"x\": {}", "[".repeat(100_000));
+        assert!(parse(&deep).is_err());
+        assert_eq!(leading_string_member(&deep, "id").as_deref(), Some("a\"b"));
+        assert_eq!(leading_string_member(r#"{"x":"1","id":"a"}"#, "id"), None);
+        assert_eq!(leading_string_member(r#"{"id":7}"#, "id"), None);
+        assert_eq!(leading_string_member(r#"["id","a"]"#, "id"), None);
+    }
 
     #[test]
     fn escape_round_trips() {

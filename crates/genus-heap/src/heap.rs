@@ -156,9 +156,9 @@ impl Heap {
 
     // ---- allocation -----------------------------------------------------
 
-    /// Allocates an object, charging its exact byte size to `meter`.
-    /// `field_slots` is the number of declared instance fields over the
-    /// class's superclass chain: the object gets that many `null` slots.
+    /// Allocates an object with the given field slots (one per declared
+    /// instance field over the class's superclass chain), charging its
+    /// exact byte size to `meter`.
     ///
     /// # Errors
     ///
@@ -170,15 +170,15 @@ impl Heap {
         class: ClassId,
         targs: Vec<RtType>,
         models: Vec<ModelValue>,
-        field_slots: usize,
+        fields: Vec<Value>,
     ) -> Result<Value, RuntimeError> {
-        let bytes = obj_bytes(&targs, &models, field_slots);
+        let bytes = obj_bytes(&targs, &models, fields.len());
         meter.charge(bytes)?;
         let data = HeapData::Obj(Rc::new(ObjData {
             class,
             targs,
             models,
-            fields: RefCell::new(vec![Value::Null; field_slots]),
+            fields: RefCell::new(fields),
         }));
         Ok(Value::Obj(self.insert(data, bytes)))
     }
@@ -599,10 +599,10 @@ mod tests {
         let heap = Heap::with_stress(false);
         let meter = Meter::unlimited();
         let a = heap
-            .alloc_obj(&meter, ClassId(0), vec![], vec![], 1)
+            .alloc_obj(&meter, ClassId(0), vec![], vec![], vec![Value::Null])
             .unwrap();
         let b = heap
-            .alloc_obj(&meter, ClassId(0), vec![], vec![], 1)
+            .alloc_obj(&meter, ClassId(0), vec![], vec![], vec![Value::Null])
             .unwrap();
         let (Value::Obj(ha), Value::Obj(hb)) = (&a, &b) else {
             panic!("not objects")

@@ -142,8 +142,9 @@ pub struct Interp<'p> {
     statics: RefCell<HashMap<(u32, u32), Value>>,
     output: RefCell<String>,
     dispatch: DispatchTables,
-    /// Field slots of every class (objects store fields by slot).
-    layout: rtti::FieldLayout,
+    /// Field slots of every class (objects store fields by slot) and
+    /// each class's construction plan.
+    plans: rtti::ClassPlans<&'p hir::Expr>,
     /// Whether `print` also writes to process stdout.
     pub echo: bool,
     depth: std::cell::Cell<usize>,
@@ -176,7 +177,7 @@ impl<'p> Interp<'p> {
             statics: RefCell::new(HashMap::new()),
             output: RefCell::new(String::new()),
             dispatch: DispatchTables::default(),
-            layout: rtti::FieldLayout::new(prog),
+            plans: rtti::ClassPlans::new(rtti::FieldLayout::new(prog)),
             echo: false,
             depth: std::cell::Cell::new(0),
             // Deep programs need `with_interp_stack`'s native stack.
@@ -513,16 +514,6 @@ impl<'p> Interp<'p> {
         rtti::value_rt_type(self.prog, &self.heap, v)
     }
 
-    /// Direct supertypes of a reified class instantiation.
-    fn rt_parents(
-        &self,
-        id: ClassId,
-        args: &[RtType],
-        models: &[ModelValue],
-    ) -> Vec<(ClassId, Vec<RtType>, Vec<ModelValue>)> {
-        rtti::rt_parents(self.prog, id, args, models)
-    }
-
     /// Runtime subtyping over reified types (invariant generics, reference
     /// types below `Object`).
     pub fn rt_subtype(&self, a: &RtType, b: &RtType) -> bool {
@@ -570,7 +561,7 @@ impl<'p> Interp<'p> {
             K::GetField { recv, class, field } => {
                 let r = self.eval(frame, recv)?;
                 let o = self.expect_obj(&r)?;
-                let v = o.fields.borrow()[self.layout.slot(*class, *field)].clone();
+                let v = o.fields.borrow()[self.plans.layout().slot(*class, *field)].clone();
                 Ok(v)
             }
             K::SetField {
@@ -582,7 +573,7 @@ impl<'p> Interp<'p> {
                 let r = self.eval(frame, recv)?;
                 let v = self.eval(frame, value)?;
                 let o = self.expect_obj(&r)?;
-                o.fields.borrow_mut()[self.layout.slot(*class, *field)] = v.clone();
+                o.fields.borrow_mut()[self.plans.layout().slot(*class, *field)] = v.clone();
                 Ok(v)
             }
             K::GetStatic { class, field } => Ok(self
@@ -1135,54 +1126,30 @@ impl<'p> Interp<'p> {
         args: Vec<Value>,
     ) -> RResult<Value> {
         self.maybe_gc();
-        let field_slots = rtti::instance_field_slots(self.prog, cid);
-        let this =
-            self.heap
-                .alloc_obj(&self.meter, cid, targs.clone(), models.clone(), field_slots)?;
-        // Root the fresh object for the whole construction sequence (the
-        // field initializers and constructor below can all collect).
-        self.temps.borrow_mut().push(this.clone());
-        // Default-initialize and run field initializers for the whole chain
-        // (base classes first).
-        let mut chain = Vec::new();
-        let mut cur = Some((cid, targs.clone(), models.clone()));
-        while let Some((id, a, m)) = cur {
-            let parents = self.rt_parents(id, &a, &m);
-            chain.push((id, a, m));
-            cur = parents
-                .into_iter()
-                .find(|(pid, _, _)| !self.prog.table.class(*pid).is_interface);
-        }
-        for (id, a, m) in chain.iter().rev() {
-            let def = self.prog.table.class(*id);
-            let mut env = Frame::default();
-            for (tv, t) in def.params.iter().zip(a) {
-                env.tenv.insert(*tv, t.clone());
-            }
-            for (w, mm) in def.wheres.iter().zip(m) {
-                env.menv.insert(w.mv, mm.clone());
-            }
-            for (fi, f) in def.fields.iter().enumerate() {
-                if f.is_static {
-                    continue;
-                }
-                let key = (id.0, fi as u32);
-                let v = match self.prog.field_inits.get(&key) {
-                    Some(init) => {
-                        let mut frame = Frame {
-                            locals: Rc::new(RefCell::new(vec![this.clone()])),
-                            tenv: env.tenv.clone(),
-                            menv: env.menv.clone(),
-                        };
-                        self.eval(&mut frame, init)?
-                    }
-                    None => self.eval_type(&env, &f.ty).default_value(),
+        let prog = self.prog;
+        let plan = self.plans.get(prog, cid, |c, fi| {
+            prog.field_inits.get(&(c.0, fi as u32)).map(|e| &**e)
+        });
+        let this = plan.construct(
+            prog,
+            &self.heap,
+            &self.meter,
+            cid,
+            &targs,
+            &models,
+            // Root the fresh object for the whole construction sequence
+            // (the field initializers and constructor below can all
+            // collect).
+            |this| self.temps.borrow_mut().push(this.clone()),
+            |this, init, tenv, menv| {
+                let mut frame = Frame {
+                    locals: Rc::new(RefCell::new(vec![this.clone()])),
+                    tenv: tenv.clone(),
+                    menv: menv.clone(),
                 };
-                if let Value::Obj(h) = &this {
-                    self.heap.obj(*h).fields.borrow_mut()[self.layout.slot(*id, fi)] = v;
-                }
-            }
-        }
+                self.eval(&mut frame, init)
+            },
+        )?;
         // Run the constructor.
         let def = self.prog.table.class(cid);
         let Some(body) = self.prog.ctor_bodies.get(&(cid.0, ctor as u32)) else {

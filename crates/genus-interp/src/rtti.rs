@@ -18,6 +18,7 @@ use genus_types::{ClassId, Model, ModelId, MvId, PrimTy, TvId, Type, WhereReq};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
+use std::sync::OnceLock;
 
 type RResult<T> = Result<T, RuntimeError>;
 
@@ -794,59 +795,325 @@ pub fn superclass(prog: &CheckedProgram, id: ClassId) -> Option<ClassId> {
     }
 }
 
-/// Number of declared instance fields over `id`'s superclass chain: the
-/// object's slot count, used for exact object sizing at allocation.
-/// Static (class structure only), so every engine computes the same size
-/// for the same class.
-pub fn instance_field_slots(prog: &CheckedProgram, id: ClassId) -> usize {
-    let mut n = 0;
-    let mut cur = Some(id);
-    while let Some(cid) = cur {
-        let def = prog.table.class(cid);
-        n += def.fields.iter().filter(|f| !f.is_static).count();
-        cur = superclass(prog, cid);
-    }
-    n
-}
-
-/// The fixed slot of every field of every class. A field's slot holds in
-/// every object whose superclass chain contains its declaring class: the
-/// instance fields of the declaring class's superclasses come first, then
-/// its own instance fields in declaration order. Computed once per engine
-/// (the VM at lowering), so a field access is an indexed load.
-#[derive(Debug, Default)]
+/// The fixed slot of every field of every class, and every class's
+/// instance slot count. A field's slot holds in every object whose
+/// superclass chain contains its declaring class: the instance fields of
+/// the declaring class's superclasses come first, then its own instance
+/// fields in declaration order. Computed once per engine (the VM at
+/// lowering), superclass first, so it is linear in the number of fields
+/// however deep the chains are, and a field access is an indexed load.
+#[derive(Debug, Default, Clone)]
 pub struct FieldLayout {
     /// Per class, the slot of each declared field (statics get a slot
     /// too; it is never read).
     slots: Vec<Vec<u32>>,
+    /// Per class, the instance fields over its superclass chain: the
+    /// object's slot count, which also fixes its byte size.
+    sizes: Vec<u32>,
 }
 
 impl FieldLayout {
     /// Lays out every class of `prog`.
     #[must_use]
     pub fn new(prog: &CheckedProgram) -> Self {
-        let slots = (0..prog.table.classes.len() as u32)
-            .map(|ci| {
-                let cid = ClassId(ci);
-                let mut next = superclass(prog, cid).map_or(0, |s| instance_field_slots(prog, s));
-                let fields = &prog.table.class(cid).fields;
-                fields
+        let n = prog.table.classes.len();
+        let mut sizes: Vec<Option<u32>> = vec![None; n];
+        let mut slots = vec![Vec::new(); n];
+        // Classes whose superclass is not laid out yet, nearest first.
+        // Collection cut every `extends` cycle (`E0217`); `on_path` stops
+        // the walk anyway should one survive.
+        let mut path = Vec::new();
+        let mut on_path = vec![false; n];
+        for ci in 0..n {
+            let mut cur = Some(ClassId(ci as u32));
+            while let Some(c) = cur {
+                if sizes[c.0 as usize].is_some() || on_path[c.0 as usize] {
+                    break;
+                }
+                on_path[c.0 as usize] = true;
+                path.push(c);
+                cur = superclass(prog, c);
+            }
+            while let Some(c) = path.pop() {
+                on_path[c.0 as usize] = false;
+                let mut next = superclass(prog, c)
+                    .and_then(|s| sizes[s.0 as usize])
+                    .unwrap_or(0);
+                slots[c.0 as usize] = prog
+                    .table
+                    .class(c)
+                    .fields
                     .iter()
                     .map(|f| {
-                        let slot = next as u32;
-                        next += usize::from(!f.is_static);
+                        let slot = next;
+                        next += u32::from(!f.is_static);
                         slot
                     })
-                    .collect()
-            })
-            .collect();
-        FieldLayout { slots }
+                    .collect();
+                sizes[c.0 as usize] = Some(next);
+            }
+        }
+        FieldLayout {
+            slots,
+            sizes: sizes.into_iter().map(|s| s.unwrap_or(0)).collect(),
+        }
     }
 
     /// The slot of `class`'s field `field`.
     #[must_use]
     pub fn slot(&self, class: ClassId, field: usize) -> usize {
         self.slots[class.0 as usize][field] as usize
+    }
+
+    /// The number of instance slots of a `class` object.
+    #[must_use]
+    pub fn size(&self, class: ClassId) -> usize {
+        self.sizes[class.0 as usize] as usize
+    }
+}
+
+/// What a fresh instance slot holds until its initializer, if any, runs.
+#[derive(Debug, Clone, Copy)]
+enum SlotDefault {
+    /// The same in every instance: a primitive's zero, or `null` (`None`).
+    Fixed(Option<PrimTy>),
+    /// A field typed by the bare type variable `tv` of the chain's class
+    /// at `level` (0 is the base class): `0` or `null` depending on how
+    /// the instance binds it.
+    Var { level: u32, tv: TvId },
+}
+
+/// One field initializer of a construction.
+#[derive(Debug, Clone)]
+struct FieldInit<I> {
+    /// The slot it writes.
+    slot: u32,
+    /// The chain level of its declaring class (0 is the base class).
+    level: u32,
+    /// The engine's handle on its code.
+    init: I,
+}
+
+/// How to construct an instance of one class, fixed by the class
+/// structure alone and built once per program: the default of every slot
+/// and the field initializers in run order (base class first, each
+/// class's in declaration order). `I` is the engine's handle on an
+/// initializer's code (a function id on the VM, the HIR expression on the
+/// AST engine).
+#[derive(Debug, Clone)]
+pub struct ClassPlan<I> {
+    defaults: Box<[SlotDefault]>,
+    inits: Box<[FieldInit<I>]>,
+    /// Whether some step depends on the instance's type or model
+    /// arguments: a slot typed by a bare type variable, or an initializer
+    /// of a class with type parameters or `where` clauses (it runs under
+    /// that class's bindings).
+    needs_env: bool,
+}
+
+impl<I> ClassPlan<I> {
+    /// Plans `cid`, whose objects have `slots` slots. `init_of` gives the
+    /// initializer of a class's field, if it has one.
+    fn build(
+        prog: &CheckedProgram,
+        cid: ClassId,
+        slots: usize,
+        init_of: impl Fn(ClassId, usize) -> Option<I>,
+    ) -> Self {
+        let mut chain: Vec<ClassId> =
+            std::iter::successors(Some(cid), |&c| superclass(prog, c)).collect();
+        chain.reverse();
+        let mut defaults = Vec::with_capacity(slots);
+        let mut inits = Vec::new();
+        let mut needs_env = false;
+        for (level, &c) in chain.iter().enumerate() {
+            let def = prog.table.class(c);
+            let generic = !def.params.is_empty() || !def.wheres.is_empty();
+            for (fi, f) in def.fields.iter().enumerate() {
+                if f.is_static {
+                    continue;
+                }
+                let level = level as u32;
+                if let Some(init) = init_of(c, fi) {
+                    needs_env |= generic;
+                    let slot = defaults.len() as u32;
+                    inits.push(FieldInit { slot, level, init });
+                }
+                defaults.push(match &f.ty {
+                    Type::Var(tv) => {
+                        needs_env = true;
+                        SlotDefault::Var { level, tv: *tv }
+                    }
+                    Type::Prim(p) => SlotDefault::Fixed(Some(*p)),
+                    _ => SlotDefault::Fixed(None),
+                });
+            }
+        }
+        debug_assert_eq!(defaults.len(), slots, "the plan agrees with the layout");
+        ClassPlan {
+            defaults: defaults.into(),
+            inits: inits.into(),
+            needs_env,
+        }
+    }
+
+    /// Allocates an instance of `cid` with the given type and model
+    /// arguments, fills its slots with their defaults and runs its field
+    /// initializers, base class first. `rooted` sees the object right
+    /// after allocation, before any initializer can run a collection;
+    /// `run_init` runs one initializer for `this` under the bindings of
+    /// its declaring class. A slot holds `null` until its turn comes, as
+    /// the engines have always had it: defaults are written in slot order,
+    /// each just before the next initializer runs.
+    ///
+    /// When no step depends on the instance's type or model arguments,
+    /// the object is allocated with its defaults in place and initializers
+    /// run under empty bindings. Otherwise the bindings of every class on
+    /// the chain are evaluated first, from `targs`/`models` up through
+    /// each `extends` clause.
+    ///
+    /// # Errors
+    ///
+    /// `R0010` when the allocation is over the memory limit; any error of
+    /// an initializer.
+    #[allow(clippy::too_many_arguments)]
+    pub fn construct(
+        &self,
+        prog: &CheckedProgram,
+        heap: &Heap,
+        meter: &Meter,
+        cid: ClassId,
+        targs: &[RtType],
+        models: &[ModelValue],
+        rooted: impl FnOnce(&Value),
+        mut run_init: impl FnMut(&Value, &I, &TEnv, &MEnv) -> RResult<Value>,
+    ) -> RResult<Value> {
+        let envs = if self.needs_env {
+            chain_envs(prog, cid, targs, models)
+        } else {
+            Vec::new()
+        };
+        let empty = (TEnv::new(), MEnv::new());
+        let env = |level: u32| envs.get(level as usize).unwrap_or(&empty);
+        let default = |slot: usize| match self.defaults[slot] {
+            SlotDefault::Fixed(Some(p)) => RtType::Prim(p).default_value(),
+            SlotDefault::Fixed(None) => Value::Null,
+            SlotDefault::Var { level, tv } => env(level)
+                .0
+                .get(&tv)
+                .map_or(Value::Null, RtType::default_value),
+        };
+        let n = self.defaults.len();
+        let mut filled = self.inits.first().map_or(n, |i| i.slot as usize);
+        let fields = (0..n)
+            .map(|s| if s < filled { default(s) } else { Value::Null })
+            .collect();
+        let this = heap.alloc_obj(meter, cid, targs.to_vec(), models.to_vec(), fields)?;
+        rooted(&this);
+        if self.inits.is_empty() {
+            return Ok(this);
+        }
+        let Value::Obj(h) = &this else {
+            unreachable!("an allocation is an object")
+        };
+        let fill = |slots: std::ops::Range<usize>| {
+            let obj = heap.obj(*h);
+            let mut fields = obj.fields.borrow_mut();
+            for s in slots {
+                fields[s] = default(s);
+            }
+        };
+        for i in &*self.inits {
+            let slot = i.slot as usize;
+            fill(filled..slot);
+            let (tenv, menv) = env(i.level);
+            let v = run_init(&this, &i.init, tenv, menv)?;
+            heap.obj(*h).fields.borrow_mut()[slot] = v;
+            filled = slot + 1;
+        }
+        fill(filled..n);
+        Ok(this)
+    }
+}
+
+/// The type and model bindings of every class on `cid`'s superclass chain
+/// in an instance with `targs`/`models`, base class first: each class's
+/// parameters bound as the `extends` clause below it instantiates them.
+fn chain_envs(
+    prog: &CheckedProgram,
+    cid: ClassId,
+    targs: &[RtType],
+    models: &[ModelValue],
+) -> Vec<(TEnv, MEnv)> {
+    let mut envs = Vec::new();
+    let mut cur = Some((cid, targs.to_vec(), models.to_vec()));
+    while let Some((id, args, ms)) = cur {
+        let def = prog.table.class(id);
+        let mut tenv = TEnv::new();
+        let mut menv = MEnv::new();
+        for (tv, t) in def.params.iter().zip(args) {
+            tenv.insert(*tv, t);
+        }
+        for (w, m) in def.wheres.iter().zip(ms) {
+            menv.insert(w.mv, m);
+        }
+        cur = match def
+            .extends
+            .as_ref()
+            .map(|t| eval_type(prog, &tenv, &menv, t))
+        {
+            Some(RtType::Class { id, args, models }) => Some((id, args, models)),
+            _ => None,
+        };
+        envs.push((tenv, menv));
+    }
+    envs.reverse();
+    envs
+}
+
+/// Every class's [`ClassPlan`], each built on its first use, next to the
+/// field layout the plans take their slot counts from. One table serves
+/// every run of a program (the VM keeps it in the shared bytecode), so
+/// a `new` walks its class chain only the first time its class is built.
+#[derive(Debug, Clone)]
+pub struct ClassPlans<I> {
+    layout: FieldLayout,
+    plans: Box<[OnceLock<ClassPlan<I>>]>,
+}
+
+impl<I> Default for ClassPlans<I> {
+    fn default() -> Self {
+        ClassPlans {
+            layout: FieldLayout::default(),
+            plans: Box::default(),
+        }
+    }
+}
+
+impl<I> ClassPlans<I> {
+    /// An empty plan slot for every class `layout` lays out.
+    #[must_use]
+    pub fn new(layout: FieldLayout) -> Self {
+        let plans = layout.sizes.iter().map(|_| OnceLock::new()).collect();
+        ClassPlans { layout, plans }
+    }
+
+    /// The field layout.
+    #[must_use]
+    pub fn layout(&self) -> &FieldLayout {
+        &self.layout
+    }
+
+    /// `cid`'s plan, built now if this is its first use; `init_of` gives
+    /// the initializer of a class's field, if it has one.
+    pub fn get(
+        &self,
+        prog: &CheckedProgram,
+        cid: ClassId,
+        init_of: impl Fn(ClassId, usize) -> Option<I>,
+    ) -> &ClassPlan<I> {
+        self.plans[cid.0 as usize]
+            .get_or_init(|| ClassPlan::build(prog, cid, self.layout.size(cid), init_of))
     }
 }
 

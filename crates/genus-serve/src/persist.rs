@@ -46,7 +46,7 @@ use std::sync::OnceLock;
 /// Bump on ANY change to the artifact layout **or** to the table/bytecode
 /// codecs underneath it (`genus_types::serial`, `genus_vm::serialize`):
 /// old files then miss cleanly by name instead of failing checksum reads.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 const MAGIC: &[u8; 4] = b"GNBC";
 

@@ -27,6 +27,7 @@ use crate::pool::WorkerPool;
 use crate::proto::{Action, EngineKind, Outcome, Request, Response};
 use crate::session::SessionRegistry;
 use genus_check::CheckedBase;
+use genus_common::json;
 use genus_interp::Limits;
 use genus_vm::exec::{execute, Code};
 use std::io::{BufRead, Write};
@@ -300,12 +301,17 @@ impl Server {
     }
 }
 
-/// Best-effort id extraction from an unparseable request line, so the
-/// error response still correlates.
+/// Best-effort id extraction from a refused request line, so the error
+/// response still correlates: a leading `"id"` member is decoded on its
+/// own, whatever follows it; otherwise the id of a line that is valid
+/// JSON but not a valid request.
 fn salvage_id(line: &str) -> String {
-    genus_common::json::parse(line)
-        .ok()
-        .and_then(|v| v.get("id").and_then(|id| id.as_str().map(String::from)))
+    json::leading_string_member(line, "id")
+        .or_else(|| {
+            json::parse(line)
+                .ok()
+                .and_then(|v| v.get("id").and_then(|id| id.as_str().map(String::from)))
+        })
         .unwrap_or_default()
 }
 

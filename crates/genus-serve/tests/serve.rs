@@ -377,8 +377,9 @@ fn tcp_session_round_trip() {
 }
 
 /// A request line nesting a million JSON arrays is a `bad request` reply
-/// on its TCP connection (whose thread has the default stack), and the
-/// next request on the same connection is still answered.
+/// on its TCP connection (whose thread has the default stack) that
+/// echoes the line's leading id, and the next request on the same
+/// connection is still answered.
 #[test]
 fn deeply_nested_json_is_a_bad_request_reply() {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -404,7 +405,9 @@ fn deeply_nested_json_is_a_bad_request_reply() {
     let lines: Vec<String> = BufReader::new(&conn).lines().map(|l| l.unwrap()).collect();
     assert_eq!(lines.len(), 2, "{lines:?}");
     assert!(
-        lines[0].contains(r#""outcome":"error""#) && lines[0].contains("bad request: nesting"),
+        lines[0].contains(r#""id":"a""#)
+            && lines[0].contains(r#""outcome":"error""#)
+            && lines[0].contains("bad request: nesting"),
         "{}",
         lines[0]
     );

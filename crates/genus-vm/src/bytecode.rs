@@ -22,6 +22,7 @@
 use crate::opt::OptStats;
 use genus_check::hir::{NativeOp, NumKind};
 use genus_common::Symbol;
+use genus_interp::rtti::ClassPlans;
 use genus_interp::{RtType, Value};
 use genus_syntax::ast::BinOp;
 use genus_types::{ClassId, Model, MvId, PrimTy, TvId, Type};
@@ -331,6 +332,9 @@ pub struct NewSpec {
     pub models: Vec<Model>,
     /// Constructor index.
     pub ctor: usize,
+    /// The constructor's function, resolved once lowering is done
+    /// (`None` when the constructor has no body, which traps at run time).
+    pub func: Option<FuncId>,
     /// Argument registers.
     pub args: Vec<u16>,
 }
@@ -443,6 +447,11 @@ impl<T> SharedVec<T> {
         self.into_iter()
     }
 
+    /// The entries not yet moved into the shared part.
+    pub(crate) fn own_mut(&mut self) -> &mut [T] {
+        &mut self.own
+    }
+
     /// Moves every entry into the shared part, so that clones of the table
     /// share them instead of copying them.
     pub(crate) fn share(&mut self)
@@ -530,6 +539,10 @@ pub struct VmProgram {
     pub field_inits: HashMap<(u32, u32), FuncId>,
     /// Static-field initializers in program order.
     pub static_inits: Vec<(ClassId, usize, FuncId)>,
+    /// The field layout the lowering resolved field slots against, and
+    /// every class's construction plan, built on the class's first `new`
+    /// by whichever run gets there first.
+    pub plans: ClassPlans<FuncId>,
     /// Number of inline-cacheable virtual call sites.
     pub num_sites: usize,
     /// Number of inline-cacheable model-dispatch (`CallModel`) sites.

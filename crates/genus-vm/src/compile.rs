@@ -23,7 +23,7 @@ use crate::bytecode::{
 use genus_check::hir::{self, BinKind};
 use genus_check::{BaseStamp, CheckedProgram};
 use genus_common::Span;
-use genus_interp::rtti::FieldLayout;
+use genus_interp::rtti::{ClassPlans, FieldLayout};
 use genus_types::{ClassId, Type};
 use std::collections::HashMap;
 
@@ -574,6 +574,7 @@ impl<'b> FnCompiler<'b> {
                     targs: targs.clone(),
                     models: models.clone(),
                     ctor: *ctor,
+                    func: None,
                     args: regs,
                 });
                 self.emit(Op::New { dst, spec });
@@ -876,6 +877,9 @@ fn lower_program(prog: &CheckedProgram, cached: bool) -> VmProgram {
                 }
                 None => {
                     lw.lower(|span| stamp.owns(span));
+                    // The base only constructs base classes, whose
+                    // constructors are all lowered by now.
+                    lw.resolve_ctors();
                     if cached {
                         lw.b.share();
                         base_cache::insert(BaseLowering {
@@ -889,7 +893,9 @@ fn lower_program(prog: &CheckedProgram, cached: bool) -> VmProgram {
             lw.lower(|span| !stamp.owns(span));
         }
     }
-    lw.finish()
+    let mut code = lw.finish();
+    code.plans = ClassPlans::new(layout);
+    code
 }
 
 /// The keys `keep` accepts, sorted.
@@ -1031,7 +1037,16 @@ impl Lowering<'_> {
         id
     }
 
-    fn finish(self) -> VmProgram {
+    /// Points every `New` lowered since the last call at its
+    /// constructor's function.
+    fn resolve_ctors(&mut self) {
+        for s in self.b.new_specs.own_mut() {
+            s.func = self.out.ctors.get(&(s.class.0, s.ctor as u32)).copied();
+        }
+    }
+
+    fn finish(mut self) -> VmProgram {
+        self.resolve_ctors();
         let Lowering { b, mut out, .. } = self;
         out.consts = b.consts;
         out.types = b.types;

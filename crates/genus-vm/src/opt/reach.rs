@@ -80,10 +80,7 @@ pub fn reachable(code: &VmProgram, prog: &CheckedProgram) -> Vec<bool> {
                         code.methods.get(&(s.class.0, s.method as u32)).copied(),
                     )
                 }
-                Op::New { spec, .. } => {
-                    let s = &code.new_specs[spec as usize];
-                    (None, code.ctors.get(&(s.class.0, s.ctor as u32)).copied())
-                }
+                Op::New { spec, .. } => (None, code.new_specs[spec as usize].func),
                 _ => continue,
             };
             let named = name.and_then(|n| by_name.get(&n)).into_iter().flatten();

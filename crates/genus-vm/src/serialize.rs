@@ -22,6 +22,7 @@ use crate::opt::OptStats;
 use genus_check::hir::{NativeOp, NumKind};
 use genus_check::CheckedProgram;
 use genus_common::bytes::{ByteReader, ByteWriter, ReadResult};
+use genus_interp::rtti::{ClassPlans, FieldLayout};
 use genus_syntax::ast::BinOp;
 use genus_types::serial::{
     read_model, read_prim, read_sym, read_type, write_model, write_prim, write_sym, write_type,
@@ -735,6 +736,13 @@ pub fn write_program(w: &mut ByteWriter, code: &VmProgram) {
         write_types(w, &s.targs);
         write_models(w, &s.models);
         w.usize(s.ctor);
+        match s.func {
+            Some(f) => {
+                w.bool(true);
+                w.u32(f.0);
+            }
+            None => w.bool(false),
+        }
         write_regs(w, &s.args);
     }
     w.seq(code.prim_specs.len());
@@ -903,6 +911,11 @@ pub fn read_program(r: &mut ByteReader, prog: &CheckedProgram) -> ReadResult<VmP
             targs: read_types(r)?,
             models: read_models(r)?,
             ctor: r.usize()?,
+            func: if r.bool()? {
+                Some(FuncId(r.u32()?))
+            } else {
+                None
+            },
             args: read_regs(r)?,
         });
     }
@@ -986,6 +999,7 @@ pub fn read_program(r: &mut ByteReader, prog: &CheckedProgram) -> ReadResult<VmP
     if had_rt {
         crate::opt::reify_types(&mut code, prog);
     }
+    code.plans = ClassPlans::new(FieldLayout::new(prog));
     Ok(code)
 }
 

@@ -935,32 +935,7 @@ fn op_thunk(code: &VmProgram, op: Op, pc: usize, rest: Thunk, blocks: &BlockMap)
             let resume = target_block(blocks, pc as u32 + 1);
             thunk(move |vm, f| {
                 vm.meter.step()?;
-                let rt: Vec<RtType> = s
-                    .targs
-                    .iter()
-                    .map(|t| rtti::eval_type(vm.prog, &f.tenv, &f.menv, t))
-                    .collect();
-                let rm: Vec<ModelValue> = s
-                    .models
-                    .iter()
-                    .map(|m| rtti::eval_model(vm.prog, &f.tenv, &f.menv, m))
-                    .collect();
-                let args: Vec<Value> = s.args.iter().map(|&a| f.regs[a as usize].clone()).collect();
-                let this = vm.new_object(s.class, &rt, &rm)?;
-                let def = vm.prog.table.class(s.class);
-                let Some(&fid) = vm.code.ctors.get(&(s.class.0, s.ctor as u32)) else {
-                    return Err(RuntimeError::new(
-                        ErrorKind::NoSuchMethod,
-                        format!("class `{}` ctor {} has no body", def.name, s.ctor),
-                    ));
-                };
-                let mut callee = vm.frame(fid, Some(this.clone()), args, true);
-                for (tv, t) in def.params.iter().zip(rt) {
-                    callee.tenv.insert(*tv, t);
-                }
-                for (w, mm) in def.wheres.iter().zip(rm) {
-                    callee.menv.insert(w.mv, mm);
-                }
+                let (this, callee) = vm.new_site(&s, &f.tenv, &f.menv, &f.regs)?;
                 f.regs[dst] = this;
                 f.pc = resume as usize;
                 vm.pending_call.set(Some(callee));

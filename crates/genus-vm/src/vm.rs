@@ -33,7 +33,7 @@
 //! assert_eq!(vm.take_output(), "hi\n");
 //! ```
 
-use crate::bytecode::{FuncId, Op, VmProgram};
+use crate::bytecode::{FuncId, NewSpec, Op, VmProgram};
 use crate::compile::compile_program;
 use genus_check::hir::{NativeOp, NumKind};
 use genus_check::CheckedProgram;
@@ -370,7 +370,7 @@ impl<'p> Vm<'p> {
         &self,
         func: FuncId,
         this: Option<Value>,
-        args: Vec<Value>,
+        args: impl IntoIterator<Item = Value>,
         counted: bool,
     ) -> VmFrame {
         let f = &self.code.funcs[func.0 as usize];
@@ -908,38 +908,8 @@ impl<'p> Vm<'p> {
                 }
                 Op::New { dst, spec } => {
                     let s = &code.new_specs[spec as usize];
-                    let rt: Vec<RtType> = s
-                        .targs
-                        .iter()
-                        .map(|t| rtti::eval_type(self.prog, &frame.tenv, &frame.menv, t))
-                        .collect();
-                    let rm: Vec<ModelValue> = s
-                        .models
-                        .iter()
-                        .map(|m| rtti::eval_model(self.prog, &frame.tenv, &frame.menv, m))
-                        .collect();
-                    let args: Vec<Value> = s
-                        .args
-                        .iter()
-                        .map(|&a| frame.regs[a as usize].clone())
-                        .collect();
-                    let this = self.new_object(s.class, &rt, &rm)?;
-                    let def = self.prog.table.class(s.class);
-                    let Some(&fid) = code.ctors.get(&(s.class.0, s.ctor as u32)) else {
-                        return Err(RuntimeError::new(
-                            ErrorKind::NoSuchMethod,
-                            format!("class `{}` ctor {} has no body", def.name, s.ctor),
-                        ));
-                    };
-                    let mut f = self.frame(fid, Some(this.clone()), args, true);
-                    for (tv, t) in def.params.iter().zip(rt) {
-                        f.tenv.insert(*tv, t);
-                    }
-                    for (w, mm) in def.wheres.iter().zip(rm) {
-                        f.menv.insert(w.mv, mm);
-                    }
+                    let (this, f) = self.new_site(s, &frame.tenv, &frame.menv, &frame.regs)?;
                     self.enter(true)?;
-                    let frame = stack.last_mut().expect("frame");
                     frame.regs[dst as usize] = this;
                     stack.push(f);
                 }
@@ -1197,65 +1167,70 @@ impl<'p> Vm<'p> {
         Ok(Action::Frame(frame))
     }
 
-    /// Allocates an object and runs its field-initializer chain (base
-    /// classes first), leaving the constructor to the caller.
-    pub(crate) fn new_object(
+    /// Executes a `New` site up to its constructor call: reifies the
+    /// type and model arguments under `tenv`/`menv` (a site without any
+    /// skips that), builds the object from its class's construction plan,
+    /// and returns it with the constructor's frame, its arguments copied
+    /// from `regs`. The caller enters the frame.
+    pub(crate) fn new_site(
         &self,
-        cid: ClassId,
-        targs: &[RtType],
-        models: &[ModelValue],
-    ) -> RResult<Value> {
-        let field_slots = rtti::instance_field_slots(self.prog, cid);
-        let this = self.heap.alloc_obj(
+        s: &NewSpec,
+        tenv: &TEnv,
+        menv: &MEnv,
+        regs: &[Value],
+    ) -> RResult<(Value, VmFrame)> {
+        let (rt, rm): (Vec<RtType>, Vec<ModelValue>) = if s.targs.is_empty() && s.models.is_empty()
+        {
+            (Vec::new(), Vec::new())
+        } else {
+            (
+                s.targs
+                    .iter()
+                    .map(|t| rtti::eval_type(self.prog, tenv, menv, t))
+                    .collect(),
+                s.models
+                    .iter()
+                    .map(|m| rtti::eval_model(self.prog, tenv, menv, m))
+                    .collect(),
+            )
+        };
+        let code = &self.code;
+        let plan = code.plans.get(self.prog, s.class, |c, fi| {
+            code.field_inits.get(&(c.0, fi as u32)).copied()
+        });
+        let this = plan.construct(
+            self.prog,
+            &self.heap,
             &self.meter,
-            cid,
-            targs.to_vec(),
-            models.to_vec(),
-            field_slots,
+            s.class,
+            &rt,
+            &rm,
+            // No rooting: initializers run in nested dispatch loops,
+            // which never collect.
+            |_| {},
+            |this, &fid, init_tenv, init_menv| {
+                let mut frame = self.frame(fid, Some(this.clone()), [], false);
+                frame.tenv = init_tenv.clone();
+                frame.menv = init_menv.clone();
+                self.run_call(frame)
+            },
         )?;
-        let mut chain = Vec::new();
-        let mut cur = Some((cid, targs.to_vec(), models.to_vec()));
-        while let Some((id, a, m)) = cur {
-            let parents = rtti::rt_parents(self.prog, id, &a, &m);
-            chain.push((id, a, m));
-            cur = parents
-                .into_iter()
-                .find(|(pid, _, _)| !self.prog.table.class(*pid).is_interface);
+        let def = self.prog.table.class(s.class);
+        let Some(fid) = s.func else {
+            return Err(RuntimeError::new(
+                ErrorKind::NoSuchMethod,
+                format!("class `{}` ctor {} has no body", def.name, s.ctor),
+            ));
+        };
+        let args = s.args.iter().map(|&a| regs[a as usize].clone());
+        let mut f = self.frame(fid, Some(this.clone()), args, true);
+        for (tv, t) in def.params.iter().zip(rt) {
+            f.tenv.insert(*tv, t);
         }
-        // Slots follow the chain base class first, each class's instance
-        // fields in declaration order (`rtti::FieldLayout`).
-        let mut slot = 0;
-        for (id, a, m) in chain.iter().rev() {
-            let def = self.prog.table.class(*id);
-            let mut tenv = TEnv::default();
-            let mut menv = MEnv::default();
-            for (tv, t) in def.params.iter().zip(a) {
-                tenv.insert(*tv, t.clone());
-            }
-            for (w, mm) in def.wheres.iter().zip(m) {
-                menv.insert(w.mv, mm.clone());
-            }
-            for (fi, f) in def.fields.iter().enumerate() {
-                if f.is_static {
-                    continue;
-                }
-                let key = (id.0, fi as u32);
-                let v = match self.code.field_inits.get(&key) {
-                    Some(&fid) => {
-                        let mut frame = self.frame(fid, Some(this.clone()), vec![], false);
-                        frame.tenv = tenv.clone();
-                        frame.menv = menv.clone();
-                        self.run_call(frame)?
-                    }
-                    None => rtti::eval_type(self.prog, &tenv, &menv, &f.ty).default_value(),
-                };
-                if let Value::Obj(h) = &this {
-                    self.heap.obj(*h).fields.borrow_mut()[slot] = v;
-                }
-                slot += 1;
-            }
+        for (w, mm) in def.wheres.iter().zip(rm) {
+            f.menv.insert(w.mv, mm);
         }
-        Ok(this)
+        Ok((this, f))
     }
 
     // ------------------------------------------------------------------

@@ -272,6 +272,80 @@ fn memory_trap_parity_across_levels() {
     }
 }
 
+#[test]
+fn sample_construction() {
+    let (outcome, output) = run_on("construction.genus", Engine::Vm, 2);
+    assert_eq!(outcome.as_deref(), Ok("void"));
+    assert_eq!(
+        output,
+        "defaults: 0 0.0 true\n\
+         Box box;\n\
+         pair: 0 0.0 84 pair\n\
+         Pair 84;\n\
+         triple: 0.0 0.0 0.0 triple/86/0\n\
+         Triple triple/86/0;\n\
+         cell: true true 3 triple/86/0\n\
+         Cell 3;\n\
+         point: 5 0.0 false true\n\
+         sum 115500, points 44850\n"
+    );
+    check_sample("construction.genus");
+}
+
+/// R0010 identity inside a construction: objects whose middle field
+/// initializer allocates, under a byte cap that allocation crosses. The
+/// markers the initializers print around it show where the trap fired,
+/// and the AST engine, the VM at every opt level and Tier 2 must agree
+/// on the `(code, span, bytes)` of the trap and on the output before it.
+#[test]
+fn memory_trap_in_a_field_initializer_agrees() {
+    const SRC: &str = "
+        class Chunk[T] {
+          int before = mark(\"+\");
+          T[] data = new T[100];
+          int after = mark(\"-\");
+          Chunk() { }
+        }
+        int mark(String s) { print(s); return 0; }
+        int main() {
+          int n = 0;
+          for (int i = 0; i < 1000; i = i + 1) {
+            Chunk[double] c = new Chunk[double]();
+            n = n + c.data.length;
+          }
+          return n;
+        }";
+    let run = |engine: Engine, level: u8| {
+        let ex = Compiler::new()
+            .with_stdlib()
+            .engine(engine)
+            .opt_level(level)
+            .memory_limit(21_000)
+            .source("chunks.genus".to_string(), SRC.to_string())
+            .execute()
+            .expect("compiles");
+        let err = ex.outcome.expect_err("must trap on the byte cap");
+        let trap = (err.code().to_string(), err.span, ex.resource_stats.mem_used);
+        (trap, ex.output)
+    };
+    let (ast_trap, ast_output) = run(Engine::Ast, 0);
+    assert_eq!(ast_trap.0, "R0010");
+    assert!(
+        ast_output.starts_with("+-+-") && ast_output.ends_with("-+"),
+        "the trap must fire between the markers: {ast_output}"
+    );
+    for level in OPT_LEVELS {
+        for engine in [Engine::Vm, Engine::Jit] {
+            let (trap, output) = run(engine, level);
+            assert_eq!(
+                (&ast_trap, &ast_output),
+                (&trap, &output),
+                "memory trap identity diverges on {engine:?} at opt-level {level}"
+            );
+        }
+    }
+}
+
 /// Runtime traps on the existential paths must carry the same stable code
 /// and span under both engines and at every opt level: opening a null
 /// package is the regression case (the optimizer must not perturb
@@ -767,6 +841,7 @@ fn all_samples_are_covered() {
             "ci_word_count.genus",
             "class_hierarchy.genus",
             "comparator_sort.genus",
+            "construction.genus",
             "existential_registry.genus",
             "gc_churn.genus",
             "hello.genus",
