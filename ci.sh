@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, release build, full test suite (caches on and
 # off), lint-clean clippy, warning-free rustdoc, the diagnostics golden
-# suite in both rendering modes, and compiling (not running) the
-# benchmarks.
+# suite in both rendering modes, and the end-to-end gates below.
 #
 # Usage: ./ci.sh
 set -euo pipefail
@@ -216,13 +215,6 @@ grep -q 'disk_hits' target/serve_metrics.out
 grep -q 'base_extends' target/serve_metrics.out
 grep -q 'steals' target/serve_metrics.out
 grep -q 'p99_us' target/serve_metrics.out
-# Scaling smoke, core-gated: the serve bench asserts hot-VM throughput
-# at 4 workers >= 2x 1 worker — a claim only multi-core silicon can
-# honor, so it runs where it can be meaningful. (On fewer cores the
-# bench still runs manually and only rejects a sharding collapse.)
-if [ "$(nproc)" -ge 4 ]; then
-  cargo bench -p bench --bench serve
-fi
 # Incremental-session gates. First, diagnostics parity: for every
 # sample (plus an error fixture), a session-based check — one `--watch`
 # iteration, which runs through CompileSession and ends at stdin EOF —
@@ -260,8 +252,9 @@ grep -q '"id":"r1","outcome":"ok","value":"42".*"reused":[1-9][0-9]*,"rechecked"
 # stdlib on every compile after the first under each base stamp (exact
 # counts), and each compile must equal a cold lowering byte for byte.
 cargo test -q --release --test lowered_base
-# Benchmarks must at least compile; running them is a manual step
-# (`cargo bench -p bench`), which also writes BENCH_vm.json.
-# --workspace: a bare `cargo bench --no-run` only builds the root
-# package's bench targets, silently skipping the bench crate.
-cargo bench --no-run --workspace
+# Timing and memory gate: a warm one-token re-check at least 5x faster
+# than a cold check, hot-VM serve throughput that scales with workers
+# (2x at 4 workers on 4+ cores, no collapse below that), and a 1000-
+# request allocation soak with flat RSS. Release, alone, one test at a
+# time, so no other work shares the timings.
+cargo test -q --release --test timing_claims -- --test-threads=1

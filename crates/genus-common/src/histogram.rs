@@ -1,10 +1,8 @@
 //! A fixed-bucket, lock-free latency histogram.
 //!
-//! The serve metrics surface and the load-generator bench share this type
-//! so "p99 as the server measures it" and "p99 as the client measures it"
-//! are computed by the same code. Buckets are powers of two over
-//! microseconds — bucket `i` covers `[2^i, 2^(i+1))` µs (bucket 0 also
-//! absorbs 0) — which spans 1 µs to over an hour in 32 buckets with ≤ 2×
+//! The serve metrics surface records request latencies in it. Buckets
+//! are powers of two over microseconds — bucket `i` covers
+//! `[2^i, 2^(i+1))` µs (bucket 0 also absorbs 0) — which spans 1 µs to over an hour in 32 buckets with ≤ 2×
 //! relative error, plenty for tail-latency reporting. Recording is one
 //! atomic increment; quantiles walk the 32 counters.
 

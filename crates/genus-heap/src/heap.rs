@@ -45,7 +45,7 @@
 //! disables collection entirely — the heap degenerates to a pure arena
 //! (byte *accounting* is unaffected: `mem_used` is charge-driven and
 //! identical with the collector on, off, or stressed). The off switch
-//! exists for the GC A/B benchmarks and for bisecting suspected
+//! exists for A/B measurements and for bisecting suspected
 //! collector bugs; `GENUS_GC_STRESS` wins when both are set.
 
 use crate::meter::Meter;
@@ -64,7 +64,7 @@ pub struct Handle(pub u32);
 
 /// Live bytes that trigger the first collection (and the threshold
 /// floor afterwards).
-const GC_INITIAL_THRESHOLD: u64 = 64 << 10;
+pub const GC_INITIAL_THRESHOLD: u64 = 64 << 10;
 
 /// The body of a heap slot. The `Rc` lets accessors return clones that
 /// stay valid while an engine works on the object; the slot is the only

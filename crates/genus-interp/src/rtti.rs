@@ -962,15 +962,14 @@ impl<I> ClassPlan<I> {
     /// initializers, base class first. `rooted` sees the object right
     /// after allocation, before any initializer can run a collection;
     /// `run_init` runs one initializer for `this` under the bindings of
-    /// its declaring class. A slot holds `null` until its turn comes, as
-    /// the engines have always had it: defaults are written in slot order,
-    /// each just before the next initializer runs.
+    /// its declaring class. Every slot holds its default from the start,
+    /// so an initializer that reads a field not yet initialized sees `0`,
+    /// `0.0`, `false` or `null`, as in Java.
     ///
     /// When no step depends on the instance's type or model arguments,
-    /// the object is allocated with its defaults in place and initializers
-    /// run under empty bindings. Otherwise the bindings of every class on
-    /// the chain are evaluated first, from `targs`/`models` up through
-    /// each `extends` clause.
+    /// initializers run under empty bindings. Otherwise the bindings of
+    /// every class on the chain are evaluated first, from `targs`/`models`
+    /// up through each `extends` clause.
     ///
     /// # Errors
     ///
@@ -1003,11 +1002,7 @@ impl<I> ClassPlan<I> {
                 .get(&tv)
                 .map_or(Value::Null, RtType::default_value),
         };
-        let n = self.defaults.len();
-        let mut filled = self.inits.first().map_or(n, |i| i.slot as usize);
-        let fields = (0..n)
-            .map(|s| if s < filled { default(s) } else { Value::Null })
-            .collect();
+        let fields = (0..self.defaults.len()).map(default).collect();
         let this = heap.alloc_obj(meter, cid, targs.to_vec(), models.to_vec(), fields)?;
         rooted(&this);
         if self.inits.is_empty() {
@@ -1016,22 +1011,11 @@ impl<I> ClassPlan<I> {
         let Value::Obj(h) = &this else {
             unreachable!("an allocation is an object")
         };
-        let fill = |slots: std::ops::Range<usize>| {
-            let obj = heap.obj(*h);
-            let mut fields = obj.fields.borrow_mut();
-            for s in slots {
-                fields[s] = default(s);
-            }
-        };
         for i in &*self.inits {
-            let slot = i.slot as usize;
-            fill(filled..slot);
             let (tenv, menv) = env(i.level);
             let v = run_init(&this, &i.init, tenv, menv)?;
-            heap.obj(*h).fields.borrow_mut()[slot] = v;
-            filled = slot + 1;
+            heap.obj(*h).fields.borrow_mut()[i.slot as usize] = v;
         }
-        fill(filled..n);
         Ok(this)
     }
 }

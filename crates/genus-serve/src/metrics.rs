@@ -3,10 +3,8 @@
 //!
 //! Every request that passes through the scheduler is recorded — outcome,
 //! resolved engine, fuel and heap totals, and wall-clock latency in a
-//! fixed-bucket [`Histogram`] (the same type the bench's load generator
-//! uses, so server-side and client-side p99 are computed by identical
-//! code). The snapshot is reachable two ways: a `{"action":"metrics"}`
-//! request on any connection, and `genus serve --metrics-on-start`, which
+//! fixed-bucket [`Histogram`]. The snapshot is reachable two ways: a
+//! `{"action":"metrics"}` request on any connection, and `genus serve --metrics-on-start`, which
 //! prints one snapshot line at boot (all zeroes except cache counters
 //! warmed from disk) so operators can verify the export schema without
 //! traffic.
@@ -20,7 +18,7 @@
 //!  "cache":{"entries":0,"hits":0,"misses":0,"compiles":0,
 //!           "base_extends":0,"full_checks":0,
 //!           "tier_compiles":0,"evictions":0,"disk_hits":0,"disk_writes":0},
-//!  "pool":{"workers":0,"steals":0},
+//!  "pool":{"workers":0,"steals":0,"panics":0},
 //!  "latency":{"count":0,"mean_us":0,"p50_us":0,"p90_us":0,"p99_us":0,"max_us":0}}
 //! ```
 
@@ -91,6 +89,7 @@ impl ServerMetrics {
         cache_entries: usize,
         workers: usize,
         steals: u64,
+        panics: u64,
     ) -> String {
         format!(
             "{{\"requests\":{},\"ok\":{},\"trap\":{},\"error\":{},\
@@ -99,7 +98,7 @@ impl ServerMetrics {
              \"cache\":{{\"entries\":{},\"hits\":{},\"misses\":{},\"compiles\":{},\
              \"base_extends\":{},\"full_checks\":{},\
              \"tier_compiles\":{},\"evictions\":{},\"disk_hits\":{},\"disk_writes\":{}}},\
-             \"pool\":{{\"workers\":{},\"steals\":{}}},\
+             \"pool\":{{\"workers\":{},\"steals\":{},\"panics\":{}}},\
              \"latency\":{}}}",
             self.requests.load(Ordering::Relaxed),
             self.ok.load(Ordering::Relaxed),
@@ -122,6 +121,7 @@ impl ServerMetrics {
             cache.disk_writes,
             workers,
             steals,
+            panics,
             self.latency.snapshot().to_json(),
         )
     }
@@ -149,7 +149,7 @@ mod tests {
         m.record(&ok_response(EngineKind::Vm), 70);
         m.record(&ok_response(EngineKind::Jit), 90);
         m.record(&Response::error("e", "boom"), 10);
-        let j = m.to_json(&ProgramCacheStats::default(), 0, 4, 0);
+        let j = m.to_json(&ProgramCacheStats::default(), 0, 4, 0, 2);
         let v = json::parse(&j).expect("metrics JSON parses");
         let num = |path: &[&str]| {
             let mut cur = &v;
@@ -168,6 +168,7 @@ mod tests {
         assert_eq!(num(&["mem_total"]), 300);
         assert_eq!(num(&["latency", "count"]), 4);
         assert_eq!(num(&["pool", "workers"]), 4);
+        assert_eq!(num(&["pool", "panics"]), 2);
     }
 
     #[test]
@@ -175,6 +176,6 @@ mod tests {
         let m = ServerMetrics::new();
         m.record(&ok_response(EngineKind::Vm), 5);
         let s = ProgramCacheStats::default();
-        assert_eq!(m.to_json(&s, 1, 2, 3), m.to_json(&s, 1, 2, 3));
+        assert_eq!(m.to_json(&s, 1, 2, 3, 0), m.to_json(&s, 1, 2, 3, 0));
     }
 }

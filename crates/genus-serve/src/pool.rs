@@ -14,12 +14,15 @@
 //!
 //! Each worker gets the interpreter's big stack
 //! ([`genus_interp::INTERP_STACK_SIZE`]): the AST engine recurses on the
-//! host stack and runs on the worker itself. Shutdown is cooperative:
+//! host stack and runs on the worker itself. A job that panics is
+//! counted and its worker goes on to the next job, so a bad request
+//! cannot shrink the pool. Shutdown is cooperative:
 //! [`WorkerPool::shutdown`] lets queued jobs drain, then joins every
 //! worker.
 
 use genus_interp::INTERP_STACK_SIZE;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -38,6 +41,8 @@ struct PoolState {
     next: AtomicUsize,
     /// Jobs a worker claimed from another worker's shard.
     steals: AtomicU64,
+    /// Jobs that panicked.
+    panics: AtomicU64,
     /// Park/wake coordination for idle workers.
     park: Mutex<()>,
     available: Condvar,
@@ -83,6 +88,7 @@ impl WorkerPool {
             pending: AtomicUsize::new(0),
             next: AtomicUsize::new(0),
             steals: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
             park: Mutex::new(()),
             available: Condvar::new(),
             shutting_down: AtomicBool::new(false),
@@ -110,6 +116,13 @@ impl WorkerPool {
     /// skewed load shows up as steals, not as idle workers).
     pub fn steals(&self) -> u64 {
         self.state.steals.load(Ordering::Relaxed)
+    }
+
+    /// Jobs that panicked. Their workers went on to the next job; a
+    /// panicked job drops its request's reply channel, which the server
+    /// answers with `worker dropped the request`.
+    pub fn panics(&self) -> u64 {
+        self.state.panics.load(Ordering::Relaxed)
     }
 
     /// Enqueues a job on the next shard round-robin. Jobs submitted
@@ -163,7 +176,9 @@ impl Drop for WorkerPool {
 fn worker_loop(state: &PoolState, who: usize) {
     loop {
         if let Some(job) = state.claim(who) {
-            job();
+            if catch_unwind(AssertUnwindSafe(job)).is_err() {
+                state.panics.fetch_add(1, Ordering::Relaxed);
+            }
             continue;
         }
         let park = state.park.lock().unwrap();
@@ -245,6 +260,18 @@ mod tests {
             "jobs behind the wedged worker must have been stolen"
         );
         release_tx.send(()).unwrap();
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_job_does_not_kill_its_worker() {
+        let pool = WorkerPool::new(1);
+        pool.submit(|| panic!("job failed"));
+        let (tx, rx) = mpsc::channel();
+        pool.submit(move || tx.send(7).unwrap());
+        let got = rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(got, Ok(7), "the only worker must survive the panic");
+        assert_eq!(pool.panics(), 1);
         pool.shutdown();
     }
 

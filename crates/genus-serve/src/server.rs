@@ -148,6 +148,7 @@ impl Server {
             self.cache.len(),
             self.pool.worker_count(),
             self.pool.steals(),
+            self.pool.panics(),
         )
     }
 

@@ -454,6 +454,7 @@ fn metrics_action_reports_counters_and_histogram() {
     assert_eq!(num(&["cache", "compiles"]), 2.0);
     assert_eq!(num(&["cache", "entries"]), 2.0);
     assert_eq!(num(&["pool", "workers"]), 2.0);
+    assert_eq!(num(&["pool", "panics"]), 0.0);
     assert_eq!(num(&["latency", "count"]), 2.0);
     assert!(num(&["latency", "p99_us"]) > 0.0);
     assert!(num(&["fuel_total"]) > 10_000.0);

@@ -16,7 +16,7 @@
 //! caches live untouched for the rest of checking and interpretation.
 //!
 //! The `no-cache` cargo feature (or [`set_caches_enabled`] at runtime)
-//! turns every cache into a pass-through so benches can A/B the caching
+//! turns every cache into a pass-through so runs can A/B the caching
 //! layer and tests can compare cached against uncached results.
 
 use crate::table::ClassId;
@@ -42,7 +42,7 @@ pub fn caches_enabled() -> bool {
 }
 
 /// Enables or disables all query caches on the current thread (A/B
-/// benching and differential tests). Disabling does not drop
+/// runs and differential tests). Disabling does not drop
 /// already-stored entries; it only bypasses them.
 pub fn set_caches_enabled(on: bool) {
     CACHES_DISABLED.with(|c| c.set(!on));
@@ -173,7 +173,7 @@ impl Clone for QueryCache {
 
 impl QueryCache {
     /// Drops every entry (including the checker's resolution memo).
-    /// Counters survive so benches can observe lifetime totals.
+    /// Counters survive, so they keep lifetime totals.
     pub fn clear(&self) {
         self.subtype.lock().unwrap().clear();
         self.prereq.lock().unwrap().clear();

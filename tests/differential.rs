@@ -660,6 +660,25 @@ fn check_levels(name: &str, src: &str) -> (Result<String, String>, String) {
     (outcome.map_err(|e| e[..5].to_string()), output)
 }
 
+/// A field initializer that reads a field declared after its own sees
+/// that field's default, as in Java: `0` for an `int`, and for a field
+/// typed by a class parameter, the default of the type it is bound to.
+#[test]
+fn early_field_reads_see_defaults() {
+    let (outcome, _) = check_levels(
+        "early_read.genus",
+        "class P { int a = peek(); int b; P() { } int peek() { return b + 1; } }
+         int main() { return new P().a; }",
+    );
+    assert_eq!(outcome.as_deref(), Ok("1"));
+    let (outcome, _) = check_levels(
+        "early_read_var.genus",
+        "class Q[T] { T first = peek(); T t; Q() { } T peek() { return t; } }
+         int main() { return new Q[int]().first; }",
+    );
+    assert_eq!(outcome.as_deref(), Ok("0"));
+}
+
 /// The depth sweeps below: a recursion `n` frames deep under `main`, whose
 /// innermost frame makes a call the O2 inliner splices. Sweeping `n`
 /// across the default depth limit puts that call exactly at the limit for

@@ -109,6 +109,36 @@ fn warm_recheck_diagnostics_match_one_shot() {
     );
 }
 
+/// A one-token edit to the user unit of a stdlib program, which the
+/// session has not seen before, re-checks that unit alone: the prelude's
+/// and the stdlib's five verdicts are reused. The same edits are timed
+/// against a cold check in `tests/timing_claims.rs`.
+#[test]
+fn one_token_edit_rechecks_only_the_edited_unit() {
+    let registry = include_str!("../samples/existential_registry.genus");
+    let trivial = |n: u32| format!("int main() {{ return {n}; }}");
+    let marked = |n: u32| registry.replacen("return", &format!("return /*w{n}*/"), 1);
+    for variant in [&trivial as &dyn Fn(u32) -> String, &marked] {
+        let mut s = CompileSession::with_stdlib();
+        s.update_source("main.genus", &variant(0));
+        assert!(!s.check().has_errors());
+        for n in 1..=3 {
+            let before = s.stats();
+            s.update_source("main.genus", &variant(n));
+            assert!(!s.check().has_errors());
+            let after = s.stats();
+            assert_eq!(
+                (
+                    after.units_not_rechecked() - before.units_not_rechecked(),
+                    after.units_rechecked - before.units_rechecked
+                ),
+                (5, 1),
+                "{after:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn import_errors_have_stable_codes_at_the_facade() {
     let mut s = CompileSession::new();

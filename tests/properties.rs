@@ -885,6 +885,16 @@ fn deep_clone_run_src(values: &[i32]) -> String {
     )
 }
 
+/// Default model resolution recurses once per nesting level: the clone
+/// chain resolves through sixteen levels of `ArrayList`.
+#[test]
+fn nested_clone_resolves_through_sixteen_levels() {
+    for depth in [1, 4, 8, 16] {
+        let outcome = check_outcome(&nested_clone_src(depth, true));
+        assert!(outcome.is_ok(), "depth {depth}: {outcome:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
