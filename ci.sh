@@ -213,7 +213,7 @@ printf '{"id": "m1", "action": "metrics"}\n' \
 grep -q '"id":"m1","outcome":"ok"' target/serve_metrics.out
 grep -q 'disk_hits' target/serve_metrics.out
 grep -q 'base_extends' target/serve_metrics.out
-grep -q 'steals' target/serve_metrics.out
+grep -q 'panics' target/serve_metrics.out
 grep -q 'p99_us' target/serve_metrics.out
 # Incremental-session gates. First, diagnostics parity: for every
 # sample (plus an error fixture), a session-based check — one `--watch`

@@ -9,7 +9,7 @@
 //!    must equal a scratch compile's, byte for byte (spans included).
 //! 2. **Four-way engine differential** — AST interpreter, VM at O0, VM
 //!    at O2, and the Tier 2 closure engine must agree on the rendered
-//!    result (or the structured `(code, span)` trap), and on printed
+//!    result (or the trap's stable code), and on printed
 //!    output; the VM and Tier 2 run the *same* bytecode, so their fuel
 //!    use must match exactly.
 //! 3. **GC-stress parity** — re-running the O2 bytecode on a heap that
@@ -79,7 +79,7 @@ fn clip(s: &str) -> String {
 fn key_str(l: &Leg) -> String {
     match l.outcome_key() {
         Ok(v) => format!("Ok({})", clip(v)),
-        Err((code, span)) => format!("Err({code} @ {span:?})"),
+        Err(code) => format!("Err({code})"),
     }
 }
 

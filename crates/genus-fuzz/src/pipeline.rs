@@ -4,14 +4,14 @@
 //! the facade's `CompileSession` wraps ([`stdlib_session`], [`compile`]),
 //! and every engine leg through the one run path,
 //! [`genus_vm::exec::execute`]. A [`Leg`] keeps the part of an
-//! [`Execution`] the oracles compare: rendered value or structured
-//! `(code, span)` trap, printed output, and resource counters.
+//! [`Execution`] the oracles compare: rendered value or the trap's
+//! stable code, printed output, and resource counters.
 //!
 //! The AST interpreter needs a large native stack; callers run whole
 //! fuzz loops inside [`with_big_stack`] rather than per-case threads.
 
 use genus_check::{CheckReport, CheckedProgram, Session};
-use genus_common::{ByteReader, ByteWriter, EdgeMap, Span};
+use genus_common::{ByteReader, ByteWriter, EdgeMap};
 use genus_heap::Heap;
 use genus_interp::{Limits, ResourceStats, RuntimeError};
 use genus_vm::exec::{execute, execute_vm, Code, Execution};
@@ -73,13 +73,12 @@ impl Leg {
     }
 
     /// The comparable shape of the outcome: the rendered value on
-    /// success, the stable `(code, span)` pair on a trap. Message texts
-    /// are deliberately not compared (engines may phrase them
-    /// differently).
-    pub fn outcome_key(&self) -> Result<&str, (&'static str, Span)> {
+    /// success, the stable code on a trap. Message texts are
+    /// deliberately not compared (engines may phrase them differently).
+    pub fn outcome_key(&self) -> Result<&str, &'static str> {
         match &self.outcome {
             Ok(v) => Ok(v.as_str()),
-            Err(e) => Err((e.code(), e.span)),
+            Err(e) => Err(e.code()),
         }
     }
 }

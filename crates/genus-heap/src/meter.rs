@@ -10,8 +10,8 @@
 //!   concatenation. The counter is *cumulative allocated bytes*: it never
 //!   decreases, even when the collector reclaims garbage, so the `R0010
 //!   MemoryLimit` trap fires at the identical allocation site on every
-//!   engine regardless of collector timing — (code, span) parity by
-//!   construction. Live-set statistics (what the collector actually holds)
+//!   engine regardless of collector timing — the same code at the same
+//!   byte count, by construction. Live-set statistics (what the collector actually holds)
 //!   are reported separately by [`crate::Heap`].
 //! * **deadline** — a wall-clock instant checked every
 //!   `DEADLINE_CHECK_MASK + 1` steps; passing it traps with `R0009` (the

@@ -298,17 +298,15 @@ impl Value {
 ///
 /// Each kind maps onto a stable `R0xxx` code in the shared diagnostic
 /// registry ([`genus_common::codes`]); both execution engines produce the
-/// same codes, so differential parity compares `(code, span)` structurally
-/// instead of exact message strings.
+/// same codes, so differential parity compares codes structurally
+/// instead of exact message strings. A trap carries no source location:
+/// HIR has no expression spans, so its diagnostic has the dummy span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeError {
     /// Error category.
     pub kind: ErrorKind,
     /// Message.
     pub msg: String,
-    /// Source location of the fault, when the engine can attribute one
-    /// (dummy otherwise — HIR does not yet carry expression spans).
-    pub span: genus_common::Span,
 }
 
 /// Categories of runtime errors.
@@ -360,18 +358,7 @@ impl RuntimeError {
         RuntimeError {
             kind,
             msg: msg.into(),
-            span: genus_common::Span::dummy(),
         }
-    }
-
-    /// Attaches a source span, keeping an already-attached (more precise,
-    /// inner) one.
-    #[must_use]
-    pub fn or_span(mut self, span: genus_common::Span) -> Self {
-        if self.span.is_dummy() {
-            self.span = span;
-        }
-        self
     }
 
     /// The stable registered diagnostic code (`R0xxx`).
@@ -382,7 +369,7 @@ impl RuntimeError {
     /// This error as a structured diagnostic, for uniform rendering next
     /// to compile-time errors.
     pub fn to_diagnostic(&self) -> genus_common::Diagnostic {
-        genus_common::Diagnostic::error(self.code(), self.span, self.to_string())
+        genus_common::Diagnostic::error(self.code(), genus_common::Span::dummy(), self.to_string())
     }
 }
 

@@ -1,4 +1,4 @@
-//! The content-hash-keyed shared program cache: sharded, LRU-bounded,
+//! The content-hash-keyed shared program cache: LRU-bounded,
 //! optionally backed by on-disk bytecode.
 //!
 //! Each distinct `(source, stdlib, opt_level)` triple is compiled **once**
@@ -12,16 +12,17 @@
 //! resolution keeps a checked program self-contained, which is what makes
 //! this sound.
 //!
-//! Four scaling properties on top of the original single-mutex design:
+//! Three properties on top of exactly one compile:
 //!
-//! - **Sharded locking.** The map is split across [`SHARDS`] independent
-//!   mutexes selected by key hash, so concurrent workers resolving
-//!   different programs do not serialize on one lock. Keys are FNV-1a
-//!   content hashes with a collision chain that compares the full source,
-//!   so hash collisions cost a probe, never a wrong program.
-//! - **Bounded memory.** Each shard holds at most `capacity / SHARDS`
-//!   entries; inserting beyond that evicts the shard's least-recently
-//!   touched entry (a counted eviction). Eviction only removes the map's
+//! - **One map, one lock.** The entries live in one map behind one
+//!   mutex, keyed by an FNV-1a content hash with a collision chain that
+//!   compares the full key, so hash collisions cost a probe, never a
+//!   wrong program. The lock is held only to find or insert a slot;
+//!   compiles and runs happen outside it. A hit borrows the request's
+//!   source; only an insert copies it.
+//! - **Bounded memory.** The cache holds at most its capacity; inserting
+//!   beyond it evicts the least-recently touched entry of the whole
+//!   cache (a counted eviction). Eviction only removes the map's
 //!   *reference* — requests already running the program hold their own
 //!   `Arc` and finish safely; a later request for an evicted key simply
 //!   recompiles (or reloads from disk).
@@ -56,11 +57,8 @@ use genus_check::{CheckedBase, CheckedProgram};
 use genus_common::{FastMap, FnvHasher};
 use genus_vm::{compile_optimized, compile_tier, TierProgram, VmProgram};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Number of independent lock shards (power of two; key hash selects).
-pub const SHARDS: usize = 8;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Default entry bound: generous for a server's working set, small enough
 /// that a hostile stream of distinct programs cannot grow memory without
@@ -179,50 +177,61 @@ impl CachedProgram {
     }
 }
 
-/// Full cache key. The source text is kept so hash collisions are
-/// resolved by comparison, never by trust.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Key {
-    source: String,
-    stdlib: bool,
-    opt_level: u8,
-}
-
-fn content_hash(key: &Key) -> u64 {
+/// The FNV-1a hash of a cache key: the request source, whether the
+/// stdlib is compiled in, and the optimization level.
+fn content_hash(source: &str, stdlib: bool, opt_level: u8) -> u64 {
     let mut h = FnvHasher::default();
-    key.hash(&mut h);
+    source.hash(&mut h);
+    stdlib.hash(&mut h);
+    opt_level.hash(&mut h);
     h.finish()
 }
 
 type Slot = Arc<OnceLock<Result<Arc<CachedProgram>, String>>>;
 
-/// One resident cache entry: the key (for collision probing), the compile
-/// slot, and a last-touch stamp for LRU eviction.
+/// One resident cache entry: the full key (the source text is kept so
+/// hash collisions are resolved by comparison, never by trust), the
+/// compile slot, and a last-touch stamp for LRU eviction.
 struct Entry {
-    key: Key,
+    source: String,
+    stdlib: bool,
+    opt_level: u8,
     slot: Slot,
     last_touch: u64,
 }
 
-/// One lock shard's map: hash → collision chain of entries.
-#[derive(Default)]
-struct Shard {
-    chains: FastMap<u64, Vec<Entry>>,
-    len: usize,
+impl Entry {
+    fn is(&self, source: &str, stdlib: bool, opt_level: u8) -> bool {
+        self.stdlib == stdlib && self.opt_level == opt_level && self.source == source
+    }
 }
 
-impl Shard {
+/// The map behind the cache's lock: hash → collision chain of entries.
+#[derive(Default)]
+struct Entries {
+    chains: FastMap<u64, Vec<Entry>>,
+    len: usize,
+    /// LRU clock: bumped on every touch, stamped into entries.
+    clock: u64,
+}
+
+impl Entries {
     /// Evicts the least-recently touched entry (there is always at least
-    /// one: this runs right after an insert pushed the shard over cap).
+    /// one: this runs right after an insert pushed the map over cap).
     fn evict_lru(&mut self) {
         let victim = self
             .chains
             .iter()
-            .flat_map(|(h, chain)| chain.iter().map(move |e| (*h, e.key.clone(), e.last_touch)))
-            .min_by_key(|(_, _, touch)| *touch);
-        if let Some((hash, key, _)) = victim {
+            .flat_map(|(h, chain)| {
+                chain
+                    .iter()
+                    .enumerate()
+                    .map(move |(i, e)| (e.last_touch, *h, i))
+            })
+            .min();
+        if let Some((_, hash, i)) = victim {
             let chain = self.chains.get_mut(&hash).expect("victim chain exists");
-            chain.retain(|e| e.key != key);
+            chain.swap_remove(i);
             if chain.is_empty() {
                 self.chains.remove(&hash);
             }
@@ -263,14 +272,10 @@ pub struct ProgramCacheStats {
 /// The shared program cache. Cheap to clone the `Arc` around; all methods
 /// take `&self`.
 pub struct ProgramCache {
-    shards: Vec<Mutex<Shard>>,
-    /// Per-shard entry bound (total capacity split across shards).
-    per_shard_cap: usize,
+    entries: Mutex<Entries>,
+    /// Bound on resident entries.
+    capacity: usize,
     disk: Option<DiskCache>,
-    /// Global LRU clock: bumped on every touch, stamped into entries.
-    touch: AtomicU64,
-    /// Resident entries across all shards (O(1) `len`).
-    entries: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
     compiles: AtomicU64,
@@ -293,16 +298,13 @@ impl ProgramCache {
         ProgramCache::default()
     }
 
-    /// An empty cache bounded to roughly `capacity` entries (split across
-    /// [`SHARDS`] shards, at least one per shard), optionally backed by
-    /// an artifact directory.
+    /// An empty cache bounded to `capacity` entries (at least one),
+    /// optionally backed by an artifact directory.
     pub fn with_config(capacity: usize, disk: Option<DiskCache>) -> ProgramCache {
         ProgramCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard_cap: capacity.div_ceil(SHARDS).max(1),
+            entries: Mutex::new(Entries::default()),
+            capacity: capacity.max(1),
             disk,
-            touch: AtomicU64::new(0),
-            entries: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             compiles: AtomicU64::new(0),
@@ -312,6 +314,12 @@ impl ProgramCache {
             disk_hits: AtomicU64::new(0),
             disk_writes: AtomicU64::new(0),
         }
+    }
+
+    fn entries(&self) -> MutexGuard<'_, Entries> {
+        self.entries
+            .lock()
+            .expect("no code panics while holding the cache lock")
     }
 
     /// The artifact directory backing this cache, if one is attached.
@@ -335,19 +343,15 @@ impl ProgramCache {
         stdlib: bool,
         opt_level: u8,
     ) -> (Result<Arc<CachedProgram>, String>, bool) {
-        let key = Key {
-            source: source.to_string(),
-            stdlib,
-            opt_level,
-        };
-        let hash = content_hash(&key);
-        let stamp = self.touch.fetch_add(1, Ordering::Relaxed);
+        let hash = content_hash(source, stdlib, opt_level);
         let (slot, hit) = {
-            let mut shard = self.shards[hash as usize & (SHARDS - 1)].lock().unwrap();
-            let existing = shard
+            let mut entries = self.entries();
+            entries.clock += 1;
+            let stamp = entries.clock;
+            let existing = entries
                 .chains
                 .get_mut(&hash)
-                .and_then(|chain| chain.iter_mut().find(|e| e.key == key));
+                .and_then(|chain| chain.iter_mut().find(|e| e.is(source, stdlib, opt_level)));
             match existing {
                 Some(entry) => {
                     entry.last_touch = stamp;
@@ -355,20 +359,20 @@ impl ProgramCache {
                 }
                 None => {
                     let slot: Slot = Arc::new(OnceLock::new());
-                    shard.chains.entry(hash).or_default().push(Entry {
-                        key,
+                    entries.chains.entry(hash).or_default().push(Entry {
+                        source: source.to_string(),
+                        stdlib,
+                        opt_level,
                         slot: Arc::clone(&slot),
                         last_touch: stamp,
                     });
-                    shard.len += 1;
-                    self.entries.fetch_add(1, Ordering::Relaxed);
-                    if shard.len > self.per_shard_cap {
+                    entries.len += 1;
+                    if entries.len > self.capacity {
                         // The newest entry carries the freshest stamp, so
                         // the LRU scan never evicts what was just
                         // inserted. In-flight requests for the victim
                         // hold their own Arc and finish safely.
-                        shard.evict_lru();
-                        self.entries.fetch_sub(1, Ordering::Relaxed);
+                        entries.evict_lru();
                         self.evictions.fetch_add(1, Ordering::Relaxed);
                     }
                     (slot, false)
@@ -449,20 +453,14 @@ impl ProgramCache {
     /// counter to drift from it).
     pub fn stats(&self) -> ProgramCacheStats {
         let tier_compiles = self
-            .shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap()
-                    .chains
-                    .values()
-                    .flatten()
-                    .filter_map(|e| e.slot.get())
-                    .filter_map(|r| r.as_ref().ok())
-                    .filter(|cached| cached.tier_compiled())
-                    .count() as u64
-            })
-            .sum();
+            .entries()
+            .chains
+            .values()
+            .flatten()
+            .filter_map(|e| e.slot.get())
+            .filter_map(|r| r.as_ref().ok())
+            .filter(|cached| cached.tier_compiled())
+            .count() as u64;
         ProgramCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -476,10 +474,9 @@ impl ProgramCache {
         }
     }
 
-    /// Number of resident cached programs — O(1), a counter maintained
-    /// under the shard locks, not a walk.
+    /// Number of resident cached programs.
     pub fn len(&self) -> usize {
-        self.entries.load(Ordering::Relaxed)
+        self.entries().len
     }
 
     /// Whether the cache is empty.
@@ -593,7 +590,6 @@ mod tests {
 
     #[test]
     fn lru_eviction_is_bounded_counted_and_safe() {
-        // Capacity 8 over 8 shards: one entry per shard.
         let cache = ProgramCache::with_config(8, None);
         let first_src = "int main() { return 1000; }".to_string();
         let (first, _) = cache.get_or_compile(&first_src, false, 0);
@@ -603,7 +599,7 @@ mod tests {
             let (r, _) = cache.get_or_compile(&src, false, 0);
             assert_eq!(run_vm(&r.unwrap()), i.to_string());
         }
-        assert!(cache.len() <= SHARDS, "bounded: {} entries", cache.len());
+        assert_eq!(cache.len(), 8, "full to capacity");
         let s = cache.stats();
         assert!(s.evictions > 0, "churn past the cap must evict");
         assert_eq!(s.evictions, s.misses - cache.len() as u64);
@@ -614,6 +610,34 @@ mod tests {
         let (again, hit) = cache.get_or_compile(&first_src, false, 0);
         assert!(!hit, "evicted keys miss again");
         assert_eq!(run_vm(&again.unwrap()), "1000");
+    }
+
+    #[test]
+    fn capacity_holds_exactly_n_and_evicts_the_least_recently_touched() {
+        // The four sources' content hashes agree in their low three bits,
+        // so a cache split by hash would keep them in one partition.
+        let src = |n: u32| format!("int main() {{ return {n}; }}");
+        let hit = |cache: &ProgramCache, n| cache.get_or_compile(&src(n), false, 0).1;
+        let cache = ProgramCache::with_config(3, None);
+        for n in [0, 8, 15] {
+            assert!(!hit(&cache, n));
+        }
+        assert_eq!(cache.len(), 3, "capacity 3 holds 3 programs");
+        assert!(hit(&cache, 0), "touching 0 makes 8 the oldest");
+        assert!(!hit(&cache, 20));
+        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.stats().evictions, 1);
+        for n in [0, 15, 20] {
+            assert!(hit(&cache, n), "{n} stays resident");
+        }
+        assert!(!hit(&cache, 8), "the least recently touched entry went");
+        // Capacity 1 holds one program, whatever the sources' hashes.
+        let one = ProgramCache::with_config(1, None);
+        for n in [1, 2] {
+            assert!(!hit(&one, n));
+        }
+        assert_eq!(one.len(), 1);
+        assert!(hit(&one, 2) && !hit(&one, 1));
     }
 
     #[test]
@@ -657,7 +681,7 @@ mod tests {
         }
         let s = cache.stats();
         assert!(s.evictions > 0);
-        assert!(cache.len() <= SHARDS);
+        assert_eq!(cache.len(), 4, "full to capacity");
         assert_eq!(s.hits + s.misses, 160);
     }
 

@@ -18,7 +18,7 @@
 //!  "cache":{"entries":0,"hits":0,"misses":0,"compiles":0,
 //!           "base_extends":0,"full_checks":0,
 //!           "tier_compiles":0,"evictions":0,"disk_hits":0,"disk_writes":0},
-//!  "pool":{"workers":0,"steals":0,"panics":0},
+//!  "pool":{"workers":0,"panics":0},
 //!  "latency":{"count":0,"mean_us":0,"p50_us":0,"p90_us":0,"p99_us":0,"max_us":0}}
 //! ```
 
@@ -88,7 +88,6 @@ impl ServerMetrics {
         cache: &ProgramCacheStats,
         cache_entries: usize,
         workers: usize,
-        steals: u64,
         panics: u64,
     ) -> String {
         format!(
@@ -98,7 +97,7 @@ impl ServerMetrics {
              \"cache\":{{\"entries\":{},\"hits\":{},\"misses\":{},\"compiles\":{},\
              \"base_extends\":{},\"full_checks\":{},\
              \"tier_compiles\":{},\"evictions\":{},\"disk_hits\":{},\"disk_writes\":{}}},\
-             \"pool\":{{\"workers\":{},\"steals\":{},\"panics\":{}}},\
+             \"pool\":{{\"workers\":{},\"panics\":{}}},\
              \"latency\":{}}}",
             self.requests.load(Ordering::Relaxed),
             self.ok.load(Ordering::Relaxed),
@@ -120,7 +119,6 @@ impl ServerMetrics {
             cache.disk_hits,
             cache.disk_writes,
             workers,
-            steals,
             panics,
             self.latency.snapshot().to_json(),
         )
@@ -149,7 +147,7 @@ mod tests {
         m.record(&ok_response(EngineKind::Vm), 70);
         m.record(&ok_response(EngineKind::Jit), 90);
         m.record(&Response::error("e", "boom"), 10);
-        let j = m.to_json(&ProgramCacheStats::default(), 0, 4, 0, 2);
+        let j = m.to_json(&ProgramCacheStats::default(), 0, 4, 2);
         let v = json::parse(&j).expect("metrics JSON parses");
         let num = |path: &[&str]| {
             let mut cur = &v;
@@ -176,6 +174,6 @@ mod tests {
         let m = ServerMetrics::new();
         m.record(&ok_response(EngineKind::Vm), 5);
         let s = ProgramCacheStats::default();
-        assert_eq!(m.to_json(&s, 1, 2, 3, 0), m.to_json(&s, 1, 2, 3, 0));
+        assert_eq!(m.to_json(&s, 1, 2, 0), m.to_json(&s, 1, 2, 0));
     }
 }

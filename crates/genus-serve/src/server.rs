@@ -14,6 +14,10 @@
 //!   time spent queued counts against the deadline, and a request whose
 //!   deadline expired before a worker picked it up is rejected with the
 //!   same `R0009` trap it would have earned by running.
+//! - **Fixed promotion points** — an `engine: "auto"` request runs a
+//!   cache entry's first [`VM_THRESHOLD`] runs on the AST interpreter,
+//!   its runs up to [`TIER_THRESHOLD`] on the bytecode VM and every later
+//!   run on Tier 2; each form compiles lazily, once per entry.
 //! - **Graceful shutdown** — a session ends at EOF; [`Server::shutdown`]
 //!   drains queued jobs and joins every worker. (`SIGINT` falls back to
 //!   the OS default of terminating the process: the runtime has no
@@ -43,6 +47,15 @@ use std::time::Instant;
 /// infinite loop promptly.
 pub const DEFAULT_FUEL: u64 = 50_000_000;
 
+/// `engine: "auto"` promotion: a cache entry runs on the bytecode VM
+/// once its invocation count **exceeds** this (below it, the AST
+/// interpreter runs and the entry never pays for a bytecode compile).
+pub const VM_THRESHOLD: u64 = 2;
+
+/// `engine: "auto"` promotion: a cache entry runs on the
+/// closure-compiled Tier 2 once its invocation count exceeds this.
+pub const TIER_THRESHOLD: u64 = 8;
+
 /// Server construction knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -50,15 +63,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Budgets applied to requests that do not carry their own.
     pub default_limits: Limits,
-    /// `engine: "auto"` promotion: run on the bytecode VM once a cache
-    /// entry's invocation count **exceeds** this (below it, the AST
-    /// interpreter runs and the entry never pays for a bytecode
-    /// compile).
-    pub vm_threshold: u64,
-    /// `engine: "auto"` promotion: run on the closure-compiled Tier 2
-    /// once the invocation count exceeds this (`--tier-threshold=<n>`
-    /// on the CLI).
-    pub tier_threshold: u64,
     /// Artifact directory for persistent bytecode (`--cache-dir=<path>`
     /// on the CLI). `None` keeps the cache purely in-memory.
     pub cache_dir: Option<PathBuf>,
@@ -71,8 +75,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 4,
             default_limits: Limits::default(),
-            vm_threshold: 2,
-            tier_threshold: 8,
             cache_dir: None,
             cache_capacity: DEFAULT_CAPACITY,
         }
@@ -147,7 +149,6 @@ impl Server {
             &self.cache.stats(),
             self.cache.len(),
             self.pool.worker_count(),
-            self.pool.steals(),
             self.pool.panics(),
         )
     }
@@ -185,10 +186,9 @@ impl Server {
         }
         let cache = Arc::clone(&self.cache);
         let metrics = Arc::clone(&self.metrics);
-        let config = self.config.clone();
         let submitted = Instant::now();
         self.pool.submit(move || {
-            let response = handle_request(&cache, &config, request, submitted);
+            let response = handle_request(&cache, request, submitted);
             metrics.record(&response, us_since(submitted));
             // The session may have hung up (e.g. a dropped TCP client);
             // losing the response then is correct.
@@ -319,12 +319,7 @@ fn salvage_id(line: &str) -> String {
 /// Worker-side request lifecycle: compile (through the cache), resolve
 /// `engine: "auto"` against the entry's hotness, enforce the scheduler
 /// deadline, run, and shape the response.
-fn handle_request(
-    cache: &ProgramCache,
-    config: &ServeConfig,
-    req: Request,
-    submitted: Instant,
-) -> Response {
+fn handle_request(cache: &ProgramCache, req: Request, submitted: Instant) -> Response {
     let (compiled, cache_hit) = cache.get_or_compile(&req.source, req.stdlib, req.opt_level);
     let cached = match compiled {
         Ok(c) => c,
@@ -344,9 +339,9 @@ fn handle_request(
     let invocations = cached.bump_invocations();
     let engine = match req.engine {
         EngineKind::Auto => {
-            if invocations > config.tier_threshold {
+            if invocations > TIER_THRESHOLD {
                 EngineKind::Jit
-            } else if invocations > config.vm_threshold || cached.is_disk_loaded() {
+            } else if invocations > VM_THRESHOLD || cached.is_disk_loaded() {
                 // A disk-loaded entry already has its bytecode in hand
                 // but no HIR bodies; starting it on the AST rung would
                 // force the full compile persistence exists to skip.

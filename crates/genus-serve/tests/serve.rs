@@ -165,20 +165,15 @@ fn racing_jit_submissions_tier_compile_exactly_once() {
 }
 
 /// `engine: "auto"` requests climb the tiers as the cache entry gets
-/// hot: AST below the VM threshold, VM below the tier threshold, Tier 2
-/// above it — with byte-identical results at every rung, the resolved
-/// engine reported in the response, and exactly one tier compile.
+/// hot: two runs on the AST interpreter, six on the VM, then Tier 2 —
+/// with byte-identical results at every rung, the resolved engine
+/// reported in the response, and exactly one tier compile.
 #[test]
 fn auto_requests_climb_the_tiers() {
-    let server = Server::new(ServeConfig {
-        workers: 1,
-        vm_threshold: 1,
-        tier_threshold: 2,
-        ..ServeConfig::default()
-    });
+    let server = server(1);
     let src = r#"int main() { println("t"); return 5; }"#;
     let mut engines = Vec::new();
-    for i in 0..4 {
+    for i in 0..10 {
         let mut req = fueled(&format!("a{i}"), src, 1_000_000);
         req.engine = EngineKind::Auto;
         let resp = server.run_batch(vec![req]).remove(0);
@@ -191,16 +186,10 @@ fn auto_requests_climb_the_tiers() {
         assert_eq!(resp.output, "t\n");
         engines.push(resp.engine);
     }
-    assert_eq!(
-        engines,
-        vec![
-            EngineKind::Ast,
-            EngineKind::Vm,
-            EngineKind::Jit,
-            EngineKind::Jit
-        ],
-        "promotion ladder ast -> vm -> jit"
-    );
+    let mut want = vec![EngineKind::Ast; 2];
+    want.extend([EngineKind::Vm; 6]);
+    want.extend([EngineKind::Jit; 2]);
+    assert_eq!(engines, want, "promotion ladder ast -> vm -> jit");
     assert_eq!(server.cache_stats().tier_compiles, 1);
     server.shutdown();
 }
@@ -685,7 +674,7 @@ fn disk_loaded_programs_match_in_process_compiles_on_every_engine() {
     let mut auto_req = fueled("auto-disk", src, 1_000_000);
     auto_req.engine = EngineKind::Auto;
     // (invocations so far: 3 from the parity loop — above default
-    // vm_threshold anyway; use a second source to test the cold case.)
+    // `VM_THRESHOLD` anyway; use a second source to test the cold case.)
     let src2 = "int main() { return 77; }";
     {
         let seed = Server::new(ServeConfig {

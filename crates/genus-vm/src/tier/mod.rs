@@ -408,8 +408,8 @@ fn thunk(
 ///
 /// Every closure's first action is `vm.meter.step()?` — see the module
 /// docs on meter parity. Error messages are verbatim copies of the VM
-/// loop's, so `(code, span, message)` identity is preserved, not just
-/// `(code, span)`.
+/// loop's, so `(code, message)` identity is preserved, not just the
+/// code.
 #[allow(clippy::too_many_lines)]
 fn op_thunk(code: &VmProgram, op: Op, pc: usize, rest: Thunk, blocks: &BlockMap) -> Thunk {
     match op {
@@ -1113,7 +1113,6 @@ mod tests {
             (Ok(a), Ok(b)) => assert_eq!(a, b, "values diverge"),
             (Err(a), Err(b)) => {
                 assert_eq!(a.code(), b.code(), "codes diverge");
-                assert_eq!(a.span, b.span, "spans diverge");
                 assert_eq!(a.to_string(), b.to_string(), "messages diverge");
             }
             _ => panic!("outcome shape diverges: vm={vv:?} tier={tv:?}"),

@@ -21,6 +21,7 @@
 //! `2` usage or I/O errors, `3` runtime trap.
 
 use genus::{CompileSession, Engine, ErrorFormat, Limits, Severity};
+use genus_serve::server::{TIER_THRESHOLD, VM_THRESHOLD};
 use genus_serve::{EngineKind, Outcome, Request, ServeConfig, Server, DEFAULT_FUEL};
 use std::process::ExitCode;
 
@@ -46,7 +47,10 @@ fn usage() -> ! {
          \x20        stdin or Ctrl-C)\n\
          serve   JSON-lines execution service: one request object per\n\
          \x20        line on stdin (or a TCP connection with --listen),\n\
-         \x20        one response line each, in request order\n\
+         \x20        one response line each, in request order; an\n\
+         \x20        `engine: \"auto\"` request runs a cached program's\n\
+         \x20        first {VM_THRESHOLD} runs on the AST interpreter, its runs up\n\
+         \x20        to run {TIER_THRESHOLD} on the VM and later runs on Tier 2\n\
          batch   run every .genus file in <dir> through the service and\n\
          \x20        print a per-request stats line\n\
          fuzz    coverage-guided differential fuzzing: generate/mutate\n\
@@ -85,10 +89,6 @@ fn usage() -> ! {
          \x20                    time included)\n\
          \x20 --workers=<n>      serve/batch worker threads (default 4)\n\
          \x20 --listen=<addr>    serve over TCP on addr instead of stdio\n\
-         \x20 --tier-threshold=<n>\n\
-         \x20                    serve/batch: `engine: \"auto\"` requests\n\
-         \x20                    promote a cached program to Tier 2 after\n\
-         \x20                    n invocations (default 8)\n\
          \x20 --cache-dir=<path> serve/batch: persist compiled bytecode as\n\
          \x20                    versioned artifacts in <path>; a restarted\n\
          \x20                    server answers known programs from disk\n\
@@ -222,8 +222,7 @@ fn main() -> ExitCode {
     let mut opt_level: u8 = 2;
     let mut format = ErrorFormat::Human;
     let mut limits = Limits::default();
-    let mut workers: usize = 4;
-    let mut tier_threshold: u64 = ServeConfig::default().tier_threshold;
+    let mut workers: usize = ServeConfig::default().workers;
     let mut listen: Option<String> = None;
     let mut cache_dir: Option<std::path::PathBuf> = None;
     let mut cache_capacity: usize = ServeConfig::default().cache_capacity;
@@ -274,8 +273,6 @@ fn main() -> ExitCode {
             limits.deadline_ms = Some(parse_u64("deadline-ms", v));
         } else if let Some(v) = a.strip_prefix("--workers=") {
             workers = (parse_u64("workers", v) as usize).max(1);
-        } else if let Some(v) = a.strip_prefix("--tier-threshold=") {
-            tier_threshold = parse_u64("tier-threshold", v);
         } else if let Some(addr) = a.strip_prefix("--listen=") {
             listen = Some(addr.to_string());
         } else if let Some(dir) = a.strip_prefix("--cache-dir=") {
@@ -328,10 +325,8 @@ fn main() -> ExitCode {
         let config = ServeConfig {
             workers,
             default_limits: limits,
-            tier_threshold,
             cache_dir,
             cache_capacity,
-            ..ServeConfig::default()
         };
         return match cmd.as_str() {
             "serve" => cmd_serve(&config, listen.as_deref(), metrics_on_start, &files),

