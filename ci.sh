@@ -18,6 +18,11 @@ cargo test -q --workspace
 # One interpreter stack: the 256 MiB the AST engine's depth guard is
 # calibrated for is defined once, in genus-interp.
 test "$(grep -rn '256 << 20' crates --include=*.rs | wc -l)" -eq 1
+# One dispatch layer: the virtual-target resolution, its hop replay and
+# the multimethod selection are called from exactly one module outside
+# rtti.rs, the `Dispatch` type both engines hold.
+test "$(grep -rlE 'resolve_virtual\(|replay_target\(|select_model_target\(' crates \
+  --include=*.rs | grep -v '/rtti\.rs$' | wc -l)" -eq 1
 # The differential harness again with every dispatch/type-query cache
 # bypassed: both engines must agree on the slow paths too.
 cargo test -q --features no-cache

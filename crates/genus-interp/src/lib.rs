@@ -7,6 +7,11 @@
 //! argument classes (§5.1), and `instanceof`/casts test reified
 //! model-dependent types (§4.6).
 //!
+//! The crate also holds what the bytecode VM (`genus-vm`) shares with
+//! the interpreter: the semantics in [`rtti`], [`natives`] and [`ops`],
+//! and the run-time dispatch caching in [`dispatch`] — one [`Dispatch`]
+//! per engine instance, asked for every virtual and model-call target.
+//!
 //! # Examples
 //!
 //! ```
@@ -22,9 +27,12 @@
 //! assert_eq!(interp.take_output(), "hi\n");
 //! ```
 
+pub mod dispatch;
 pub mod natives;
 pub mod ops;
 pub mod rtti;
+
+pub use dispatch::{Dispatch, DispatchStats};
 
 pub use genus_heap::meter::{Limits, Meter, ResourceStats};
 pub use genus_heap::value::{
@@ -33,14 +41,15 @@ pub use genus_heap::value::{
 };
 pub use genus_heap::{Handle, Heap, HeapStats};
 
+use crate::dispatch::{Site, StaticTarget};
 use crate::ops::{arith, compare, widen_value};
-use crate::rtti::{MEnv, ModelDispatchKey, ModelTarget, RecvKind, TEnv, VirtTarget};
+use crate::rtti::{MEnv, ModelTarget, TEnv};
 use genus_check::hir::{self, BinKind, NumKind};
 use genus_check::CheckedProgram;
-use genus_common::{FastMap, Symbol};
+use genus_common::Symbol;
 use genus_syntax::ast::BinOp;
-use genus_types::{caches_enabled, ClassId, Model, ModelId, Type};
-use std::cell::{Cell, RefCell};
+use genus_types::{caches_enabled, set_caches_enabled, ClassId, Model, ModelId, Type};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -64,57 +73,6 @@ struct Frame {
     menv: MEnv,
 }
 
-/// Hit/miss counters for the interpreter's dispatch caches, snapshot via
-/// [`Interp::dispatch_stats`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct DispatchStats {
-    /// Per-call-site inline cache hits (receiver class matched last time).
-    pub ic_hits: u64,
-    /// Per-call-site inline cache misses.
-    pub ic_misses: u64,
-    /// Virtual-target memo hits.
-    pub virt_hits: u64,
-    /// Virtual-target memo misses (full hierarchy walks).
-    pub virt_misses: u64,
-    /// Multimethod dispatch memo hits.
-    pub model_hits: u64,
-    /// Multimethod dispatch memo misses (full candidate scans).
-    pub model_misses: u64,
-}
-
-/// Per-class virtual-dispatch memo: `(dynamic class, name, arity)`
-/// to the resolved target (or `None` for a guaranteed miss).
-type VirtMemo = FastMap<(ClassId, Symbol, usize), Option<Rc<VirtTarget>>>;
-
-/// Monomorphic inline-cache entries keyed by call-site HIR address.
-type SiteCache = FastMap<usize, (ClassId, Option<Rc<VirtTarget>>)>;
-
-/// Memo tables behind the interpreter's dispatch fast paths. All are
-/// per-`Interp` and never invalidated: the checked program is immutable
-/// for the interpreter's lifetime.
-#[derive(Default)]
-struct DispatchTables {
-    /// Lazily built per-class `(name, arity) → method index` maps.
-    class_index: rtti::ClassIndexes,
-    /// `(dynamic class, name, arity) → target` for virtual dispatch.
-    virt: RefCell<VirtMemo>,
-    /// Monomorphic inline caches keyed by call-site HIR node address:
-    /// last-seen receiver class and its resolved target.
-    sites: RefCell<SiteCache>,
-    /// Multimethod dispatch results (§5.1).
-    model: RefCell<FastMap<ModelDispatchKey, Option<Rc<ModelTarget>>>>,
-    ic_hits: Cell<u64>,
-    ic_misses: Cell<u64>,
-    virt_hits: Cell<u64>,
-    virt_misses: Cell<u64>,
-    model_hits: Cell<u64>,
-    model_misses: Cell<u64>,
-}
-
-fn bump(c: &Cell<u64>) {
-    c.set(c.get() + 1);
-}
-
 /// Native stack the interpreter needs: each Genus frame costs tens of KiB
 /// of host stack in debug builds, and [`Interp::max_depth`]'s default of
 /// 1000 frames is calibrated so the recursion guard, not the native
@@ -122,14 +80,19 @@ fn bump(c: &Cell<u64>) {
 pub const INTERP_STACK_SIZE: usize = 256 << 20;
 
 /// Runs `f` on a scoped thread with [`INTERP_STACK_SIZE`] of native stack
-/// and returns its result. A panic in `f` is re-raised on the caller with
-/// its original payload.
+/// and returns its result. The thread takes the caller's cache switch
+/// ([`genus_types::set_caches_enabled`] is per thread). A panic in `f` is
+/// re-raised on the caller with its original payload.
 pub fn with_interp_stack<R: Send, F: FnOnce() -> R + Send>(f: F) -> R {
+    let caches = caches_enabled();
     let joined = std::thread::scope(|scope| {
         std::thread::Builder::new()
             .name("genus-interp".to_string())
             .stack_size(INTERP_STACK_SIZE)
-            .spawn_scoped(scope, f)
+            .spawn_scoped(scope, move || {
+                set_caches_enabled(caches);
+                f()
+            })
             .expect("spawn interpreter thread")
             .join()
     });
@@ -141,7 +104,7 @@ pub struct Interp<'p> {
     prog: &'p CheckedProgram,
     statics: RefCell<HashMap<(u32, u32), Value>>,
     output: RefCell<String>,
-    dispatch: DispatchTables,
+    dispatch: Dispatch,
     /// Field slots of every class (objects store fields by slot) and
     /// each class's construction plan.
     plans: rtti::ClassPlans<&'p hir::Expr>,
@@ -176,7 +139,7 @@ impl<'p> Interp<'p> {
             prog,
             statics: RefCell::new(HashMap::new()),
             output: RefCell::new(String::new()),
-            dispatch: DispatchTables::default(),
+            dispatch: Dispatch::default(),
             plans: rtti::ClassPlans::new(rtti::FieldLayout::new(prog)),
             echo: false,
             depth: std::cell::Cell::new(0),
@@ -299,14 +262,7 @@ impl<'p> Interp<'p> {
 
     /// Snapshot of the dispatch-cache hit/miss counters.
     pub fn dispatch_stats(&self) -> DispatchStats {
-        DispatchStats {
-            ic_hits: self.dispatch.ic_hits.get(),
-            ic_misses: self.dispatch.ic_misses.get(),
-            virt_hits: self.dispatch.virt_hits.get(),
-            virt_misses: self.dispatch.virt_misses.get(),
-            model_hits: self.dispatch.model_hits.get(),
-            model_misses: self.dispatch.model_misses.get(),
-        }
+        self.dispatch.stats()
     }
 
     // ------------------------------------------------------------------
@@ -933,68 +889,6 @@ impl<'p> Interp<'p> {
     // Calls
     // ------------------------------------------------------------------
 
-    /// The lazily built method index for `id`.
-    fn class_index(&self, id: ClassId) -> Rc<ClassMethodIndex> {
-        self.dispatch.class_index.get(self.prog, id)
-    }
-
-    /// Memoized virtual-target lookup keyed on the dynamic class.
-    fn virt_target(
-        &self,
-        id: ClassId,
-        args: &[RtType],
-        models: &[ModelValue],
-        name: Symbol,
-        arity: usize,
-    ) -> Option<Rc<VirtTarget>> {
-        let key = (id, name, arity);
-        if let Some(t) = self.dispatch.virt.borrow().get(&key) {
-            bump(&self.dispatch.virt_hits);
-            return t.clone();
-        }
-        bump(&self.dispatch.virt_misses);
-        let t = rtti::resolve_virtual(
-            self.prog,
-            &self.dispatch.class_index,
-            id,
-            args,
-            models,
-            name,
-            arity,
-        );
-        self.dispatch.virt.borrow_mut().insert(key, t.clone());
-        t
-    }
-
-    /// Virtual-target lookup through the call site's inline cache (when a
-    /// site is known), falling back to the per-class memo.
-    fn cached_virt_target(
-        &self,
-        site: Option<usize>,
-        id: ClassId,
-        args: &[RtType],
-        models: &[ModelValue],
-        name: Symbol,
-        arity: usize,
-    ) -> Option<Rc<VirtTarget>> {
-        let Some(site) = site else {
-            return self.virt_target(id, args, models, name, arity);
-        };
-        if let Some((cls, t)) = self.dispatch.sites.borrow().get(&site) {
-            if *cls == id {
-                bump(&self.dispatch.ic_hits);
-                return t.clone();
-            }
-        }
-        bump(&self.dispatch.ic_misses);
-        let t = self.virt_target(id, args, models, name, arity);
-        self.dispatch
-            .sites
-            .borrow_mut()
-            .insert(site, (id, t.clone()));
-        t
-    }
-
     /// Invokes a virtual method on a value.
     ///
     /// # Errors
@@ -1029,26 +923,15 @@ impl<'p> Interp<'p> {
         match &recv {
             Value::Obj(h) => {
                 let o = self.heap.obj(*h);
-                let found = if caches_enabled() {
-                    self.cached_virt_target(site, o.class, &o.targs, &o.models, name, arity)
-                        .map(|t| match &t.fixed {
-                            Some((a, m)) => (t.cid, t.mi, a.clone(), m.clone()),
-                            None => {
-                                rtti::replay_target(self.prog, &t, o.class, &o.targs, &o.models)
-                            }
-                        })
-                } else {
-                    rtti::find_virtual(self.prog, o.class, &o.targs, &o.models, name, arity)
-                };
-                let Some((cid, mi, cargs, cmodels)) = found else {
-                    return Err(RuntimeError::new(
-                        ErrorKind::NoSuchMethod,
-                        format!(
-                            "no method `{name}`/{arity} on class `{}`",
-                            self.prog.table.class(o.class).name
-                        ),
-                    ));
-                };
+                let (cid, mi, cargs, cmodels) = self.dispatch.virtual_target(
+                    self.prog,
+                    site.map(Site::Node),
+                    o.class,
+                    &o.targs,
+                    &o.models,
+                    name,
+                    arity,
+                )?;
                 self.invoke_class_method(
                     cid,
                     mi,
@@ -1190,60 +1073,44 @@ impl<'p> Interp<'p> {
             ModelValue::Natural { .. } => match recv {
                 Some(r) => self.call_virtual(r, name, args.len(), vec![], vec![], args),
                 None => {
-                    let Some(rt) = static_recv else {
-                        return Err(RuntimeError::new(
-                            ErrorKind::Other,
-                            "static model call without receiver type",
-                        ));
-                    };
-                    match rt {
-                        RtType::Prim(p) => self.prim_call(p, name, None, args),
-                        RtType::Class {
+                    let target =
+                        self.dispatch
+                            .static_target(self.prog, static_recv, name, args.len())?;
+                    match target {
+                        StaticTarget::Prim(p) => self.prim_call(p, name, None, args),
+                        StaticTarget::Method((id, mi, cargs, cmodels)) => self.invoke_class_method(
                             id,
-                            args: cargs,
-                            models: cmodels,
-                        } => {
-                            let def = self.prog.table.class(id);
-                            let mi = if caches_enabled() {
-                                self.class_index(id).static_method(name, args.len())
-                            } else {
-                                def.methods.iter().position(|m| {
-                                    m.is_static && m.name == name && m.params.len() == args.len()
-                                })
-                            };
-                            match mi {
-                                Some(mi) => self.invoke_class_method(
-                                    id,
-                                    mi,
-                                    cargs,
-                                    cmodels,
-                                    None,
-                                    vec![],
-                                    vec![],
-                                    args,
-                                ),
-                                None => Err(RuntimeError::new(
-                                    ErrorKind::NoSuchMethod,
-                                    format!("no static `{name}` on `{}`", def.name),
-                                )),
-                            }
-                        }
-                        other => Err(RuntimeError::new(
-                            ErrorKind::NoSuchMethod,
-                            format!("no static `{name}` on {other:?}"),
-                        )),
+                            mi,
+                            cargs,
+                            cmodels,
+                            None,
+                            vec![],
+                            vec![],
+                            args,
+                        ),
                     }
                 }
             },
             ModelValue::Decl { id, targs, margs } => {
-                self.model_dispatch(*id, targs, margs, name, recv, static_recv, args)
+                let target = self.dispatch.model_target(
+                    self.prog,
+                    &self.heap,
+                    None,
+                    *id,
+                    targs,
+                    margs,
+                    name,
+                    recv.as_ref(),
+                    static_recv.as_ref(),
+                    &args,
+                );
+                self.invoke_model_target(target.as_deref(), *id, name, recv, args)
             }
         }
     }
 
     /// Runs the chosen multimethod candidate (or the fallback when no
-    /// candidate applied): the shared tail of cached and uncached
-    /// dispatch.
+    /// candidate applied).
     fn invoke_model_target(
         &self,
         target: Option<&ModelTarget>,
@@ -1280,69 +1147,6 @@ impl<'p> Interp<'p> {
         };
         let recv = recv.map(|r| self.heap.unpack(r));
         self.run_body(frame, body, recv, args, m.ret.is_void())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn model_dispatch(
-        &self,
-        id: ModelId,
-        targs: &[RtType],
-        margs: &[ModelValue],
-        name: Symbol,
-        recv: Option<Value>,
-        static_recv: Option<RtType>,
-        args: Vec<Value>,
-    ) -> RResult<Value> {
-        let is_static = recv.is_none();
-        // The dispatch decision is a pure function of the model instance,
-        // the operation, and the dynamic receiver/argument types (nulls
-        // reify as `RtType::Null`), so it memoizes cleanly.
-        let key = if caches_enabled() {
-            let key = ModelDispatchKey {
-                id,
-                targs: targs.to_vec(),
-                margs: margs.to_vec(),
-                name,
-                is_static,
-                recv: recv
-                    .as_ref()
-                    .map(|r| self.value_rt_type(r))
-                    .or_else(|| static_recv.clone()),
-                args: args.iter().map(|a| self.value_rt_type(a)).collect(),
-            };
-            if let Some(t) = self.dispatch.model.borrow().get(&key).cloned() {
-                bump(&self.dispatch.model_hits);
-                return self.invoke_model_target(t.as_deref(), id, name, recv, args);
-            }
-            bump(&self.dispatch.model_misses);
-            Some(key)
-        } else {
-            None
-        };
-        let (recv_t, recv_kind) = match (&recv, &static_recv) {
-            (Some(r), _) => {
-                let vt = self.value_rt_type(r);
-                (Some(vt), true)
-            }
-            (None, Some(_)) => (static_recv.clone(), false),
-            (None, None) => (None, false),
-        };
-        let kind = match (&recv_t, recv_kind) {
-            (Some(vt), true) => Some(RecvKind::Value(
-                vt,
-                recv.as_ref().is_some_and(|r| self.heap.is_null(r)),
-            )),
-            (Some(srt), false) => Some(RecvKind::Static(srt)),
-            (None, _) => None,
-        };
-        let arg_ts: Vec<RtType> = args.iter().map(|a| self.value_rt_type(a)).collect();
-        let args_null: Vec<bool> = args.iter().map(|a| self.heap.is_null(a)).collect();
-        let target =
-            rtti::select_model_target(self.prog, id, targs, margs, name, kind, &arg_ts, &args_null);
-        if let Some(key) = key {
-            self.dispatch.model.borrow_mut().insert(key, target.clone());
-        }
-        self.invoke_model_target(target.as_deref(), id, name, recv, args)
     }
 }
 

@@ -5,8 +5,9 @@
 //! and the bytecode VM (`genus-vm`) — implement the *same* dynamic
 //! semantics (§4.6, §5.1, §7.2 of the paper). The semantics live here as
 //! free functions over the checked program plus explicit type/model
-//! environments, so an engine only contributes its evaluation strategy and
-//! its caches, never a second copy of the rules.
+//! environments, so an engine only contributes its evaluation strategy,
+//! never a second copy of the rules. When the dispatch rules run is
+//! decided in one place too: [`crate::dispatch`], which both engines hold.
 
 use crate::{ArrayData, Heap, Meter};
 use genus_check::CheckedProgram;
@@ -555,16 +556,16 @@ pub fn cast_value_rt(prog: &CheckedProgram, heap: &Heap, v: Value, t: &RtType) -
 // Virtual dispatch resolution
 // ----------------------------------------------------------------------
 
-/// Lazily built per-class `(name, arity) → method index` tables, shared
-/// cache structure for any engine.
+/// Lazily built per-class `(name, arity) → method index` tables (held by
+/// [`crate::dispatch::Dispatch`]).
 #[derive(Default)]
-pub struct ClassIndexes {
+pub(crate) struct ClassIndexes {
     map: RefCell<FastMap<ClassId, Rc<ClassMethodIndex>>>,
 }
 
 impl ClassIndexes {
     /// The (lazily built) method index for `id`.
-    pub fn get(&self, prog: &CheckedProgram, id: ClassId) -> Rc<ClassMethodIndex> {
+    pub(crate) fn get(&self, prog: &CheckedProgram, id: ClassId) -> Rc<ClassMethodIndex> {
         if let Some(ix) = self.map.borrow().get(&id) {
             return Rc::clone(ix);
         }
@@ -582,7 +583,7 @@ impl ClassIndexes {
 /// receiver-specific type/model arguments are re-derived by replaying
 /// the hops.
 #[derive(Debug, Clone)]
-pub struct VirtTarget {
+pub(crate) struct VirtTarget {
     /// Parent-edge indices from the dynamic class to the defining class.
     pub hops: Vec<usize>,
     /// Defining class.
@@ -680,8 +681,8 @@ fn path_is_receiver_independent(prog: &CheckedProgram, id: ClassId, hops: &[usiz
 
 /// Resolves a virtual-dispatch target for the dynamic class `id`,
 /// precomputing the fixed instantiation where the path allows it. The
-/// result is engine-memoizable per `(class, name, arity)`.
-pub fn resolve_virtual(
+/// result is memoizable per `(class, name, arity)` ([`crate::dispatch`]).
+pub(crate) fn resolve_virtual(
     prog: &CheckedProgram,
     indexes: &ClassIndexes,
     id: ClassId,
@@ -708,7 +709,7 @@ pub fn resolve_virtual(
 
 /// Re-derives the receiver-specific instantiation of the defining
 /// class by replaying a memoized target's parent-edge path.
-pub fn replay_target(
+pub(crate) fn replay_target(
     prog: &CheckedProgram,
     t: &VirtTarget,
     id: ClassId,
@@ -1126,28 +1127,6 @@ pub fn expect_index(v: &Value, len: usize) -> RResult<usize> {
 // Multimethod (model) dispatch resolution (§5.1)
 // ----------------------------------------------------------------------
 
-/// Key for a multimethod dispatch memo: model instance, operation, and
-/// the dynamic receiver/argument types the applicability and specificity
-/// rules (§5.1) depend on. `RtType::Null` stands for null values, whose
-/// applicability is also type-determined.
-#[derive(Debug, PartialEq, Eq, Hash)]
-pub struct ModelDispatchKey {
-    /// Model declaration.
-    pub id: ModelId,
-    /// Reified model type arguments.
-    pub targs: Vec<RtType>,
-    /// Reified model model-arguments.
-    pub margs: Vec<ModelValue>,
-    /// Operation name.
-    pub name: Symbol,
-    /// Static (receiverless) operation?
-    pub is_static: bool,
-    /// Dynamic receiver type (or the static receiver type).
-    pub recv: Option<RtType>,
-    /// Dynamic argument types.
-    pub args: Vec<RtType>,
-}
-
 /// The winning candidate of a multimethod dispatch, with the model-level
 /// environment its body runs under.
 #[derive(Debug)]
@@ -1160,16 +1139,6 @@ pub struct ModelTarget {
     pub tenv: TEnv,
     /// Model environment the body runs under.
     pub menv: MEnv,
-}
-
-/// How the dispatch receiver is given.
-pub enum RecvKind<'a> {
-    /// An instance operation: the *dynamic* type of the receiver value
-    /// (`RtType::Null` for a null receiver, which never applies).
-    Value(&'a RtType, /* receiver is null */ bool),
-    /// A static operation: the receiver *type* (`T.zero()`), matched
-    /// exactly.
-    Static(&'a RtType),
 }
 
 /// Collects `(model id, method index, env)` candidates: the model's own
@@ -1224,24 +1193,30 @@ pub fn model_candidates(
 }
 
 /// Selects the most specific applicable multimethod candidate (§5.1) for
-/// an operation on a declared model. Returns `None` when no candidate
+/// an operation on a declared model, given the receiver value (`None` for
+/// a static operation, whose receiver *type* `static_recv` is matched
+/// exactly) and the argument values. Returns `None` when no candidate
 /// applies (the caller falls back to the receiver's own method).
 ///
 /// The decision is a pure function of the model instance, the operation,
-/// and the dynamic receiver/argument types, so engines can memoize it
-/// under a [`ModelDispatchKey`].
+/// and the dynamic receiver/argument types (a null's is `RtType::Null`),
+/// so [`crate::dispatch`] memoizes it under exactly those.
 #[allow(clippy::too_many_arguments)]
-pub fn select_model_target(
+pub(crate) fn select_model_target(
     prog: &CheckedProgram,
+    heap: &Heap,
     id: ModelId,
     targs: &[RtType],
     margs: &[ModelValue],
     name: Symbol,
-    recv: Option<RecvKind<'_>>,
-    arg_ts: &[RtType],
-    args_null: &[bool],
+    recv: Option<&Value>,
+    static_recv: Option<&RtType>,
+    args: &[Value],
 ) -> Option<Rc<ModelTarget>> {
-    let is_static = !matches!(recv, Some(RecvKind::Value(..)));
+    let is_static = recv.is_none();
+    let recv_vt = recv.map(|r| (value_rt_type(prog, heap, r), heap.is_null(r)));
+    let arg_ts: Vec<RtType> = args.iter().map(|a| value_rt_type(prog, heap, a)).collect();
+    let args_null: Vec<bool> = args.iter().map(|a| heap.is_null(a)).collect();
     let mut cands = Vec::new();
     model_candidates(prog, id, targs, margs, &mut cands);
     // Applicability: the dynamic receiver and argument values must be
@@ -1253,10 +1228,10 @@ pub fn select_model_target(
             continue;
         }
         let recv_t = eval_type(prog, tenv, menv, &m.receiver);
-        let ok_recv = match &recv {
-            Some(RecvKind::Value(vt, is_null)) => !is_null && rt_subtype(prog, vt, &recv_t),
-            Some(RecvKind::Static(srt)) => &recv_t == *srt,
-            None => false,
+        let ok_recv = match (&recv_vt, static_recv) {
+            (Some((vt, is_null)), _) => !is_null && rt_subtype(prog, vt, &recv_t),
+            (None, Some(srt)) => &recv_t == srt,
+            (None, None) => false,
         };
         if !ok_recv {
             continue;
@@ -1268,7 +1243,7 @@ pub fn select_model_target(
             .collect();
         let ok_args = arg_ts
             .iter()
-            .zip(args_null)
+            .zip(&args_null)
             .zip(&param_ts)
             .all(|((vt, null), t)| {
                 (!null && rt_subtype(prog, vt, t)) || matches!(t, RtType::Prim(_)) || *null

@@ -4,7 +4,9 @@
 //! | "run", ...}`) routes through this registry instead of the stateless
 //! program cache. Each named session owns a long-lived
 //! [`genus_check::Session`] — the content-hash-keyed query pipeline —
-//! plus compiled bytecode keyed by the session's generation counter, so a
+//! plus compiled bytecode in a [`genus_vm::exec::CodeSlot`] (the slot the
+//! facade's `CompileSession` keeps too), keyed by the session's generation
+//! counter and the opt level, so a
 //! sequence of `update`/`check`/`run` requests re-derives only what the
 //! edits could have changed: untouched units keep their parse trees and
 //! check verdicts, and an unchanged program keeps its bytecode.
@@ -21,20 +23,16 @@ use crate::proto::{Action, EngineKind, Outcome, Request, Response, SessionReuse}
 use genus_check::Session;
 use genus_common::Severity;
 use genus_interp::with_interp_stack;
-use genus_vm::exec::{execute, Code};
-use genus_vm::{compile_optimized, compile_tier, TierProgram, VmProgram};
+use genus_vm::exec::{execute, Code, CodeSlot};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// One named session: the incremental checker plus per-generation
-/// compiled-code slots.
+/// One named session: the incremental checker plus its compiled code,
+/// kept per `(generation, opt)`.
 struct SessionEntry {
     inner: Session,
-    /// Bytecode for the current program, keyed by `(generation, opt)`.
-    vm_code: Option<(u64, u8, Arc<VmProgram>)>,
-    /// Tier-2 closures over that bytecode, keyed the same way.
-    tier_code: Option<(u64, u8, Arc<TierProgram>)>,
+    code: CodeSlot,
 }
 
 impl SessionEntry {
@@ -45,8 +43,7 @@ impl SessionEntry {
             } else {
                 Session::new()
             },
-            vm_code: None,
-            tier_code: None,
+            code: CodeSlot::default(),
         }
     }
 
@@ -134,29 +131,13 @@ impl SessionEntry {
                 with_interp_stack(|| execute(prog, Code::Ast, req.limits)),
                 false,
             ),
-            EngineKind::Vm | EngineKind::Auto | EngineKind::Jit => {
-                let (code, code_hit) = match &self.vm_code {
-                    Some((g, o, code)) if *g == generation && *o == opt => (code.clone(), true),
-                    _ => {
-                        let code = Arc::new(compile_optimized(prog, opt));
-                        self.vm_code = Some((generation, opt, code.clone()));
-                        self.tier_code = None;
-                        (code, false)
-                    }
-                };
-                if engine != EngineKind::Jit {
-                    (execute(prog, Code::Vm(&code), req.limits), code_hit)
-                } else {
-                    let (tier, tier_hit) = match &self.tier_code {
-                        Some((g, o, tier)) if *g == generation && *o == opt => (tier.clone(), true),
-                        _ => {
-                            let tier = Arc::new(compile_tier(&code));
-                            self.tier_code = Some((generation, opt, tier.clone()));
-                            (tier, false)
-                        }
-                    };
-                    (execute(prog, Code::Tier(&tier), req.limits), tier_hit)
-                }
+            EngineKind::Vm | EngineKind::Auto => {
+                let (code, hit) = self.code.bytecode(prog, generation, opt);
+                (execute(prog, Code::Vm(&code), req.limits), hit)
+            }
+            EngineKind::Jit => {
+                let (tier, hit) = self.code.tier(prog, generation, opt);
+                (execute(prog, Code::Tier(&tier), req.limits), hit)
             }
         };
         Response {

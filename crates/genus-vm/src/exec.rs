@@ -10,7 +10,7 @@
 //! limited, run and read out is written here once.
 
 use crate::tier::{TierProgram, TierStats};
-use crate::{OptStats, Vm, VmProgram};
+use crate::{compile_optimized, compile_tier, OptStats, Vm, VmProgram};
 use genus_check::CheckedProgram;
 use genus_interp::{DispatchStats, Interp, Limits, ResourceStats, RuntimeError};
 use genus_types::CacheStats;
@@ -117,6 +117,65 @@ pub fn execute_vm(mut vm: Vm<'_>, tier: Option<&TierProgram>, limits: Limits) ->
         opt_stats: Some(vm.code.opt_stats),
         resource_stats: vm.resource_stats(),
         tier_stats: tier.map(TierProgram::compiled),
+    }
+}
+
+/// An editable program's compiled code: its bytecode and the Tier-2
+/// closures over that bytecode, each compiled at most once per
+/// `(generation, opt level)`. A generation is a number the owner changes
+/// whenever the checked program may have changed (a compile session's
+/// counter), so an unchanged program keeps its code and an edit compiles
+/// it again exactly once.
+#[derive(Default)]
+pub struct CodeSlot {
+    code: Option<SlotCode>,
+}
+
+/// The code of one `(generation, opt)`: the bytecode, and the Tier-2
+/// closures once a run asked for them.
+struct SlotCode {
+    key: (u64, u8),
+    vm: Arc<VmProgram>,
+    tier: Option<Arc<TierProgram>>,
+}
+
+impl CodeSlot {
+    /// The bytecode of `prog` at `opt`, and whether it was reused from an
+    /// earlier call under the same `(generation, opt)`. Compiling drops
+    /// the Tier-2 closures of the code it replaces.
+    pub fn bytecode(
+        &mut self,
+        prog: &CheckedProgram,
+        generation: u64,
+        opt: u8,
+    ) -> (Arc<VmProgram>, bool) {
+        if let Some(c) = &self.code {
+            if c.key == (generation, opt) {
+                return (Arc::clone(&c.vm), true);
+            }
+        }
+        let vm = Arc::new(compile_optimized(prog, opt));
+        self.code = Some(SlotCode {
+            key: (generation, opt),
+            vm: Arc::clone(&vm),
+            tier: None,
+        });
+        (vm, false)
+    }
+
+    /// The Tier-2 closures over [`CodeSlot::bytecode`]'s code, and
+    /// whether they were reused.
+    pub fn tier(
+        &mut self,
+        prog: &CheckedProgram,
+        generation: u64,
+        opt: u8,
+    ) -> (Arc<TierProgram>, bool) {
+        let (code, _) = self.bytecode(prog, generation, opt);
+        let slot = &mut self.code.as_mut().expect("bytecode() filled the slot").tier;
+        let reused = slot.is_some();
+        let tier = slot.get_or_insert_with(|| Arc::new(compile_tier(&code)));
+        (Arc::clone(tier), reused)
     }
 }
 

@@ -16,10 +16,12 @@
 //! witnesses ("dictionaries") passed through frame environments and
 //! resolved per call from open `Type`/`Model` terms in the spec tables.
 //!
-//! Dispatch uses the same three-level caching as the interpreter
-//! (per-site inline caches — here a dense vector indexed by bytecode
-//! site ids — a per-class virtual-target memo with hop-path replay, and
-//! a multimethod-dispatch memo), togglable at runtime via
+//! Dispatch caching is not a copy of the interpreter's: each [`Vm`]
+//! holds a [`genus_interp::Dispatch`] (per-site inline caches, here dense
+//! slots indexed by bytecode site ids; a per-class virtual-target memo
+//! with hop-path replay; a multimethod-dispatch memo with per-`CallModel`
+//! site caches; the hit/miss counters), and the dispatch loop and Tier 2
+//! ask it for call targets. It is togglable at runtime via
 //! `genus_types::set_caches_enabled` or at build time with the
 //! `no-cache` feature.
 

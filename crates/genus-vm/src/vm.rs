@@ -11,10 +11,11 @@
 //! interpreter.
 //!
 //! Semantics are shared with the interpreter through
-//! [`genus_interp::rtti`] (reification, dispatch resolution) and
-//! [`genus_interp::natives`]/[`genus_interp::ops`] (built-ins,
-//! arithmetic): the two engines cannot drift on type tests, dispatch
-//! decisions, or primitive behavior. The differential test suite (see
+//! [`genus_interp::rtti`] (reification, dispatch resolution),
+//! [`genus_interp::dispatch`] (the caches and counters in front of that
+//! resolution) and [`genus_interp::natives`]/[`genus_interp::ops`]
+//! (built-ins, arithmetic): the two engines cannot drift on type tests,
+//! dispatch decisions, cache counts, or primitive behavior. The differential test suite (see
 //! the `genus` facade) asserts identical results, captured output, and
 //! runtime errors on every test program.
 //!
@@ -37,14 +38,17 @@ use crate::bytecode::{FuncId, NewSpec, Op, VmProgram};
 use crate::compile::compile_program;
 use genus_check::hir::{NativeOp, NumKind};
 use genus_check::CheckedProgram;
-use genus_common::{FastMap, Symbol};
+use genus_common::Symbol;
 use genus_heap::meter::{Limits, Meter, ResourceStats};
 use genus_heap::str_bytes;
+use genus_interp::dispatch::{Site, StaticTarget};
 use genus_interp::natives;
 use genus_interp::ops::{arith, compare, widen_value};
-use genus_interp::rtti::{self, MEnv, ModelDispatchKey, ModelTarget, RecvKind, TEnv, VirtTarget};
-use genus_interp::{DispatchStats, ErrorKind, Heap, ModelValue, RtType, RuntimeError, Value};
-use genus_types::{caches_enabled, ClassId, ModelId};
+use genus_interp::rtti::{self, MEnv, ModelTarget, TEnv};
+use genus_interp::{
+    Dispatch, DispatchStats, ErrorKind, Heap, ModelValue, RtType, RuntimeError, Value,
+};
+use genus_types::{ClassId, ModelId};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -75,87 +79,6 @@ pub(crate) enum Action {
     Frame(VmFrame),
 }
 
-/// Memo tables behind the VM's dispatch fast paths — same shape as the
-/// interpreter's, except the inline caches are a dense vector indexed by
-/// the bytecode's site ids rather than a map keyed by HIR addresses.
-type VirtMemo = FastMap<(ClassId, Symbol, usize), Option<Rc<VirtTarget>>>;
-type InlineCache = Vec<Option<(ClassId, Option<Rc<VirtTarget>>)>>;
-
-struct VmDispatch {
-    class_index: rtti::ClassIndexes,
-    virt: RefCell<VirtMemo>,
-    /// Monomorphic inline caches, one slot per `CallVirtual` site.
-    sites: RefCell<InlineCache>,
-    model: RefCell<FastMap<ModelDispatchKey, Option<Rc<ModelTarget>>>>,
-    /// Monomorphic inline caches, one slot per `CallModel` site. A hit
-    /// is an allocation-free structural compare (witness + receiver/
-    /// argument runtime types) that skips [`ModelDispatchKey`]
-    /// construction — the `targs`/`margs` clones and `value_rt_type`
-    /// reifications that made unspecialized model dispatch slower on the
-    /// VM than on the AST walker.
-    model_sites: RefCell<Vec<Option<ModelSiteCache>>>,
-    ic_hits: Cell<u64>,
-    ic_misses: Cell<u64>,
-    virt_hits: Cell<u64>,
-    virt_misses: Cell<u64>,
-    model_hits: Cell<u64>,
-    model_misses: Cell<u64>,
-}
-
-fn bump(c: &Cell<u64>) {
-    c.set(c.get() + 1);
-}
-
-/// One `CallModel` site's cached monomorphic dispatch: the evaluated
-/// witness and the receiver/argument runtime types it resolved under,
-/// plus the chosen target. Mirrors [`ModelDispatchKey`] (`RtType::Null`
-/// stands for null values), but is probed by structural comparison
-/// against live values instead of by building a fresh key.
-struct ModelSiteCache {
-    id: ModelId,
-    targs: Vec<RtType>,
-    margs: Vec<ModelValue>,
-    recv: Option<RtType>,
-    args: Vec<RtType>,
-    target: Option<Rc<ModelTarget>>,
-}
-
-impl ModelSiteCache {
-    /// Whether this cache entry covers the given call. `recv`/`args` are
-    /// live values (`None` receiver means a static constraint operation,
-    /// whose receiver *type* is in `static_recv`).
-    #[allow(clippy::too_many_arguments)]
-    fn matches(
-        &self,
-        prog: &CheckedProgram,
-        heap: &Heap,
-        id: ModelId,
-        targs: &[RtType],
-        margs: &[ModelValue],
-        recv: Option<&Value>,
-        static_recv: Option<&RtType>,
-        args: &[Value],
-    ) -> bool {
-        if self.id != id || self.args.len() != args.len() {
-            return false;
-        }
-        let recv_ok = match (recv, static_recv, &self.recv) {
-            (Some(r), _, Some(cached)) => rtti::value_matches_rt(prog, heap, r, cached),
-            (None, Some(srt), Some(cached)) => srt == cached,
-            (None, None, None) => true,
-            _ => false,
-        };
-        recv_ok
-            && self
-                .args
-                .iter()
-                .zip(args)
-                .all(|(rt, a)| rtti::value_matches_rt(prog, heap, a, rt))
-            && self.targs == targs
-            && self.margs == margs
-    }
-}
-
 /// The virtual machine. Holds static fields and captured output across
 /// calls, mirroring [`genus_interp::Interp`]'s surface.
 pub struct Vm<'p> {
@@ -167,7 +90,7 @@ pub struct Vm<'p> {
     pub(crate) consts: Vec<Value>,
     pub(crate) statics: RefCell<HashMap<(u32, u32), Value>>,
     pub(crate) output: RefCell<String>,
-    dispatch: VmDispatch,
+    dispatch: Dispatch,
     /// Recycled register vectors: frames return their registers here on
     /// exit so a call does not pay a heap allocation.
     regs_pool: RefCell<Vec<Vec<Value>>>,
@@ -209,29 +132,15 @@ impl<'p> Vm<'p> {
     /// Creates a VM over already-compiled bytecode (lets callers share
     /// one compilation across runs and threads).
     pub fn with_code(prog: &'p CheckedProgram, code: Arc<VmProgram>) -> Self {
-        let sites = vec![None; code.num_sites];
-        let mut model_sites = Vec::new();
-        model_sites.resize_with(code.num_model_sites, || None);
         let consts = code.consts.iter().map(|c| c.to_value()).collect();
+        let dispatch = Dispatch::with_sites(code.num_sites, code.num_model_sites);
         Vm {
             prog,
             code,
             consts,
             statics: RefCell::new(HashMap::new()),
             output: RefCell::new(String::new()),
-            dispatch: VmDispatch {
-                class_index: rtti::ClassIndexes::default(),
-                virt: RefCell::new(FastMap::default()),
-                sites: RefCell::new(sites),
-                model: RefCell::new(FastMap::default()),
-                model_sites: RefCell::new(model_sites),
-                ic_hits: Cell::new(0),
-                ic_misses: Cell::new(0),
-                virt_hits: Cell::new(0),
-                virt_misses: Cell::new(0),
-                model_hits: Cell::new(0),
-                model_misses: Cell::new(0),
-            },
+            dispatch,
             regs_pool: RefCell::new(Vec::new()),
             pending_call: Cell::new(None),
             echo: false,
@@ -332,14 +241,7 @@ impl<'p> Vm<'p> {
     /// Snapshot of the dispatch-cache hit/miss counters.
     #[must_use]
     pub fn dispatch_stats(&self) -> DispatchStats {
-        DispatchStats {
-            ic_hits: self.dispatch.ic_hits.get(),
-            ic_misses: self.dispatch.ic_misses.get(),
-            virt_hits: self.dispatch.virt_hits.get(),
-            virt_misses: self.dispatch.virt_misses.get(),
-            model_hits: self.dispatch.model_hits.get(),
-            model_misses: self.dispatch.model_misses.get(),
-        }
+        self.dispatch.stats()
     }
 
     // ------------------------------------------------------------------
@@ -969,62 +871,8 @@ impl<'p> Vm<'p> {
     }
 
     // ------------------------------------------------------------------
-    // Call resolution (shared with the interpreter via `rtti`)
+    // Call resolution (targets from `genus_interp::dispatch`)
     // ------------------------------------------------------------------
-
-    /// Memoized virtual-target lookup keyed on the dynamic class.
-    fn virt_target(
-        &self,
-        id: ClassId,
-        args: &[RtType],
-        models: &[ModelValue],
-        name: Symbol,
-        arity: usize,
-    ) -> Option<Rc<VirtTarget>> {
-        let key = (id, name, arity);
-        if let Some(t) = self.dispatch.virt.borrow().get(&key) {
-            bump(&self.dispatch.virt_hits);
-            return t.clone();
-        }
-        bump(&self.dispatch.virt_misses);
-        let t = rtti::resolve_virtual(
-            self.prog,
-            &self.dispatch.class_index,
-            id,
-            args,
-            models,
-            name,
-            arity,
-        );
-        self.dispatch.virt.borrow_mut().insert(key, t.clone());
-        t
-    }
-
-    /// Virtual-target lookup through the site's inline-cache slot,
-    /// falling back to the per-class memo.
-    fn cached_virt_target(
-        &self,
-        site: Option<u32>,
-        id: ClassId,
-        args: &[RtType],
-        models: &[ModelValue],
-        name: Symbol,
-        arity: usize,
-    ) -> Option<Rc<VirtTarget>> {
-        let Some(site) = site else {
-            return self.virt_target(id, args, models, name, arity);
-        };
-        if let Some(Some((cls, t))) = self.dispatch.sites.borrow().get(site as usize) {
-            if *cls == id {
-                bump(&self.dispatch.ic_hits);
-                return t.clone();
-            }
-        }
-        bump(&self.dispatch.ic_misses);
-        let t = self.virt_target(id, args, models, name, arity);
-        self.dispatch.sites.borrow_mut()[site as usize] = Some((id, t.clone()));
-        t
-    }
 
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn prepare_virtual(
@@ -1041,26 +889,15 @@ impl<'p> Vm<'p> {
         match &recv {
             Value::Obj(h) => {
                 let o = self.heap.obj(*h);
-                let found = if caches_enabled() {
-                    self.cached_virt_target(site, o.class, &o.targs, &o.models, name, arity)
-                        .map(|t| match &t.fixed {
-                            Some((a, m)) => (t.cid, t.mi, a.clone(), m.clone()),
-                            None => {
-                                rtti::replay_target(self.prog, &t, o.class, &o.targs, &o.models)
-                            }
-                        })
-                } else {
-                    rtti::find_virtual(self.prog, o.class, &o.targs, &o.models, name, arity)
-                };
-                let Some((cid, mi, cargs, cmodels)) = found else {
-                    return Err(RuntimeError::new(
-                        ErrorKind::NoSuchMethod,
-                        format!(
-                            "no method `{name}`/{arity} on class `{}`",
-                            self.prog.table.class(o.class).name
-                        ),
-                    ));
-                };
+                let (cid, mi, cargs, cmodels) = self.dispatch.virtual_target(
+                    self.prog,
+                    site.map(Site::Slot),
+                    o.class,
+                    &o.targs,
+                    &o.models,
+                    name,
+                    arity,
+                )?;
                 self.prepare_class_method(
                     cid,
                     mi,
@@ -1250,58 +1087,41 @@ impl<'p> Vm<'p> {
             ModelValue::Natural { .. } => match recv {
                 Some(r) => self.prepare_virtual(None, r, name, args.len(), vec![], vec![], args),
                 None => {
-                    let Some(rt) = static_recv else {
-                        return Err(RuntimeError::new(
-                            ErrorKind::Other,
-                            "static model call without receiver type",
-                        ));
-                    };
-                    match rt {
-                        RtType::Prim(p) => Ok(Action::Value(natives::prim_call(
+                    let target =
+                        self.dispatch
+                            .static_target(self.prog, static_recv, name, args.len())?;
+                    match target {
+                        StaticTarget::Prim(p) => Ok(Action::Value(natives::prim_call(
                             &self.heap, p, name, None, args,
                         )?)),
-                        RtType::Class {
-                            id,
-                            args: cargs,
-                            models: cmodels,
-                        } => {
-                            let def = self.prog.table.class(id);
-                            let mi = if caches_enabled() {
-                                self.dispatch
-                                    .class_index
-                                    .get(self.prog, id)
-                                    .static_method(name, args.len())
-                            } else {
-                                def.methods.iter().position(|m| {
-                                    m.is_static && m.name == name && m.params.len() == args.len()
-                                })
-                            };
-                            match mi {
-                                Some(mi) => self.prepare_class_method(
-                                    id,
-                                    mi,
-                                    cargs,
-                                    cmodels,
-                                    None,
-                                    vec![],
-                                    vec![],
-                                    args,
-                                ),
-                                None => Err(RuntimeError::new(
-                                    ErrorKind::NoSuchMethod,
-                                    format!("no static `{name}` on `{}`", def.name),
-                                )),
-                            }
-                        }
-                        other => Err(RuntimeError::new(
-                            ErrorKind::NoSuchMethod,
-                            format!("no static `{name}` on {other:?}"),
-                        )),
+                        StaticTarget::Method((id, mi, cargs, cmodels)) => self
+                            .prepare_class_method(
+                                id,
+                                mi,
+                                cargs,
+                                cmodels,
+                                None,
+                                vec![],
+                                vec![],
+                                args,
+                            ),
                     }
                 }
             },
             ModelValue::Decl { id, targs, margs } => {
-                self.model_dispatch(site, *id, targs, margs, name, recv, static_recv, args)
+                let target = self.dispatch.model_target(
+                    self.prog,
+                    &self.heap,
+                    site,
+                    *id,
+                    targs,
+                    margs,
+                    name,
+                    recv.as_ref(),
+                    static_recv.as_ref(),
+                    &args,
+                );
+                self.prepare_model_target(target.as_deref(), *id, name, recv, args)
             }
         }
     }
@@ -1341,121 +1161,6 @@ impl<'p> Vm<'p> {
         frame.tenv = t.tenv.clone();
         frame.menv = t.menv.clone();
         Ok(Action::Frame(frame))
-    }
-
-    /// Fills a `CallModel` site's inline cache from a freshly built
-    /// dispatch key and the target it resolved to.
-    fn fill_model_site(
-        &self,
-        site: Option<u32>,
-        key: &ModelDispatchKey,
-        target: &Option<Rc<ModelTarget>>,
-    ) {
-        let Some(site) = site else { return };
-        self.dispatch.model_sites.borrow_mut()[site as usize] = Some(ModelSiteCache {
-            id: key.id,
-            targs: key.targs.clone(),
-            margs: key.margs.clone(),
-            recv: key.recv.clone(),
-            args: key.args.clone(),
-            target: target.clone(),
-        });
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn model_dispatch(
-        &self,
-        site: Option<u32>,
-        id: ModelId,
-        targs: &[RtType],
-        margs: &[ModelValue],
-        name: Symbol,
-        recv: Option<Value>,
-        static_recv: Option<RtType>,
-        args: Vec<Value>,
-    ) -> RResult<Action> {
-        let is_static = recv.is_none();
-        // Per-site monomorphic fast path: a structural probe against the
-        // live values, with no key construction (and thus no clones).
-        if caches_enabled() {
-            if let Some(site) = site {
-                let hit = {
-                    let sites = self.dispatch.model_sites.borrow();
-                    match sites.get(site as usize).and_then(Option::as_ref) {
-                        Some(c)
-                            if c.matches(
-                                self.prog,
-                                &self.heap,
-                                id,
-                                targs,
-                                margs,
-                                recv.as_ref(),
-                                static_recv.as_ref(),
-                                &args,
-                            ) =>
-                        {
-                            Some(c.target.clone())
-                        }
-                        _ => None,
-                    }
-                };
-                if let Some(target) = hit {
-                    bump(&self.dispatch.model_hits);
-                    return self.prepare_model_target(target.as_deref(), id, name, recv, args);
-                }
-            }
-        }
-        let key = if caches_enabled() {
-            let key = ModelDispatchKey {
-                id,
-                targs: targs.to_vec(),
-                margs: margs.to_vec(),
-                name,
-                is_static,
-                recv: recv
-                    .as_ref()
-                    .map(|r| rtti::value_rt_type(self.prog, &self.heap, r))
-                    .or_else(|| static_recv.clone()),
-                args: args
-                    .iter()
-                    .map(|a| rtti::value_rt_type(self.prog, &self.heap, a))
-                    .collect(),
-            };
-            if let Some(t) = self.dispatch.model.borrow().get(&key).cloned() {
-                bump(&self.dispatch.model_hits);
-                self.fill_model_site(site, &key, &t);
-                return self.prepare_model_target(t.as_deref(), id, name, recv, args);
-            }
-            bump(&self.dispatch.model_misses);
-            Some(key)
-        } else {
-            None
-        };
-        let (recv_t, recv_is_value) = match (&recv, &static_recv) {
-            (Some(r), _) => (Some(rtti::value_rt_type(self.prog, &self.heap, r)), true),
-            (None, Some(_)) => (static_recv.clone(), false),
-            (None, None) => (None, false),
-        };
-        let kind = match (&recv_t, recv_is_value) {
-            (Some(vt), true) => Some(RecvKind::Value(
-                vt,
-                recv.as_ref().is_some_and(|r| self.heap.is_null(r)),
-            )),
-            (Some(srt), false) => Some(RecvKind::Static(srt)),
-            (None, _) => None,
-        };
-        let arg_ts: Vec<RtType> = args
-            .iter()
-            .map(|a| rtti::value_rt_type(self.prog, &self.heap, a))
-            .collect();
-        let args_null: Vec<bool> = args.iter().map(|a| self.heap.is_null(a)).collect();
-        let target =
-            rtti::select_model_target(self.prog, id, targs, margs, name, kind, &arg_ts, &args_null);
-        if let Some(key) = key {
-            self.fill_model_site(site, &key, &target);
-            self.dispatch.model.borrow_mut().insert(key, target.clone());
-        }
-        self.prepare_model_target(target.as_deref(), id, name, recv, args)
     }
 
     // ------------------------------------------------------------------

@@ -12,10 +12,11 @@
 //!    `Compiler::check_report` calls stop re-parsing four stdlib files
 //!    per call.
 //! 2. **Engine caching.** Compiled bytecode (and Tier-2 closures) are
-//!    cached per session, keyed by the session's *generation* counter —
-//!    a number that changes whenever a re-check may have changed the
-//!    checked program. Re-running an unchanged program skips bytecode
-//!    compilation entirely; editing a body invalidates exactly once.
+//!    cached per session in a [`genus_vm::exec::CodeSlot`], keyed by the
+//!    session's *generation* counter — a number that changes whenever a
+//!    re-check may have changed the checked program — and the opt level.
+//!    Re-running an unchanged program skips bytecode compilation
+//!    entirely; editing a body invalidates exactly once.
 //!
 //! ```
 //! use genus::CompileSession;
@@ -34,9 +35,7 @@ use crate::{finish, Engine, Execution, RunResult};
 use genus_check::{CheckReport, CheckedProgram, Session, SessionReport, SessionStats};
 use genus_common::{Diagnostic, ErrorFormat, Severity, SourceMap};
 use genus_interp::{with_interp_stack, Limits};
-use genus_vm::exec::{execute, Code};
-use genus_vm::{compile_optimized, compile_tier, TierProgram, VmProgram};
-use std::sync::Arc;
+use genus_vm::exec::{execute, Code, CodeSlot};
 
 /// A long-lived, editable compilation pipeline: named units go in via
 /// [`update_source`](CompileSession::update_source), diagnostics and
@@ -48,11 +47,9 @@ use std::sync::Arc;
 pub struct CompileSession {
     inner: Session,
     opt_level: u8,
-    /// Compiled bytecode for the current program, keyed by the session
-    /// generation it was compiled from.
-    vm_code: Option<(u64, Arc<VmProgram>)>,
-    /// Tier-2 closure program, keyed the same way.
-    tier_code: Option<(u64, Arc<TierProgram>)>,
+    /// Compiled bytecode and Tier-2 closures for the current program,
+    /// kept per `(generation, opt level)`.
+    code: CodeSlot,
     /// Compiles whose base functions came from the lowered-base cache.
     lowerings_reused: u64,
 }
@@ -69,8 +66,7 @@ impl CompileSession {
         CompileSession {
             inner: Session::new(),
             opt_level: 2,
-            vm_code: None,
-            tier_code: None,
+            code: CodeSlot::default(),
             lowerings_reused: 0,
         }
     }
@@ -87,12 +83,7 @@ impl CompileSession {
     /// Selects the bytecode optimization level for [`execute`]
     /// (default 2; see [`crate::Compiler::opt_level`]).
     pub fn opt_level(&mut self, level: u8) {
-        let level = level.min(2);
-        if level != self.opt_level {
-            self.opt_level = level;
-            self.vm_code = None;
-            self.tier_code = None;
-        }
+        self.opt_level = level.min(2);
     }
 
     /// Adds or replaces the source text of the unit named `name`.
@@ -194,33 +185,15 @@ impl CompileSession {
             .expect("no errors implies a checked program");
         Ok(match engine {
             Engine::Ast => with_interp_stack(|| execute(prog, Code::Ast, limits)),
-            Engine::Vm => {
-                let code = cached_code(
-                    &mut self.vm_code,
-                    &mut self.lowerings_reused,
-                    generation,
-                    prog,
-                    opt_level,
-                );
-                execute(prog, Code::Vm(&code), limits)
-            }
-            Engine::Jit => {
-                let code = cached_code(
-                    &mut self.vm_code,
-                    &mut self.lowerings_reused,
-                    generation,
-                    prog,
-                    opt_level,
-                );
-                let tier = match &self.tier_code {
-                    Some((g, tier)) if *g == generation => tier.clone(),
-                    _ => {
-                        let tier = Arc::new(compile_tier(&code));
-                        self.tier_code = Some((generation, tier.clone()));
-                        tier
-                    }
-                };
-                execute(prog, Code::Tier(&tier), limits)
+            Engine::Vm | Engine::Jit => {
+                let (code, hit) = self.code.bytecode(prog, generation, opt_level);
+                self.lowerings_reused += u64::from(!hit && code.funcs_reused > 0);
+                if engine == Engine::Vm {
+                    execute(prog, Code::Vm(&code), limits)
+                } else {
+                    let (tier, _) = self.code.tier(prog, generation, opt_level);
+                    execute(prog, Code::Tier(&tier), limits)
+                }
             }
         })
     }
@@ -236,30 +209,10 @@ impl CompileSession {
     }
 }
 
-/// Returns the cached bytecode when `generation` still matches, compiling
-/// (and re-keying the slot, and counting a reused base in `reused`)
-/// otherwise.
-fn cached_code(
-    slot: &mut Option<(u64, Arc<VmProgram>)>,
-    reused: &mut u64,
-    generation: u64,
-    prog: &CheckedProgram,
-    opt_level: u8,
-) -> Arc<VmProgram> {
-    if let Some((g, code)) = slot {
-        if *g == generation {
-            return code.clone();
-        }
-    }
-    let code = Arc::new(compile_optimized(prog, opt_level));
-    *reused += u64::from(code.funcs_reused > 0);
-    *slot = Some((generation, code.clone()));
-    code
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn stdlib_seeding_skips_reparsing() {
@@ -297,11 +250,16 @@ mod tests {
         s.update_source("m.genus", "int main() { return 6 * 7; }");
         s.run(Engine::Vm, Limits::default()).unwrap();
         let gen1 = s.generation();
-        let code1 = s.vm_code.as_ref().map(|(_, c)| Arc::as_ptr(c));
+        let (code1, hit) = s.code.bytecode(s.inner.program().unwrap(), gen1, 2);
+        assert!(hit, "the run compiled the bytecode the slot holds");
         s.run(Engine::Vm, Limits::default()).unwrap();
         assert_eq!(s.generation(), gen1, "no-op re-check must not bump");
-        let code2 = s.vm_code.as_ref().map(|(_, c)| Arc::as_ptr(c));
-        assert_eq!(code1, code2, "bytecode must be reused across reruns");
+        let (code2, _) = s.code.bytecode(s.inner.program().unwrap(), gen1, 2);
+        assert_eq!(
+            Arc::as_ptr(&code1),
+            Arc::as_ptr(&code2),
+            "bytecode must be reused across reruns"
+        );
         // An edit invalidates the cached bytecode.
         s.update_source("m.genus", "int main() { return 6 * 8; }");
         let r = s.run(Engine::Vm, Limits::default()).unwrap();

@@ -13,8 +13,8 @@ use genus_heap::heap::GC_INITIAL_THRESHOLD;
 use genus_heap::Heap;
 use genus_interp::with_interp_stack;
 use genus_repro::{
-    caches_enabled, compile_optimized, compile_tier, CheckedProgram, Compiler, Limits, Vm,
-    VmProgram,
+    caches_enabled, compile_optimized, compile_tier, set_caches_enabled, CheckedProgram, Compiler,
+    DispatchStats, Limits, Vm, VmProgram,
 };
 use genus_vm::exec::{execute, execute_vm, Code, Execution};
 use std::sync::Arc;
@@ -325,4 +325,96 @@ fn the_collector_is_invisible_on_heap_churn() {
         "collecting at every safe point keeps one iteration alive: {:?}",
         stress.resource_stats
     );
+}
+
+/// Every dispatch counter, exactly, on the three dispatch programs on
+/// every engine: `[ic_hits, ic_misses, virt_hits, virt_misses,
+/// model_hits, model_misses]`. At O2 class-hierarchy analysis turns the
+/// monomorphic and megamorphic sites into direct calls and the model
+/// dispatch program's `compareTo` sites into specialized calls, so only
+/// the stdlib's remaining virtual calls count. With the caches off
+/// nothing is cached, so every counter reads 0.
+#[test]
+fn dispatch_counts_are_pinned() {
+    const PINS: [(&str, [[u64; 6]; 4]); 3] = [
+        (
+            "monomorphic",
+            [
+                [19999, 1, 0, 1, 0, 0],
+                [19999, 1, 0, 1, 0, 0],
+                [0; 6],
+                [0; 6],
+            ],
+        ),
+        (
+            "megamorphic",
+            [
+                [0, 20000, 19996, 4, 0, 0],
+                [0, 20000, 19996, 4, 0, 0],
+                [0; 6],
+                [0; 6],
+            ],
+        ),
+        (
+            "model_dispatch",
+            [
+                [116219, 9, 1, 8, 19199, 1],
+                [116219, 9, 1, 8, 19199, 1],
+                [77695, 5, 0, 5, 0, 0],
+                [77695, 5, 0, 5, 0, 0],
+            ],
+        ),
+    ];
+    let programs = [
+        (monomorphic_src(), false),
+        (megamorphic_src(), false),
+        (MODEL_DISPATCH.to_string(), true),
+    ];
+    for ((name, pins), (src, stdlib)) in PINS.iter().zip(programs) {
+        let prog = compile(&src, stdlib);
+        let code0 = Arc::new(compile_optimized(&prog, 0));
+        let code2 = Arc::new(compile_optimized(&prog, 2));
+        let runs = [
+            ("AST", run_ast(&prog)),
+            ("VM-O0", execute(&prog, Code::Vm(&code0), Limits::default())),
+            ("VM-O2", execute(&prog, Code::Vm(&code2), Limits::default())),
+            (
+                "Tier 2",
+                execute(&prog, Code::Tier(&compile_tier(&code2)), Limits::default()),
+            ),
+        ];
+        for ((engine, ex), pin) in runs.iter().zip(pins) {
+            assert!(ex.outcome.is_ok(), "`{name}` on {engine}: {:?}", ex.outcome);
+            let s = ex.dispatch_stats;
+            let got = [
+                s.ic_hits,
+                s.ic_misses,
+                s.virt_hits,
+                s.virt_misses,
+                s.model_hits,
+                s.model_misses,
+            ];
+            let want = if caches_enabled() { *pin } else { [0; 6] };
+            assert_eq!(got, want, "`{name}` on {engine}");
+        }
+    }
+}
+
+/// Turning the caches off on the calling thread reaches the thread
+/// `with_interp_stack` runs the AST engine on: a virtual-call loop then
+/// counts no hit and no miss.
+#[test]
+fn the_cache_switch_reaches_the_interpreter_thread() {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            set_caches_enabled(self.0);
+        }
+    }
+    let _restore = Restore(caches_enabled());
+    let prog = compile(&monomorphic_src(), false);
+    set_caches_enabled(false);
+    let ex = run_ast(&prog);
+    assert!(ex.outcome.is_ok(), "{:?}", ex.outcome);
+    assert_eq!(ex.dispatch_stats, DispatchStats::default());
 }

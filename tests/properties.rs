@@ -790,9 +790,8 @@ fn with_caches<R>(on: bool, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Compiles on the current thread (the toggle is thread-local, and
-/// `Compiler::run` would hop to a fresh interpreter thread with default
-/// cache state) and normalizes to `Result<(), String>`.
+/// Compiles (the cache switch is per thread; the check runs on this one)
+/// and normalizes to `Result<(), String>`.
 fn check_outcome(src: &str) -> Result<(), String> {
     genus::Compiler::new()
         .with_stdlib()
@@ -801,16 +800,15 @@ fn check_outcome(src: &str) -> Result<(), String> {
         .map(|_| ())
 }
 
-/// Compiles *and interprets* on the current thread so the interpreter's
-/// inline caches and dispatch memos obey the toggle too.
+/// Compiles and interprets. The interpreter's thread takes this thread's
+/// cache switch, so its inline caches and dispatch memos obey it too.
 fn run_outcome(src: &str) -> Result<(String, String), String> {
-    let prog = genus::Compiler::new()
+    genus::Compiler::new()
         .with_stdlib()
+        .engine(genus::Engine::Ast)
         .source("prop.genus", src)
-        .compile()?;
-    let mut interp = genus::Interp::new(&prog);
-    let v = interp.run_main().map_err(|e| e.to_string())?;
-    Ok((interp.render(&v), interp.take_output()))
+        .run()
+        .map(|r| (r.rendered_value, r.output))
 }
 
 /// A nested-clone program that forces recursive default-model resolution
