@@ -23,6 +23,10 @@ test "$(grep -rn '256 << 20' crates --include=*.rs | wc -l)" -eq 1
 # rtti.rs, the `Dispatch` type both engines hold.
 test "$(grep -rlE 'resolve_virtual\(|replay_target\(|select_model_target\(' crates \
   --include=*.rs | grep -v '/rtti\.rs$' | wc -l)" -eq 1
+# One definition per opcode: Tier 2's closures call the VM's per-op
+# routines, so every trap either engine raises comes from those routines
+# or from `Vm`, never from the tier itself.
+test -z "$(grep -rn 'RuntimeError::new(' crates/genus-vm/src/tier/)"
 # The differential harness again with every dispatch/type-query cache
 # bypassed: both engines must agree on the slow paths too.
 cargo test -q --features no-cache
@@ -37,15 +41,14 @@ RUSTDOCFLAGS=-Dwarnings cargo doc --workspace --no-deps -q
 # --error-format=human/short/json plus the exit-code tiers.
 cargo test -q --test render_golden --test diagnostics --test errors_doc
 # Opt-parity gate: the bytecode optimizer must be observationally
-# invisible. The differential suite sweeps --opt-level 0/1/2 internally
+# invisible. The differential suite sweeps --opt-level 0/2 internally
 # and the property suite fuzzes O0-vs-O2 (opt_levels_agree); on top, a
 # CLI-level sweep checks the shipped binary end to end.
 cargo test -q --test differential --test properties
-for lvl in 0 1 2; do
+for lvl in 0 2; do
   target/release/genus run --engine=vm --opt-level="$lvl" \
     samples/existential_registry.genus > "target/opt_parity_$lvl.out"
 done
-cmp target/opt_parity_0.out target/opt_parity_1.out
 cmp target/opt_parity_0.out target/opt_parity_2.out
 # Class-hierarchy analysis gate: at O2 the specializer must turn some of
 # the inheritance sample's virtual calls into direct calls (the sweeps
@@ -207,7 +210,7 @@ printf '{"id": "p1", "source": "int main() { return 64; }"}\n' \
   | target/release/genus serve --workers=2 --cache-dir=target/ci_cache_dir \
   > target/serve_disk_warm.out 2> target/serve_disk_warm.err
 grep -q ' disk hit(s)' target/serve_disk_warm.err
-! grep -q ' 0 disk hit(s)' target/serve_disk_warm.err
+test -z "$(grep ' 0 disk hit(s)' target/serve_disk_warm.err)"
 sed -E 's/"ms":[0-9]+/"ms":0/' target/serve_disk_cold.out > target/serve_disk_cold.norm
 sed -E 's/"ms":[0-9]+/"ms":0/' target/serve_disk_warm.out > target/serve_disk_warm.norm
 cmp target/serve_disk_cold.norm target/serve_disk_warm.norm

@@ -259,7 +259,7 @@ impl Request {
             None => EngineKind::default(),
         };
         let opt_level = match v.get("opt") {
-            Some(j) => num_field(j, "opt")?.min(2.0) as u8,
+            Some(j) => genus_vm::opt::level(num_field(j, "opt")? as u8),
             None => 2,
         };
         let stdlib = match v.get("stdlib") {
@@ -506,7 +506,7 @@ mod tests {
         .unwrap();
         assert_eq!(r.id, "7");
         assert_eq!(r.engine, EngineKind::Ast);
-        assert_eq!(r.opt_level, 1);
+        assert_eq!(r.opt_level, 2, "level 1 runs the whole pipeline, as 2");
         assert!(!r.stdlib, "explicit `stdlib: false` overrides the default");
         assert_eq!(r.limits.fuel, Some(99));
         assert_eq!(r.limits.memory, Some(20), "untouched fields keep defaults");

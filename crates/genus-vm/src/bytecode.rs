@@ -230,6 +230,95 @@ pub enum Op {
     Native { dst: u16, spec: u32 },
 }
 
+impl Op {
+    /// The branch target of a `Jump`, `JumpIfFalse` or `JumpIfTrue`.
+    pub fn target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Op::Jump { target }
+            | Op::JumpIfFalse { target, .. }
+            | Op::JumpIfTrue { target, .. } => Some(target),
+            _ => None,
+        }
+    }
+
+    /// The branch target, read through [`Op::target_mut`].
+    #[must_use]
+    pub fn target(mut self) -> Option<u32> {
+        self.target_mut().copied()
+    }
+
+    /// The instructions control may reach next from this one at `pc`:
+    /// the next instruction unless this one jumps unconditionally or
+    /// ends the activation, then the branch target.
+    pub fn successors(self, pc: usize) -> impl Iterator<Item = usize> {
+        let next = !matches!(
+            self,
+            Op::Jump { .. } | Op::Return { .. } | Op::ReturnVoid | Op::FallOff | Op::Escaped
+        );
+        next.then_some(pc + 1)
+            .into_iter()
+            .chain(self.target().map(|t| t as usize))
+    }
+
+    /// The register this instruction writes (a call writes its `dst` on
+    /// return). `Op::Inline` writes `this` only when it has a receiver.
+    pub fn dst_mut(&mut self) -> Option<&mut u16> {
+        match self {
+            Op::Const { dst, .. }
+            | Op::Move { dst, .. }
+            | Op::GetField { dst, .. }
+            | Op::GetStatic { dst, .. }
+            | Op::Arith { dst, .. }
+            | Op::Cmp { dst, .. }
+            | Op::RefEq { dst, .. }
+            | Op::Concat { dst, .. }
+            | Op::Not { dst, .. }
+            | Op::Neg { dst, .. }
+            | Op::Widen { dst, .. }
+            | Op::NewArray { dst, .. }
+            | Op::ArrayLen { dst, .. }
+            | Op::ArrayGet { dst, .. }
+            | Op::InstanceOf { dst, .. }
+            | Op::Cast { dst, .. }
+            | Op::DefaultValue { dst, .. }
+            | Op::Pack { dst, .. }
+            | Op::Open { dst, .. }
+            | Op::CallVirtual { dst, .. }
+            | Op::CallStatic { dst, .. }
+            | Op::CallGlobal { dst, .. }
+            | Op::CallModel { dst, .. }
+            | Op::CallDirect { dst, .. }
+            | Op::New { dst, .. }
+            | Op::PrimCall { dst, .. }
+            | Op::Native { dst, .. } => Some(dst),
+            Op::Inline {
+                recv: Some(_),
+                this,
+                ..
+            } => Some(this),
+            Op::Inline { recv: None, .. }
+            | Op::Jump { .. }
+            | Op::JumpIfFalse { .. }
+            | Op::JumpIfTrue { .. }
+            | Op::Return { .. }
+            | Op::ReturnVoid
+            | Op::FallOff
+            | Op::Escaped
+            | Op::SetField { .. }
+            | Op::SetStatic { .. }
+            | Op::ArraySet { .. }
+            | Op::Print { .. } => None,
+        }
+    }
+
+    /// The register this instruction writes, read through
+    /// [`Op::dst_mut`].
+    #[must_use]
+    pub fn dst(mut self) -> Option<u16> {
+        self.dst_mut().copied()
+    }
+}
+
 /// Payload of a [`Op::CallVirtual`].
 #[derive(Debug, Clone)]
 pub struct VirtSpec {

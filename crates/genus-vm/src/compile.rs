@@ -210,14 +210,7 @@ impl<'b> FnCompiler<'b> {
     }
 
     fn patch(&mut self, idx: usize, to: u32) {
-        match &mut self.code[idx] {
-            Op::Jump { target }
-            | Op::JumpIfFalse { target, .. }
-            | Op::JumpIfTrue { target, .. } => {
-                *target = to;
-            }
-            other => unreachable!("patching non-branch {other:?}"),
-        }
+        *self.code[idx].target_mut().expect("patching a branch") = to;
     }
 
     /// Compiles a full block list.

@@ -109,64 +109,9 @@ fn clean_fn(f: &mut VmFunc, consts: &mut SharedVec<Const>, pool: &mut Pool, stat
     }
 }
 
-/// Registers written by an instruction (the call ops write on return).
-pub(super) fn op_dst(op: &Op) -> Option<u16> {
-    match *op {
-        Op::Const { dst, .. }
-        | Op::Move { dst, .. }
-        | Op::GetField { dst, .. }
-        | Op::GetStatic { dst, .. }
-        | Op::Arith { dst, .. }
-        | Op::Cmp { dst, .. }
-        | Op::RefEq { dst, .. }
-        | Op::Concat { dst, .. }
-        | Op::Not { dst, .. }
-        | Op::Neg { dst, .. }
-        | Op::Widen { dst, .. }
-        | Op::NewArray { dst, .. }
-        | Op::ArrayLen { dst, .. }
-        | Op::ArrayGet { dst, .. }
-        | Op::InstanceOf { dst, .. }
-        | Op::Cast { dst, .. }
-        | Op::DefaultValue { dst, .. }
-        | Op::Pack { dst, .. }
-        | Op::Open { dst, .. }
-        | Op::CallVirtual { dst, .. }
-        | Op::CallStatic { dst, .. }
-        | Op::CallGlobal { dst, .. }
-        | Op::CallModel { dst, .. }
-        | Op::CallDirect { dst, .. }
-        | Op::New { dst, .. }
-        | Op::PrimCall { dst, .. }
-        | Op::Native { dst, .. } => Some(dst),
-        Op::Inline { recv, this, .. } => recv.map(|_| this),
-        Op::Jump { .. }
-        | Op::JumpIfFalse { .. }
-        | Op::JumpIfTrue { .. }
-        | Op::Return { .. }
-        | Op::ReturnVoid
-        | Op::FallOff
-        | Op::Escaped
-        | Op::SetField { .. }
-        | Op::SetStatic { .. }
-        | Op::ArraySet { .. }
-        | Op::Print { .. } => None,
-    }
-}
-
-/// Branch target of an instruction, if any.
-fn op_target(op: &Op) -> Option<u32> {
-    match *op {
-        Op::Jump { target } | Op::JumpIfFalse { target, .. } | Op::JumpIfTrue { target, .. } => {
-            Some(target)
-        }
-        _ => None,
-    }
-}
-
 fn label_set(code: &[Op]) -> HashSet<usize> {
     code.iter()
-        .filter_map(op_target)
+        .filter_map(|op| op.target())
         .map(|t| t as usize)
         .collect()
 }
@@ -285,8 +230,8 @@ fn fold_pass(
                     known.remove(&dst);
                 }
             },
-            ref op => {
-                if let Some(dst) = op_dst(op) {
+            op => {
+                if let Some(dst) = op.dst() {
                     known.remove(&dst);
                 }
             }
@@ -300,7 +245,7 @@ fn fold_pass(
 fn thread_jumps(f: &mut VmFunc) -> bool {
     let mut changed = false;
     for i in 0..f.code.len() {
-        let Some(t0) = op_target(&f.code[i]) else {
+        let Some(t0) = f.code[i].target() else {
             continue;
         };
         let mut t = t0;
@@ -312,12 +257,7 @@ fn thread_jumps(f: &mut VmFunc) -> bool {
             }
         }
         if t != t0 {
-            match &mut f.code[i] {
-                Op::Jump { target }
-                | Op::JumpIfFalse { target, .. }
-                | Op::JumpIfTrue { target, .. } => *target = t,
-                _ => unreachable!(),
-            }
+            *f.code[i].target_mut().expect("branch") = t;
             changed = true;
         }
     }
@@ -352,8 +292,8 @@ fn peephole_pass(f: &mut VmFunc, stats: &mut OptStats) -> bool {
         // and the move is not a branch target.
         if keep[i] && i + 1 < len && !labels.contains(&(i + 1)) {
             if let Op::Move { dst: d, src: t } = f.code[i + 1] {
-                if t != d && (t as usize) >= f.num_locals && op_dst(&f.code[i]) == Some(t) {
-                    set_dst(&mut f.code[i], d);
+                if t != d && (t as usize) >= f.num_locals && f.code[i].dst() == Some(t) {
+                    *f.code[i].dst_mut().expect("destination") = d;
                     keep[i + 1] = false;
                     stats.moves_coalesced += 1;
                     changed = true;
@@ -367,53 +307,6 @@ fn peephole_pass(f: &mut VmFunc, stats: &mut OptStats) -> bool {
     changed
 }
 
-pub(super) fn set_dst(op: &mut Op, new: u16) {
-    match op {
-        Op::Const { dst, .. }
-        | Op::Move { dst, .. }
-        | Op::GetField { dst, .. }
-        | Op::GetStatic { dst, .. }
-        | Op::Arith { dst, .. }
-        | Op::Cmp { dst, .. }
-        | Op::RefEq { dst, .. }
-        | Op::Concat { dst, .. }
-        | Op::Not { dst, .. }
-        | Op::Neg { dst, .. }
-        | Op::Widen { dst, .. }
-        | Op::NewArray { dst, .. }
-        | Op::ArrayLen { dst, .. }
-        | Op::ArrayGet { dst, .. }
-        | Op::InstanceOf { dst, .. }
-        | Op::Cast { dst, .. }
-        | Op::DefaultValue { dst, .. }
-        | Op::Pack { dst, .. }
-        | Op::Open { dst, .. }
-        | Op::CallVirtual { dst, .. }
-        | Op::CallStatic { dst, .. }
-        | Op::CallGlobal { dst, .. }
-        | Op::CallModel { dst, .. }
-        | Op::CallDirect { dst, .. }
-        | Op::New { dst, .. }
-        | Op::PrimCall { dst, .. }
-        | Op::Native { dst, .. }
-        | Op::Inline { this: dst, .. } => *dst = new,
-        _ => unreachable!("set_dst on an instruction without a destination"),
-    }
-}
-
-/// Successor indices for reachability.
-fn successors(code: &[Op], i: usize, out: &mut Vec<usize>) {
-    match code[i] {
-        Op::Jump { target } => out.push(target as usize),
-        Op::JumpIfFalse { target, .. } | Op::JumpIfTrue { target, .. } => {
-            out.push(i + 1);
-            out.push(target as usize);
-        }
-        Op::Return { .. } | Op::ReturnVoid | Op::FallOff | Op::Escaped => {}
-        _ => out.push(i + 1),
-    }
-}
-
 /// Removes instructions unreachable from entry.
 fn dce_pass(f: &mut VmFunc, stats: &mut OptStats) -> bool {
     let len = f.code.len();
@@ -422,15 +315,12 @@ fn dce_pass(f: &mut VmFunc, stats: &mut OptStats) -> bool {
     }
     let mut reach = vec![false; len];
     let mut work = vec![0usize];
-    let mut succ = Vec::new();
     while let Some(i) = work.pop() {
         if i >= len || reach[i] {
             continue;
         }
         reach[i] = true;
-        succ.clear();
-        successors(&f.code, i, &mut succ);
-        work.extend(succ.iter().copied());
+        work.extend(f.code[i].successors(i));
     }
     if reach.iter().all(|&r| r) {
         return false;
@@ -456,13 +346,8 @@ pub(super) fn compact(f: &mut VmFunc, keep: &[bool], stats: &mut OptStats) {
     let mut out = Vec::with_capacity(n as usize);
     for (op, _) in f.code.iter().zip(keep).filter(|&(_, &kept)| kept) {
         let mut op = *op;
-        match &mut op {
-            Op::Jump { target }
-            | Op::JumpIfFalse { target, .. }
-            | Op::JumpIfTrue { target, .. } => {
-                *target = map[(*target as usize).min(len)];
-            }
-            _ => {}
+        if let Some(target) = op.target_mut() {
+            *target = map[(*target as usize).min(len)];
         }
         out.push(op);
     }

@@ -40,7 +40,7 @@
 //! push and pop, the step of its `Return`, and its whole prologue where
 //! an earlier one covers it.
 
-use super::cleanup::{compact, op_dst, set_dst};
+use super::cleanup::compact;
 use super::OptStats;
 use crate::bytecode::{Const, Op, VmFunc, VmProgram};
 
@@ -274,8 +274,8 @@ fn splice_calls(code: &mut VmProgram, caller: usize, leaf: &[bool]) -> bool {
                 splice(code, &mut out, dst, spec, base as u16, this, void_dst);
                 code.opt_stats.calls_inlined += 1;
             }
-            mut op => {
-                if branch_target(&mut op).is_some() {
+            op => {
+                if op.target().is_some() {
                     branches.push(out.len());
                 }
                 out.push(op);
@@ -284,7 +284,7 @@ fn splice_calls(code: &mut VmProgram, caller: usize, leaf: &[bool]) -> bool {
     }
     moved.push(out.len());
     for i in branches {
-        let t = branch_target(&mut out[i]).expect("branch");
+        let t = out[i].target_mut().expect("branch");
         *t = moved[*t as usize] as u32;
     }
     let f = &mut code.funcs[caller];
@@ -314,7 +314,7 @@ fn splice(
     let first_arg = u16::from(s.recv.is_some());
     let mut writes = vec![0u32; callee.num_regs];
     for op in &callee.code {
-        if let Some(r) = op_dst(op) {
+        if let Some(r) = op.dst() {
             writes[r as usize] += 1;
         }
     }
@@ -356,10 +356,8 @@ fn splice(
     }
     let body = &callee.code;
     let mut labels = vec![false; body.len() + 1];
-    for mut op in body.iter().copied() {
-        if let Some(&mut t) = branch_target(&mut op) {
-            labels[t as usize] = true;
-        }
+    for t in body.iter().filter_map(|op| op.target()) {
+        labels[t as usize] = true;
     }
     // Callee instruction index → index in `out`; then the jumps to patch.
     let mut at = Vec::with_capacity(body.len() + 1);
@@ -390,20 +388,18 @@ fn splice(
                 if let Op::Inline { nest, .. } = &mut new {
                     *nest += 1;
                 }
-                if branch_target(&mut new).is_some() {
+                if new.target().is_some() {
                     inner.push(out.len());
                 }
                 // The producer of a returned value writes `dst` itself.
                 let fused = match body.get(j + 1) {
                     Some(&Op::Return { src }) => {
-                        !labels[j + 1]
-                            && !matches!(op, Op::Inline { .. })
-                            && op_dst(&op) == Some(src)
+                        !labels[j + 1] && !matches!(op, Op::Inline { .. }) && op.dst() == Some(src)
                     }
                     _ => false,
                 };
                 if fused {
-                    set_dst(&mut new, dst);
+                    *new.dst_mut().expect("destination") = dst;
                     out.push(new);
                     at.push(out.len());
                     exit(out, j + 1);
@@ -418,7 +414,7 @@ fn splice(
     at.push(out.len());
     let end = out.len() as u32;
     for i in inner {
-        let t = branch_target(&mut out[i]).expect("branch");
+        let t = out[i].target_mut().expect("branch");
         *t = at[*t as usize] as u32;
     }
     for i in exits {
@@ -490,7 +486,7 @@ fn drop_repeated_prologues(f: &mut VmFunc, stats: &mut OptStats) {
 fn prologues(body: &[Op], n: usize) -> (Vec<Source>, Vec<(usize, Op)>) {
     let mut source = vec![Source::Entry; n];
     for op in body {
-        if let Some(d) = op_dst(op) {
+        if let Some(d) = op.dst() {
             let d = d as usize;
             source[d] = match (*op, source[d]) {
                 (Op::Inline { recv: Some(r), .. }, Source::Entry) => Source::Unpacked(r),
@@ -503,18 +499,7 @@ fn prologues(body: &[Op], n: usize) -> (Vec<Source>, Vec<(usize, Op)>) {
         .iter()
         .copied()
         .enumerate()
-        .take_while(|(_, op)| {
-            !matches!(
-                op,
-                Op::Jump { .. }
-                    | Op::JumpIfFalse { .. }
-                    | Op::JumpIfTrue { .. }
-                    | Op::Return { .. }
-                    | Op::ReturnVoid
-                    | Op::FallOff
-                    | Op::Escaped
-            )
-        })
+        .take_while(|&(i, op)| op.successors(i).eq([i + 1]))
         .filter(|(_, op)| matches!(op, Op::Inline { .. }))
         .collect();
     (source, entry)
@@ -533,15 +518,6 @@ fn fixed(source: &[Source], mut r: u16) -> bool {
     false
 }
 
-fn branch_target(op: &mut Op) -> Option<&mut u32> {
-    match op {
-        Op::Jump { target } | Op::JumpIfFalse { target, .. } | Op::JumpIfTrue { target, .. } => {
-            Some(target)
-        }
-        _ => None,
-    }
-}
-
 /// Whether register `r` may be read after `code[pc]` before it is
 /// written again.
 fn live_after(prog: &VmProgram, code: &[Op], pc: usize, r: u16) -> bool {
@@ -555,17 +531,8 @@ fn live_after(prog: &VmProgram, code: &[Op], pc: usize, r: u16) -> bool {
         if reads(prog, op, r) {
             return true;
         }
-        if op_dst(op) == Some(r) {
-            continue;
-        }
-        match *op {
-            Op::Jump { target } => work.push(target as usize),
-            Op::JumpIfFalse { target, .. } | Op::JumpIfTrue { target, .. } => {
-                work.push(i + 1);
-                work.push(target as usize);
-            }
-            Op::Return { .. } | Op::ReturnVoid | Op::FallOff | Op::Escaped => {}
-            _ => work.push(i + 1),
+        if op.dst() != Some(r) {
+            work.extend(op.successors(i));
         }
     }
     false

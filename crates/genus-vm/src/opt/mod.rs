@@ -8,7 +8,10 @@
 //! gap to the *heterogeneous* translation the paper credits for its
 //! Table 1 wins, without giving up the dictionary-passing fallback:
 //!
-//! 0. **Reachability** (`reach`, level 2): a name-based call graph from
+//! Level 0 runs nothing; any other level runs every pass below (see
+//! [`level`]).
+//!
+//! 0. **Reachability** (`reach`): a name-based call graph from
 //!    `main` and the initializers. The later passes touch only what it
 //!    reaches (and the clones made from it); everything else keeps its
 //!    valid unoptimized body, so an over-approximation costs compile
@@ -25,7 +28,7 @@
 //! 2. **Cleanup** (`cleanup`): constant folding and propagation, branch
 //!    folding on constant conditions, jump threading, `Move` coalescing,
 //!    and unreachable-code elimination.
-//! 3. **Inlining** (`inline`, level 2): splice each `Op::CallDirect` to a
+//! 3. **Inlining** (`inline`): splice each `Op::CallDirect` to a
 //!    small frameless leaf into its caller behind an `Op::Inline` prologue
 //!    that keeps the call's traps, then clean the changed bodies again.
 //! 4. **Type reification**: `types`-table entries that are closed and
@@ -86,8 +89,23 @@ pub struct OptStats {
     pub types_reified: usize,
 }
 
-/// Compiles `prog` and runs the optimization pipeline at `level`
-/// (clamped to `0..=2`).
+/// The level a request for optimization level `requested` runs at: 0
+/// leaves the bytecode as lowered (the paper's homogeneous translation),
+/// any other level runs the whole pipeline and reads 2. Every place a
+/// level enters from outside (the CLI flag, a serve request's `opt`, a
+/// compile session) normalizes it here, so a cache keyed by level holds
+/// one entry per pipeline.
+#[must_use]
+pub fn level(requested: u8) -> u8 {
+    if requested == 0 {
+        0
+    } else {
+        2
+    }
+}
+
+/// Compiles `prog` and runs the optimization pipeline at `level` (see
+/// [`level`]).
 #[must_use]
 pub fn compile_optimized(prog: &CheckedProgram, level: u8) -> VmProgram {
     let mut code = compile_program(prog);
@@ -95,26 +113,21 @@ pub fn compile_optimized(prog: &CheckedProgram, level: u8) -> VmProgram {
     code
 }
 
-/// Runs the pipeline in place. Level 1 is cleanup and type reification
-/// over every function. Level 2 first finds the functions reachable from
-/// `main` and the initializers, then runs specialization, cleanup,
-/// inlining and a second cleanup (of the bodies inlining changed) over
-/// those and their clones only; the rest keep their unoptimized bodies.
-/// Level 0 leaves the program untouched.
-pub fn optimize(code: &mut VmProgram, prog: &CheckedProgram, level: u8) {
-    let level = level.min(2);
-    code.opt_stats.level = level;
-    if level == 0 {
+/// Runs the pipeline in place. Level 0 leaves the program untouched.
+/// Any other level first finds the functions reachable from `main` and
+/// the initializers, then runs specialization, cleanup, inlining, a
+/// second cleanup (of the bodies inlining changed) and type reification
+/// over those and their clones only; the rest keep their unoptimized
+/// bodies.
+pub fn optimize(code: &mut VmProgram, prog: &CheckedProgram, requested: u8) {
+    code.opt_stats.level = level(requested);
+    if code.opt_stats.level == 0 {
         return;
     }
-    if level >= 2 {
-        let live = specialize_reachable(code, prog);
-        cleanup::cleanup(code, &live);
-        let inlined = inline::inline(code, &live);
-        cleanup::cleanup(code, &inlined);
-    } else {
-        cleanup::cleanup(code, &vec![true; code.funcs.len()]);
-    }
+    let live = specialize_reachable(code, prog);
+    cleanup::cleanup(code, &live);
+    let inlined = inline::inline(code, &live);
+    cleanup::cleanup(code, &inlined);
     reify_types(code, prog);
 }
 

@@ -6,25 +6,28 @@
 //! match. This module removes that loop by translating each compiled
 //! [`VmFunc`] — *after* the optimizer has run, so specialization and
 //! devirtualization (§7.3 heterogeneous translation) have already done
-//! their work — into a tree of pre-resolved nested Rust closures:
+//! their work — into a tree of pre-resolved nested Rust closures.
 //!
-//! - Operands become **captured register indices**; there is no operand
-//!   decoding at run time.
-//! - `CallDirect` payloads are **resolved at tier-compile time**: the
-//!   callee, receiver/argument registers, and null-check flag are
-//!   captured directly, so a specialized call is a frame push with zero
-//!   dispatch. (Most small frameless callees never get here: at O2 the
-//!   optimizer has already spliced them into their callers.)
-//! - Reified type images (`rt_types`) are **pre-materialized** into the
-//!   closures for `instanceof`/casts/array allocation, hoisting the
-//!   side-table lookup out of the hot path.
-//! - Inline-cache sites (`CallVirtual`'s `site`, `CallModel`'s model
-//!   site) capture their slot index, feeding the same monomorphic caches
-//!   the VM uses.
-//! - Hot arithmetic/comparison shapes (`int` add/sub/mul and the six
-//!   orderings) are specialized into closures that test the operand
-//!   variants inline, falling back to the shared `ops` helpers — and
-//!   their exact error identities — on any mismatch.
+//! # One definition per opcode
+//!
+//! What an op does — its value, its trap kind and message, its meter
+//! charge — is written once, as a `Vm::op_*` routine in `crate::vm`.
+//! Each closure here calls the same routine as the VM loop's arm for
+//! that op, with its operands decided at translation time instead of
+//! decoded per execution:
+//!
+//! - operands are **captured register indices** and spec payloads;
+//! - a type operand is decided **reified or open** once (`Ty`);
+//! - `CallDirect` captures its spec, so a specialized call builds the
+//!   callee frame in place with zero dispatch;
+//! - primitive constants are **captured immediates** (string constants
+//!   stay pool clones, sharing the pool's `Rc`).
+//!
+//! A few shapes are computed inline, and each falls back to the shared
+//! routine on any other operand, so none raises a trap of its own:
+//! `int` add/sub/mul fall back to `Vm::op_arith`, the six `int`
+//! orderings to `Vm::op_cmp`, and a `PrimCall` of `compareTo` or
+//! `equals` on two `int`s to `Vm::op_prim_call`.
 //!
 //! # Block structure and the outer loop
 //!
@@ -39,24 +42,13 @@
 //! is block 0, matching the VM's `pc = 0` convention), so the host stack
 //! stays flat and `max_depth` keeps its meaning.
 //!
-//! # Going faster than the loop
-//!
-//! Removing fetch/decode alone roughly breaks even with the VM's
-//! jump-table match, so the tier's wins come from doing *less work per
-//! executed op*, never from skipping accounting:
-//!
-//! - **Borrowed fast paths.** Array and field ops index the register
-//!   file in place — no `Rc` refcount round trip on the receiver, one
-//!   `RefCell` borrow instead of two. Primitive constants are captured
-//!   immediates instead of pool lookups.
-//!
 //! # Meter parity (R0009/R0010 by construction)
 //!
 //! Every op closure begins with `vm.meter.step()?` — exactly one step per
 //! executed opcode, the same accounting as the VM loop's per-iteration
-//! step — and allocation sites charge the same costs through
-//! `Meter::charge`. Fuel and memory traps therefore fire after the
-//! *identical* step/unit sequence on both tiers: the differential
+//! step — and the shared routines make every other charge. Fuel and
+//! memory traps therefore fire after the *identical* step/unit sequence
+//! on both tiers: the differential
 //! harness asserts `fuel_used` equality, not mere trap agreement.
 //! Nested execution (field-initializer chains, `toString` dispatch from
 //! stringification, static initializers) runs on the VM loop via the
@@ -78,17 +70,12 @@
 //! metering and nested VM-loop execution do not depend on it.
 
 use crate::bytecode::{Const, FuncId, Op, VmFunc, VmProgram};
-use crate::vm::{Action, Vm, VmFrame};
+use crate::vm::{Action, Ty, Vm, VmFrame};
 use genus_check::hir::NumKind;
 use genus_common::FastMap;
-use genus_heap::str_bytes;
-use genus_interp::natives;
-use genus_interp::ops::{arith, compare, widen_value};
-use genus_interp::rtti;
-use genus_interp::{ErrorKind, ModelValue, RtType, RuntimeError, Value};
+use genus_interp::{RtType, RuntimeError, Value};
 use genus_syntax::ast::BinOp;
 use genus_types::Type;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -222,28 +209,10 @@ impl<'p> Vm<'p> {
             Arc::ptr_eq(self.code(), tier.code()),
             "tier program was compiled from different bytecode"
         );
-        self.init_statics()?;
-        let Some(main) = self.prog.main_index() else {
-            return Err(RuntimeError::new(ErrorKind::Other, "no `main()` method"));
-        };
-        match self.prepare_global(main, vec![], vec![], vec![])? {
+        match self.main_call()? {
             Action::Value(v) => Ok(v),
-            Action::Frame(f) => self.run_tier_call(tier, f),
+            Action::Frame(f) => self.nested(|| self.tier_frames(tier, f)),
         }
-    }
-
-    /// Runs `root` (and every frame it pushes) to completion on the tier,
-    /// restoring the Genus depth budget on error like the VM's
-    /// `run_call`.
-    fn run_tier_call(&self, tier: &TierProgram, root: VmFrame) -> RResult<Value> {
-        let base = self.depth.get();
-        self.nesting.set(self.nesting.get() + 1);
-        let r = self.tier_frames(tier, root);
-        self.nesting.set(self.nesting.get() - 1);
-        if r.is_err() {
-            self.depth.set(base);
-        }
-        r
     }
 
     /// The tier's outer loop: runs block thunks, applying their control
@@ -290,17 +259,19 @@ fn compile_func(code: &VmProgram, f: &VmFunc) -> CompiledFunc {
     // every frame-pushing call (returns re-enter at a block boundary).
     let mut leaders: Vec<usize> = vec![0];
     for (pc, op) in f.code.iter().enumerate() {
-        match op {
-            Op::Jump { target }
-            | Op::JumpIfFalse { target, .. }
-            | Op::JumpIfTrue { target, .. } => leaders.push(*target as usize),
+        if let Some(target) = op.target() {
+            leaders.push(target as usize);
+        }
+        if matches!(
+            op,
             Op::CallDirect { .. }
-            | Op::CallVirtual { .. }
-            | Op::CallStatic { .. }
-            | Op::CallGlobal { .. }
-            | Op::CallModel { .. }
-            | Op::New { .. } => leaders.push(pc + 1),
-            _ => {}
+                | Op::CallVirtual { .. }
+                | Op::CallStatic { .. }
+                | Op::CallGlobal { .. }
+                | Op::CallModel { .. }
+                | Op::New { .. }
+        ) {
+            leaders.push(pc + 1);
         }
     }
     leaders.sort_unstable();
@@ -348,10 +319,7 @@ fn target_block(blocks: &BlockMap, target: u32) -> u32 {
         .expect("jump target is a block leader")
 }
 
-/// A type operand resolved at tier-compile time: either the optimizer's
-/// pre-reified image (closed terms) or the open term to evaluate against
-/// the frame's environment — the same split the VM makes per call, but
-/// decided once here.
+/// A type operand decided at translation time: an owned [`Ty`].
 enum TyRef {
     Reified(RtType),
     Open(Type),
@@ -359,23 +327,30 @@ enum TyRef {
 
 impl TyRef {
     fn of(code: &VmProgram, ty: u32) -> TyRef {
-        match code.rt_types.get(ty as usize).and_then(Option::as_ref) {
-            Some(rt) => TyRef::Reified(rt.clone()),
-            None => TyRef::Open(code.types[ty as usize].clone()),
+        match Ty::of(code, ty) {
+            Ty::Reified(rt) => TyRef::Reified(rt.clone()),
+            Ty::Open(t) => TyRef::Open(t.clone()),
         }
     }
 
-    fn reify(&self, vm: &Vm<'_>, f: &VmFrame) -> RtType {
+    fn get(&self) -> Ty<'_> {
         match self {
-            TyRef::Reified(rt) => rt.clone(),
-            TyRef::Open(t) => rtti::eval_type(vm.prog, &f.tenv, &f.menv, t),
+            TyRef::Reified(rt) => Ty::Reified(rt),
+            TyRef::Open(t) => Ty::Open(t),
         }
     }
 }
 
+/// Parks `callee` for the outer loop to push, with the caller resuming
+/// at block `resume`.
+fn park(vm: &Vm<'_>, f: &mut VmFrame, resume: u32, callee: VmFrame) -> Ctl {
+    f.pc = resume as usize;
+    vm.pending_call.set(Some(callee));
+    Ctl::Call
+}
+
 /// Applies a resolved call: immediate values jump straight to the resume
-/// block, frames park the caller at the resume block and the callee in
-/// `Vm::pending_call` for the outer loop to push.
+/// block, frames return to the caller's `dst` and are parked.
 fn finish_call(
     vm: &Vm<'_>,
     f: &mut VmFrame,
@@ -389,10 +364,8 @@ fn finish_call(
             Ok(Ctl::Jump(resume))
         }
         Action::Frame(mut callee) => {
-            f.pc = resume as usize;
             callee.dst = Some(dst);
-            vm.pending_call.set(Some(callee));
-            Ok(Ctl::Call)
+            Ok(park(vm, f, resume, callee))
         }
     }
 }
@@ -404,43 +377,58 @@ fn thunk(
     Box::new(t)
 }
 
-/// Compiles one instruction into a closure over its continuation.
-///
-/// Every closure's first action is `vm.meter.step()?` — see the module
-/// docs on meter parity. Error messages are verbatim copies of the VM
-/// loop's, so `(code, message)` identity is preserved, not just the
-/// code.
+/// An op that falls through: one fuel step, its routine `op`, then the
+/// rest of the block.
+fn seq(
+    rest: Thunk,
+    op: impl for<'a, 'p> Fn(&'a Vm<'p>, &mut VmFrame) -> RResult<()> + Send + Sync + 'static,
+) -> Thunk {
+    thunk(move |vm, f| {
+        vm.meter.step()?;
+        op(vm, f)?;
+        rest(vm, f)
+    })
+}
+
+/// A call that ends its block: one fuel step, the routine `op` that
+/// resolves it, then [`finish_call`].
+fn call(
+    dst: u16,
+    resume: u32,
+    op: impl for<'a, 'p> Fn(&'a Vm<'p>, &VmFrame) -> RResult<Action> + Send + Sync + 'static,
+) -> Thunk {
+    thunk(move |vm, f| {
+        vm.meter.step()?;
+        let action = op(vm, f)?;
+        finish_call(vm, f, dst, resume, action)
+    })
+}
+
+/// Compiles one instruction into a closure over its continuation: the
+/// operands captured, the op's shared `Vm::op_*` routine called.
 #[allow(clippy::too_many_lines)]
 fn op_thunk(code: &VmProgram, op: Op, pc: usize, rest: Thunk, blocks: &BlockMap) -> Thunk {
+    let resume = || target_block(blocks, pc as u32 + 1);
     match op {
-        Op::Const { dst, k } => {
-            let (dst, k) = (dst as usize, k as usize);
-            match code.consts[k].clone() {
-                // Strings stay indexed clones: the VM's pool shares one
-                // `Rc` per literal, and `Const::to_value` would rebuild
-                // the allocation on every execution.
-                Const::Str(_) => thunk(move |vm, f| {
-                    vm.meter.step()?;
-                    f.regs[dst] = vm.consts[k].clone();
-                    rest(vm, f)
-                }),
-                // Primitives become captured immediates — no pool
-                // lookup, no clone dispatch.
-                c => thunk(move |vm, f| {
-                    vm.meter.step()?;
-                    f.regs[dst] = c.to_value();
-                    rest(vm, f)
-                }),
-            }
-        }
-        Op::Move { dst, src } => {
-            let (dst, src) = (dst as usize, src as usize);
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                f.regs[dst] = f.regs[src].clone();
-                rest(vm, f)
-            })
-        }
+        Op::Const { dst, k } => match code.consts[k as usize].clone() {
+            // Strings stay indexed clones: the VM's pool shares one `Rc`
+            // per literal, and `Const::to_value` would rebuild the
+            // allocation on every execution.
+            Const::Str(_) => seq(rest, move |vm, f| {
+                vm.op_const(f, dst, k);
+                Ok(())
+            }),
+            // Primitives become captured immediates — no pool lookup, no
+            // clone dispatch.
+            c => seq(rest, move |_, f| {
+                f.regs[dst as usize] = c.to_value();
+                Ok(())
+            }),
+        },
+        Op::Move { dst, src } => seq(rest, move |vm, f| {
+            vm.op_move(f, dst, src);
+            Ok(())
+        }),
         Op::Jump { target } => {
             let b = target_block(blocks, target);
             thunk(move |vm, _| {
@@ -448,347 +436,95 @@ fn op_thunk(code: &VmProgram, op: Op, pc: usize, rest: Thunk, blocks: &BlockMap)
                 Ok(Ctl::Jump(b))
             })
         }
-        Op::JumpIfFalse { cond, target } => {
-            let cond = cond as usize;
+        Op::JumpIfFalse { cond, target } | Op::JumpIfTrue { cond, target } => {
             let b = target_block(blocks, target);
+            let on = matches!(op, Op::JumpIfTrue { .. });
             thunk(move |vm, f| {
                 vm.meter.step()?;
-                match &f.regs[cond] {
-                    Value::Bool(false) => Ok(Ctl::Jump(b)),
-                    Value::Bool(true) => rest(vm, f),
-                    other => Err(RuntimeError::new(
-                        ErrorKind::Other,
-                        format!("condition evaluated to non-boolean {other:?}"),
-                    )),
+                if vm.op_cond(f, cond)? == on {
+                    Ok(Ctl::Jump(b))
+                } else {
+                    rest(vm, f)
                 }
             })
         }
-        Op::JumpIfTrue { cond, target } => {
-            let cond = cond as usize;
-            let b = target_block(blocks, target);
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                match &f.regs[cond] {
-                    Value::Bool(true) => Ok(Ctl::Jump(b)),
-                    Value::Bool(false) => rest(vm, f),
-                    other => Err(RuntimeError::new(
-                        ErrorKind::Other,
-                        format!("condition evaluated to non-boolean {other:?}"),
-                    )),
-                }
-            })
-        }
-        Op::Return { src } => {
-            let src = src as usize;
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                Ok(Ctl::Ret(f.regs[src].clone()))
-            })
-        }
+        Op::Return { src } => thunk(move |vm, f| {
+            vm.meter.step()?;
+            Ok(Ctl::Ret(f.regs[src as usize].clone()))
+        }),
         Op::ReturnVoid => thunk(move |vm, _| {
             vm.meter.step()?;
             Ok(Ctl::Ret(Value::Void))
         }),
         Op::FallOff => thunk(move |vm, _| {
             vm.meter.step()?;
-            Err(RuntimeError::new(
-                ErrorKind::MissingReturn,
-                "non-void body completed without returning",
-            ))
+            Err(vm.op_fall_off())
         }),
         Op::Escaped => thunk(move |vm, _| {
             vm.meter.step()?;
-            Err(RuntimeError::new(
-                ErrorKind::Other,
-                "break/continue escaped a body",
-            ))
+            Err(vm.op_escaped())
         }),
         Op::GetField { dst, obj, slot } => {
-            let (dst, obj, slot) = (dst as usize, obj as usize, slot as usize);
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                let o = rtti::expect_obj(&vm.heap, &f.regs[obj])?;
-                let v = o.fields.borrow()[slot].clone();
-                f.regs[dst] = v;
-                rest(vm, f)
-            })
+            seq(rest, move |vm, f| vm.op_get_field(f, dst, obj, slot))
         }
         Op::SetField { obj, slot, src } => {
-            let (obj, src, slot) = (obj as usize, src as usize, slot as usize);
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                {
-                    let v = f.regs[src].clone();
-                    let o = rtti::expect_obj(&vm.heap, &f.regs[obj])?;
-                    o.fields.borrow_mut()[slot] = v;
-                }
-                rest(vm, f)
-            })
+            seq(rest, move |vm, f| vm.op_set_field(f, obj, slot, src))
         }
-        Op::GetStatic { dst, class, field } => {
-            let dst = dst as usize;
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                f.regs[dst] = vm
-                    .statics
-                    .borrow()
-                    .get(&(class.0, field))
-                    .cloned()
-                    .unwrap_or(Value::Null);
-                rest(vm, f)
-            })
-        }
-        Op::SetStatic { class, field, src } => {
-            let src = src as usize;
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                let v = f.regs[src].clone();
-                vm.statics.borrow_mut().insert((class.0, field), v);
-                rest(vm, f)
-            })
-        }
+        Op::GetStatic { dst, class, field } => seq(rest, move |vm, f| {
+            vm.op_get_static(f, dst, class, field);
+            Ok(())
+        }),
+        Op::SetStatic { class, field, src } => seq(rest, move |vm, f| {
+            vm.op_set_static(f, class, field, src);
+            Ok(())
+        }),
         Op::Arith { dst, op, nk, l, r } => arith_thunk(dst, op, nk, l, r, rest),
         Op::Cmp { dst, op, nk, l, r } => cmp_thunk(dst, op, nk, l, r, rest),
-        Op::RefEq { dst, l, r, negate } => {
-            let (dst, l, r) = (dst as usize, l as usize, r as usize);
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                let eq = vm.heap.ref_eq(&f.regs[l], &f.regs[r]);
-                f.regs[dst] = Value::Bool(eq != negate);
-                rest(vm, f)
-            })
-        }
-        Op::Concat { dst, l, r } => {
-            let (dst, l, r) = (dst as usize, l as usize, r as usize);
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                let lv = f.regs[l].clone();
-                let rv = f.regs[r].clone();
-                let mut s = vm.stringify(&lv)?;
-                s.push_str(&vm.stringify(&rv)?);
-                vm.meter.charge(str_bytes(s.len()))?;
-                f.regs[dst] = Value::Str(Rc::from(s.as_str()));
-                rest(vm, f)
-            })
-        }
-        Op::Not { dst, src } => {
-            let (dst, src) = (dst as usize, src as usize);
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                match &f.regs[src] {
-                    Value::Bool(b) => f.regs[dst] = Value::Bool(!*b),
-                    _ => return Err(RuntimeError::new(ErrorKind::Other, "`!` on non-boolean")),
-                }
-                rest(vm, f)
-            })
-        }
-        Op::Neg { dst, src, nk } => {
-            let (dst, src) = (dst as usize, src as usize);
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                let v = f.regs[src].clone();
-                f.regs[dst] = match (nk, v) {
-                    (NumKind::Int, Value::Int(x)) => Value::Int(x.wrapping_neg()),
-                    (NumKind::Long, Value::Long(x)) => Value::Long(x.wrapping_neg()),
-                    (NumKind::Double, Value::Double(x)) => Value::Double(-x),
-                    (_, v) => {
-                        return Err(RuntimeError::new(
-                            ErrorKind::Other,
-                            format!("cannot negate {v:?}"),
-                        ))
-                    }
-                };
-                rest(vm, f)
-            })
-        }
-        Op::Widen { dst, src, to } => {
-            let (dst, src) = (dst as usize, src as usize);
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                let v = f.regs[src].clone();
-                f.regs[dst] = widen_value(v, to);
-                rest(vm, f)
-            })
-        }
+        Op::RefEq { dst, l, r, negate } => seq(rest, move |vm, f| {
+            vm.op_ref_eq(f, dst, l, r, negate);
+            Ok(())
+        }),
+        Op::Concat { dst, l, r } => seq(rest, move |vm, f| vm.op_concat(f, dst, l, r)),
+        Op::Not { dst, src } => seq(rest, move |vm, f| vm.op_not(f, dst, src)),
+        Op::Neg { dst, src, nk } => seq(rest, move |vm, f| vm.op_neg(f, dst, src, nk)),
+        Op::Widen { dst, src, to } => seq(rest, move |vm, f| {
+            vm.op_widen(f, dst, src, to);
+            Ok(())
+        }),
         Op::NewArray { dst, len, elem } => {
-            let (dst, len) = (dst as usize, len as usize);
             let elem = TyRef::of(code, elem);
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                let et = elem.reify(vm, f);
-                let Value::Int(n) = f.regs[len] else {
-                    return Err(RuntimeError::new(
-                        ErrorKind::Other,
-                        "array length must be int",
-                    ));
-                };
-                if n < 0 {
-                    return Err(RuntimeError::new(
-                        ErrorKind::IndexOutOfBounds,
-                        format!("negative array length {n}"),
-                    ));
-                }
-                f.regs[dst] = vm.heap.alloc_arr(&vm.meter, et, n as usize)?;
-                rest(vm, f)
-            })
+            seq(rest, move |vm, f| vm.op_new_array(f, dst, len, elem.get()))
         }
-        Op::ArrayLen { dst, arr } => {
-            let (dst, arr) = (dst as usize, arr as usize);
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                let len = rtti::expect_arr(&vm.heap, &f.regs[arr])?
-                    .storage
-                    .borrow()
-                    .len();
-                f.regs[dst] = Value::Int(len as i32);
-                rest(vm, f)
-            })
-        }
-        Op::ArrayGet { dst, arr, idx } => {
-            let (dst, arr, idx) = (dst as usize, arr as usize, idx as usize);
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                let v = {
-                    let a = rtti::expect_arr(&vm.heap, &f.regs[arr])?;
-                    let s = a.storage.borrow();
-                    let i = rtti::expect_index(&f.regs[idx], s.len())?;
-                    s.get(i)
-                };
-                f.regs[dst] = v;
-                rest(vm, f)
-            })
-        }
-        Op::ArraySet { arr, idx, src } => {
-            let (arr, idx, src) = (arr as usize, idx as usize, src as usize);
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                {
-                    let a = rtti::expect_arr(&vm.heap, &f.regs[arr])?;
-                    let mut s = a.storage.borrow_mut();
-                    let i = rtti::expect_index(&f.regs[idx], s.len())?;
-                    let v = f.regs[src].clone();
-                    s.set(i, v);
-                }
-                rest(vm, f)
-            })
-        }
+        Op::ArrayLen { dst, arr } => seq(rest, move |vm, f| vm.op_array_len(f, dst, arr)),
+        Op::ArrayGet { dst, arr, idx } => seq(rest, move |vm, f| vm.op_array_get(f, dst, arr, idx)),
+        Op::ArraySet { arr, idx, src } => seq(rest, move |vm, f| vm.op_array_set(f, arr, idx, src)),
         Op::InstanceOf { dst, src, ty } => {
-            let (dst, src) = (dst as usize, src as usize);
             let ty = TyRef::of(code, ty);
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                let v = f.regs[src].clone();
-                let b = match &ty {
-                    TyRef::Reified(rt) => rtti::value_instanceof(vm.prog, &vm.heap, &v, rt),
-                    TyRef::Open(t) => {
-                        rtti::instanceof_type(vm.prog, &vm.heap, &f.tenv, &f.menv, &v, t)
-                    }
-                };
-                f.regs[dst] = Value::Bool(b);
-                rest(vm, f)
+            seq(rest, move |vm, f| {
+                vm.op_instance_of(f, dst, src, ty.get());
+                Ok(())
             })
         }
         Op::Cast { dst, src, ty } => {
-            let (dst, src) = (dst as usize, src as usize);
             let ty = TyRef::of(code, ty);
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                let v = f.regs[src].clone();
-                f.regs[dst] = match &ty {
-                    TyRef::Reified(rt) => rtti::cast_value_rt(vm.prog, &vm.heap, v, rt)?,
-                    TyRef::Open(t) => {
-                        rtti::cast_value(vm.prog, &vm.heap, &vm.meter, &f.tenv, &f.menv, v, t)?
-                    }
-                };
-                rest(vm, f)
-            })
+            seq(rest, move |vm, f| vm.op_cast(f, dst, src, ty.get()))
         }
         Op::DefaultValue { dst, ty } => {
-            let dst = dst as usize;
             let ty = TyRef::of(code, ty);
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                f.regs[dst] = ty.reify(vm, f).default_value();
-                rest(vm, f)
+            seq(rest, move |vm, f| {
+                vm.op_default(f, dst, ty.get());
+                Ok(())
             })
         }
         Op::Pack { dst, src, spec } => {
-            let (dst, src) = (dst as usize, src as usize);
             let s = code.pack_specs[spec as usize].clone();
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                let v = f.regs[src].clone();
-                let ts = s
-                    .types
-                    .iter()
-                    .map(|t| rtti::eval_type(vm.prog, &f.tenv, &f.menv, t))
-                    .collect();
-                let ms = s
-                    .models
-                    .iter()
-                    .map(|m| rtti::eval_model(vm.prog, &f.tenv, &f.menv, m))
-                    .collect();
-                f.regs[dst] = vm.heap.alloc_packed(&vm.meter, v, ts, ms)?;
-                rest(vm, f)
-            })
+            seq(rest, move |vm, f| vm.op_pack(f, dst, src, &s))
         }
         Op::Open { dst, src, spec } => {
-            let (dst, src) = (dst as usize, src as usize);
             let s = code.open_specs[spec as usize].clone();
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                let v = f.regs[src].clone();
-                match v {
-                    Value::Packed(h) => {
-                        let p = vm.heap.packed(h);
-                        for (tv, t) in s.tvs.iter().zip(&p.types) {
-                            f.tenv.insert(*tv, t.clone());
-                        }
-                        for (mv, m) in s.mvs.iter().zip(&p.models) {
-                            f.menv.insert(*mv, m.clone());
-                        }
-                        f.regs[dst] = p.value.clone();
-                    }
-                    Value::Null => {
-                        return Err(RuntimeError::new(
-                            ErrorKind::NullPointer,
-                            "cannot open a null existential",
-                        ));
-                    }
-                    other => {
-                        let rt = rtti::value_rt_type(vm.prog, &vm.heap, &other);
-                        for tv in &s.tvs {
-                            f.tenv.insert(*tv, rt.clone());
-                        }
-                        f.regs[dst] = other;
-                    }
-                }
-                rest(vm, f)
-            })
+            seq(rest, move |vm, f| vm.op_open(f, dst, src, &s))
         }
-        Op::Print { src, newline } => {
-            let src = src as usize;
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                let v = f.regs[src].clone();
-                let s = vm.stringify(&v)?;
-                {
-                    let mut out = vm.output.borrow_mut();
-                    out.push_str(&s);
-                    if newline {
-                        out.push('\n');
-                    }
-                }
-                if vm.echo {
-                    if newline {
-                        println!("{s}");
-                    } else {
-                        print!("{s}");
-                    }
-                }
-                rest(vm, f)
-            })
-        }
+        Op::Print { src, newline } => seq(rest, move |vm, f| vm.op_print(f, src, newline)),
         Op::CallVirtual {
             dst,
             recv,
@@ -796,121 +532,29 @@ fn op_thunk(code: &VmProgram, op: Op, pc: usize, rest: Thunk, blocks: &BlockMap)
             site,
         } => {
             let s = code.virt_specs[spec as usize].clone();
-            let recv = recv as usize;
-            let resume = target_block(blocks, pc as u32 + 1);
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                let r = f.regs[recv].clone();
-                let args: Vec<Value> = s.args.iter().map(|&a| f.regs[a as usize].clone()).collect();
-                let rt: Vec<RtType> = s
-                    .targs
-                    .iter()
-                    .map(|t| rtti::eval_type(vm.prog, &f.tenv, &f.menv, t))
-                    .collect();
-                let rm: Vec<ModelValue> = s
-                    .margs
-                    .iter()
-                    .map(|m| rtti::eval_model(vm.prog, &f.tenv, &f.menv, m))
-                    .collect();
-                let action = vm.prepare_virtual(Some(site), r, s.name, s.arity, rt, rm, args)?;
-                finish_call(vm, f, dst, resume, action)
+            call(dst, resume(), move |vm, f| {
+                vm.op_call_virtual(f, recv, &s, site)
             })
         }
         Op::CallStatic { dst, spec } => {
             let s = code.static_specs[spec as usize].clone();
-            let resume = target_block(blocks, pc as u32 + 1);
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                let args: Vec<Value> = s.args.iter().map(|&a| f.regs[a as usize].clone()).collect();
-                let rt: Vec<RtType> = s
-                    .targs
-                    .iter()
-                    .map(|t| rtti::eval_type(vm.prog, &f.tenv, &f.menv, t))
-                    .collect();
-                let rm: Vec<ModelValue> = s
-                    .margs
-                    .iter()
-                    .map(|m| rtti::eval_model(vm.prog, &f.tenv, &f.menv, m))
-                    .collect();
-                let action =
-                    vm.prepare_class_method(s.class, s.method, vec![], vec![], None, rt, rm, args)?;
-                finish_call(vm, f, dst, resume, action)
-            })
+            call(dst, resume(), move |vm, f| vm.op_call_static(f, &s))
         }
         Op::CallGlobal { dst, spec } => {
             let s = code.global_specs[spec as usize].clone();
-            let resume = target_block(blocks, pc as u32 + 1);
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                let args: Vec<Value> = s.args.iter().map(|&a| f.regs[a as usize].clone()).collect();
-                let rt: Vec<RtType> = s
-                    .targs
-                    .iter()
-                    .map(|t| rtti::eval_type(vm.prog, &f.tenv, &f.menv, t))
-                    .collect();
-                let rm: Vec<ModelValue> = s
-                    .margs
-                    .iter()
-                    .map(|m| rtti::eval_model(vm.prog, &f.tenv, &f.menv, m))
-                    .collect();
-                let action = vm.prepare_global(s.index, rt, rm, args)?;
-                finish_call(vm, f, dst, resume, action)
-            })
+            call(dst, resume(), move |vm, f| vm.op_call_global(f, &s))
         }
         Op::CallModel { dst, spec, site } => {
             let s = code.model_specs[spec as usize].clone();
-            let resume = target_block(blocks, pc as u32 + 1);
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                let mv = rtti::eval_model(vm.prog, &f.tenv, &f.menv, &s.model);
-                let r = s.recv.map(|r| f.regs[r as usize].clone());
-                let srt = s
-                    .static_recv
-                    .as_ref()
-                    .map(|t| rtti::eval_type(vm.prog, &f.tenv, &f.menv, t));
-                let args: Vec<Value> = s.args.iter().map(|&a| f.regs[a as usize].clone()).collect();
-                let action = vm.prepare_model(Some(site), &mv, s.name, r, srt, args)?;
-                finish_call(vm, f, dst, resume, action)
-            })
+            call(dst, resume(), move |vm, f| vm.op_call_model(f, &s, site))
         }
         Op::CallDirect { dst, spec } => {
-            // Fully pre-resolved at tier-compile time: callee, receiver,
-            // null check, and argument registers are captured directly,
-            // and the callee frame is built in place — no intermediate
-            // argument vector.
+            // Resolved at translation time: the callee, receiver, null
+            // check and argument registers are captured, and the callee
+            // frame is built in place.
             let s = code.direct_specs[spec as usize].clone();
-            let (func, recv, null_check) = (s.func, s.recv, s.null_check);
-            let argv = s.args;
-            let num_regs = code.funcs[func.0 as usize].num_regs;
-            let resume = target_block(blocks, pc as u32 + 1);
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                let this = match recv {
-                    Some(r) => Some(vm.direct_recv(f.regs[r as usize].clone(), null_check)?),
-                    None => None,
-                };
-                let mut regs = vm.grab_regs(num_regs);
-                let mut slot = 0;
-                if let Some(t) = this {
-                    regs[0] = t;
-                    slot = 1;
-                }
-                for &a in &argv {
-                    regs[slot] = f.regs[a as usize].clone();
-                    slot += 1;
-                }
-                let callee = VmFrame {
-                    func,
-                    pc: 0,
-                    regs,
-                    tenv: Default::default(),
-                    menv: Default::default(),
-                    dst: Some(dst),
-                    counted: true,
-                };
-                f.pc = resume as usize;
-                vm.pending_call.set(Some(callee));
-                Ok(Ctl::Call)
+            call(dst, resume(), move |vm, f| {
+                vm.op_call_direct(f, &s).map(Action::Frame)
             })
         }
         Op::Inline {
@@ -918,113 +562,74 @@ fn op_thunk(code: &VmProgram, op: Op, pc: usize, rest: Thunk, blocks: &BlockMap)
             this,
             null_check,
             nest,
-        } => {
-            let this = this as usize;
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                if let Some(r) = recv {
-                    f.regs[this] = vm.direct_recv(f.regs[r as usize].clone(), null_check)?;
-                }
-                vm.probe_depth(nest)?;
-                rest(vm, f)
-            })
-        }
+        } => seq(rest, move |vm, f| {
+            vm.op_inline(f, recv, this, null_check, nest)
+        }),
         Op::New { dst, spec } => {
             let s = code.new_specs[spec as usize].clone();
-            let dst = dst as usize;
-            let resume = target_block(blocks, pc as u32 + 1);
+            let resume = resume();
             thunk(move |vm, f| {
                 vm.meter.step()?;
-                let (this, callee) = vm.new_site(&s, &f.tenv, &f.menv, &f.regs)?;
-                f.regs[dst] = this;
-                f.pc = resume as usize;
-                vm.pending_call.set(Some(callee));
-                Ok(Ctl::Call)
+                let ctor = vm.op_new(f, dst, &s)?;
+                Ok(park(vm, f, resume, ctor))
             })
         }
         Op::PrimCall { dst, spec } => {
             let s = code.prim_specs[spec as usize].clone();
-            let dst = dst as usize;
-            // The shared `natives::prim_call` helper dispatches on the
-            // method *name string* and takes its arguments in a fresh
-            // `Vec` — per-call costs a devirtualized natural-model method
-            // should not pay. Resolve the hottest names here, once, at
-            // tier-compile time; the fast path engages only on the exact
-            // value shapes the helper computes identically, and anything
-            // else falls back to it for error and semantic parity.
+            // `natives::prim_call` dispatches on the method *name string*
+            // and takes its arguments in a fresh `Vec`: per-call costs a
+            // devirtualized natural-model method should not pay. The two
+            // hottest names on two `int`s are computed here; any other
+            // operand falls back to the shared routine.
             match (s.recv, s.name.as_str(), s.args.len()) {
                 (Some(r), "compareTo", 1) => {
-                    let (r, a0) = (r as usize, s.args[0] as usize);
-                    thunk(move |vm, f| {
-                        vm.meter.step()?;
-                        f.regs[dst] = match (&f.regs[r], &f.regs[a0]) {
-                            (&Value::Int(a), &Value::Int(b)) => Value::Int(a.cmp(&b) as i32),
-                            _ => {
-                                let recv = Some(f.regs[r].clone());
-                                let args = vec![f.regs[a0].clone()];
-                                natives::prim_call(&vm.heap, s.prim, s.name, recv, args)?
+                    let a = s.args[0];
+                    seq(rest, move |vm, f| {
+                        match (&f.regs[r as usize], &f.regs[a as usize]) {
+                            (&Value::Int(x), &Value::Int(y)) => {
+                                f.regs[dst as usize] = Value::Int(x.cmp(&y) as i32);
+                                Ok(())
                             }
-                        };
-                        rest(vm, f)
+                            _ => vm.op_prim_call(f, dst, &s),
+                        }
                     })
                 }
                 (Some(r), "equals", 1) => {
-                    let (r, a0) = (r as usize, s.args[0] as usize);
-                    thunk(move |vm, f| {
-                        vm.meter.step()?;
-                        f.regs[dst] = match (&f.regs[r], &f.regs[a0]) {
-                            (&Value::Int(a), &Value::Int(b)) => Value::Bool(a == b),
-                            _ => {
-                                let recv = Some(f.regs[r].clone());
-                                let args = vec![f.regs[a0].clone()];
-                                natives::prim_call(&vm.heap, s.prim, s.name, recv, args)?
+                    let a = s.args[0];
+                    seq(rest, move |vm, f| {
+                        match (&f.regs[r as usize], &f.regs[a as usize]) {
+                            (&Value::Int(x), &Value::Int(y)) => {
+                                f.regs[dst as usize] = Value::Bool(x == y);
+                                Ok(())
                             }
-                        };
-                        rest(vm, f)
+                            _ => vm.op_prim_call(f, dst, &s),
+                        }
                     })
                 }
-                _ => thunk(move |vm, f| {
-                    vm.meter.step()?;
-                    let r = s.recv.map(|r| f.regs[r as usize].clone());
-                    let args: Vec<Value> =
-                        s.args.iter().map(|&a| f.regs[a as usize].clone()).collect();
-                    f.regs[dst] = natives::prim_call(&vm.heap, s.prim, s.name, r, args)?;
-                    rest(vm, f)
-                }),
+                _ => seq(rest, move |vm, f| vm.op_prim_call(f, dst, &s)),
             }
         }
         Op::Native { dst, spec } => {
             let s = code.native_specs[spec as usize].clone();
-            let dst = dst as usize;
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                let r = s.recv.map(|r| f.regs[r as usize].clone());
-                let args: Vec<Value> = s.args.iter().map(|&a| f.regs[a as usize].clone()).collect();
-                let v = vm.native(s.op, r, args)?;
-                f.regs[dst] = v;
-                rest(vm, f)
-            })
+            seq(rest, move |vm, f| vm.op_native(f, dst, &s))
         }
     }
 }
 
-/// Arithmetic closures, specialized per `(op, kind)` for the hot `int`
-/// shapes; everything else (and every operand mismatch) funnels through
-/// the shared [`arith`] helper for exact error parity.
+/// `Arith` with the hot `int` add/sub/mul computed inline; any other
+/// shape, and any operand that is not an `int`, takes the shared
+/// [`Vm::op_arith`].
 fn arith_thunk(dst: u16, op: BinOp, nk: NumKind, l: u16, r: u16, rest: Thunk) -> Thunk {
-    let (dst, l, r) = (dst as usize, l as usize, r as usize);
     macro_rules! int_fast {
         ($apply:expr) => {
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                if let (&Value::Int(a), &Value::Int(b)) = (&f.regs[l], &f.regs[r]) {
-                    f.regs[dst] = Value::Int($apply(a, b));
-                } else {
-                    let lv = f.regs[l].clone();
-                    let rv = f.regs[r].clone();
-                    f.regs[dst] = arith(op, nk, lv, rv)?;
+            seq(rest, move |vm, f| {
+                match (&f.regs[l as usize], &f.regs[r as usize]) {
+                    (&Value::Int(a), &Value::Int(b)) => {
+                        f.regs[dst as usize] = Value::Int($apply(a, b));
+                        Ok(())
+                    }
+                    _ => vm.op_arith(f, dst, op, nk, l, r),
                 }
-                rest(vm, f)
             })
         };
     }
@@ -1032,31 +637,23 @@ fn arith_thunk(dst: u16, op: BinOp, nk: NumKind, l: u16, r: u16, rest: Thunk) ->
         (BinOp::Add, NumKind::Int) => int_fast!(i32::wrapping_add),
         (BinOp::Sub, NumKind::Int) => int_fast!(i32::wrapping_sub),
         (BinOp::Mul, NumKind::Int) => int_fast!(i32::wrapping_mul),
-        _ => thunk(move |vm, f| {
-            vm.meter.step()?;
-            let lv = f.regs[l].clone();
-            let rv = f.regs[r].clone();
-            f.regs[dst] = arith(op, nk, lv, rv)?;
-            rest(vm, f)
-        }),
+        _ => seq(rest, move |vm, f| vm.op_arith(f, dst, op, nk, l, r)),
     }
 }
 
-/// Comparison closures, `int`-specialized like [`arith_thunk`].
+/// `Cmp` with the six `int` orderings computed inline, falling back to
+/// the shared [`Vm::op_cmp`] like [`arith_thunk`].
 fn cmp_thunk(dst: u16, op: BinOp, nk: NumKind, l: u16, r: u16, rest: Thunk) -> Thunk {
-    let (dst, l, r) = (dst as usize, l as usize, r as usize);
     macro_rules! int_fast {
         ($apply:expr) => {
-            thunk(move |vm, f| {
-                vm.meter.step()?;
-                if let (&Value::Int(a), &Value::Int(b)) = (&f.regs[l], &f.regs[r]) {
-                    f.regs[dst] = Value::Bool($apply(a, b));
-                } else {
-                    let lv = f.regs[l].clone();
-                    let rv = f.regs[r].clone();
-                    f.regs[dst] = compare(op, nk, lv, rv)?;
+            seq(rest, move |vm, f| {
+                match (&f.regs[l as usize], &f.regs[r as usize]) {
+                    (&Value::Int(a), &Value::Int(b)) => {
+                        f.regs[dst as usize] = Value::Bool($apply(a, b));
+                        Ok(())
+                    }
+                    _ => vm.op_cmp(f, dst, op, nk, l, r),
                 }
-                rest(vm, f)
             })
         };
     }
@@ -1067,13 +664,7 @@ fn cmp_thunk(dst: u16, op: BinOp, nk: NumKind, l: u16, r: u16, rest: Thunk) -> T
         (BinOp::Ge, NumKind::Int) => int_fast!(|a, b| a >= b),
         (BinOp::Eq, NumKind::Int) => int_fast!(|a, b| a == b),
         (BinOp::Ne, NumKind::Int) => int_fast!(|a, b| a != b),
-        _ => thunk(move |vm, f| {
-            vm.meter.step()?;
-            let lv = f.regs[l].clone();
-            let rv = f.regs[r].clone();
-            f.regs[dst] = compare(op, nk, lv, rv)?;
-            rest(vm, f)
-        }),
+        _ => seq(rest, move |vm, f| vm.op_cmp(f, dst, op, nk, l, r)),
     }
 }
 

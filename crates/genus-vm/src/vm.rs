@@ -19,6 +19,11 @@
 //! the `genus` facade) asserts identical results, captured output, and
 //! runtime errors on every test program.
 //!
+//! Each opcode's semantics are written once, as a `Vm::op_*` routine
+//! ("Per-op semantics" below). The dispatch loop decodes an instruction
+//! and calls its routine; Tier 2 ([`crate::tier`]) calls the same
+//! routines from its closures, so the two engines cannot drift either.
+//!
 //! # Examples
 //!
 //! ```
@@ -34,7 +39,10 @@
 //! assert_eq!(vm.take_output(), "hi\n");
 //! ```
 
-use crate::bytecode::{FuncId, NewSpec, Op, VmProgram};
+use crate::bytecode::{
+    DirectSpec, FuncId, GlobalSpec, ModelSpec, NativeSpec, NewSpec, Op, OpenSpec, PackSpec,
+    PrimSpec, StaticSpec, VirtSpec, VmProgram,
+};
 use crate::compile::compile_program;
 use genus_check::hir::{NativeOp, NumKind};
 use genus_check::CheckedProgram;
@@ -48,7 +56,8 @@ use genus_interp::rtti::{self, MEnv, ModelTarget, TEnv};
 use genus_interp::{
     Dispatch, DispatchStats, ErrorKind, Heap, ModelValue, RtType, RuntimeError, Value,
 };
-use genus_types::{ClassId, ModelId};
+use genus_syntax::ast::BinOp;
+use genus_types::{ClassId, Model, ModelId, PrimTy, Type};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -77,6 +86,38 @@ pub(crate) struct VmFrame {
 pub(crate) enum Action {
     Value(Value),
     Frame(VmFrame),
+}
+
+/// A decoded type operand: the optimizer's pre-reified image of a
+/// closed term, or the open term to evaluate under the frame's
+/// environment.
+#[derive(Clone, Copy)]
+pub(crate) enum Ty<'a> {
+    Reified(&'a RtType),
+    Open(&'a Type),
+}
+
+impl<'a> Ty<'a> {
+    /// Decodes `types[ty]`, taking its reified image when one exists
+    /// (closed terms evaluate the same under any environment).
+    pub(crate) fn of(code: &'a VmProgram, ty: u32) -> Self {
+        match code.rt_types.get(ty as usize).and_then(Option::as_ref) {
+            Some(rt) => Ty::Reified(rt),
+            None => Ty::Open(&code.types[ty as usize]),
+        }
+    }
+
+    fn reify(self, vm: &Vm<'_>, f: &VmFrame) -> RtType {
+        match self {
+            Ty::Reified(rt) => rt.clone(),
+            Ty::Open(t) => rtti::eval_type(vm.prog, &f.tenv, &f.menv, t),
+        }
+    }
+}
+
+/// The values of argument registers `args`, in order.
+fn reg_args(f: &VmFrame, args: &[u16]) -> Vec<Value> {
+    args.iter().map(|&a| f.regs[a as usize].clone()).collect()
 }
 
 /// The virtual machine. Holds static fields and captured output across
@@ -196,11 +237,18 @@ impl<'p> Vm<'p> {
     ///
     /// Returns the first uncaught [`RuntimeError`].
     pub fn run_main(&mut self) -> RResult<Value> {
+        let main = self.main_call()?;
+        self.complete(main)
+    }
+
+    /// Runs static initializers and resolves the call of `main()`: the
+    /// prologue [`Vm::run_main`] and [`Vm::run_main_tier`] share.
+    pub(crate) fn main_call(&self) -> RResult<Action> {
         self.init_statics()?;
         let Some(main) = self.prog.main_index() else {
             return Err(RuntimeError::new(ErrorKind::Other, "no `main()` method"));
         };
-        self.call_global(main, vec![], vec![], vec![])
+        self.prepare_global(main, vec![], vec![], vec![])
     }
 
     /// Runs static initializers (idempotent per VM).
@@ -215,22 +263,6 @@ impl<'p> Vm<'p> {
             self.statics.borrow_mut().insert((cid.0, *fi as u32), v);
         }
         Ok(())
-    }
-
-    /// Calls a global (top-level) method by index.
-    ///
-    /// # Errors
-    ///
-    /// Returns any [`RuntimeError`] raised by the body.
-    pub fn call_global(
-        &self,
-        index: usize,
-        targs: Vec<RtType>,
-        margs: Vec<ModelValue>,
-        args: Vec<Value>,
-    ) -> RResult<Value> {
-        let action = self.prepare_global(index, targs, margs, args)?;
-        self.complete(action)
     }
 
     /// Takes the captured `print` output.
@@ -357,25 +389,26 @@ impl<'p> Vm<'p> {
     // The dispatch loop
     // ------------------------------------------------------------------
 
-    /// Runs `root` (and every frame it pushes) to completion. The Genus
-    /// depth counter is restored on error so callers that swallow errors
-    /// (stringification) do not leak budget.
-    fn run_call(&self, root: VmFrame) -> RResult<Value> {
+    /// Runs `run` as one nested frame loop: counts the nesting (only the
+    /// outermost loop polls the collector, see [`Vm::maybe_gc`]) and
+    /// restores the Genus depth counter on error, so callers that swallow
+    /// errors (stringification) do not leak budget. The VM loop and
+    /// Tier 2's outer loop both run under it.
+    pub(crate) fn nested(&self, run: impl FnOnce() -> RResult<Value>) -> RResult<Value> {
         let base = self.depth.get();
-        let r = self.run_frames(root);
+        self.nesting.set(self.nesting.get() + 1);
+        let r = run();
+        self.nesting.set(self.nesting.get() - 1);
         if r.is_err() {
             self.depth.set(base);
         }
         r
     }
 
-    /// Nesting-counted wrapper around the dispatch loop: only the
-    /// outermost loop polls the collector (see [`Vm::maybe_gc`]).
-    fn run_frames(&self, root: VmFrame) -> RResult<Value> {
-        self.nesting.set(self.nesting.get() + 1);
-        let r = self.run_frames_inner(root);
-        self.nesting.set(self.nesting.get() - 1);
-        r
+    /// Runs `root` (and every frame it pushes) to completion on a nested
+    /// dispatch loop.
+    fn run_call(&self, root: VmFrame) -> RResult<Value> {
+        self.nested(|| self.run_frames(root))
     }
 
     /// GC safe point: collects if the heap wants to, rooting every
@@ -406,8 +439,10 @@ impl<'p> Vm<'p> {
         self.heap.collect(roots);
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn run_frames_inner(&self, root: VmFrame) -> RResult<Value> {
+    /// The loop: one fuel step, a GC poll and the coverage hook per
+    /// instruction, then the decoded instruction's routine (see "Per-op
+    /// semantics" below).
+    fn run_frames(&self, root: VmFrame) -> RResult<Value> {
         let code = Arc::clone(&self.code);
         self.enter(root.counted)?;
         let mut stack: Vec<VmFrame> = vec![root];
@@ -417,41 +452,26 @@ impl<'p> Vm<'p> {
                 self.maybe_gc(&stack);
             }
             let frame = stack.last_mut().expect("frame");
-            let func = &code.funcs[frame.func.0 as usize];
-            let op = func.code[frame.pc];
+            let op = code.funcs[frame.func.0 as usize].code[frame.pc];
             #[cfg(feature = "coverage")]
             if let Some(cov) = &self.coverage {
                 cov.record_site(frame.func.0, frame.pc as u32);
             }
             frame.pc += 1;
             match op {
-                Op::Const { dst, k } => {
-                    frame.regs[dst as usize] = self.consts[k as usize].clone();
-                }
-                Op::Move { dst, src } => {
-                    frame.regs[dst as usize] = frame.regs[src as usize].clone();
-                }
+                Op::Const { dst, k } => self.op_const(frame, dst, k),
+                Op::Move { dst, src } => self.op_move(frame, dst, src),
                 Op::Jump { target } => frame.pc = target as usize,
-                Op::JumpIfFalse { cond, target } => match &frame.regs[cond as usize] {
-                    Value::Bool(false) => frame.pc = target as usize,
-                    Value::Bool(true) => {}
-                    other => {
-                        return Err(RuntimeError::new(
-                            ErrorKind::Other,
-                            format!("condition evaluated to non-boolean {other:?}"),
-                        ))
+                Op::JumpIfFalse { cond, target } => {
+                    if !self.op_cond(frame, cond)? {
+                        frame.pc = target as usize;
                     }
-                },
-                Op::JumpIfTrue { cond, target } => match &frame.regs[cond as usize] {
-                    Value::Bool(true) => frame.pc = target as usize,
-                    Value::Bool(false) => {}
-                    other => {
-                        return Err(RuntimeError::new(
-                            ErrorKind::Other,
-                            format!("condition evaluated to non-boolean {other:?}"),
-                        ))
+                }
+                Op::JumpIfTrue { cond, target } => {
+                    if self.op_cond(frame, cond)? {
+                        frame.pc = target as usize;
                     }
-                },
+                }
                 Op::Return { src } => {
                     let v = frame.regs[src as usize].clone();
                     if let Some(v) = self.pop_frame(&mut stack, v) {
@@ -463,230 +483,37 @@ impl<'p> Vm<'p> {
                         return Ok(v);
                     }
                 }
-                Op::FallOff => {
-                    return Err(RuntimeError::new(
-                        ErrorKind::MissingReturn,
-                        "non-void body completed without returning",
-                    ))
-                }
-                Op::Escaped => {
-                    return Err(RuntimeError::new(
-                        ErrorKind::Other,
-                        "break/continue escaped a body",
-                    ))
-                }
-                Op::GetField { dst, obj, slot } => {
-                    let r = frame.regs[obj as usize].clone();
-                    let o = rtti::expect_obj(&self.heap, &r)?;
-                    let v = o.fields.borrow()[slot as usize].clone();
-                    frame.regs[dst as usize] = v;
-                }
-                Op::SetField { obj, slot, src } => {
-                    let r = frame.regs[obj as usize].clone();
-                    let v = frame.regs[src as usize].clone();
-                    let o = rtti::expect_obj(&self.heap, &r)?;
-                    o.fields.borrow_mut()[slot as usize] = v;
-                }
-                Op::GetStatic { dst, class, field } => {
-                    frame.regs[dst as usize] = self
-                        .statics
-                        .borrow()
-                        .get(&(class.0, field))
-                        .cloned()
-                        .unwrap_or(Value::Null);
-                }
-                Op::SetStatic { class, field, src } => {
-                    let v = frame.regs[src as usize].clone();
-                    self.statics.borrow_mut().insert((class.0, field), v);
-                }
-                Op::Arith { dst, op, nk, l, r } => {
-                    let lv = frame.regs[l as usize].clone();
-                    let rv = frame.regs[r as usize].clone();
-                    frame.regs[dst as usize] = arith(op, nk, lv, rv)?;
-                }
-                Op::Cmp { dst, op, nk, l, r } => {
-                    let lv = frame.regs[l as usize].clone();
-                    let rv = frame.regs[r as usize].clone();
-                    frame.regs[dst as usize] = compare(op, nk, lv, rv)?;
-                }
-                Op::RefEq { dst, l, r, negate } => {
-                    let eq = self
-                        .heap
-                        .ref_eq(&frame.regs[l as usize], &frame.regs[r as usize]);
-                    frame.regs[dst as usize] = Value::Bool(eq != negate);
-                }
-                Op::Concat { dst, l, r } => {
-                    let lv = frame.regs[l as usize].clone();
-                    let rv = frame.regs[r as usize].clone();
-                    let mut s = self.stringify(&lv)?;
-                    s.push_str(&self.stringify(&rv)?);
-                    self.meter.charge(str_bytes(s.len()))?;
-                    stack.last_mut().expect("frame").regs[dst as usize] =
-                        Value::Str(Rc::from(s.as_str()));
-                }
-                Op::Not { dst, src } => match &frame.regs[src as usize] {
-                    Value::Bool(b) => frame.regs[dst as usize] = Value::Bool(!*b),
-                    _ => return Err(RuntimeError::new(ErrorKind::Other, "`!` on non-boolean")),
-                },
-                Op::Neg { dst, src, nk } => {
-                    let v = frame.regs[src as usize].clone();
-                    frame.regs[dst as usize] = match (nk, v) {
-                        (NumKind::Int, Value::Int(x)) => Value::Int(x.wrapping_neg()),
-                        (NumKind::Long, Value::Long(x)) => Value::Long(x.wrapping_neg()),
-                        (NumKind::Double, Value::Double(x)) => Value::Double(-x),
-                        (_, v) => {
-                            return Err(RuntimeError::new(
-                                ErrorKind::Other,
-                                format!("cannot negate {v:?}"),
-                            ))
-                        }
-                    };
-                }
-                Op::Widen { dst, src, to } => {
-                    let v = frame.regs[src as usize].clone();
-                    frame.regs[dst as usize] = widen_value(v, to);
-                }
+                Op::FallOff => return Err(self.op_fall_off()),
+                Op::Escaped => return Err(self.op_escaped()),
+                Op::GetField { dst, obj, slot } => self.op_get_field(frame, dst, obj, slot)?,
+                Op::SetField { obj, slot, src } => self.op_set_field(frame, obj, slot, src)?,
+                Op::GetStatic { dst, class, field } => self.op_get_static(frame, dst, class, field),
+                Op::SetStatic { class, field, src } => self.op_set_static(frame, class, field, src),
+                Op::Arith { dst, op, nk, l, r } => self.op_arith(frame, dst, op, nk, l, r)?,
+                Op::Cmp { dst, op, nk, l, r } => self.op_cmp(frame, dst, op, nk, l, r)?,
+                Op::RefEq { dst, l, r, negate } => self.op_ref_eq(frame, dst, l, r, negate),
+                Op::Concat { dst, l, r } => self.op_concat(frame, dst, l, r)?,
+                Op::Not { dst, src } => self.op_not(frame, dst, src)?,
+                Op::Neg { dst, src, nk } => self.op_neg(frame, dst, src, nk)?,
+                Op::Widen { dst, src, to } => self.op_widen(frame, dst, src, to),
                 Op::NewArray { dst, len, elem } => {
-                    let et = self.reify(&code, &frame.tenv, &frame.menv, elem);
-                    let Value::Int(n) = frame.regs[len as usize] else {
-                        return Err(RuntimeError::new(
-                            ErrorKind::Other,
-                            "array length must be int",
-                        ));
-                    };
-                    if n < 0 {
-                        return Err(RuntimeError::new(
-                            ErrorKind::IndexOutOfBounds,
-                            format!("negative array length {n}"),
-                        ));
-                    }
-                    frame.regs[dst as usize] = self.heap.alloc_arr(&self.meter, et, n as usize)?;
+                    self.op_new_array(frame, dst, len, Ty::of(&code, elem))?;
                 }
-                Op::ArrayLen { dst, arr } => {
-                    let av = frame.regs[arr as usize].clone();
-                    let a = rtti::expect_arr(&self.heap, &av)?;
-                    let len = a.storage.borrow().len();
-                    frame.regs[dst as usize] = Value::Int(len as i32);
-                }
-                Op::ArrayGet { dst, arr, idx } => {
-                    let av = frame.regs[arr as usize].clone();
-                    let a = rtti::expect_arr(&self.heap, &av)?;
-                    let i =
-                        rtti::expect_index(&frame.regs[idx as usize], a.storage.borrow().len())?;
-                    let v = a.storage.borrow().get(i);
-                    frame.regs[dst as usize] = v;
-                }
-                Op::ArraySet { arr, idx, src } => {
-                    let av = frame.regs[arr as usize].clone();
-                    let a = rtti::expect_arr(&self.heap, &av)?;
-                    let i =
-                        rtti::expect_index(&frame.regs[idx as usize], a.storage.borrow().len())?;
-                    let v = frame.regs[src as usize].clone();
-                    a.storage.borrow_mut().set(i, v);
-                }
+                Op::ArrayLen { dst, arr } => self.op_array_len(frame, dst, arr)?,
+                Op::ArrayGet { dst, arr, idx } => self.op_array_get(frame, dst, arr, idx)?,
+                Op::ArraySet { arr, idx, src } => self.op_array_set(frame, arr, idx, src)?,
                 Op::InstanceOf { dst, src, ty } => {
-                    let v = frame.regs[src as usize].clone();
-                    // `rt_types` only caches non-existential entries, whose
-                    // `instanceof_type` is exactly `value_instanceof` of the
-                    // evaluated term.
-                    let b = match code.rt_types.get(ty as usize).and_then(Option::as_ref) {
-                        Some(rt) => rtti::value_instanceof(self.prog, &self.heap, &v, rt),
-                        None => rtti::instanceof_type(
-                            self.prog,
-                            &self.heap,
-                            &frame.tenv,
-                            &frame.menv,
-                            &v,
-                            &code.types[ty as usize],
-                        ),
-                    };
-                    frame.regs[dst as usize] = Value::Bool(b);
+                    self.op_instance_of(frame, dst, src, Ty::of(&code, ty));
                 }
-                Op::Cast { dst, src, ty } => {
-                    let v = frame.regs[src as usize].clone();
-                    frame.regs[dst as usize] =
-                        match code.rt_types.get(ty as usize).and_then(Option::as_ref) {
-                            Some(rt) => rtti::cast_value_rt(self.prog, &self.heap, v, rt)?,
-                            None => rtti::cast_value(
-                                self.prog,
-                                &self.heap,
-                                &self.meter,
-                                &frame.tenv,
-                                &frame.menv,
-                                v,
-                                &code.types[ty as usize],
-                            )?,
-                        };
-                }
-                Op::DefaultValue { dst, ty } => {
-                    frame.regs[dst as usize] = self
-                        .reify(&code, &frame.tenv, &frame.menv, ty)
-                        .default_value();
-                }
+                Op::Cast { dst, src, ty } => self.op_cast(frame, dst, src, Ty::of(&code, ty))?,
+                Op::DefaultValue { dst, ty } => self.op_default(frame, dst, Ty::of(&code, ty)),
                 Op::Pack { dst, src, spec } => {
-                    let s = &code.pack_specs[spec as usize];
-                    let v = frame.regs[src as usize].clone();
-                    let ts = s
-                        .types
-                        .iter()
-                        .map(|t| rtti::eval_type(self.prog, &frame.tenv, &frame.menv, t))
-                        .collect();
-                    let ms = s
-                        .models
-                        .iter()
-                        .map(|m| rtti::eval_model(self.prog, &frame.tenv, &frame.menv, m))
-                        .collect();
-                    frame.regs[dst as usize] = self.heap.alloc_packed(&self.meter, v, ts, ms)?;
+                    self.op_pack(frame, dst, src, &code.pack_specs[spec as usize])?;
                 }
                 Op::Open { dst, src, spec } => {
-                    let s = &code.open_specs[spec as usize];
-                    let v = frame.regs[src as usize].clone();
-                    match v {
-                        Value::Packed(h) => {
-                            let p = self.heap.packed(h);
-                            for (tv, t) in s.tvs.iter().zip(&p.types) {
-                                frame.tenv.insert(*tv, t.clone());
-                            }
-                            for (mv, m) in s.mvs.iter().zip(&p.models) {
-                                frame.menv.insert(*mv, m.clone());
-                            }
-                            frame.regs[dst as usize] = p.value.clone();
-                        }
-                        Value::Null => {
-                            return Err(RuntimeError::new(
-                                ErrorKind::NullPointer,
-                                "cannot open a null existential",
-                            ));
-                        }
-                        other => {
-                            // Witnesses were statically evident (no packing
-                            // was needed): bind from the runtime type.
-                            let rt = rtti::value_rt_type(self.prog, &self.heap, &other);
-                            for tv in &s.tvs {
-                                frame.tenv.insert(*tv, rt.clone());
-                            }
-                            frame.regs[dst as usize] = other;
-                        }
-                    }
+                    self.op_open(frame, dst, src, &code.open_specs[spec as usize])?;
                 }
-                Op::Print { src, newline } => {
-                    let v = frame.regs[src as usize].clone();
-                    let s = self.stringify(&v)?;
-                    {
-                        let mut out = self.output.borrow_mut();
-                        out.push_str(&s);
-                        if newline {
-                            out.push('\n');
-                        }
-                    }
-                    if self.echo {
-                        if newline {
-                            println!("{s}");
-                        } else {
-                            print!("{s}");
-                        }
-                    }
-                }
+                Op::Print { src, newline } => self.op_print(frame, src, newline)?,
                 Op::CallVirtual {
                     dst,
                     recv,
@@ -694,161 +521,484 @@ impl<'p> Vm<'p> {
                     site,
                 } => {
                     let s = &code.virt_specs[spec as usize];
-                    let r = frame.regs[recv as usize].clone();
-                    let args: Vec<Value> = s
-                        .args
-                        .iter()
-                        .map(|&a| frame.regs[a as usize].clone())
-                        .collect();
-                    let rt: Vec<RtType> = s
-                        .targs
-                        .iter()
-                        .map(|t| rtti::eval_type(self.prog, &frame.tenv, &frame.menv, t))
-                        .collect();
-                    let rm: Vec<ModelValue> = s
-                        .margs
-                        .iter()
-                        .map(|m| rtti::eval_model(self.prog, &frame.tenv, &frame.menv, m))
-                        .collect();
-                    let action =
-                        self.prepare_virtual(Some(site), r, s.name, s.arity, rt, rm, args)?;
+                    let action = self.op_call_virtual(frame, recv, s, site)?;
                     self.apply(&mut stack, dst, action)?;
                 }
                 Op::CallStatic { dst, spec } => {
-                    let s = &code.static_specs[spec as usize];
-                    let args: Vec<Value> = s
-                        .args
-                        .iter()
-                        .map(|&a| frame.regs[a as usize].clone())
-                        .collect();
-                    let rt: Vec<RtType> = s
-                        .targs
-                        .iter()
-                        .map(|t| rtti::eval_type(self.prog, &frame.tenv, &frame.menv, t))
-                        .collect();
-                    let rm: Vec<ModelValue> = s
-                        .margs
-                        .iter()
-                        .map(|m| rtti::eval_model(self.prog, &frame.tenv, &frame.menv, m))
-                        .collect();
-                    let action = self.prepare_class_method(
-                        s.class,
-                        s.method,
-                        vec![],
-                        vec![],
-                        None,
-                        rt,
-                        rm,
-                        args,
-                    )?;
+                    let action = self.op_call_static(frame, &code.static_specs[spec as usize])?;
                     self.apply(&mut stack, dst, action)?;
                 }
                 Op::CallGlobal { dst, spec } => {
-                    let s = &code.global_specs[spec as usize];
-                    let args: Vec<Value> = s
-                        .args
-                        .iter()
-                        .map(|&a| frame.regs[a as usize].clone())
-                        .collect();
-                    let rt: Vec<RtType> = s
-                        .targs
-                        .iter()
-                        .map(|t| rtti::eval_type(self.prog, &frame.tenv, &frame.menv, t))
-                        .collect();
-                    let rm: Vec<ModelValue> = s
-                        .margs
-                        .iter()
-                        .map(|m| rtti::eval_model(self.prog, &frame.tenv, &frame.menv, m))
-                        .collect();
-                    let action = self.prepare_global(s.index, rt, rm, args)?;
+                    let action = self.op_call_global(frame, &code.global_specs[spec as usize])?;
                     self.apply(&mut stack, dst, action)?;
                 }
                 Op::CallModel { dst, spec, site } => {
                     let s = &code.model_specs[spec as usize];
-                    let mv = rtti::eval_model(self.prog, &frame.tenv, &frame.menv, &s.model);
-                    let r = s.recv.map(|r| frame.regs[r as usize].clone());
-                    let srt = s
-                        .static_recv
-                        .as_ref()
-                        .map(|t| rtti::eval_type(self.prog, &frame.tenv, &frame.menv, t));
-                    let args: Vec<Value> = s
-                        .args
-                        .iter()
-                        .map(|&a| frame.regs[a as usize].clone())
-                        .collect();
-                    let action = self.prepare_model(Some(site), &mv, s.name, r, srt, args)?;
+                    let action = self.op_call_model(frame, s, site)?;
                     self.apply(&mut stack, dst, action)?;
                 }
                 Op::CallDirect { dst, spec } => {
-                    let s = &code.direct_specs[spec as usize];
-                    let recv = match s.recv {
-                        Some(r) => {
-                            let v = frame.regs[r as usize].clone();
-                            Some(self.direct_recv(v, s.null_check)?)
-                        }
-                        None => None,
-                    };
-                    let args: Vec<Value> = s
-                        .args
-                        .iter()
-                        .map(|&a| frame.regs[a as usize].clone())
-                        .collect();
-                    let f = self.frame(s.func, recv, args, true);
-                    self.apply(&mut stack, dst, Action::Frame(f))?;
+                    let callee = self.op_call_direct(frame, &code.direct_specs[spec as usize])?;
+                    self.apply(&mut stack, dst, Action::Frame(callee))?;
                 }
                 Op::Inline {
                     recv,
                     this,
                     null_check,
                     nest,
-                } => {
-                    if let Some(r) = recv {
-                        let v = frame.regs[r as usize].clone();
-                        frame.regs[this as usize] = self.direct_recv(v, null_check)?;
-                    }
-                    self.probe_depth(nest)?;
-                }
+                } => self.op_inline(frame, recv, this, null_check, nest)?,
                 Op::New { dst, spec } => {
-                    let s = &code.new_specs[spec as usize];
-                    let (this, f) = self.new_site(s, &frame.tenv, &frame.menv, &frame.regs)?;
-                    self.enter(true)?;
-                    frame.regs[dst as usize] = this;
-                    stack.push(f);
+                    let ctor = self.op_new(frame, dst, &code.new_specs[spec as usize])?;
+                    self.enter(ctor.counted)?;
+                    stack.push(ctor);
                 }
                 Op::PrimCall { dst, spec } => {
-                    let s = &code.prim_specs[spec as usize];
-                    let r = s.recv.map(|r| frame.regs[r as usize].clone());
-                    let args: Vec<Value> = s
-                        .args
-                        .iter()
-                        .map(|&a| frame.regs[a as usize].clone())
-                        .collect();
-                    frame.regs[dst as usize] =
-                        natives::prim_call(&self.heap, s.prim, s.name, r, args)?;
+                    self.op_prim_call(frame, dst, &code.prim_specs[spec as usize])?;
                 }
                 Op::Native { dst, spec } => {
-                    let s = &code.native_specs[spec as usize];
-                    let r = s.recv.map(|r| frame.regs[r as usize].clone());
-                    let args: Vec<Value> = s
-                        .args
-                        .iter()
-                        .map(|&a| frame.regs[a as usize].clone())
-                        .collect();
-                    let v = self.native(s.op, r, args)?;
-                    stack.last_mut().expect("frame").regs[dst as usize] = v;
+                    self.op_native(frame, dst, &code.native_specs[spec as usize])?;
                 }
             }
         }
     }
 
-    /// Reifies `types[ty]`, taking the optimizer's pre-evaluated image
-    /// when one exists (closed terms evaluate the same under any
-    /// environment).
-    fn reify(&self, code: &VmProgram, tenv: &TEnv, menv: &MEnv, ty: u32) -> RtType {
-        match code.rt_types.get(ty as usize).and_then(Option::as_ref) {
-            Some(rt) => rt.clone(),
-            None => rtti::eval_type(self.prog, tenv, menv, &code.types[ty as usize]),
+    // ------------------------------------------------------------------
+    // Per-op semantics, shared with Tier 2
+    // ------------------------------------------------------------------
+    //
+    // Each routine is one opcode's whole effect on the current frame: the
+    // value it computes, its trap kind and message, and its meter charge
+    // beyond the one fuel step every executed op pays. Operands arrive
+    // decoded (register indices, the spec, the type reified or open). The
+    // dispatch loop above and Tier 2's closures (`crate::tier`) call the
+    // same routine for each op; only the control transfers (`Jump`,
+    // `Return`, pushing a callee) are each engine's own.
+
+    #[inline]
+    pub(crate) fn op_const(&self, f: &mut VmFrame, dst: u16, k: u32) {
+        f.regs[dst as usize] = self.consts[k as usize].clone();
+    }
+
+    #[inline]
+    pub(crate) fn op_move(&self, f: &mut VmFrame, dst: u16, src: u16) {
+        f.regs[dst as usize] = f.regs[src as usize].clone();
+    }
+
+    /// The boolean a `JumpIfFalse`/`JumpIfTrue` branches on.
+    #[inline]
+    pub(crate) fn op_cond(&self, f: &VmFrame, cond: u16) -> RResult<bool> {
+        match &f.regs[cond as usize] {
+            Value::Bool(b) => Ok(*b),
+            other => Err(RuntimeError::new(
+                ErrorKind::Other,
+                format!("condition evaluated to non-boolean {other:?}"),
+            )),
         }
+    }
+
+    /// The trap `FallOff` raises.
+    pub(crate) fn op_fall_off(&self) -> RuntimeError {
+        RuntimeError::new(
+            ErrorKind::MissingReturn,
+            "non-void body completed without returning",
+        )
+    }
+
+    /// The trap `Escaped` raises.
+    pub(crate) fn op_escaped(&self) -> RuntimeError {
+        RuntimeError::new(ErrorKind::Other, "break/continue escaped a body")
+    }
+
+    #[inline]
+    pub(crate) fn op_get_field(
+        &self,
+        f: &mut VmFrame,
+        dst: u16,
+        obj: u16,
+        slot: u32,
+    ) -> RResult<()> {
+        let o = rtti::expect_obj(&self.heap, &f.regs[obj as usize])?;
+        let v = o.fields.borrow()[slot as usize].clone();
+        f.regs[dst as usize] = v;
+        Ok(())
+    }
+
+    #[inline]
+    pub(crate) fn op_set_field(&self, f: &VmFrame, obj: u16, slot: u32, src: u16) -> RResult<()> {
+        let v = f.regs[src as usize].clone();
+        let o = rtti::expect_obj(&self.heap, &f.regs[obj as usize])?;
+        o.fields.borrow_mut()[slot as usize] = v;
+        Ok(())
+    }
+
+    #[inline]
+    pub(crate) fn op_get_static(&self, f: &mut VmFrame, dst: u16, class: ClassId, field: u32) {
+        f.regs[dst as usize] = self
+            .statics
+            .borrow()
+            .get(&(class.0, field))
+            .cloned()
+            .unwrap_or(Value::Null);
+    }
+
+    #[inline]
+    pub(crate) fn op_set_static(&self, f: &VmFrame, class: ClassId, field: u32, src: u16) {
+        let v = f.regs[src as usize].clone();
+        self.statics.borrow_mut().insert((class.0, field), v);
+    }
+
+    #[inline]
+    pub(crate) fn op_arith(
+        &self,
+        f: &mut VmFrame,
+        dst: u16,
+        op: BinOp,
+        nk: NumKind,
+        l: u16,
+        r: u16,
+    ) -> RResult<()> {
+        let (lv, rv) = (f.regs[l as usize].clone(), f.regs[r as usize].clone());
+        f.regs[dst as usize] = arith(op, nk, lv, rv)?;
+        Ok(())
+    }
+
+    #[inline]
+    pub(crate) fn op_cmp(
+        &self,
+        f: &mut VmFrame,
+        dst: u16,
+        op: BinOp,
+        nk: NumKind,
+        l: u16,
+        r: u16,
+    ) -> RResult<()> {
+        let (lv, rv) = (f.regs[l as usize].clone(), f.regs[r as usize].clone());
+        f.regs[dst as usize] = compare(op, nk, lv, rv)?;
+        Ok(())
+    }
+
+    #[inline]
+    pub(crate) fn op_ref_eq(&self, f: &mut VmFrame, dst: u16, l: u16, r: u16, negate: bool) {
+        let eq = self.heap.ref_eq(&f.regs[l as usize], &f.regs[r as usize]);
+        f.regs[dst as usize] = Value::Bool(eq != negate);
+    }
+
+    /// Stringifies both operands (dispatching `toString` for objects) and
+    /// charges the result's bytes.
+    #[inline]
+    pub(crate) fn op_concat(&self, f: &mut VmFrame, dst: u16, l: u16, r: u16) -> RResult<()> {
+        let (lv, rv) = (f.regs[l as usize].clone(), f.regs[r as usize].clone());
+        let mut s = self.stringify(&lv)?;
+        s.push_str(&self.stringify(&rv)?);
+        self.meter.charge(str_bytes(s.len()))?;
+        f.regs[dst as usize] = Value::Str(Rc::from(s.as_str()));
+        Ok(())
+    }
+
+    #[inline]
+    pub(crate) fn op_not(&self, f: &mut VmFrame, dst: u16, src: u16) -> RResult<()> {
+        match &f.regs[src as usize] {
+            Value::Bool(b) => f.regs[dst as usize] = Value::Bool(!*b),
+            _ => return Err(RuntimeError::new(ErrorKind::Other, "`!` on non-boolean")),
+        }
+        Ok(())
+    }
+
+    #[inline]
+    pub(crate) fn op_neg(&self, f: &mut VmFrame, dst: u16, src: u16, nk: NumKind) -> RResult<()> {
+        f.regs[dst as usize] = match (nk, f.regs[src as usize].clone()) {
+            (NumKind::Int, Value::Int(x)) => Value::Int(x.wrapping_neg()),
+            (NumKind::Long, Value::Long(x)) => Value::Long(x.wrapping_neg()),
+            (NumKind::Double, Value::Double(x)) => Value::Double(-x),
+            (_, v) => {
+                return Err(RuntimeError::new(
+                    ErrorKind::Other,
+                    format!("cannot negate {v:?}"),
+                ))
+            }
+        };
+        Ok(())
+    }
+
+    #[inline]
+    pub(crate) fn op_widen(&self, f: &mut VmFrame, dst: u16, src: u16, to: PrimTy) {
+        f.regs[dst as usize] = widen_value(f.regs[src as usize].clone(), to);
+    }
+
+    /// Allocates `new elem[len]`, charging its bytes.
+    #[inline]
+    pub(crate) fn op_new_array(
+        &self,
+        f: &mut VmFrame,
+        dst: u16,
+        len: u16,
+        elem: Ty<'_>,
+    ) -> RResult<()> {
+        let et = elem.reify(self, f);
+        let Value::Int(n) = f.regs[len as usize] else {
+            return Err(RuntimeError::new(
+                ErrorKind::Other,
+                "array length must be int",
+            ));
+        };
+        if n < 0 {
+            return Err(RuntimeError::new(
+                ErrorKind::IndexOutOfBounds,
+                format!("negative array length {n}"),
+            ));
+        }
+        f.regs[dst as usize] = self.heap.alloc_arr(&self.meter, et, n as usize)?;
+        Ok(())
+    }
+
+    #[inline]
+    pub(crate) fn op_array_len(&self, f: &mut VmFrame, dst: u16, arr: u16) -> RResult<()> {
+        let len = rtti::expect_arr(&self.heap, &f.regs[arr as usize])?
+            .storage
+            .borrow()
+            .len();
+        f.regs[dst as usize] = Value::Int(len as i32);
+        Ok(())
+    }
+
+    #[inline]
+    pub(crate) fn op_array_get(
+        &self,
+        f: &mut VmFrame,
+        dst: u16,
+        arr: u16,
+        idx: u16,
+    ) -> RResult<()> {
+        let v = {
+            let a = rtti::expect_arr(&self.heap, &f.regs[arr as usize])?;
+            let s = a.storage.borrow();
+            let i = rtti::expect_index(&f.regs[idx as usize], s.len())?;
+            s.get(i)
+        };
+        f.regs[dst as usize] = v;
+        Ok(())
+    }
+
+    #[inline]
+    pub(crate) fn op_array_set(&self, f: &VmFrame, arr: u16, idx: u16, src: u16) -> RResult<()> {
+        let a = rtti::expect_arr(&self.heap, &f.regs[arr as usize])?;
+        let mut s = a.storage.borrow_mut();
+        let i = rtti::expect_index(&f.regs[idx as usize], s.len())?;
+        s.set(i, f.regs[src as usize].clone());
+        Ok(())
+    }
+
+    #[inline]
+    pub(crate) fn op_instance_of(&self, f: &mut VmFrame, dst: u16, src: u16, ty: Ty<'_>) {
+        let v = &f.regs[src as usize];
+        // A reified image exists only for non-existential types, whose
+        // `instanceof_type` is exactly `value_instanceof` of the
+        // evaluated term.
+        let b = match ty {
+            Ty::Reified(rt) => rtti::value_instanceof(self.prog, &self.heap, v, rt),
+            Ty::Open(t) => rtti::instanceof_type(self.prog, &self.heap, &f.tenv, &f.menv, v, t),
+        };
+        f.regs[dst as usize] = Value::Bool(b);
+    }
+
+    #[inline]
+    pub(crate) fn op_cast(&self, f: &mut VmFrame, dst: u16, src: u16, ty: Ty<'_>) -> RResult<()> {
+        let v = f.regs[src as usize].clone();
+        f.regs[dst as usize] = match ty {
+            Ty::Reified(rt) => rtti::cast_value_rt(self.prog, &self.heap, v, rt)?,
+            Ty::Open(t) => {
+                rtti::cast_value(self.prog, &self.heap, &self.meter, &f.tenv, &f.menv, v, t)?
+            }
+        };
+        Ok(())
+    }
+
+    #[inline]
+    pub(crate) fn op_default(&self, f: &mut VmFrame, dst: u16, ty: Ty<'_>) {
+        f.regs[dst as usize] = ty.reify(self, f).default_value();
+    }
+
+    /// Packs `src` with the witnesses of `s` (§6.1), charging the package.
+    #[inline]
+    pub(crate) fn op_pack(&self, f: &mut VmFrame, dst: u16, src: u16, s: &PackSpec) -> RResult<()> {
+        let v = f.regs[src as usize].clone();
+        let ts = s
+            .types
+            .iter()
+            .map(|t| rtti::eval_type(self.prog, &f.tenv, &f.menv, t))
+            .collect();
+        let ms = s
+            .models
+            .iter()
+            .map(|m| rtti::eval_model(self.prog, &f.tenv, &f.menv, m))
+            .collect();
+        f.regs[dst as usize] = self.heap.alloc_packed(&self.meter, v, ts, ms)?;
+        Ok(())
+    }
+
+    /// Opens `src` into `dst` (§6.2), binding the witnesses of `s` in the
+    /// frame's environment.
+    #[inline]
+    pub(crate) fn op_open(&self, f: &mut VmFrame, dst: u16, src: u16, s: &OpenSpec) -> RResult<()> {
+        match f.regs[src as usize].clone() {
+            Value::Packed(h) => {
+                let p = self.heap.packed(h);
+                for (tv, t) in s.tvs.iter().zip(&p.types) {
+                    f.tenv.insert(*tv, t.clone());
+                }
+                for (mv, m) in s.mvs.iter().zip(&p.models) {
+                    f.menv.insert(*mv, m.clone());
+                }
+                f.regs[dst as usize] = p.value.clone();
+            }
+            Value::Null => {
+                return Err(RuntimeError::new(
+                    ErrorKind::NullPointer,
+                    "cannot open a null existential",
+                ));
+            }
+            other => {
+                // Witnesses were statically evident (no packing was
+                // needed): bind from the runtime type.
+                let rt = rtti::value_rt_type(self.prog, &self.heap, &other);
+                for tv in &s.tvs {
+                    f.tenv.insert(*tv, rt.clone());
+                }
+                f.regs[dst as usize] = other;
+            }
+        }
+        Ok(())
+    }
+
+    #[inline]
+    pub(crate) fn op_print(&self, f: &VmFrame, src: u16, newline: bool) -> RResult<()> {
+        let s = self.stringify(&f.regs[src as usize])?;
+        {
+            let mut out = self.output.borrow_mut();
+            out.push_str(&s);
+            if newline {
+                out.push('\n');
+            }
+        }
+        if self.echo {
+            if newline {
+                println!("{s}");
+            } else {
+                print!("{s}");
+            }
+        }
+        Ok(())
+    }
+
+    /// The arguments, type arguments and model arguments of a call, read
+    /// from the frame's registers and evaluated under its environment.
+    #[inline]
+    fn call_args(
+        &self,
+        f: &VmFrame,
+        args: &[u16],
+        targs: &[Type],
+        margs: &[Model],
+    ) -> (Vec<Value>, Vec<RtType>, Vec<ModelValue>) {
+        (
+            reg_args(f, args),
+            targs
+                .iter()
+                .map(|t| rtti::eval_type(self.prog, &f.tenv, &f.menv, t))
+                .collect(),
+            margs
+                .iter()
+                .map(|m| rtti::eval_model(self.prog, &f.tenv, &f.menv, m))
+                .collect(),
+        )
+    }
+
+    #[inline]
+    pub(crate) fn op_call_virtual(
+        &self,
+        f: &VmFrame,
+        recv: u16,
+        s: &VirtSpec,
+        site: u32,
+    ) -> RResult<Action> {
+        let r = f.regs[recv as usize].clone();
+        let (args, rt, rm) = self.call_args(f, &s.args, &s.targs, &s.margs);
+        self.prepare_virtual(Some(site), r, s.name, s.arity, rt, rm, args)
+    }
+
+    #[inline]
+    pub(crate) fn op_call_static(&self, f: &VmFrame, s: &StaticSpec) -> RResult<Action> {
+        let (args, rt, rm) = self.call_args(f, &s.args, &s.targs, &s.margs);
+        self.prepare_class_method(s.class, s.method, vec![], vec![], None, rt, rm, args)
+    }
+
+    #[inline]
+    pub(crate) fn op_call_global(&self, f: &VmFrame, s: &GlobalSpec) -> RResult<Action> {
+        let (args, rt, rm) = self.call_args(f, &s.args, &s.targs, &s.margs);
+        self.prepare_global(s.index, rt, rm, args)
+    }
+
+    #[inline]
+    pub(crate) fn op_call_model(&self, f: &VmFrame, s: &ModelSpec, site: u32) -> RResult<Action> {
+        let mv = rtti::eval_model(self.prog, &f.tenv, &f.menv, &s.model);
+        let r = s.recv.map(|r| f.regs[r as usize].clone());
+        let srt = s
+            .static_recv
+            .as_ref()
+            .map(|t| rtti::eval_type(self.prog, &f.tenv, &f.menv, t));
+        self.prepare_model(Some(site), &mv, s.name, r, srt, reg_args(f, &s.args))
+    }
+
+    /// The callee frame of a direct call, its registers filled in place
+    /// from the caller's: the receiver checked and unpacked, then the
+    /// arguments.
+    #[inline]
+    pub(crate) fn op_call_direct(&self, f: &VmFrame, s: &DirectSpec) -> RResult<VmFrame> {
+        let this = match s.recv {
+            Some(r) => Some(self.direct_recv(f.regs[r as usize].clone(), s.null_check)?),
+            None => None,
+        };
+        let args = s.args.iter().map(|&a| f.regs[a as usize].clone());
+        Ok(self.frame(s.func, this, args, true))
+    }
+
+    #[inline]
+    pub(crate) fn op_inline(
+        &self,
+        f: &mut VmFrame,
+        recv: Option<u16>,
+        this: u16,
+        null_check: bool,
+        nest: u16,
+    ) -> RResult<()> {
+        if let Some(r) = recv {
+            f.regs[this as usize] = self.direct_recv(f.regs[r as usize].clone(), null_check)?;
+        }
+        self.probe_depth(nest)
+    }
+
+    /// Builds the object of a `New` site into `dst` and returns its
+    /// constructor's frame, for the caller to enter.
+    #[inline]
+    pub(crate) fn op_new(&self, f: &mut VmFrame, dst: u16, s: &NewSpec) -> RResult<VmFrame> {
+        let (this, ctor) = self.new_site(s, &f.tenv, &f.menv, &f.regs)?;
+        f.regs[dst as usize] = this;
+        Ok(ctor)
+    }
+
+    #[inline]
+    pub(crate) fn op_prim_call(&self, f: &mut VmFrame, dst: u16, s: &PrimSpec) -> RResult<()> {
+        let r = s.recv.map(|r| f.regs[r as usize].clone());
+        let args = reg_args(f, &s.args);
+        f.regs[dst as usize] = natives::prim_call(&self.heap, s.prim, s.name, r, args)?;
+        Ok(())
+    }
+
+    #[inline]
+    pub(crate) fn op_native(&self, f: &mut VmFrame, dst: u16, s: &NativeSpec) -> RResult<()> {
+        let r = s.recv.map(|r| f.regs[r as usize].clone());
+        f.regs[dst as usize] = self.native(s.op, r, reg_args(f, &s.args))?;
+        Ok(())
     }
 
     /// Pops the finished frame, delivering `v` to the parent. Returns

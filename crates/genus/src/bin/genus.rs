@@ -65,11 +65,12 @@ fn usage() -> ! {
          \x20                    execution engine: the tree-walking\n\
          \x20                    interpreter (default), the bytecode VM,\n\
          \x20                    or the closure-compiled Tier 2 (jit)\n\
-         \x20 --opt-level=<0|1|2>\n\
-         \x20                    VM bytecode optimization: 0 none, 1 cleanup\n\
-         \x20                    passes, 2 (default) adds specialization\n\
+         \x20 --opt-level=<0|2>\n\
+         \x20                    VM bytecode optimization: 0 none (homogeneous\n\
+         \x20                    translation), 2 (default; any nonzero level)\n\
+         \x20                    specialization, cleanup and inlining\n\
          \x20                    (heterogeneous translation); same observable\n\
-         \x20                    behaviour at every level\n\
+         \x20                    behaviour at both levels\n\
          \x20 --error-format=<human|short|json>\n\
          \x20                    diagnostic rendering: full snippets with\n\
          \x20                    carets (default), one line per diagnostic,\n\
@@ -251,9 +252,9 @@ fn main() -> ExitCode {
             engine = e;
         } else if let Some(level) = a.strip_prefix("--opt-level=") {
             match level.parse::<u8>() {
-                Ok(l) if l <= 2 => opt_level = l,
+                Ok(l) => opt_level = genus_vm::opt::level(l),
                 _ => {
-                    eprintln!("error: unknown opt level `{level}` (expected 0, 1, or 2)");
+                    eprintln!("error: unknown opt level `{level}` (expected 0 or 2)");
                     return ExitCode::from(EXIT_USAGE);
                 }
             }

@@ -145,12 +145,14 @@ impl Compiler {
     }
 
     /// Selects the VM's bytecode optimization level (default: 2).
-    /// `0` disables the optimizer, `1` runs cleanup and type reification,
-    /// `2` adds heterogeneous-translation specialization. Ignored by the
-    /// AST engine. Observable behaviour is identical at every level —
+    /// `0` disables the optimizer (the paper's homogeneous translation);
+    /// `2`, or any other nonzero level, runs the whole pipeline:
+    /// specialization (heterogeneous translation), cleanup, leaf inlining
+    /// and type reification (see [`genus_vm::opt::level`]). Ignored by
+    /// the AST engine. Observable behaviour is identical at both levels —
     /// only speed and the [`Execution::opt_stats`] counters differ.
     pub fn opt_level(mut self, level: u8) -> Self {
-        self.opt_level = level.min(2);
+        self.opt_level = level;
         self
     }
 

@@ -83,7 +83,7 @@ impl CompileSession {
     /// Selects the bytecode optimization level for [`execute`]
     /// (default 2; see [`crate::Compiler::opt_level`]).
     pub fn opt_level(&mut self, level: u8) {
-        self.opt_level = level.min(2);
+        self.opt_level = genus_vm::opt::level(level);
     }
 
     /// Adds or replaces the source text of the unit named `name`.

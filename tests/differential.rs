@@ -19,7 +19,7 @@ use genus_serve::{EngineKind, Outcome, Request, ServeConfig, Server};
 use std::sync::Arc;
 
 /// Every VM optimization level the harness sweeps.
-const OPT_LEVELS: [u8; 3] = [0, 1, 2];
+const OPT_LEVELS: [u8; 2] = [0, 2];
 
 fn sample(name: &str) -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/samples");

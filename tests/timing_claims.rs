@@ -8,6 +8,9 @@
 //! - 1000 allocation-churn requests through one server keep its RSS
 //!   within 64 MiB of where it started, and every run collects and keeps
 //!   its live set within the collector's threshold.
+//! - a restarted server's first request for a program that takes the
+//!   full check (it declares a model for a stdlib constraint) is at least
+//!   5x faster from the `--cache-dir` artifact than compiled cold.
 //!
 //! Each timing is the minimum of several runs (for throughput, the best),
 //! since interference only adds time. The tests take one lock, so they
@@ -17,7 +20,9 @@
 
 use genus_heap::heap::GC_INITIAL_THRESHOLD;
 use genus_repro::{CompileSession, Compiler};
-use genus_serve::{EngineKind, Outcome, Request, Response, ServeConfig, Server};
+use genus_serve::{
+    DiskCache, EngineKind, Outcome, ProgramCache, Request, Response, ServeConfig, Server,
+};
 use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -269,4 +274,51 @@ fn soak_keeps_rss_flat_and_every_run_collects() {
             "serve soak leaked: RSS {before} KiB -> {after} KiB"
         );
     }
+}
+
+/// What `--cache-dir` buys a restarted server: its first request for a
+/// known program loads verified bytecode instead of checking and
+/// compiling. A fresh `ProgramCache` over a populated directory stands in
+/// for the restarted process. `scheduler` declares a model for a stdlib
+/// constraint, so a cold compile takes the full check, which the disk
+/// load skips; a base-extend miss is already cheap, so it is not timed.
+#[test]
+fn restart_from_cache_dir_is_five_times_faster_than_cold() {
+    let _one = one_at_a_time();
+    let src = include_str!("../samples/scheduler.genus");
+    let dir = std::env::temp_dir().join(format!("genus-timing-restart-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let first_request = |disk: Option<DiskCache>| {
+        let cache = ProgramCache::with_config(4, disk);
+        let (prog, hit) = cache.get_or_compile(src, true, 2);
+        assert!(!hit);
+        prog.expect("sample compiles").vm_code();
+        cache.stats()
+    };
+    let populated = first_request(Some(DiskCache::open(&dir).expect("cache dir")));
+    assert_eq!(populated.disk_writes, 1);
+    let cold_ns = min_ns(
+        || {
+            let stats = first_request(None);
+            assert_eq!(
+                stats.full_checks, 1,
+                "the cold side must take the full check"
+            );
+        },
+        7,
+    );
+    let warm_ns = min_ns(
+        || {
+            let stats = first_request(Some(DiskCache::open(&dir).expect("cache dir")));
+            assert_eq!(stats.disk_hits, 1, "the restarted side must load from disk");
+            assert_eq!(stats.compiles, 0);
+        },
+        7,
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let speedup = cold_ns / warm_ns;
+    assert!(
+        speedup >= 5.0,
+        "restart from disk only {speedup:.1}x faster than cold ({cold_ns:.0} ns vs {warm_ns:.0} ns)"
+    );
 }
