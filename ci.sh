@@ -27,6 +27,16 @@ test "$(grep -rlE 'resolve_virtual\(|replay_target\(|select_model_target\(' crat
 # routines, so every trap either engine raises comes from those routines
 # or from `Vm`, never from the tier itself.
 test -z "$(grep -rn 'RuntimeError::new(' crates/genus-vm/src/tier/)"
+# One engine enum: the engine names are spelled once, in
+# `genus_vm::exec::Engine`, which the CLI, the facade and serve share.
+test "$(grep -rn '"bytecode"' crates --include=*.rs | wc -l)" -eq 1
+# One compile session: serve's named sessions are `CompileSession`s, so
+# serve never wraps the checker's session itself.
+test -z "$(grep -rn 'genus_check::Session' crates/genus-serve/src)"
+# Decoders allocate only what they decode: every length-prefixed
+# sequence is read through `ByteReader::collect`, never by a hand-written
+# length read and reservation.
+test -z "$(grep -rn '\.seq()' crates --include=*.rs | grep -v '^crates/genus-common/src/bytes\.rs:')"
 # The differential harness again with every dispatch/type-query cache
 # bypassed: both engines must agree on the slow paths too.
 cargo test -q --features no-cache

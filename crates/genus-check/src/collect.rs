@@ -10,7 +10,8 @@
 //! 3. **Variance** — per-parameter constraint variance is computed (§5.2).
 //! 4. **Completion** — elided models in signature types are resolved with
 //!    default model resolution against each declaration's own context
-//!    (`genus-check::resolve`), run from [`crate::check_program`].
+//!    (`genus-check::resolve`), as the last step of building the semantic
+//!    prefix.
 
 use genus_common::{Diagnostics, Span, Symbol};
 use genus_syntax::ast;
@@ -1356,17 +1357,6 @@ impl<'a> AstIndex<'a> {
         }
         idx
     }
-}
-
-/// A where-requirement paired with the `MvId`s it binds, tracked while
-/// building enablement environments.
-pub type Enabled = Vec<(ConstraintInst, Model)>;
-
-/// Builds the globally enabled defaults: every `use` declaration (handled
-/// specially during resolution because of subgoals) contributes, and models
-/// are self-enabled inside their own bodies (added by the body checker).
-pub fn global_enabled(_table: &Table) -> Enabled {
-    Vec::new()
 }
 
 /// Allocates `n` fresh `MvId`s (helper for capture conversion).

@@ -1,7 +1,6 @@
 //! The Genus type checker.
 //!
-//! [`check_program`] drives the full pipeline of the paper's static
-//! semantics:
+//! A check runs the paper's static semantics in phases:
 //!
 //! 1. collect declarations ([`collect`]),
 //! 2. infer constraint variance (section 5.2),
@@ -40,7 +39,7 @@ pub use incremental::{Session, SessionReport, SessionStats};
 
 use body::BodyCtx;
 use collect::Scope;
-use genus_common::{Diagnostic, Diagnostics, ErrorFormat, Severity, SourceMap, Symbol};
+use genus_common::{diag, Diagnostic, Diagnostics, ErrorFormat, Severity, SourceMap, Symbol};
 use genus_syntax::ast;
 use genus_types::{ClassId, Model, ModelId, Table, Type};
 use std::collections::HashMap;
@@ -146,31 +145,18 @@ impl CheckReport {
     /// Renders every diagnostic in the given format (errors and warnings
     /// alike), joined appropriately for that format.
     pub fn render(&self, format: ErrorFormat) -> String {
-        let sep = if format == ErrorFormat::Human {
-            "\n\n"
-        } else {
-            "\n"
-        };
-        self.diags
-            .iter()
-            .map(|d| d.render_with(&self.sm, format))
-            .collect::<Vec<_>>()
-            .join(sep)
+        diag::render_all(&self.diags, &self.sm, format)
     }
 
     /// Renders only the error diagnostics, in the compact one-line mode —
     /// the string shape `check_sources` historically returned.
     pub fn render_errors_short(&self) -> String {
-        self.errors()
-            .map(|d| d.render(&self.sm))
-            .collect::<Vec<_>>()
-            .join("\n")
+        diag::render_errors_short(&self.diags, &self.sm)
     }
 }
 
 /// Checks one Genus source string (plus the prelude). Convenience for tests
-/// and examples; real embedders use [`check_program`] with their own source
-/// map.
+/// and examples; embedders that edit and re-check keep a [`Session`].
 ///
 /// # Errors
 ///
@@ -206,16 +192,6 @@ pub fn check_sources_report(sources: &[(&str, &str)]) -> CheckReport {
     }
     session.check();
     session.into_report()
-}
-
-/// Runs the full checking pipeline over parsed programs (the prelude must be
-/// included by the caller; [`check_sources`] does this automatically).
-pub fn check_program(programs: &[ast::Program], diags: &mut Diagnostics) -> CheckedProgram {
-    let refs: Vec<&ast::Program> = programs.iter().collect();
-    let table = build_prefix(&refs, diags);
-    let mut checked = new_checked_shell(table);
-    check_bodies_filter(&mut checked, diags, None);
-    checked
 }
 
 /// Runs every whole-program phase that precedes body checking: collection,

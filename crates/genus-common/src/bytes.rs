@@ -205,10 +205,9 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a sequence length, sanity-capped against the remaining bytes
-    /// so a corrupted length cannot trigger an enormous allocation.
-    pub fn seq(&mut self) -> ReadResult<usize> {
+    /// (every element of every persisted sequence is at least one byte).
+    fn seq(&mut self) -> ReadResult<usize> {
         let len = self.u32()? as usize;
-        // Every element of every persisted sequence is at least one byte.
         if len > self.remaining() {
             return Err(format!(
                 "corrupt sequence length {len} exceeds {} remaining bytes",
@@ -216,6 +215,27 @@ impl<'a> ByteReader<'a> {
             ));
         }
         Ok(len)
+    }
+
+    /// Reads a length-prefixed sequence written with [`ByteWriter::seq`],
+    /// decoding each element with `elem` into a collection that grows
+    /// only as elements decode. A corrupt length therefore costs at most
+    /// the elements really present — never a reservation of the claimed
+    /// length times the element's size, which nested sequences would
+    /// multiply at every level.
+    ///
+    /// # Errors
+    ///
+    /// A corrupt length, or the first element `elem` rejects.
+    pub fn collect<T, C: Default + Extend<T>>(
+        &mut self,
+        mut elem: impl FnMut(&mut Self) -> ReadResult<T>,
+    ) -> ReadResult<C> {
+        let mut out = C::default();
+        for _ in 0..self.seq()? {
+            out.extend(Some(elem(self)?));
+        }
+        Ok(out)
     }
 }
 
@@ -265,6 +285,22 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert!(r.seq().is_err(), "length exceeding payload must not alloc");
+    }
+
+    #[test]
+    fn collect_decodes_each_element_in_order() {
+        let mut w = ByteWriter::new();
+        w.seq(3);
+        for v in [5u16, 6, 7] {
+            w.u16(v);
+        }
+        w.seq(2);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        let got: Vec<u16> = r.collect(ByteReader::u16).unwrap();
+        assert_eq!(got, [5, 6, 7]);
+        // Two elements claimed, none present: an error, not a panic.
+        assert!(r.collect::<_, Vec<u16>>(ByteReader::u16).is_err());
     }
 
     #[test]

@@ -262,6 +262,37 @@ impl Diagnostic {
     }
 }
 
+/// Renders `diags` in `format` as one text: human snippets apart by a
+/// blank line, short and JSON diagnostics one per line.
+pub fn render_all<'d>(
+    diags: impl IntoIterator<Item = &'d Diagnostic>,
+    sm: &SourceMap,
+    format: ErrorFormat,
+) -> String {
+    let sep = if format == ErrorFormat::Human {
+        "\n\n"
+    } else {
+        "\n"
+    };
+    diags
+        .into_iter()
+        .map(|d| d.render_with(sm, format))
+        .collect::<Vec<_>>()
+        .join(sep)
+}
+
+/// The errors among `diags`, one short line each: the message every
+/// failed compile carries, from `Compiler::run`'s `Err` to a serve
+/// reply's `message`.
+#[must_use]
+pub fn render_errors_short(diags: &[Diagnostic], sm: &SourceMap) -> String {
+    render_all(
+        diags.iter().filter(|d| d.severity == Severity::Error),
+        sm,
+        ErrorFormat::Short,
+    )
+}
+
 /// Width of the line-number gutter needed by every span of `d`.
 fn gutter_width(sm: &SourceMap, d: &Diagnostic) -> usize {
     let mut max_line = 1usize;

@@ -1,7 +1,7 @@
 //! Compile-and-run plumbing for the fuzzer's oracles.
 //!
 //! Checking goes through the same stdlib-seeded [`genus_check::Session`]
-//! the facade's `CompileSession` wraps ([`stdlib_session`], [`compile`]),
+//! [`genus_vm::exec::CompileSession`] wraps ([`stdlib_session`], [`compile`]),
 //! and every engine leg through the one run path,
 //! [`genus_vm::exec::execute`]. A [`Leg`] keeps the part of an
 //! [`Execution`] the oracles compare: rendered value or the trap's

@@ -55,7 +55,8 @@
 use crate::persist::DiskCache;
 use genus_check::{CheckedBase, CheckedProgram};
 use genus_common::{FastMap, FnvHasher};
-use genus_vm::{compile_optimized, compile_tier, TierProgram, VmProgram};
+use genus_vm::exec::CompiledCode;
+use genus_vm::{TierProgram, VmProgram};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -66,13 +67,13 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 pub const DEFAULT_CAPACITY: usize = 1024;
 
 /// A compiled-and-checked program shared by every request with the same
-/// source. The bytecode is compiled lazily on the first VM-engine request
-/// (AST-only traffic never pays for it), and the closure-compiled Tier 2
-/// form lazily on the first jit-engine request or hotness promotion —
-/// each behind its own `OnceLock`, so racing requests agree on exactly
-/// one compile per tier. Disk-loaded entries arrive with the bytecode
-/// pre-set and a bodies-blanked AST; [`CachedProgram::ast_prog`] supplies
-/// the full AST on demand.
+/// source. Its [`CompiledCode`] compiles the bytecode lazily on the first
+/// VM-engine request (AST-only traffic never pays for it), and the
+/// closure-compiled Tier 2 form lazily on the first jit-engine request or
+/// hotness promotion, so racing requests agree on exactly one compile
+/// per form. Disk-loaded entries arrive with the bytecode pre-set and a
+/// bodies-blanked AST; [`CachedProgram::ast_prog`] supplies the full AST
+/// on demand.
 pub struct CachedProgram {
     /// The checked AST (also carries the type tables and query caches).
     /// For disk-loaded entries the declaration table is complete but the
@@ -80,8 +81,6 @@ pub struct CachedProgram {
     /// consult, nothing the AST interpreter needs. Engines that walk
     /// bodies must go through [`CachedProgram::ast_prog`].
     pub prog: CheckedProgram,
-    /// The entry's optimization level (fixed per cache key).
-    pub opt_level: u8,
     /// The key's source text (kept for the disk tier and the lazy full
     /// compile of disk-loaded entries).
     source: String,
@@ -93,8 +92,9 @@ pub struct CachedProgram {
     /// Runs of this entry so far — the hotness signal driving
     /// `engine: "auto"` tier promotion.
     invocations: AtomicU64,
-    vm_code: OnceLock<Arc<VmProgram>>,
-    tier_code: OnceLock<Arc<TierProgram>>,
+    /// The bytecode and Tier-2 closures, at the entry's opt level (fixed
+    /// per cache key).
+    code: CompiledCode,
     /// Lazy full compile backing [`CachedProgram::ast_prog`] on
     /// disk-loaded entries (never touched otherwise).
     full: OnceLock<Result<CheckedProgram, String>>,
@@ -103,11 +103,9 @@ pub struct CachedProgram {
 impl std::fmt::Debug for CachedProgram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CachedProgram")
-            .field("opt_level", &self.opt_level)
             .field("from_disk", &self.from_disk)
             .field("invocations", &self.invocations())
-            .field("vm_compiled", &self.vm_code.get().is_some())
-            .field("tier_compiled", &self.tier_code.get().is_some())
+            .field("code", &self.code)
             .finish_non_exhaustive()
     }
 }
@@ -115,27 +113,15 @@ impl std::fmt::Debug for CachedProgram {
 impl CachedProgram {
     /// The shared bytecode, compiling it on first use.
     pub fn vm_code(&self) -> Arc<VmProgram> {
-        Arc::clone(
-            self.vm_code
-                .get_or_init(|| Arc::new(compile_optimized(&self.prog, self.opt_level))),
-        )
+        Arc::clone(self.code.bytecode(&self.prog))
     }
 
     /// The shared Tier 2 closure program, compiling it (and the bytecode
     /// underneath, if this entry never ran on the VM) on first use. Under
     /// racing submissions exactly one thread tier-compiles; the rest
-    /// block on the `OnceLock` and share the result. Its functions are
-    /// translated later, each by the first run that enters it.
+    /// wait and share the result.
     pub fn tier_code(&self) -> Arc<TierProgram> {
-        Arc::clone(
-            self.tier_code
-                .get_or_init(|| Arc::new(compile_tier(&self.vm_code()))),
-        )
-    }
-
-    /// Whether the Tier 2 form has been compiled (without triggering it).
-    pub fn tier_compiled(&self) -> bool {
-        self.tier_code.get().is_some()
+        Arc::clone(self.code.tier(&self.prog))
     }
 
     /// Whether this entry came from the artifact directory. Such entries
@@ -402,17 +388,13 @@ impl ProgramCache {
         if let Some(disk) = &self.disk {
             if let Some((prog, code)) = disk.load(source, stdlib, opt_level) {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                let vm_code = OnceLock::new();
-                let _ = vm_code.set(Arc::new(code));
                 return Ok(Arc::new(CachedProgram {
                     prog,
-                    opt_level,
                     source: source.to_string(),
                     stdlib,
                     from_disk: true,
                     invocations: AtomicU64::new(0),
-                    vm_code,
-                    tier_code: OnceLock::new(),
+                    code: CompiledCode::with_bytecode(opt_level, Arc::new(code)),
                     full: OnceLock::new(),
                 }));
             }
@@ -427,13 +409,11 @@ impl ProgramCache {
         let cached = result.map(|prog| {
             Arc::new(CachedProgram {
                 prog,
-                opt_level,
                 source: source.to_string(),
                 stdlib,
                 from_disk: false,
                 invocations: AtomicU64::new(0),
-                vm_code: OnceLock::new(),
-                tier_code: OnceLock::new(),
+                code: CompiledCode::new(opt_level),
                 full: OnceLock::new(),
             })
         })?;
@@ -449,8 +429,8 @@ impl ProgramCache {
     }
 
     /// Counter snapshot. `tier_compiles` is derived by inspecting the
-    /// entries (the `OnceLock` *is* the count — there is no separate
-    /// counter to drift from it).
+    /// entries (each entry's code holder *is* the count — there is no
+    /// separate counter to drift from it).
     pub fn stats(&self) -> ProgramCacheStats {
         let tier_compiles = self
             .entries()
@@ -459,7 +439,7 @@ impl ProgramCache {
             .flatten()
             .filter_map(|e| e.slot.get())
             .filter_map(|r| r.as_ref().ok())
-            .filter(|cached| cached.tier_compiled())
+            .filter(|cached| cached.code.tier_compiled())
             .count() as u64;
         ProgramCacheStats {
             hits: self.hits.load(Ordering::Relaxed),

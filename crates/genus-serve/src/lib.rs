@@ -37,9 +37,10 @@ pub mod server;
 pub mod session;
 
 pub use cache::{CachedProgram, ProgramCache, ProgramCacheStats};
+pub use genus_vm::exec::Engine;
 pub use metrics::ServerMetrics;
 pub use persist::{DiskCache, FORMAT_VERSION};
 pub use pool::WorkerPool;
-pub use proto::{Action, EngineKind, Outcome, Request, Response, SessionReuse};
+pub use proto::{Action, Outcome, Request, Response, SessionReuse};
 pub use server::{ServeConfig, Server, DEFAULT_FUEL};
 pub use session::SessionRegistry;

@@ -23,8 +23,9 @@
 //! ```
 
 use crate::cache::ProgramCacheStats;
-use crate::proto::{EngineKind, Outcome, Response};
+use crate::proto::{Outcome, Response};
 use genus_common::histogram::Histogram;
+use genus_vm::exec::Engine;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Aggregated request counters plus the latency histogram. All recording
@@ -65,9 +66,9 @@ impl ServerMetrics {
         self.mem_total.fetch_add(resp.mem_used, Ordering::Relaxed);
         if !matches!(resp.outcome, Outcome::Error(_)) {
             match resp.engine {
-                EngineKind::Ast => self.engine_ast.fetch_add(1, Ordering::Relaxed),
-                EngineKind::Vm | EngineKind::Auto => self.engine_vm.fetch_add(1, Ordering::Relaxed),
-                EngineKind::Jit => self.engine_jit.fetch_add(1, Ordering::Relaxed),
+                Some(Engine::Ast) => self.engine_ast.fetch_add(1, Ordering::Relaxed),
+                Some(Engine::Vm) | None => self.engine_vm.fetch_add(1, Ordering::Relaxed),
+                Some(Engine::Jit) => self.engine_jit.fetch_add(1, Ordering::Relaxed),
             };
         }
         self.latency.record_us(latency_us);
@@ -130,9 +131,9 @@ mod tests {
     use super::*;
     use genus_common::json;
 
-    fn ok_response(engine: EngineKind) -> Response {
+    fn ok_response(engine: Engine) -> Response {
         Response {
-            engine,
+            engine: Some(engine),
             outcome: Outcome::Ok("1".to_string()),
             fuel_used: 10,
             mem_used: 100,
@@ -143,9 +144,9 @@ mod tests {
     #[test]
     fn records_by_outcome_and_engine() {
         let m = ServerMetrics::new();
-        m.record(&ok_response(EngineKind::Ast), 50);
-        m.record(&ok_response(EngineKind::Vm), 70);
-        m.record(&ok_response(EngineKind::Jit), 90);
+        m.record(&ok_response(Engine::Ast), 50);
+        m.record(&ok_response(Engine::Vm), 70);
+        m.record(&ok_response(Engine::Jit), 90);
         m.record(&Response::error("e", "boom"), 10);
         let j = m.to_json(&ProgramCacheStats::default(), 0, 4, 2);
         let v = json::parse(&j).expect("metrics JSON parses");
@@ -172,7 +173,7 @@ mod tests {
     #[test]
     fn json_is_deterministic() {
         let m = ServerMetrics::new();
-        m.record(&ok_response(EngineKind::Vm), 5);
+        m.record(&ok_response(Engine::Vm), 5);
         let s = ProgramCacheStats::default();
         assert_eq!(m.to_json(&s, 1, 2, 0), m.to_json(&s, 1, 2, 0));
     }

@@ -11,8 +11,9 @@
 //! ```
 //!
 //! Only `id` and `source` are required. `engine` defaults to `"vm"`
-//! (also accepted: `"ast"`, `"jit"` for the closure-compiled Tier 2,
-//! and `"auto"` for server-side hotness promotion across all three),
+//! (also accepted: any other [`Engine`] name — `"ast"`, `"jit"` for the
+//! closure-compiled Tier 2 — and `"auto"` for server-side hotness
+//! promotion across all three),
 //! `opt` to 2, `stdlib` to `true` (the same default as `genus run`;
 //! pass `false` for prelude-only compiles); the resource fields default
 //! to the server's per-request budgets.
@@ -49,53 +50,7 @@
 
 use genus_common::json::{self, Json};
 use genus_interp::Limits;
-use genus_vm::exec::Execution;
-
-/// Which engine executes a request.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum EngineKind {
-    /// The AST tree-walking interpreter (needs a big-stack worker).
-    Ast,
-    /// The bytecode register VM (the default: its compiled program is
-    /// shared across workers through the cache).
-    #[default]
-    Vm,
-    /// Tier 2: the closure-compiled engine over the optimized bytecode.
-    /// Like the VM's, its compiled form is shared through the cache.
-    Jit,
-    /// Tiered execution with hotness promotion: the server picks the
-    /// engine from the cache entry's invocation count — cold programs
-    /// run on the AST interpreter (no bytecode compile), warm ones on
-    /// the VM, hot ones on Tier 2. The response's `engine` field reports
-    /// the engine that actually ran.
-    Auto,
-}
-
-impl EngineKind {
-    /// Parses an engine name (same names as `genus run --engine=`, plus
-    /// `auto` for server-side tier promotion).
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<EngineKind> {
-        match name {
-            "ast" | "interp" => Some(EngineKind::Ast),
-            "vm" | "bytecode" => Some(EngineKind::Vm),
-            "jit" | "tier" => Some(EngineKind::Jit),
-            "auto" => Some(EngineKind::Auto),
-            _ => None,
-        }
-    }
-
-    /// The canonical wire name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Ast => "ast",
-            EngineKind::Vm => "vm",
-            EngineKind::Jit => "jit",
-            EngineKind::Auto => "auto",
-        }
-    }
-}
+use genus_vm::exec::{Engine, Execution};
 
 /// What a sessionful request asks its compile session to do.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -151,8 +106,13 @@ pub struct Request {
     ///
     /// [`file`]: Request::file
     pub source: String,
-    /// Engine selection.
-    pub engine: EngineKind,
+    /// The engine to run on, or `None` for `"auto"`: the server picks
+    /// the engine from the cache entry's invocation count — cold
+    /// programs run on the AST interpreter (no bytecode compile), warm
+    /// ones on the VM, hot ones on Tier 2 — and the reply names the
+    /// engine that ran. Defaults to the VM, whose compiled program the
+    /// cache shares across workers.
+    pub engine: Option<Engine>,
     /// VM optimization level (0–2).
     pub opt_level: u8,
     /// Whether the standard library is compiled in.
@@ -179,7 +139,7 @@ impl Request {
         Request {
             id: id.into(),
             source: source.into(),
-            engine: EngineKind::default(),
+            engine: Some(Engine::Vm),
             opt_level: 2,
             stdlib: true,
             limits: Limits::default(),
@@ -254,9 +214,15 @@ impl Request {
                 let name = j
                     .as_str()
                     .ok_or_else(|| "`engine` must be a string".to_string())?;
-                EngineKind::from_name(name).ok_or_else(|| format!("unknown engine `{name}`"))?
+                match name {
+                    "auto" => None,
+                    name => Some(
+                        Engine::from_name(name)
+                            .ok_or_else(|| format!("unknown engine `{name}`"))?,
+                    ),
+                }
             }
-            None => EngineKind::default(),
+            None => Some(Engine::Vm),
         };
         let opt_level = match v.get("opt") {
             Some(j) => genus_vm::opt::level(num_field(j, "opt")? as u8),
@@ -367,8 +333,9 @@ pub struct Response {
     /// The engine that ran (or would have run) the request. For
     /// `engine: "auto"` requests this is the **resolved** engine the
     /// promotion policy picked, so callers can watch a program climb
-    /// the tiers.
-    pub engine: EngineKind,
+    /// the tiers; it stays `None` (`"auto"`) only on a reply that ran
+    /// nothing.
+    pub engine: Option<Engine>,
     /// Incremental reuse counters of the check this request triggered.
     /// `Some` only on sessionful `check`/`run` responses.
     pub reuse: Option<SessionReuse>,
@@ -389,7 +356,7 @@ impl Response {
             collections: 0,
             cache_hit: false,
             ms: 0,
-            engine: EngineKind::default(),
+            engine: Some(Engine::Vm),
             reuse: None,
         }
     }
@@ -398,7 +365,7 @@ impl Response {
     /// and resource counters. The caller sets `cache_hit`, `ms` and
     /// `reuse`.
     #[must_use]
-    pub fn from_execution(id: String, run: Execution, engine: EngineKind) -> Response {
+    pub fn from_execution(id: String, run: Execution, engine: Engine) -> Response {
         let stats = run.resource_stats;
         Response {
             id,
@@ -417,7 +384,7 @@ impl Response {
             collections: stats.collections,
             cache_hit: false,
             ms: 0,
-            engine,
+            engine: Some(engine),
             reuse: None,
         }
     }
@@ -460,7 +427,7 @@ impl Response {
             self.collections,
             if self.cache_hit { "hit" } else { "miss" },
             self.ms,
-            self.engine.name()
+            self.engine.map_or("auto", Engine::name)
         ));
         if let Some(r) = &self.reuse {
             s.push_str(&format!(
@@ -485,7 +452,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.id, "a");
-        assert_eq!(r.engine, EngineKind::Vm);
+        assert_eq!(r.engine, Some(Engine::Vm));
         assert_eq!(r.opt_level, 2);
         assert!(r.stdlib, "stdlib is on by default, like `genus run`");
         assert_eq!(r.limits, Limits::default());
@@ -505,7 +472,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.id, "7");
-        assert_eq!(r.engine, EngineKind::Ast);
+        assert_eq!(r.engine, Some(Engine::Ast));
         assert_eq!(r.opt_level, 2, "level 1 runs the whole pipeline, as 2");
         assert!(!r.stdlib, "explicit `stdlib: false` overrides the default");
         assert_eq!(r.limits.fuel, Some(99));
@@ -599,7 +566,7 @@ mod tests {
             collections: 0,
             cache_hit: true,
             ms: 3,
-            engine: EngineKind::Vm,
+            engine: Some(Engine::Vm),
             reuse: None,
         };
         let line = r.to_json_line();

@@ -28,12 +28,12 @@ use crate::cache::{ProgramCache, ProgramCacheStats, DEFAULT_CAPACITY};
 use crate::metrics::ServerMetrics;
 use crate::persist::DiskCache;
 use crate::pool::WorkerPool;
-use crate::proto::{Action, EngineKind, Outcome, Request, Response};
+use crate::proto::{Action, Outcome, Request, Response};
 use crate::session::SessionRegistry;
 use genus_check::CheckedBase;
 use genus_common::json;
 use genus_interp::Limits;
-use genus_vm::exec::{execute, Code};
+use genus_vm::exec::{execute, Code, Engine};
 use std::io::{BufRead, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -334,24 +334,21 @@ fn handle_request(cache: &ProgramCache, req: Request, submitted: Instant) -> Res
     };
     // Hotness promotion. Every run counts toward the entry's hotness;
     // `auto` requests read the count to climb AST → VM → Tier 2. The
-    // tier compiles lazily on the entry's first Tier 2 run (behind its
-    // `OnceLock`), so a program that never gets hot never pays for it.
+    // tier compiles lazily on the entry's first Tier 2 run (in its
+    // `CompiledCode`), so a program that never gets hot never pays for it.
     let invocations = cached.bump_invocations();
-    let engine = match req.engine {
-        EngineKind::Auto => {
-            if invocations > TIER_THRESHOLD {
-                EngineKind::Jit
-            } else if invocations > VM_THRESHOLD || cached.is_disk_loaded() {
-                // A disk-loaded entry already has its bytecode in hand
-                // but no HIR bodies; starting it on the AST rung would
-                // force the full compile persistence exists to skip.
-                EngineKind::Vm
-            } else {
-                EngineKind::Ast
-            }
+    let engine = req.engine.unwrap_or_else(|| {
+        if invocations > TIER_THRESHOLD {
+            Engine::Jit
+        } else if invocations > VM_THRESHOLD || cached.is_disk_loaded() {
+            // A disk-loaded entry already has its bytecode in hand but
+            // no HIR bodies; starting it on the AST rung would force the
+            // full compile persistence exists to skip.
+            Engine::Vm
+        } else {
+            Engine::Ast
         }
-        explicit => explicit,
-    };
+    });
     // Scheduler-enforced deadline: queue time counts. A request that
     // missed its deadline while waiting is rejected with the same trap
     // it would have earned by running past it.
@@ -366,7 +363,7 @@ fn handle_request(cache: &ProgramCache, req: Request, submitted: Instant) -> Res
                 },
                 cache_hit,
                 ms: waited,
-                engine,
+                engine: Some(engine),
                 ..Response::error(req.id, "")
             };
         }
@@ -379,23 +376,21 @@ fn handle_request(cache: &ProgramCache, req: Request, submitted: Instant) -> Res
         // The AST engine walks HIR bodies, which disk-loaded entries do
         // not carry: `ast_prog` full-compiles lazily, and its (cached)
         // failure is the only error a run can raise here.
-        EngineKind::Ast => match cached.ast_prog() {
+        Engine::Ast => match cached.ast_prog() {
             Ok(prog) => execute(prog, Code::Ast, limits),
             Err(message) => {
                 return Response {
                     ms: ms_since(submitted),
                     cache_hit,
-                    engine,
+                    engine: Some(engine),
                     ..Response::error(req.id, message)
                 };
             }
         },
-        EngineKind::Vm | EngineKind::Auto => {
-            execute(&cached.prog, Code::Vm(&cached.vm_code()), limits)
-        }
-        // `tier_code()` blocks racing requests on the entry's `OnceLock`
-        // so exactly one thread tier-compiles.
-        EngineKind::Jit => execute(&cached.prog, Code::Tier(&cached.tier_code()), limits),
+        Engine::Vm => execute(&cached.prog, Code::Vm(&cached.vm_code()), limits),
+        // The entry's code holder blocks racing requests until one
+        // thread has tier-compiled.
+        Engine::Jit => execute(&cached.prog, Code::Tier(&cached.tier_code()), limits),
     };
     Response {
         cache_hit,

@@ -2,14 +2,11 @@
 //!
 //! A sessionful request (`{"session": "dev", "action": "update" | "check"
 //! | "run", ...}`) routes through this registry instead of the stateless
-//! program cache. Each named session owns a long-lived
-//! [`genus_check::Session`] — the content-hash-keyed query pipeline —
-//! plus compiled bytecode in a [`genus_vm::exec::CodeSlot`] (the slot the
-//! facade's `CompileSession` keeps too), keyed by the session's generation
-//! counter and the opt level, so a
+//! program cache. Each named session is a [`CompileSession`] — the same
+//! type the facade, `genus run` and `genus check --watch` hold — so a
 //! sequence of `update`/`check`/`run` requests re-derives only what the
 //! edits could have changed: untouched units keep their parse trees and
-//! check verdicts, and an unchanged program keeps its bytecode.
+//! check verdicts, and an unchanged program keeps its compiled code.
 //!
 //! Sessionful requests are handled **inline on the submitting thread**
 //! (not on the worker pool): a session's actions are ordered by
@@ -17,135 +14,75 @@
 //! it on the same connection — and pipelining them across workers would
 //! trade that guarantee for nothing (the whole point of a session is
 //! that re-checks are cheap). Distinct sessions on distinct connections
-//! still run concurrently; each entry is independently locked.
+//! still run concurrently; each session is independently locked.
 
-use crate::proto::{Action, EngineKind, Outcome, Request, Response, SessionReuse};
-use genus_check::Session;
-use genus_common::Severity;
-use genus_interp::with_interp_stack;
-use genus_vm::exec::{execute, Code, CodeSlot};
+use crate::proto::{Action, Outcome, Request, Response, SessionReuse};
+use genus_vm::exec::{CompileSession, Engine};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// One named session: the incremental checker plus its compiled code,
-/// kept per `(generation, opt)`.
-struct SessionEntry {
-    inner: Session,
-    code: CodeSlot,
-}
-
-impl SessionEntry {
-    fn new(stdlib: bool) -> SessionEntry {
-        SessionEntry {
-            inner: if stdlib {
-                Session::with_stdlib()
-            } else {
-                Session::new()
-            },
-            code: CodeSlot::default(),
+/// Answers one sessionful request against `session`.
+fn handle_in(session: &mut CompileSession, req: Request, submitted: Instant) -> Response {
+    match req.action {
+        Action::Update => {
+            session.update_source(&req.file, &req.source);
+            Response {
+                id: req.id,
+                outcome: Outcome::Ok("updated".to_string()),
+                ms: ms_since(submitted),
+                engine: req.engine,
+                ..Response::error("", "")
+            }
         }
-    }
-
-    fn handle(&mut self, req: Request, submitted: Instant) -> Response {
-        match req.action {
-            Action::Update => {
-                self.inner.update_source(&req.file, &req.source);
-                Response {
+        Action::Check | Action::Run => {
+            // A check/run carrying text is an implicit update first.
+            if !req.source.is_empty() {
+                session.update_source(&req.file, &req.source);
+            }
+            let before = session.stats();
+            let report = session.check();
+            let after = session.stats();
+            let reuse = Some(SessionReuse {
+                extended: after.prefix_extended - before.prefix_extended,
+                reused: after.units_not_rechecked() - before.units_not_rechecked(),
+                rechecked: after.units_rechecked - before.units_rechecked,
+            });
+            if report.has_errors() {
+                return Response {
+                    reuse,
+                    ms: ms_since(submitted),
+                    engine: req.engine,
+                    ..Response::error(req.id, session.render_errors_short())
+                };
+            }
+            if req.action == Action::Check {
+                return Response {
                     id: req.id,
-                    outcome: Outcome::Ok("updated".to_string()),
+                    outcome: Outcome::Ok("checked".to_string()),
+                    reuse,
                     ms: ms_since(submitted),
                     engine: req.engine,
                     ..Response::error("", "")
-                }
-            }
-            Action::Check | Action::Run => {
-                // A check/run carrying text is an implicit update first.
-                if !req.source.is_empty() {
-                    self.inner.update_source(&req.file, &req.source);
-                }
-                let before = self.inner.stats();
-                let report = self.inner.check();
-                let after = self.inner.stats();
-                let reuse = SessionReuse {
-                    extended: after.prefix_extended - before.prefix_extended,
-                    reused: after.units_not_rechecked() - before.units_not_rechecked(),
-                    rechecked: after.units_rechecked - before.units_rechecked,
                 };
-                if report.has_errors() {
-                    let sm = self.inner.sm();
-                    let message = self
-                        .inner
-                        .last_diags()
-                        .iter()
-                        .filter(|d| d.severity == Severity::Error)
-                        .map(|d| d.render(sm))
-                        .collect::<Vec<_>>()
-                        .join("\n");
-                    return Response {
-                        reuse: Some(reuse),
-                        ms: ms_since(submitted),
-                        engine: req.engine,
-                        ..Response::error(req.id, message)
-                    };
-                }
-                if req.action == Action::Check {
-                    return Response {
-                        id: req.id,
-                        outcome: Outcome::Ok("checked".to_string()),
-                        reuse: Some(reuse),
-                        ms: ms_since(submitted),
-                        engine: req.engine,
-                        ..Response::error("", "")
-                    };
-                }
-                self.run(req, submitted, reuse)
             }
-            // The scheduler answers metrics requests before session
-            // routing; this arm only fires on direct registry use.
-            Action::Metrics => Response::error(req.id, "`metrics` does not apply to a session"),
+            // `auto` has no hotness signal here; a session's program is
+            // warm by definition, so it runs on the VM. `cache` reports
+            // whether the code this engine runs was reused: the
+            // bytecode on the VM, the closures on Tier 2.
+            let engine = req.engine.unwrap_or(Engine::Vm);
+            session.opt_level(req.opt_level);
+            let (run, cache_hit) = session.run_checked(engine, req.limits);
+            Response {
+                cache_hit,
+                ms: ms_since(submitted),
+                reuse,
+                ..Response::from_execution(req.id, run, engine)
+            }
         }
-    }
-
-    /// Executes `main()` against the session's checked program, reusing
-    /// compiled bytecode when the generation (and opt level) still match.
-    fn run(&mut self, req: Request, submitted: Instant, reuse: SessionReuse) -> Response {
-        let generation = self.inner.generation();
-        let opt = req.opt_level;
-        // `auto` has no hotness signal here; a session's program is warm
-        // by definition, so it runs on the VM.
-        let engine = match req.engine {
-            EngineKind::Auto => EngineKind::Vm,
-            explicit => explicit,
-        };
-        let prog = self
-            .inner
-            .program()
-            .expect("no errors implies a checked program");
-        // `cache_hit` reports whether the code this engine runs was
-        // reused: the bytecode on the VM, the closures on Tier 2.
-        let (run, cache_hit) = match engine {
-            // The submitting thread is not a pool worker, so the
-            // recursive interpreter gets its big stack here.
-            EngineKind::Ast => (
-                with_interp_stack(|| execute(prog, Code::Ast, req.limits)),
-                false,
-            ),
-            EngineKind::Vm | EngineKind::Auto => {
-                let (code, hit) = self.code.bytecode(prog, generation, opt);
-                (execute(prog, Code::Vm(&code), req.limits), hit)
-            }
-            EngineKind::Jit => {
-                let (tier, hit) = self.code.tier(prog, generation, opt);
-                (execute(prog, Code::Tier(&tier), req.limits), hit)
-            }
-        };
-        Response {
-            cache_hit,
-            ms: ms_since(submitted),
-            reuse: Some(reuse),
-            ..Response::from_execution(req.id, run, engine)
-        }
+        // The scheduler answers metrics requests before session
+        // routing; this arm only fires on direct registry use.
+        Action::Metrics => Response::error(req.id, "`metrics` does not apply to a session"),
     }
 }
 
@@ -155,7 +92,7 @@ impl SessionEntry {
 /// connections using different sessions never contend.
 #[derive(Default)]
 pub struct SessionRegistry {
-    map: Mutex<HashMap<String, Arc<Mutex<SessionEntry>>>>,
+    map: Mutex<HashMap<String, Arc<Mutex<CompileSession>>>>,
 }
 
 impl SessionRegistry {
@@ -179,15 +116,18 @@ impl SessionRegistry {
     /// on first use.
     pub fn handle(&self, req: Request, submitted: Instant) -> Response {
         let name = req.session.clone().expect("sessionful request");
-        let entry = {
+        let session = {
             let mut map = self.map.lock().expect("session registry poisoned");
-            Arc::clone(
-                map.entry(name)
-                    .or_insert_with(|| Arc::new(Mutex::new(SessionEntry::new(req.stdlib)))),
-            )
+            Arc::clone(map.entry(name).or_insert_with(|| {
+                Arc::new(Mutex::new(if req.stdlib {
+                    CompileSession::with_stdlib()
+                } else {
+                    CompileSession::new()
+                }))
+            }))
         };
-        let mut entry = entry.lock().expect("session entry poisoned");
-        entry.handle(req, submitted)
+        let mut session = session.lock().expect("session poisoned");
+        handle_in(&mut session, req, submitted)
     }
 }
 
@@ -314,7 +254,7 @@ mod tests {
             );
             assert_eq!(r.outcome, Outcome::Ok("9".to_string()), "{engine}");
             assert_eq!(r.output, "hi\n", "{engine}");
-            assert_eq!(r.engine.name(), engine);
+            assert_eq!(r.engine.map(Engine::name), Some(engine));
         }
         assert_eq!(reg.len(), 3);
     }

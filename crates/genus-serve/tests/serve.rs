@@ -2,7 +2,7 @@
 //! concurrency, batch scheduling determinism, resource governance, and
 //! both session transports (in-memory pipe and TCP).
 
-use genus_serve::{EngineKind, Outcome, Request, ServeConfig, Server};
+use genus_serve::{Engine, Outcome, Request, ServeConfig, Server};
 use std::io::{BufRead, BufReader, Cursor, Write};
 use std::sync::Arc;
 
@@ -140,7 +140,7 @@ fn racing_jit_submissions_tier_compile_exactly_once() {
             let server = Arc::clone(&server);
             std::thread::spawn(move || {
                 let mut req = fueled(&format!("j{i}"), src, 1_000_000);
-                req.engine = EngineKind::Jit;
+                req.engine = Some(Engine::Jit);
                 server.submit(req).recv().unwrap()
             })
         })
@@ -152,7 +152,7 @@ fn racing_jit_submissions_tier_compile_exactly_once() {
             "{}",
             resp.to_json_line()
         );
-        assert_eq!(resp.engine, EngineKind::Jit);
+        assert_eq!(resp.engine, Some(Engine::Jit));
         assert_eq!(resp.output, responses[0].output);
         assert_eq!(
             resp.fuel_used, responses[0].fuel_used,
@@ -175,7 +175,7 @@ fn auto_requests_climb_the_tiers() {
     let mut engines = Vec::new();
     for i in 0..10 {
         let mut req = fueled(&format!("a{i}"), src, 1_000_000);
-        req.engine = EngineKind::Auto;
+        req.engine = None;
         let resp = server.run_batch(vec![req]).remove(0);
         assert_eq!(
             resp.outcome,
@@ -186,9 +186,9 @@ fn auto_requests_climb_the_tiers() {
         assert_eq!(resp.output, "t\n");
         engines.push(resp.engine);
     }
-    let mut want = vec![EngineKind::Ast; 2];
-    want.extend([EngineKind::Vm; 6]);
-    want.extend([EngineKind::Jit; 2]);
+    let mut want = vec![Some(Engine::Ast); 2];
+    want.extend([Some(Engine::Vm); 6]);
+    want.extend([Some(Engine::Jit); 2]);
     assert_eq!(engines, want, "promotion ladder ast -> vm -> jit");
     assert_eq!(server.cache_stats().tier_compiles, 1);
     server.shutdown();
@@ -199,9 +199,9 @@ fn auto_requests_climb_the_tiers() {
 #[test]
 fn infinite_loop_returns_fuel_trap_on_both_engines() {
     let server = server(2);
-    for engine in [EngineKind::Ast, EngineKind::Vm, EngineKind::Jit] {
+    for engine in [Engine::Ast, Engine::Vm, Engine::Jit] {
         let mut req = fueled(engine.name(), LOOP_FOREVER, 100_000);
-        req.engine = engine;
+        req.engine = Some(engine);
         let resp = &server.run_batch(vec![req])[0];
         match &resp.outcome {
             Outcome::Trap { code, .. } => {
@@ -269,9 +269,9 @@ fn memory_limit_traps_r0010_on_both_engines() {
         while (true) { int[] a = new int[1024]; i = i + 1; }
         return i;
     }"#;
-    for engine in [EngineKind::Ast, EngineKind::Vm, EngineKind::Jit] {
+    for engine in [Engine::Ast, Engine::Vm, Engine::Jit] {
         let mut req = Request::new(engine.name(), src);
-        req.engine = engine;
+        req.engine = Some(engine);
         req.limits.memory = Some(100_000);
         let resp = &server.run_batch(vec![req])[0];
         match &resp.outcome {
@@ -655,12 +655,12 @@ fn disk_loaded_programs_match_in_process_compiles_on_every_engine() {
         cache_dir: Some(dir.clone()),
         ..ServeConfig::default()
     });
-    for engine in [EngineKind::Vm, EngineKind::Jit, EngineKind::Ast] {
+    for engine in [Engine::Vm, Engine::Jit, Engine::Ast] {
         let mut a = fueled(&format!("f-{}", engine.name()), src, 1_000_000);
         let mut b = a.clone();
         b.id = format!("w-{}", engine.name());
-        a.engine = engine;
-        b.engine = engine;
+        a.engine = Some(engine);
+        b.engine = Some(engine);
         let ra = fresh.run_batch(vec![a]).remove(0);
         let rb = warm.run_batch(vec![b]).remove(0);
         assert_eq!(ra.outcome, rb.outcome, "{engine:?}");
@@ -672,7 +672,7 @@ fn disk_loaded_programs_match_in_process_compiles_on_every_engine() {
     // Auto on a disk-loaded entry skips the AST rung: first invocation
     // already reports vm.
     let mut auto_req = fueled("auto-disk", src, 1_000_000);
-    auto_req.engine = EngineKind::Auto;
+    auto_req.engine = None;
     // (invocations so far: 3 from the parity loop — above default
     // `VM_THRESHOLD` anyway; use a second source to test the cold case.)
     let src2 = "int main() { return 77; }";
@@ -691,11 +691,11 @@ fn disk_loaded_programs_match_in_process_compiles_on_every_engine() {
         ..ServeConfig::default()
     });
     let mut cold_auto = fueled("auto-cold", src2, 100_000);
-    cold_auto.engine = EngineKind::Auto;
+    cold_auto.engine = None;
     let resp = warm2.run_batch(vec![cold_auto]).remove(0);
     assert_eq!(
         resp.engine,
-        EngineKind::Vm,
+        Some(Engine::Vm),
         "auto's first run on a disk entry starts at the VM rung"
     );
     assert_eq!(resp.outcome, Outcome::Ok("77".to_string()));
@@ -713,14 +713,14 @@ fn fuel_trap_parity_across_engines_and_levels() {
     let server = server(2);
     let mut responses = Vec::new();
     for (engine, opt) in [
-        (EngineKind::Ast, 0),
-        (EngineKind::Vm, 0),
-        (EngineKind::Vm, 2),
-        (EngineKind::Jit, 0),
-        (EngineKind::Jit, 2),
+        (Engine::Ast, 0),
+        (Engine::Vm, 0),
+        (Engine::Vm, 2),
+        (Engine::Jit, 0),
+        (Engine::Jit, 2),
     ] {
         let mut req = fueled(&format!("{}-{opt}", engine.name()), LOOP_FOREVER, 10_000);
-        req.engine = engine;
+        req.engine = Some(engine);
         req.opt_level = opt;
         responses.push(server.run_batch(vec![req]).remove(0));
     }
@@ -756,3 +756,76 @@ fn deeply_nested_request_is_an_error_reply() {
         .unwrap();
     assert_eq!(r.outcome, Outcome::Ok("7".to_string()));
 }
+
+/// A reply line with its wall-clock `ms` field set to 0, so the rest of
+/// the line can be compared byte for byte.
+fn zero_ms(line: &str) -> String {
+    let key = "\"ms\":";
+    let Some(at) = line.find(key) else {
+        return line.to_string();
+    };
+    let digits = at + key.len();
+    let end = digits
+        + line[digits..]
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(line.len() - digits);
+    format!("{}0{}", &line[..digits], &line[end..])
+}
+
+/// The exact reply bytes (with `ms` zeroed) of every kind of reply the
+/// wire protocol has: a malformed line, an `auto` request that fails to
+/// compile, a sessionful `check` error, a sessionful `run` on each
+/// engine, and a stateless `run` on each engine. Error replies name the
+/// engine the request asked for (`vm` when the line did not parse).
+#[test]
+fn reply_bytes_are_pinned_for_every_kind_of_request() {
+    let server = server(1);
+    let ok = r#"int main() { println(\"hi\"); return 6 * 7; }"#;
+    let bad = "int main() { return nope; }";
+    let mut input = vec![
+        "this is not json".to_string(),
+        format!(r#"{{"id":"auto-err","source":"{bad}","engine":"auto","stdlib":false}}"#),
+        format!(
+            r#"{{"id":"s-err","session":"w","action":"check","stdlib":false,"source":"{bad}"}}"#
+        ),
+        format!(r#"{{"id":"s-up","session":"w","action":"update","source":"{ok}"}}"#),
+    ];
+    for engine in ["ast", "vm", "jit", "vm", "jit", "auto"] {
+        input.push(format!(
+            r#"{{"id":"s-{engine}","session":"w","action":"run","engine":"{engine}"}}"#
+        ));
+    }
+    for engine in ["ast", "vm", "jit", "auto"] {
+        input.push(format!(
+            r#"{{"id":"{engine}","source":"{ok}","engine":"{engine}","stdlib":false}}"#
+        ));
+    }
+    let mut out = Vec::new();
+    server
+        .run_session(Cursor::new(input.join("\n")), &mut out)
+        .expect("session I/O");
+    server.shutdown();
+    let got: Vec<String> = out.lines().map(|l| zero_ms(&l.unwrap())).collect();
+    let want: Vec<&str> = WIRE_REPLIES.lines().collect();
+    for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(got, want, "reply {i}");
+    }
+    assert_eq!(got.len(), input.len(), "one reply per request");
+}
+
+/// The replies `reply_bytes_are_pinned_for_every_kind_of_request` expects,
+/// one line per request, in request order.
+const WIRE_REPLIES: &str = r#"{"id":"","outcome":"error","message":"bad request: invalid literal at byte 0","output":"","fuel_used":0,"mem_used":0,"live_bytes":0,"peak_bytes":0,"collections":0,"cache":"miss","ms":0,"engine":"vm"}
+{"id":"auto-err","outcome":"error","message":"request.genus:1:21: error[E0501]: type mismatch: expected `int`, found `null`\nrequest.genus:1:21: error[E0502]: unknown variable `nope`","output":"","fuel_used":0,"mem_used":0,"live_bytes":0,"peak_bytes":0,"collections":0,"cache":"miss","ms":0,"engine":"auto"}
+{"id":"s-err","outcome":"error","message":"main.genus:1:21: error[E0501]: type mismatch: expected `int`, found `null`\nmain.genus:1:21: error[E0502]: unknown variable `nope`","output":"","fuel_used":0,"mem_used":0,"live_bytes":0,"peak_bytes":0,"collections":0,"cache":"miss","ms":0,"engine":"vm","extended":0,"reused":0,"rechecked":2}
+{"id":"s-up","outcome":"ok","value":"updated","output":"","fuel_used":0,"mem_used":0,"live_bytes":0,"peak_bytes":0,"collections":0,"cache":"miss","ms":0,"engine":"vm"}
+{"id":"s-ast","outcome":"ok","value":"42","output":"hi\n","fuel_used":7,"mem_used":0,"live_bytes":0,"peak_bytes":0,"collections":0,"cache":"miss","ms":0,"engine":"ast","extended":0,"reused":1,"rechecked":1}
+{"id":"s-vm","outcome":"ok","value":"42","output":"hi\n","fuel_used":7,"mem_used":0,"live_bytes":0,"peak_bytes":0,"collections":0,"cache":"miss","ms":0,"engine":"vm","extended":0,"reused":2,"rechecked":0}
+{"id":"s-jit","outcome":"ok","value":"42","output":"hi\n","fuel_used":7,"mem_used":0,"live_bytes":0,"peak_bytes":0,"collections":0,"cache":"miss","ms":0,"engine":"jit","extended":0,"reused":2,"rechecked":0}
+{"id":"s-vm","outcome":"ok","value":"42","output":"hi\n","fuel_used":7,"mem_used":0,"live_bytes":0,"peak_bytes":0,"collections":0,"cache":"hit","ms":0,"engine":"vm","extended":0,"reused":2,"rechecked":0}
+{"id":"s-jit","outcome":"ok","value":"42","output":"hi\n","fuel_used":7,"mem_used":0,"live_bytes":0,"peak_bytes":0,"collections":0,"cache":"hit","ms":0,"engine":"jit","extended":0,"reused":2,"rechecked":0}
+{"id":"s-auto","outcome":"ok","value":"42","output":"hi\n","fuel_used":7,"mem_used":0,"live_bytes":0,"peak_bytes":0,"collections":0,"cache":"hit","ms":0,"engine":"vm","extended":0,"reused":2,"rechecked":0}
+{"id":"ast","outcome":"ok","value":"42","output":"hi\n","fuel_used":7,"mem_used":0,"live_bytes":0,"peak_bytes":0,"collections":0,"cache":"miss","ms":0,"engine":"ast"}
+{"id":"vm","outcome":"ok","value":"42","output":"hi\n","fuel_used":7,"mem_used":0,"live_bytes":0,"peak_bytes":0,"collections":0,"cache":"hit","ms":0,"engine":"vm"}
+{"id":"jit","outcome":"ok","value":"42","output":"hi\n","fuel_used":7,"mem_used":0,"live_bytes":0,"peak_bytes":0,"collections":0,"cache":"hit","ms":0,"engine":"jit"}
+{"id":"auto","outcome":"ok","value":"42","output":"hi\n","fuel_used":7,"mem_used":0,"live_bytes":0,"peak_bytes":0,"collections":0,"cache":"hit","ms":0,"engine":"vm"}"#;

@@ -36,13 +36,6 @@ pub fn expr_to_string(e: &Expr) -> String {
     pr.out
 }
 
-/// Renders one model expression.
-pub fn model_expr_to_string(m: &ModelExpr) -> String {
-    let mut pr = Printer::default();
-    pr.model_expr(m);
-    pr.out
-}
-
 #[derive(Default)]
 struct Printer {
     out: String,

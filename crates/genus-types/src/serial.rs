@@ -67,16 +67,6 @@ pub fn read_sym(r: &mut ByteReader) -> ReadResult<Symbol> {
     read_symbol(r)
 }
 
-/// Writes a [`Span`] (three `u32`s).
-pub fn write_span_raw(w: &mut ByteWriter, s: Span) {
-    write_span(w, s);
-}
-
-/// Reads a [`Span`].
-pub fn read_span_raw(r: &mut ByteReader) -> ReadResult<Span> {
-    read_span(r)
-}
-
 fn prim_code(p: PrimTy) -> u8 {
     match p {
         PrimTy::Int => 0,
@@ -167,37 +157,17 @@ pub fn read_type(r: &mut ByteReader) -> ReadResult<Type> {
         0 => Type::Prim(prim_from(r.u8()?)?),
         1 => {
             let id = ClassId(r.u32()?);
-            let n = r.seq()?;
-            let mut args = Vec::with_capacity(n);
-            for _ in 0..n {
-                args.push(read_type(r)?);
-            }
-            let n = r.seq()?;
-            let mut models = Vec::with_capacity(n);
-            for _ in 0..n {
-                models.push(read_model(r)?);
-            }
+            let args = r.collect(read_type)?;
+            let models = r.collect(read_model)?;
             Type::Class { id, args, models }
         }
         2 => Type::Var(TvId(r.u32()?)),
         3 => Type::Array(Box::new(read_type(r)?)),
         4 => Type::Null,
         5 => {
-            let n = r.seq()?;
-            let mut params = Vec::with_capacity(n);
-            for _ in 0..n {
-                params.push(TvId(r.u32()?));
-            }
-            let n = r.seq()?;
-            let mut bounds = Vec::with_capacity(n);
-            for _ in 0..n {
-                bounds.push(if r.bool()? { Some(read_type(r)?) } else { None });
-            }
-            let n = r.seq()?;
-            let mut wheres = Vec::with_capacity(n);
-            for _ in 0..n {
-                wheres.push(read_where(r)?);
-            }
+            let params = read_tvs(r)?;
+            let bounds = r.collect(read_opt_type)?;
+            let wheres = read_wheres(r)?;
             Type::Existential {
                 params,
                 bounds,
@@ -245,16 +215,8 @@ pub fn read_model(r: &mut ByteReader) -> ReadResult<Model> {
     Ok(match r.u8()? {
         0 => {
             let id = ModelId(r.u32()?);
-            let n = r.seq()?;
-            let mut type_args = Vec::with_capacity(n);
-            for _ in 0..n {
-                type_args.push(read_type(r)?);
-            }
-            let n = r.seq()?;
-            let mut model_args = Vec::with_capacity(n);
-            for _ in 0..n {
-                model_args.push(read_model(r)?);
-            }
+            let type_args = r.collect(read_type)?;
+            let model_args = r.collect(read_model)?;
             Model::Decl {
                 id,
                 type_args,
@@ -279,11 +241,7 @@ fn write_inst(w: &mut ByteWriter, i: &ConstraintInst) {
 
 fn read_inst(r: &mut ByteReader) -> ReadResult<ConstraintInst> {
     let id = ConstraintId(r.u32()?);
-    let n = r.seq()?;
-    let mut args = Vec::with_capacity(n);
-    for _ in 0..n {
-        args.push(read_type(r)?);
-    }
+    let args = r.collect(read_type)?;
     Ok(ConstraintInst { id, args })
 }
 
@@ -324,12 +282,7 @@ fn write_params(w: &mut ByteWriter, params: &[(Symbol, Type)]) {
 }
 
 fn read_params(r: &mut ByteReader) -> ReadResult<Vec<(Symbol, Type)>> {
-    let n = r.seq()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push((read_symbol(r)?, read_type(r)?));
-    }
-    Ok(out)
+    r.collect(|r| Ok((read_symbol(r)?, read_type(r)?)))
 }
 
 fn write_tvs(w: &mut ByteWriter, tvs: &[TvId]) {
@@ -340,12 +293,7 @@ fn write_tvs(w: &mut ByteWriter, tvs: &[TvId]) {
 }
 
 fn read_tvs(r: &mut ByteReader) -> ReadResult<Vec<TvId>> {
-    let n = r.seq()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(TvId(r.u32()?));
-    }
-    Ok(out)
+    r.collect(|r| Ok(TvId(r.u32()?)))
 }
 
 fn write_wheres(w: &mut ByteWriter, wheres: &[WhereReq]) {
@@ -356,12 +304,7 @@ fn write_wheres(w: &mut ByteWriter, wheres: &[WhereReq]) {
 }
 
 fn read_wheres(r: &mut ByteReader) -> ReadResult<Vec<WhereReq>> {
-    let n = r.seq()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(read_where(r)?);
-    }
-    Ok(out)
+    r.collect(read_where)
 }
 
 /// The blanked stand-in for a persisted body.
@@ -439,15 +382,9 @@ fn read_class(r: &mut ByteReader) -> ReadResult<ClassDef> {
     let params = read_tvs(r)?;
     let wheres = read_wheres(r)?;
     let extends = read_opt_type(r)?;
-    let n = r.seq()?;
-    let mut implements = Vec::with_capacity(n);
-    for _ in 0..n {
-        implements.push(read_type(r)?);
-    }
-    let n = r.seq()?;
-    let mut fields = Vec::with_capacity(n);
-    for _ in 0..n {
-        fields.push(FieldDef {
+    let implements = r.collect(read_type)?;
+    let fields = r.collect(|r| {
+        Ok(FieldDef {
             name: read_symbol(r)?,
             ty: read_type(r)?,
             is_static: r.bool()?,
@@ -455,22 +392,16 @@ fn read_class(r: &mut ByteReader) -> ReadResult<ClassDef> {
             // functions; the table copy is checker-only.
             init: None,
             span: read_span(r)?,
-        });
-    }
-    let n = r.seq()?;
-    let mut ctors = Vec::with_capacity(n);
-    for _ in 0..n {
-        ctors.push(CtorDef {
+        })
+    })?;
+    let ctors = r.collect(|r| {
+        Ok(CtorDef {
             params: read_params(r)?,
             body: empty_block(),
             span: read_span(r)?,
-        });
-    }
-    let n = r.seq()?;
-    let mut methods = Vec::with_capacity(n);
-    for _ in 0..n {
-        methods.push(read_method(r)?);
-    }
+        })
+    })?;
+    let methods = r.collect(read_method)?;
     Ok(ClassDef {
         name,
         is_interface,
@@ -531,28 +462,18 @@ fn write_constraint(w: &mut ByteWriter, c: &ConstraintDef) {
 fn read_constraint(r: &mut ByteReader) -> ReadResult<ConstraintDef> {
     let name = read_symbol(r)?;
     let params = read_tvs(r)?;
-    let n = r.seq()?;
-    let mut prereqs = Vec::with_capacity(n);
-    for _ in 0..n {
-        prereqs.push(read_inst(r)?);
-    }
-    let n = r.seq()?;
-    let mut ops = Vec::with_capacity(n);
-    for _ in 0..n {
-        ops.push(ConstraintOp {
+    let prereqs = r.collect(read_inst)?;
+    let ops = r.collect(|r| {
+        Ok(ConstraintOp {
             name: read_symbol(r)?,
             is_static: r.bool()?,
             receiver: TvId(r.u32()?),
             params: read_params(r)?,
             ret: read_type(r)?,
             span: read_span(r)?,
-        });
-    }
-    let n = r.seq()?;
-    let mut variance = Vec::with_capacity(n);
-    for _ in 0..n {
-        variance.push(variance_from(r.u8()?)?);
-    }
+        })
+    })?;
+    let variance = r.collect(|r| variance_from(r.u8()?))?;
     Ok(ConstraintDef {
         name,
         params,
@@ -590,15 +511,9 @@ fn read_model_def(r: &mut ByteReader) -> ReadResult<ModelDef> {
     let tparams = read_tvs(r)?;
     let wheres = read_wheres(r)?;
     let for_inst = read_inst(r)?;
-    let n = r.seq()?;
-    let mut extends = Vec::with_capacity(n);
-    for _ in 0..n {
-        extends.push(read_model(r)?);
-    }
-    let n = r.seq()?;
-    let mut methods = Vec::with_capacity(n);
-    for _ in 0..n {
-        methods.push(ModelMethod {
+    let extends = r.collect(read_model)?;
+    let methods = r.collect(|r| {
+        Ok(ModelMethod {
             name: read_symbol(r)?,
             is_static: r.bool()?,
             receiver: read_type(r)?,
@@ -607,8 +522,8 @@ fn read_model_def(r: &mut ByteReader) -> ReadResult<ModelDef> {
             body: empty_block(),
             from_enrich: r.bool()?,
             span: read_span(r)?,
-        });
-    }
+        })
+    })?;
     Ok(ModelDef {
         name,
         tparams,
@@ -676,31 +591,11 @@ pub fn write_table(w: &mut ByteWriter, table: &Table) {
 /// are rebuilt from the defs; the query cache starts empty.
 pub fn read_table(r: &mut ByteReader) -> ReadResult<Table> {
     let mut table = Table::new();
-    let n = r.seq()?;
-    let mut classes = Vec::with_capacity(n);
-    for _ in 0..n {
-        classes.push(read_class(r)?);
-    }
-    let n = r.seq()?;
-    let mut constraints = Vec::with_capacity(n);
-    for _ in 0..n {
-        constraints.push(read_constraint(r)?);
-    }
-    let n = r.seq()?;
-    let mut models = Vec::with_capacity(n);
-    for _ in 0..n {
-        models.push(read_model_def(r)?);
-    }
-    let n = r.seq()?;
-    let mut uses = Vec::with_capacity(n);
-    for _ in 0..n {
-        uses.push(read_use(r)?);
-    }
-    let n = r.seq()?;
-    let mut globals = Vec::with_capacity(n);
-    for _ in 0..n {
-        globals.push(read_method(r)?);
-    }
+    let classes: Vec<_> = r.collect(read_class)?;
+    let constraints: Vec<_> = r.collect(read_constraint)?;
+    let models: Vec<_> = r.collect(read_model_def)?;
+    let uses = r.collect(read_use)?;
+    let globals = r.collect(read_method)?;
     // `add_*` rebuilds the name maps exactly as collection did (later
     // declarations shadow earlier ones in the map, matching collect).
     for c in classes {
@@ -714,17 +609,14 @@ pub fn read_table(r: &mut ByteReader) -> ReadResult<Table> {
     }
     table.uses = uses;
     table.globals = globals;
-    let n = r.seq()?;
-    for _ in 0..n {
-        let name = read_symbol(r)?;
-        let bound = read_opt_type(r)?;
-        table.fresh_tv_bounded(name, bound);
-    }
-    let n = r.seq()?;
-    for _ in 0..n {
-        let name = read_symbol(r)?;
-        table.fresh_mv(name);
-    }
+    r.collect::<_, ()>(|r| {
+        table.fresh_tv_bounded(read_symbol(r)?, read_opt_type(r)?);
+        Ok(())
+    })?;
+    r.collect::<_, ()>(|r| {
+        table.fresh_mv(read_symbol(r)?);
+        Ok(())
+    })?;
     Ok(table)
 }
 
@@ -843,5 +735,25 @@ mod tests {
             // Any prefix must fail cleanly, never panic.
             let _ = read_table(&mut ByteReader::new(&bytes[..cut]));
         }
+    }
+
+    #[test]
+    fn nested_class_args_claiming_every_remaining_byte_are_an_error() {
+        // `Class` inside `Class`, each level claiming as many args as
+        // there are bytes left, and nothing after the innermost header:
+        // a decoder that reserved each claim up front would hold every
+        // level's reservation at once before failing. (The decoder
+        // recurses once per level, so the depth stays small.)
+        const DEPTH: usize = 64;
+        const HEADER: usize = 9; // tag, class id, arg count
+        let mut w = ByteWriter::new();
+        for level in 0..DEPTH {
+            w.u8(1);
+            w.u32(0);
+            w.seq(HEADER * (DEPTH - level - 1));
+        }
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), HEADER * DEPTH);
+        assert!(read_type(&mut ByteReader::new(&bytes)).is_err());
     }
 }

@@ -526,11 +526,6 @@ impl<T> SharedVec<T> {
         self.own.push(v);
     }
 
-    /// Reserves room for `n` more entries.
-    pub fn reserve(&mut self, n: usize) {
-        self.own.reserve(n);
-    }
-
     /// The entries in index order.
     pub fn iter(&self) -> std::iter::Chain<std::slice::Iter<'_, T>, std::slice::Iter<'_, T>> {
         self.into_iter()
@@ -554,6 +549,12 @@ impl<T> SharedVec<T> {
         all.extend(self.shared.iter().cloned());
         all.append(&mut self.own);
         self.shared = Arc::from(all);
+    }
+}
+
+impl<T> Extend<T> for SharedVec<T> {
+    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+        self.own.extend(iter);
     }
 }
 

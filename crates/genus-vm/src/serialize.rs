@@ -578,12 +578,7 @@ fn write_types(w: &mut ByteWriter, ts: &[Type]) {
 }
 
 fn read_types(r: &mut ByteReader) -> ReadResult<Vec<Type>> {
-    let n = r.seq()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(read_type(r)?);
-    }
-    Ok(out)
+    r.collect(read_type)
 }
 
 fn write_models(w: &mut ByteWriter, ms: &[Model]) {
@@ -594,12 +589,7 @@ fn write_models(w: &mut ByteWriter, ms: &[Model]) {
 }
 
 fn read_models(r: &mut ByteReader) -> ReadResult<Vec<Model>> {
-    let n = r.seq()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(read_model(r)?);
-    }
-    Ok(out)
+    r.collect(read_model)
 }
 
 fn write_regs(w: &mut ByteWriter, regs: &[u16]) {
@@ -610,12 +600,7 @@ fn write_regs(w: &mut ByteWriter, regs: &[u16]) {
 }
 
 fn read_regs(r: &mut ByteReader) -> ReadResult<Vec<u16>> {
-    let n = r.seq()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.u16()?);
-    }
-    Ok(out)
+    r.collect(|r| r.u16())
 }
 
 fn write_opt_reg(w: &mut ByteWriter, reg: Option<u16>) {
@@ -658,12 +643,7 @@ fn write_func_map(w: &mut ByteWriter, map: &HashMap<(u32, u32), FuncId>) {
 }
 
 fn read_func_map(r: &mut ByteReader) -> ReadResult<HashMap<(u32, u32), FuncId>> {
-    let n = r.seq()?;
-    let mut out = HashMap::with_capacity(n);
-    for _ in 0..n {
-        out.insert((r.u32()?, r.u32()?), FuncId(r.u32()?));
-    }
-    Ok(out)
+    r.collect(|r| Ok(((r.u32()?, r.u32()?), FuncId(r.u32()?))))
 }
 
 /// Serializes `code` into `w`. `rt_types` is recorded only as a presence
@@ -820,70 +800,46 @@ pub fn write_program(w: &mut ByteWriter, code: &VmProgram) {
 /// artifacts on the source fingerprint).
 pub fn read_program(r: &mut ByteReader, prog: &CheckedProgram) -> ReadResult<VmProgram> {
     let mut code = VmProgram::default();
-    let n = r.seq()?;
-    code.funcs.reserve(n);
-    for _ in 0..n {
-        let name = r.str()?;
-        let num_locals = r.usize()?;
-        let num_regs = r.usize()?;
-        let len = r.seq()?;
-        let mut ops = Vec::with_capacity(len);
-        for _ in 0..len {
-            ops.push(read_op(r)?);
-        }
-        code.funcs.push(VmFunc {
-            name,
-            num_locals,
-            num_regs,
-            code: ops,
+    code.funcs = r.collect(|r| {
+        Ok(VmFunc {
+            name: r.str()?,
+            num_locals: r.usize()?,
+            num_regs: r.usize()?,
+            code: r.collect(read_op)?,
             is_void: r.bool()?,
-        });
-    }
-    let n = r.seq()?;
-    code.consts.reserve(n);
-    for _ in 0..n {
-        code.consts.push(read_const(r)?);
-    }
-    for t in read_types(r)? {
-        code.types.push(t);
-    }
-    let n = r.seq()?;
-    code.virt_specs.reserve(n);
-    for _ in 0..n {
-        code.virt_specs.push(VirtSpec {
+        })
+    })?;
+    code.consts = r.collect(read_const)?;
+    code.types = r.collect(read_type)?;
+    code.virt_specs = r.collect(|r| {
+        Ok(VirtSpec {
             name: read_sym(r)?,
             arity: r.usize()?,
             targs: read_types(r)?,
             margs: read_models(r)?,
             args: read_regs(r)?,
             recv_ty: read_opt_type(r)?,
-        });
-    }
-    let n = r.seq()?;
-    code.static_specs.reserve(n);
-    for _ in 0..n {
-        code.static_specs.push(StaticSpec {
+        })
+    })?;
+    code.static_specs = r.collect(|r| {
+        Ok(StaticSpec {
             class: ClassId(r.u32()?),
             method: r.usize()?,
             targs: read_types(r)?,
             margs: read_models(r)?,
             args: read_regs(r)?,
-        });
-    }
-    let n = r.seq()?;
-    code.global_specs.reserve(n);
-    for _ in 0..n {
-        code.global_specs.push(GlobalSpec {
+        })
+    })?;
+    code.global_specs = r.collect(|r| {
+        Ok(GlobalSpec {
             index: r.usize()?,
             targs: read_types(r)?,
             margs: read_models(r)?,
             args: read_regs(r)?,
-        });
-    }
-    let n = r.seq()?;
-    code.model_specs.reserve(n);
-    for _ in 0..n {
-        code.model_specs.push(ModelSpec {
+        })
+    })?;
+    code.model_specs = r.collect(|r| {
+        Ok(ModelSpec {
             model: read_model(r)?,
             name: read_sym(r)?,
             recv: read_opt_reg(r)?,
@@ -891,22 +847,18 @@ pub fn read_program(r: &mut ByteReader, prog: &CheckedProgram) -> ReadResult<VmP
             args: read_regs(r)?,
             recv_ty: read_opt_type(r)?,
             arg_tys: read_types(r)?,
-        });
-    }
-    let n = r.seq()?;
-    code.direct_specs.reserve(n);
-    for _ in 0..n {
-        code.direct_specs.push(DirectSpec {
+        })
+    })?;
+    code.direct_specs = r.collect(|r| {
+        Ok(DirectSpec {
             func: FuncId(r.u32()?),
             recv: read_opt_reg(r)?,
             null_check: r.bool()?,
             args: read_regs(r)?,
-        });
-    }
-    let n = r.seq()?;
-    code.new_specs.reserve(n);
-    for _ in 0..n {
-        code.new_specs.push(NewSpec {
+        })
+    })?;
+    code.new_specs = r.collect(|r| {
+        Ok(NewSpec {
             class: ClassId(r.u32()?),
             targs: read_types(r)?,
             models: read_models(r)?,
@@ -917,66 +869,41 @@ pub fn read_program(r: &mut ByteReader, prog: &CheckedProgram) -> ReadResult<VmP
                 None
             },
             args: read_regs(r)?,
-        });
-    }
-    let n = r.seq()?;
-    code.prim_specs.reserve(n);
-    for _ in 0..n {
-        code.prim_specs.push(PrimSpec {
+        })
+    })?;
+    code.prim_specs = r.collect(|r| {
+        Ok(PrimSpec {
             prim: read_prim(r)?,
             name: read_sym(r)?,
             recv: read_opt_reg(r)?,
             args: read_regs(r)?,
-        });
-    }
-    let n = r.seq()?;
-    code.native_specs.reserve(n);
-    for _ in 0..n {
-        code.native_specs.push(NativeSpec {
+        })
+    })?;
+    code.native_specs = r.collect(|r| {
+        Ok(NativeSpec {
             op: native_from(r.u8()?)?,
             recv: read_opt_reg(r)?,
             args: read_regs(r)?,
-        });
-    }
-    let n = r.seq()?;
-    code.pack_specs.reserve(n);
-    for _ in 0..n {
-        code.pack_specs.push(PackSpec {
+        })
+    })?;
+    code.pack_specs = r.collect(|r| {
+        Ok(PackSpec {
             types: read_types(r)?,
             models: read_models(r)?,
-        });
-    }
-    let n = r.seq()?;
-    code.open_specs.reserve(n);
-    for _ in 0..n {
-        let tn = r.seq()?;
-        let mut tvs = Vec::with_capacity(tn);
-        for _ in 0..tn {
-            tvs.push(TvId(r.u32()?));
-        }
-        let mn = r.seq()?;
-        let mut mvs = Vec::with_capacity(mn);
-        for _ in 0..mn {
-            mvs.push(MvId(r.u32()?));
-        }
-        code.open_specs.push(OpenSpec { tvs, mvs });
-    }
+        })
+    })?;
+    code.open_specs = r.collect(|r| {
+        Ok(OpenSpec {
+            tvs: r.collect(|r| Ok(TvId(r.u32()?)))?,
+            mvs: r.collect(|r| Ok(MvId(r.u32()?)))?,
+        })
+    })?;
     code.methods = read_func_map(r)?;
     code.ctors = read_func_map(r)?;
-    let n = r.seq()?;
-    code.globals.reserve(n);
-    for _ in 0..n {
-        let k = r.u32()?;
-        code.globals.insert(k, FuncId(r.u32()?));
-    }
+    code.globals = r.collect(|r| Ok((r.u32()?, FuncId(r.u32()?))))?;
     code.model_methods = read_func_map(r)?;
     code.field_inits = read_func_map(r)?;
-    let n = r.seq()?;
-    code.static_inits.reserve(n);
-    for _ in 0..n {
-        code.static_inits
-            .push((ClassId(r.u32()?), r.usize()?, FuncId(r.u32()?)));
-    }
+    code.static_inits = r.collect(|r| Ok((ClassId(r.u32()?), r.usize()?, FuncId(r.u32()?))))?;
     code.num_sites = r.usize()?;
     code.num_model_sites = r.usize()?;
     let had_rt = r.bool()?;

@@ -22,7 +22,7 @@
 
 use genus::{CompileSession, Engine, ErrorFormat, Limits, Severity};
 use genus_serve::server::{TIER_THRESHOLD, VM_THRESHOLD};
-use genus_serve::{EngineKind, Outcome, Request, ServeConfig, Server, DEFAULT_FUEL};
+use genus_serve::{Outcome, Request, ServeConfig, Server, DEFAULT_FUEL};
 use std::process::ExitCode;
 
 /// Exit tier for compile errors (and denied warnings).
@@ -185,19 +185,13 @@ fn print_stats(ex: &genus::Execution) {
 
 /// Prints the last check's warnings to stderr in the chosen format.
 fn print_warnings(session: &CompileSession, format: ErrorFormat) {
-    let sep = if format == ErrorFormat::Human {
-        "\n\n"
-    } else {
-        "\n"
-    };
-    let rendered: Vec<String> = session
+    let warnings = session
         .last_diags()
         .iter()
-        .filter(|d| d.severity == Severity::Warning)
-        .map(|d| d.render_with(session.sm(), format))
-        .collect();
+        .filter(|d| d.severity == Severity::Warning);
+    let rendered = genus_common::diag::render_all(warnings, session.sm(), format);
     if !rendered.is_empty() {
-        eprintln!("{}", rendered.join(sep));
+        eprintln!("{rendered}");
     }
 }
 
@@ -683,11 +677,7 @@ fn cmd_batch(
             }
         };
         let mut req = Request::new(path.display().to_string(), source);
-        req.engine = match engine {
-            Engine::Ast => EngineKind::Ast,
-            Engine::Vm => EngineKind::Vm,
-            Engine::Jit => EngineKind::Jit,
-        };
+        req.engine = Some(engine);
         req.opt_level = opt_level;
         req.stdlib = stdlib;
         req.limits = config.default_limits;

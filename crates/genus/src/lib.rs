@@ -22,11 +22,7 @@
 //! assert_eq!(result.rendered_value, "42");
 //! ```
 
-pub mod session;
-
-pub use genus_check::{
-    check_program, hir, CheckReport, CheckedProgram, SessionReport, SessionStats,
-};
+pub use genus_check::{hir, CheckReport, CheckedProgram, SessionReport, SessionStats};
 pub use genus_common::{
     codes, json, Diagnostic, Diagnostics, ErrorFormat, Severity, SourceMap, Span,
 };
@@ -35,62 +31,11 @@ pub use genus_interp::{
     INTERP_STACK_SIZE,
 };
 pub use genus_types::{caches_enabled, set_caches_enabled, CacheStats};
-pub use genus_vm::exec::Execution;
+pub use genus_vm::exec::{CompileSession, Engine, Execution, RunResult};
 pub use genus_vm::{
     compile_optimized, compile_program, compile_program_uncached, compile_tier, OptStats,
     TierProgram, TierStats, Vm, VmProgram,
 };
-pub use session::CompileSession;
-
-/// Which execution engine runs the program.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Engine {
-    /// The tree-walking interpreter over HIR. Recurses on the host
-    /// stack, so the facade runs it on a dedicated big-stack thread.
-    #[default]
-    Ast,
-    /// The bytecode register VM (`genus-vm`). Keeps Genus frames in an
-    /// explicit stack, so it runs on the calling thread.
-    Vm,
-    /// Tier 2: the optimized bytecode translated once more into nested
-    /// Rust closures with pre-resolved operands (`genus-vm`'s `tier`
-    /// module) — no fetch/decode loop at run time. Observable behaviour,
-    /// including fuel accounting, is identical to [`Engine::Vm`] over
-    /// the same bytecode.
-    Jit,
-}
-
-impl Engine {
-    /// Parses an engine name as used by `genus run --engine=<name>`.
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<Engine> {
-        match name {
-            "ast" | "interp" => Some(Engine::Ast),
-            "vm" | "bytecode" => Some(Engine::Vm),
-            "jit" | "tier" => Some(Engine::Jit),
-            _ => None,
-        }
-    }
-
-    /// The canonical CLI name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Ast => "ast",
-            Engine::Vm => "vm",
-            Engine::Jit => "jit",
-        }
-    }
-}
-
-/// Outcome of running a program through [`Compiler::run`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunResult {
-    /// `main`'s return value, rendered.
-    pub rendered_value: String,
-    /// Everything printed by the program.
-    pub output: String,
-}
 
 /// A builder-style compiler front end.
 ///
@@ -102,7 +47,6 @@ pub struct Compiler {
     sources: Vec<(String, String)>,
     stdlib: bool,
     engine: Engine,
-    format: ErrorFormat,
     opt_level: u8,
     limits: Limits,
 }
@@ -113,7 +57,6 @@ impl Default for Compiler {
             sources: Vec::new(),
             stdlib: false,
             engine: Engine::default(),
-            format: ErrorFormat::default(),
             opt_level: 2,
             limits: Limits::default(),
         }
@@ -153,13 +96,6 @@ impl Compiler {
     /// only speed and the [`Execution::opt_stats`] counters differ.
     pub fn opt_level(mut self, level: u8) -> Self {
         self.opt_level = level;
-        self
-    }
-
-    /// Selects how rendered diagnostics are formatted (default:
-    /// [`ErrorFormat::Short`], the classic one-line mode).
-    pub fn error_format(mut self, format: ErrorFormat) -> Self {
-        self.format = format;
         self
     }
 
@@ -221,34 +157,15 @@ impl Compiler {
         session
     }
 
-    /// Runs `main()` on `engine` through `session`, rendering compile
-    /// errors in the selected [`error_format`](Compiler::error_format).
-    fn execute_in(
-        &self,
-        session: &mut CompileSession,
-        engine: Engine,
-    ) -> Result<Execution, String> {
-        session
-            .execute(engine, self.limits)
-            .map_err(|short| match self.format {
-                ErrorFormat::Short => short,
-                format => session.render_diags(format),
-            })
-    }
-
     /// Type-checks everything and returns the checked program.
     ///
     /// # Errors
     ///
-    /// Returns diagnostics rendered in the selected
-    /// [`error_format`](Compiler::error_format) on any parse or type error.
+    /// Returns the short-format diagnostics on any parse or type error.
     pub fn compile(&self) -> Result<CheckedProgram, String> {
         let mut report = self.check_report();
         if report.has_errors() {
-            return Err(match self.format {
-                ErrorFormat::Short => report.render_errors_short(),
-                _ => report.render(self.format),
-            });
+            return Err(report.render_errors_short());
         }
         Ok(report.program.take().expect("no errors implies a program"))
     }
@@ -262,7 +179,7 @@ impl Compiler {
     /// Returns rendered diagnostics on compile errors. Runtime errors
     /// are reported inside [`Execution::outcome`], not here.
     pub fn execute(&self) -> Result<Execution, String> {
-        self.execute_in(&mut self.session(), self.engine)
+        self.session().execute(self.engine, self.limits)
     }
 
     /// Compiles and runs `main()`, returning its value and captured output.
@@ -273,8 +190,7 @@ impl Compiler {
     /// error message. Output printed before a trap is appended to the
     /// error so it is never silently dropped.
     pub fn run(&self) -> Result<RunResult, String> {
-        let ex = self.execute()?;
-        finish(ex)
+        self.execute()?.finish()
     }
 
     /// Compiles once, runs `main()` on **all three** engines (AST
@@ -295,9 +211,9 @@ impl Compiler {
     /// test suite.
     pub fn run_differential(&self) -> Result<RunResult, String> {
         let mut session = self.session();
-        let ast = self.execute_in(&mut session, Engine::Ast)?;
-        let vm = self.execute_in(&mut session, Engine::Vm)?;
-        let jit = self.execute_in(&mut session, Engine::Jit)?;
+        let ast = session.execute(Engine::Ast, self.limits)?;
+        let vm = session.execute(Engine::Vm, self.limits)?;
+        let jit = session.execute(Engine::Jit, self.limits)?;
         let pair_agrees = |a: &Execution, b: &Execution| {
             let outcomes = match (&a.outcome, &b.outcome) {
                 (Ok(x), Ok(y)) => x == y,
@@ -320,29 +236,7 @@ impl Compiler {
                 vm.resource_stats.fuel_used, jit.resource_stats.fuel_used
             ));
         }
-        finish(vm)
-    }
-}
-
-/// Collapses an [`Execution`] into [`Compiler::run`]'s result shape,
-/// attaching the stable code and pre-trap output to the error message.
-fn finish(ex: Execution) -> Result<RunResult, String> {
-    match ex.outcome {
-        Ok(rendered_value) => Ok(RunResult {
-            rendered_value,
-            output: ex.output,
-        }),
-        Err(e) => {
-            let msg = format!("error[{}]: {e}", e.code());
-            if ex.output.is_empty() {
-                Err(msg)
-            } else {
-                Err(format!(
-                    "{msg}\n--- output before the error ---\n{}",
-                    ex.output
-                ))
-            }
-        }
+        vm.finish()
     }
 }
 
@@ -471,14 +365,12 @@ mod tests {
     }
 
     #[test]
-    fn engine_names_round_trip() {
-        assert_eq!(Engine::from_name("vm"), Some(Engine::Vm));
-        assert_eq!(Engine::from_name("ast"), Some(Engine::Ast));
-        assert_eq!(Engine::from_name("jit"), Some(Engine::Jit));
-        assert_eq!(Engine::from_name("tier"), Some(Engine::Jit));
-        assert_eq!(Engine::from_name("llvm"), None);
-        assert_eq!(Engine::Vm.name(), "vm");
-        assert_eq!(Engine::Jit.name(), "jit");
+    fn session_errors_render_like_one_shot() {
+        let mut s = CompileSession::new();
+        s.update_source("main.genus", "int main() { return nope; }");
+        let err = s.run(Engine::Ast, Limits::default()).unwrap_err();
+        let one_shot = run_simple("int main() { return nope; }").unwrap_err();
+        assert_eq!(err, one_shot);
     }
 
     #[test]

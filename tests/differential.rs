@@ -15,7 +15,7 @@ use genus_repro::{
     compile_optimized, compile_tier, table1, CompileSession, Compiler, Engine, Limits,
     ResourceStats, RuntimeError,
 };
-use genus_serve::{EngineKind, Outcome, Request, ServeConfig, Server};
+use genus_serve::{Outcome, Request, ServeConfig, Server};
 use std::sync::Arc;
 
 /// Every VM optimization level the harness sweeps.
@@ -454,7 +454,7 @@ fn run_paths_agree_on_every_sample() {
         .iter()
         .flat_map(|name| {
             engines.iter().map(move |engine| Request {
-                engine: EngineKind::from_name(engine.name()).unwrap(),
+                engine: Some(*engine),
                 ..Request::new(format!("{name}/{}", engine.name()), sample(name))
             })
         })

@@ -21,7 +21,7 @@
 use genus_heap::heap::GC_INITIAL_THRESHOLD;
 use genus_repro::{CompileSession, Compiler};
 use genus_serve::{
-    DiskCache, EngineKind, Outcome, ProgramCache, Request, Response, ServeConfig, Server,
+    DiskCache, Engine, Outcome, ProgramCache, Request, Response, ServeConfig, Server,
 };
 use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -144,7 +144,7 @@ fn wave_rps(server: &Server, wave: usize) -> f64 {
         (0..REQUESTS)
             .map(|i| {
                 let mut req = Request::new(format!("w{wave}r{i}"), scaling_src(i % PROGRAMS));
-                req.engine = EngineKind::Vm;
+                req.engine = Some(Engine::Vm);
                 req.stdlib = false;
                 req.limits.fuel = Some(genus_serve::DEFAULT_FUEL);
                 req
