@@ -23,6 +23,13 @@ test "$(grep -rn '256 << 20' crates --include=*.rs | wc -l)" -eq 1
 # rtti.rs, the `Dispatch` type both engines hold.
 test "$(grep -rlE 'resolve_virtual\(|replay_target\(|select_model_target\(' crates \
   --include=*.rs | grep -v '/rtti\.rs$' | wc -l)" -eq 1
+# One run state: the depth guard's trap, the `main()` lookup and the
+# static-field table are written once, in `genus_interp::RunState`, which
+# both engines embed; and no engine mirrors `print` to stdout.
+for needle in '"call depth exceeded"' '"no `main()` method"' 'statics: RefCell'; do
+  test "$(grep -rnF "$needle" crates --include=*.rs | wc -l)" -eq 1
+done
+test -z "$(grep -rn 'pub echo' crates --include=*.rs)"
 # One definition per opcode: Tier 2's closures call the VM's per-op
 # routines, so every trap either engine raises comes from those routines
 # or from `Vm`, never from the tier itself.

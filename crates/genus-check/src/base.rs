@@ -122,10 +122,12 @@ mod tests {
         assert!(std::sync::Arc::ptr_eq(body, &prog.method_bodies[key]));
     }
 
+    /// The reference: a stdlib-seeded session, which sees the stdlib the
+    /// way `genus run` does.
     fn full_check(src: &str) -> crate::CheckReport {
-        let mut pairs: Vec<(&str, &str)> = genus_stdlib::sources().to_vec();
-        pairs.push(("request.genus", src));
-        crate::check_sources_report(&pairs)
+        let mut session = crate::Session::with_stdlib();
+        session.update_source("request.genus", src);
+        session.into_report()
     }
 
     #[test]

@@ -101,7 +101,7 @@ pub fn run_vm(
 ) -> Leg {
     let mut vm = Vm::with_code(prog, Arc::clone(code));
     if stress {
-        vm.heap = Heap::with_stress(true);
+        vm.state.heap = Heap::with_stress(true);
     }
     if let Some(map) = cov {
         map.reset();

@@ -9,8 +9,10 @@
 //!
 //! The crate also holds what the bytecode VM (`genus-vm`) shares with
 //! the interpreter: the semantics in [`rtti`], [`natives`] and [`ops`],
-//! and the run-time dispatch caching in [`dispatch`] — one [`Dispatch`]
-//! per engine instance, asked for every virtual and model-call target.
+//! the run-time dispatch caching in [`dispatch`] — one [`Dispatch`] per
+//! engine instance, asked for every virtual and model-call target — and
+//! the per-run state in [`state`]: one [`RunState`] per engine instance,
+//! holding the meter, heap, dispatch, statics, output and depth guard.
 //!
 //! # Examples
 //!
@@ -24,15 +26,17 @@
 //! let mut interp = Interp::new(&prog);
 //! let v = interp.run_main().unwrap();
 //! assert!(matches!(v, genus_interp::Value::Int(42)));
-//! assert_eq!(interp.take_output(), "hi\n");
+//! assert_eq!(interp.state.take_output(), "hi\n");
 //! ```
 
 pub mod dispatch;
 pub mod natives;
 pub mod ops;
 pub mod rtti;
+pub mod state;
 
 pub use dispatch::{Dispatch, DispatchStats};
+pub use state::{RunState, MAX_DEPTH};
 
 pub use genus_heap::meter::{Limits, Meter, ResourceStats};
 pub use genus_heap::value::{
@@ -42,15 +46,14 @@ pub use genus_heap::value::{
 pub use genus_heap::{Handle, Heap, HeapStats};
 
 use crate::dispatch::{Site, StaticTarget};
-use crate::ops::{arith, compare, widen_value};
+use crate::ops::{arith, compare, negate, widen_value};
 use crate::rtti::{MEnv, ModelTarget, TEnv};
-use genus_check::hir::{self, BinKind, NumKind};
+use genus_check::hir::{self, BinKind};
 use genus_check::CheckedProgram;
 use genus_common::Symbol;
 use genus_syntax::ast::BinOp;
 use genus_types::{caches_enabled, set_caches_enabled, ClassId, Model, ModelId, Type};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 type RResult<T> = Result<T, RuntimeError>;
@@ -74,9 +77,10 @@ struct Frame {
 }
 
 /// Native stack the interpreter needs: each Genus frame costs tens of KiB
-/// of host stack in debug builds, and [`Interp::max_depth`]'s default of
-/// 1000 frames is calibrated so the recursion guard, not the native
-/// stack, is what a deep program hits.
+/// of host stack in debug builds, and it is calibrated so the recursion
+/// guard ([`MAX_DEPTH`] frames), not the native stack, is what a deep
+/// program hits. Run the interpreter on [`with_interp_stack`] for any
+/// program that may recurse that deep.
 pub const INTERP_STACK_SIZE: usize = 256 << 20;
 
 /// Runs `f` on a scoped thread with [`INTERP_STACK_SIZE`] of native stack
@@ -99,26 +103,15 @@ pub fn with_interp_stack<R: Send, F: FnOnce() -> R + Send>(f: F) -> R {
     joined.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
-/// The interpreter. Holds static fields and captured output across calls.
+/// The interpreter: one run's [`RunState`] plus the frames and
+/// temporaries it roots.
 pub struct Interp<'p> {
     prog: &'p CheckedProgram,
-    statics: RefCell<HashMap<(u32, u32), Value>>,
-    output: RefCell<String>,
-    dispatch: Dispatch,
+    /// Meter, heap, dispatch, statics, output and depth of the run.
+    pub state: RunState,
     /// Field slots of every class (objects store fields by slot) and
     /// each class's construction plan.
     plans: rtti::ClassPlans<&'p hir::Expr>,
-    /// Whether `print` also writes to process stdout.
-    pub echo: bool,
-    depth: std::cell::Cell<usize>,
-    /// Maximum Genus call depth before a `StackOverflowError`.
-    pub max_depth: usize,
-    /// Per-run resource meter (fuel / memory / deadline). Unlimited by
-    /// default; replace via [`Interp::set_limits`] before running.
-    pub meter: Meter,
-    /// The run's arena heap. Objects, arrays, and packed existentials
-    /// live here; `Value` reference variants are handles into it.
-    pub heap: Heap,
     /// Root set, part 1: the locals of every live activation record.
     frames: RefCell<Vec<Rc<RefCell<Vec<Value>>>>>,
     /// Root set, part 2: every reference value produced by an expression
@@ -137,39 +130,11 @@ impl<'p> Interp<'p> {
     pub fn new(prog: &'p CheckedProgram) -> Self {
         Interp {
             prog,
-            statics: RefCell::new(HashMap::new()),
-            output: RefCell::new(String::new()),
-            dispatch: Dispatch::default(),
+            state: RunState::new(Dispatch::default()),
             plans: rtti::ClassPlans::new(rtti::FieldLayout::new(prog)),
-            echo: false,
-            depth: std::cell::Cell::new(0),
-            // Deep programs need `with_interp_stack`'s native stack.
-            max_depth: 1000,
-            meter: Meter::unlimited(),
-            heap: Heap::new(),
             frames: RefCell::new(Vec::new()),
             temps: RefCell::new(Vec::new()),
         }
-    }
-
-    /// Installs resource limits for this interpreter's next run, resetting
-    /// the meter (fuel/memory counters start from zero, deadline from now).
-    pub fn set_limits(&mut self, limits: Limits) {
-        self.meter = Meter::with_limits(limits);
-    }
-
-    /// Resources consumed so far: fuel steps and exact heap bytes from
-    /// the meter, live/peak/collection statistics from the heap.
-    pub fn resource_stats(&self) -> ResourceStats {
-        let mut s = self.meter.stats();
-        self.heap.fill_stats(&mut s);
-        s
-    }
-
-    /// Renders a value the way `print` would (without dispatching a
-    /// user-defined `toString`).
-    pub fn render(&self, v: &Value) -> String {
-        self.heap.render(v)
     }
 
     /// Collects garbage if the heap asks for it. Called only at safe
@@ -177,22 +142,16 @@ impl<'p> Interp<'p> {
     /// heap allocation, where every live reference is reachable from
     /// the frame stack, the temporaries, or the statics map.
     fn maybe_gc(&self) {
-        if !self.heap.should_collect() {
-            return;
-        }
-        let mut roots = Vec::new();
-        for f in self.frames.borrow().iter() {
-            for v in f.borrow().iter() {
-                self.heap.root(&mut roots, v);
+        self.state.maybe_gc(|roots| {
+            for f in self.frames.borrow().iter() {
+                for v in f.borrow().iter() {
+                    self.state.heap.root(roots, v);
+                }
             }
-        }
-        for v in self.temps.borrow().iter() {
-            self.heap.root(&mut roots, v);
-        }
-        for v in self.statics.borrow().values() {
-            self.heap.root(&mut roots, v);
-        }
-        self.heap.collect(roots);
+            for v in self.temps.borrow().iter() {
+                self.state.heap.root(roots, v);
+            }
+        });
     }
 
     /// Runs static initializers then `main()`.
@@ -201,37 +160,20 @@ impl<'p> Interp<'p> {
     ///
     /// Returns the first uncaught [`RuntimeError`].
     pub fn run_main(&mut self) -> RResult<Value> {
-        self.init_statics()?;
-        let Some(main) = self.prog.main_index() else {
-            return Err(RuntimeError::new(ErrorKind::Other, "no `main()` method"));
-        };
-        self.call_global(main, vec![], vec![], vec![])
-    }
-
-    /// Runs static initializers (idempotent per interpreter).
-    ///
-    /// # Errors
-    ///
-    /// Returns any [`RuntimeError`] raised by an initializer.
-    pub fn init_statics(&self) -> RResult<()> {
         let mark = self.temps.borrow().len();
-        for (cid, fi, init) in &self.prog.static_inits {
-            let mut frame = Frame::default();
-            let v = self.eval(&mut frame, init)?;
-            self.statics.borrow_mut().insert((cid.0, *fi as u32), v);
-        }
+        let main = self
+            .state
+            .prologue(self.prog, &self.prog.static_inits, |init| {
+                self.eval(&mut Frame::default(), init)
+            })?;
         // Initializer temporaries are dead now; the values themselves are
         // rooted through the statics map.
         self.temps.borrow_mut().truncate(mark);
-        Ok(())
+        self.call_global(main, vec![], vec![], vec![])
     }
 
     /// Calls a global (top-level) method by index.
-    ///
-    /// # Errors
-    ///
-    /// Returns any [`RuntimeError`] raised by the body.
-    pub fn call_global(
+    fn call_global(
         &self,
         index: usize,
         targs: Vec<RtType>,
@@ -255,16 +197,6 @@ impl<'p> Interp<'p> {
         self.run_body(frame, body, None, args, g.ret.is_void())
     }
 
-    /// Takes the captured `print` output.
-    pub fn take_output(&mut self) -> String {
-        std::mem::take(&mut self.output.borrow_mut())
-    }
-
-    /// Snapshot of the dispatch-cache hit/miss counters.
-    pub fn dispatch_stats(&self) -> DispatchStats {
-        self.dispatch.stats()
-    }
-
     // ------------------------------------------------------------------
     // Frames and bodies
     // ------------------------------------------------------------------
@@ -277,13 +209,7 @@ impl<'p> Interp<'p> {
         args: Vec<Value>,
         is_void: bool,
     ) -> RResult<Value> {
-        if self.depth.get() >= self.max_depth {
-            return Err(RuntimeError::new(
-                ErrorKind::StackOverflow,
-                "call depth exceeded",
-            ));
-        }
-        self.depth.set(self.depth.get() + 1);
+        self.state.enter()?;
         {
             let mut locals = frame.locals.borrow_mut();
             *locals = vec![Value::Null; body.num_locals];
@@ -300,7 +226,7 @@ impl<'p> Interp<'p> {
         self.frames.borrow_mut().push(Rc::clone(&frame.locals));
         let r = self.exec_block(&mut frame, &body.block);
         self.frames.borrow_mut().pop();
-        self.depth.set(self.depth.get() - 1);
+        self.state.leave();
         match r? {
             Flow::Return(v) => Ok(v),
             Flow::Normal if is_void => Ok(Value::Void),
@@ -344,7 +270,7 @@ impl<'p> Interp<'p> {
     }
 
     fn exec_stmt_inner(&self, frame: &mut Frame, s: &hir::Stmt) -> RResult<Flow> {
-        self.meter.step()?;
+        self.state.meter.step()?;
         match s {
             hir::Stmt::Expr(e) => {
                 self.eval(frame, e)?;
@@ -367,7 +293,7 @@ impl<'p> Interp<'p> {
                 let v = self.eval(frame, init)?;
                 match v {
                     Value::Packed(h) => {
-                        let p = self.heap.packed(h);
+                        let p = self.state.heap.packed(h);
                         for (tv, t) in tvs.iter().zip(&p.types) {
                             frame.tenv.insert(*tv, t.clone());
                         }
@@ -386,7 +312,7 @@ impl<'p> Interp<'p> {
                         // A value whose witnesses were statically evident
                         // (no packing was needed): bind from its runtime
                         // type if possible.
-                        let rt = self.value_rt_type(&other);
+                        let rt = rtti::value_rt_type(self.prog, &self.state.heap, &other);
                         for tv in tvs {
                             frame.tenv.insert(*tv, rt.clone());
                         }
@@ -465,22 +391,6 @@ impl<'p> Interp<'p> {
         rtti::eval_model(self.prog, &frame.tenv, &frame.menv, m)
     }
 
-    /// Runtime type of a value.
-    pub fn value_rt_type(&self, v: &Value) -> RtType {
-        rtti::value_rt_type(self.prog, &self.heap, v)
-    }
-
-    /// Runtime subtyping over reified types (invariant generics, reference
-    /// types below `Object`).
-    pub fn rt_subtype(&self, a: &RtType, b: &RtType) -> bool {
-        rtti::rt_subtype(self.prog, a, b)
-    }
-
-    /// Reified `instanceof` (null is not an instance of anything).
-    pub fn value_instanceof(&self, v: &Value, t: &RtType) -> bool {
-        rtti::value_instanceof(self.prog, &self.heap, v, t)
-    }
-
     // ------------------------------------------------------------------
     // Expressions
     // ------------------------------------------------------------------
@@ -499,7 +409,7 @@ impl<'p> Interp<'p> {
     #[allow(clippy::too_many_lines)]
     fn eval_inner(&self, frame: &mut Frame, e: &hir::Expr) -> RResult<Value> {
         use hir::ExprKind as K;
-        self.meter.step()?;
+        self.state.meter.step()?;
         match &e.kind {
             K::Int(v) => Ok(Value::Int(*v as i32)),
             K::Long(v) => Ok(Value::Long(*v)),
@@ -516,7 +426,7 @@ impl<'p> Interp<'p> {
             }
             K::GetField { recv, class, field } => {
                 let r = self.eval(frame, recv)?;
-                let o = self.expect_obj(&r)?;
+                let o = rtti::expect_obj(&self.state.heap, &r)?;
                 let v = o.fields.borrow()[self.plans.layout().slot(*class, *field)].clone();
                 Ok(v)
             }
@@ -528,25 +438,18 @@ impl<'p> Interp<'p> {
             } => {
                 let r = self.eval(frame, recv)?;
                 let v = self.eval(frame, value)?;
-                let o = self.expect_obj(&r)?;
+                let o = rtti::expect_obj(&self.state.heap, &r)?;
                 o.fields.borrow_mut()[self.plans.layout().slot(*class, *field)] = v.clone();
                 Ok(v)
             }
-            K::GetStatic { class, field } => Ok(self
-                .statics
-                .borrow()
-                .get(&(class.0, *field as u32))
-                .cloned()
-                .unwrap_or(Value::Null)),
+            K::GetStatic { class, field } => Ok(self.state.get_static(*class, *field as u32)),
             K::SetStatic {
                 class,
                 field,
                 value,
             } => {
                 let v = self.eval(frame, value)?;
-                self.statics
-                    .borrow_mut()
-                    .insert((class.0, *field as u32), v.clone());
+                self.state.set_static(*class, *field as u32, v.clone());
                 Ok(v)
             }
             K::CallVirtual {
@@ -644,33 +547,21 @@ impl<'p> Interp<'p> {
             }
             K::NewArray { elem, len } => {
                 let et = self.eval_type(frame, elem);
-                let l = self.eval(frame, len)?;
-                let Value::Int(n) = l else {
-                    return Err(RuntimeError::new(
-                        ErrorKind::Other,
-                        "array length must be int",
-                    ));
-                };
-                if n < 0 {
-                    return Err(RuntimeError::new(
-                        ErrorKind::IndexOutOfBounds,
-                        format!("negative array length {n}"),
-                    ));
-                }
+                let n = rtti::expect_length(&self.eval(frame, len)?)?;
                 self.maybe_gc();
-                self.heap.alloc_arr(&self.meter, et, n as usize)
+                self.state.heap.alloc_arr(&self.state.meter, et, n)
             }
             K::ArrayLen { arr } => {
                 let a = self.eval(frame, arr)?;
-                let a = self.expect_arr(&a)?;
+                let a = rtti::expect_arr(&self.state.heap, &a)?;
                 let len = a.storage.borrow().len();
                 Ok(Value::Int(len as i32))
             }
             K::ArrayGet { arr, idx } => {
                 let a = self.eval(frame, arr)?;
                 let i = self.eval(frame, idx)?;
-                let a = self.expect_arr(&a)?;
-                let i = self.expect_index(&i, a.storage.borrow().len())?;
+                let a = rtti::expect_arr(&self.state.heap, &a)?;
+                let i = rtti::expect_index(&i, a.storage.borrow().len())?;
                 let v = a.storage.borrow().get(i);
                 Ok(v)
             }
@@ -678,8 +569,8 @@ impl<'p> Interp<'p> {
                 let a = self.eval(frame, arr)?;
                 let i = self.eval(frame, idx)?;
                 let v = self.eval(frame, value)?;
-                let a = self.expect_arr(&a)?;
-                let i = self.expect_index(&i, a.storage.borrow().len())?;
+                let a = rtti::expect_arr(&self.state.heap, &a)?;
+                let i = rtti::expect_index(&i, a.storage.borrow().len())?;
                 a.storage.borrow_mut().set(i, v.clone());
                 Ok(v)
             }
@@ -688,20 +579,7 @@ impl<'p> Interp<'p> {
                 Value::Bool(b) => Ok(Value::Bool(!b)),
                 _ => Err(RuntimeError::new(ErrorKind::Other, "`!` on non-boolean")),
             },
-            K::Neg { expr, kind } => {
-                let v = self.eval(frame, expr)?;
-                Ok(match (kind, v) {
-                    (NumKind::Int, Value::Int(x)) => Value::Int(x.wrapping_neg()),
-                    (NumKind::Long, Value::Long(x)) => Value::Long(x.wrapping_neg()),
-                    (NumKind::Double, Value::Double(x)) => Value::Double(-x),
-                    (_, v) => {
-                        return Err(RuntimeError::new(
-                            ErrorKind::Other,
-                            format!("cannot negate {v:?}"),
-                        ))
-                    }
-                })
-            }
+            K::Neg { expr, kind } => negate(*kind, self.eval(frame, expr)?),
             K::Widen { expr, from: _, to } => {
                 let v = self.eval(frame, expr)?;
                 Ok(widen_value(v, *to))
@@ -727,7 +605,7 @@ impl<'p> Interp<'p> {
                 let ts = types.iter().map(|t| self.eval_type(frame, t)).collect();
                 let ms = models.iter().map(|m| self.eval_model(frame, m)).collect();
                 self.maybe_gc();
-                self.heap.alloc_packed(&self.meter, v, ts, ms)
+                self.state.heap.alloc_packed(&self.state.meter, v, ts, ms)
             }
             K::Cond {
                 cond,
@@ -742,19 +620,7 @@ impl<'p> Interp<'p> {
             }
             K::Print { arg, newline } => {
                 let v = self.eval(frame, arg)?;
-                let s = self.stringify(&v)?;
-                let mut out = self.output.borrow_mut();
-                out.push_str(&s);
-                if *newline {
-                    out.push('\n');
-                }
-                if self.echo {
-                    if *newline {
-                        println!("{s}");
-                    } else {
-                        print!("{s}");
-                    }
-                }
+                self.state.print(&v, *newline, &|r| self.call_to_string(r));
                 Ok(Value::Void)
             }
             K::PrimCall {
@@ -768,7 +634,7 @@ impl<'p> Interp<'p> {
                     None => None,
                 };
                 let vargs = self.eval_args(frame, args)?;
-                self.prim_call(*prim, *name, r, vargs)
+                natives::prim_call(&self.state.heap, *prim, *name, r, vargs)
             }
             K::Native { op, recv, args } => {
                 let r = match recv {
@@ -776,25 +642,13 @@ impl<'p> Interp<'p> {
                     None => None,
                 };
                 let vargs = self.eval_args(frame, args)?;
-                self.native_call(*op, r, vargs)
+                self.native(*op, r, vargs)
             }
         }
     }
 
     fn eval_args(&self, frame: &mut Frame, args: &[hir::Expr]) -> RResult<Vec<Value>> {
         args.iter().map(|a| self.eval(frame, a)).collect()
-    }
-
-    fn expect_obj(&self, v: &Value) -> RResult<Rc<ObjData>> {
-        rtti::expect_obj(&self.heap, v)
-    }
-
-    fn expect_arr(&self, v: &Value) -> RResult<Rc<ArrayData>> {
-        rtti::expect_arr(&self.heap, v)
-    }
-
-    fn expect_index(&self, v: &Value, len: usize) -> RResult<usize> {
-        rtti::expect_index(v, len)
     }
 
     fn eval_binary(
@@ -820,15 +674,12 @@ impl<'p> Interp<'p> {
             BinKind::Concat => {
                 let l = self.eval(frame, lhs)?;
                 let r = self.eval(frame, rhs)?;
-                let mut s = self.stringify(&l)?;
-                s.push_str(&self.stringify(&r)?);
-                self.meter.charge(genus_heap::str_bytes(s.len()))?;
-                Ok(Value::Str(Rc::from(s.as_str())))
+                self.state.concat(&l, &r, &|v| self.call_to_string(v))
             }
             BinKind::EqRef(op) | BinKind::EqPrim(op) => {
                 let l = self.eval(frame, lhs)?;
                 let r = self.eval(frame, rhs)?;
-                let eq = self.heap.ref_eq(&l, &r);
+                let eq = self.state.heap.ref_eq(&l, &r);
                 Ok(Value::Bool(if op == BinOp::Eq { eq } else { !eq }))
             }
             BinKind::Arith(op, nk) => {
@@ -845,14 +696,14 @@ impl<'p> Interp<'p> {
     }
 
     fn instanceof_type(&self, frame: &Frame, v: &Value, ty: &Type) -> bool {
-        rtti::instanceof_type(self.prog, &self.heap, &frame.tenv, &frame.menv, v, ty)
+        rtti::instanceof_type(self.prog, &self.state.heap, &frame.tenv, &frame.menv, v, ty)
     }
 
     fn cast(&self, frame: &Frame, v: Value, ty: &Type) -> RResult<Value> {
         rtti::cast_value(
             self.prog,
-            &self.heap,
-            &self.meter,
+            &self.state.heap,
+            &self.state.meter,
             &frame.tenv,
             &frame.menv,
             v,
@@ -860,29 +711,16 @@ impl<'p> Interp<'p> {
         )
     }
 
-    /// Stringification used by concatenation and `print`: objects get their
-    /// `toString` dispatched dynamically.
-    pub fn stringify(&self, v: &Value) -> RResult<String> {
-        match v {
-            Value::Obj(_) => {
-                match self.call_virtual(
-                    v.clone(),
-                    Symbol::intern("toString"),
-                    0,
-                    vec![],
-                    vec![],
-                    vec![],
-                ) {
-                    Ok(Value::Str(s)) => Ok(s.to_string()),
-                    _ => Ok(self.heap.render(v)),
-                }
-            }
-            Value::Packed(h) => {
-                let p = self.heap.packed(*h);
-                self.stringify(&p.value)
-            }
-            other => Ok(self.heap.render(other)),
-        }
+    /// [`RunState::native`] with this engine's `toString` call.
+    fn native(&self, op: hir::NativeOp, recv: Option<Value>, args: Vec<Value>) -> RResult<Value> {
+        self.state
+            .native(op, recv, args, &|v| self.call_to_string(v))
+    }
+
+    /// Calls `recv.toString()`: the engine half of [`RunState::stringify`].
+    fn call_to_string(&self, recv: Value) -> RResult<Value> {
+        let name = Symbol::intern("toString");
+        self.call_virtual(recv, name, 0, vec![], vec![], vec![])
     }
 
     // ------------------------------------------------------------------
@@ -890,11 +728,7 @@ impl<'p> Interp<'p> {
     // ------------------------------------------------------------------
 
     /// Invokes a virtual method on a value.
-    ///
-    /// # Errors
-    ///
-    /// `NoSuchMethodError` when dispatch fails; any error from the body.
-    pub fn call_virtual(
+    fn call_virtual(
         &self,
         recv: Value,
         name: Symbol,
@@ -919,11 +753,11 @@ impl<'p> Interp<'p> {
         margs: Vec<ModelValue>,
         args: Vec<Value>,
     ) -> RResult<Value> {
-        let recv = self.heap.unpack(recv);
+        let recv = self.state.heap.unpack(recv);
         match &recv {
             Value::Obj(h) => {
-                let o = self.heap.obj(*h);
-                let (cid, mi, cargs, cmodels) = self.dispatch.virtual_target(
+                let o = self.state.heap.obj(*h);
+                let (cid, mi, cargs, cmodels) = self.state.dispatch.virtual_target(
                     self.prog,
                     site.map(Site::Node),
                     o.class,
@@ -943,19 +777,11 @@ impl<'p> Interp<'p> {
                     args,
                 )
             }
-            Value::Str(_) => self.string_virtual(&recv, name, args),
-            Value::Int(_) | Value::Long(_) | Value::Double(_) | Value::Bool(_) | Value::Char(_) => {
-                let p = match self.value_rt_type(&recv) {
-                    RtType::Prim(p) => p,
-                    _ => unreachable!("primitive value"),
-                };
-                self.prim_call(p, name, Some(recv), args)
+            _ => {
+                let to_string = |v| self.call_to_string(v);
+                self.state
+                    .builtin_method(self.prog, recv, name, args, &to_string)
             }
-            Value::Null => Err(RuntimeError::new(ErrorKind::NullPointer, "call on null")),
-            other => Err(RuntimeError::new(
-                ErrorKind::Other,
-                format!("cannot dispatch `{name}` on {other:?}"),
-            )),
         }
     }
 
@@ -975,7 +801,7 @@ impl<'p> Interp<'p> {
         let m = &def.methods[mi];
         if m.is_native {
             if let Some(op) = genus_check::body::native_op(def.name, m.name) {
-                return self.native_call(op, this, args);
+                return self.native(op, this, args);
             }
         }
         let Some(body) = self.prog.method_bodies.get(&(cid.0, mi as u32)) else {
@@ -1015,8 +841,8 @@ impl<'p> Interp<'p> {
         });
         let this = plan.construct(
             prog,
-            &self.heap,
-            &self.meter,
+            &self.state.heap,
+            &self.state.meter,
             cid,
             &targs,
             &models,
@@ -1057,11 +883,7 @@ impl<'p> Interp<'p> {
     // ------------------------------------------------------------------
 
     /// Invokes constraint operation `name` through a model witness.
-    ///
-    /// # Errors
-    ///
-    /// `NoSuchMethodError` when no definition applies; any body error.
-    pub fn call_model(
+    fn call_model(
         &self,
         model: &ModelValue,
         name: Symbol,
@@ -1073,11 +895,16 @@ impl<'p> Interp<'p> {
             ModelValue::Natural { .. } => match recv {
                 Some(r) => self.call_virtual(r, name, args.len(), vec![], vec![], args),
                 None => {
-                    let target =
-                        self.dispatch
-                            .static_target(self.prog, static_recv, name, args.len())?;
+                    let target = self.state.dispatch.static_target(
+                        self.prog,
+                        static_recv,
+                        name,
+                        args.len(),
+                    )?;
                     match target {
-                        StaticTarget::Prim(p) => self.prim_call(p, name, None, args),
+                        StaticTarget::Prim(p) => {
+                            natives::prim_call(&self.state.heap, p, name, None, args)
+                        }
                         StaticTarget::Method((id, mi, cargs, cmodels)) => self.invoke_class_method(
                             id,
                             mi,
@@ -1092,9 +919,9 @@ impl<'p> Interp<'p> {
                 }
             },
             ModelValue::Decl { id, targs, margs } => {
-                let target = self.dispatch.model_target(
+                let target = self.state.dispatch.model_target(
                     self.prog,
-                    &self.heap,
+                    &self.state.heap,
                     None,
                     *id,
                     targs,
@@ -1145,7 +972,7 @@ impl<'p> Interp<'p> {
             tenv: t.tenv.clone(),
             menv: t.menv.clone(),
         };
-        let recv = recv.map(|r| self.heap.unpack(r));
+        let recv = recv.map(|r| self.state.heap.unpack(r));
         self.run_body(frame, body, recv, args, m.ret.is_void())
     }
 }
@@ -1161,7 +988,7 @@ mod tests {
         let v = i
             .run_main()
             .unwrap_or_else(|e| panic!("runtime error: {e}"));
-        let out = i.take_output();
+        let out = i.state.take_output();
         (v, out)
     }
 

@@ -2,7 +2,7 @@
 //! `String`/`Object` built-ins (the "common methods" of natural models,
 //! §3.3).
 
-use crate::{Heap, Interp};
+use crate::Heap;
 use genus_check::hir::NativeOp;
 use genus_common::Symbol;
 use genus_heap::value::{ErrorKind, RtType, RuntimeError, Value};
@@ -10,44 +10,6 @@ use genus_types::PrimTy;
 use std::rc::Rc;
 
 type RResult<T> = Result<T, RuntimeError>;
-
-impl<'p> Interp<'p> {
-    /// Dispatches a `String` method dynamically (reached when a string is
-    /// stored behind `Object` or a type variable).
-    pub(crate) fn string_virtual(
-        &self,
-        recv: &Value,
-        name: Symbol,
-        args: Vec<Value>,
-    ) -> RResult<Value> {
-        let Some(op) = string_native_op(name) else {
-            return Err(RuntimeError::new(
-                ErrorKind::NoSuchMethod,
-                format!("no String method `{name}`"),
-            ));
-        };
-        self.native_call(op, Some(recv.clone()), args)
-    }
-
-    pub(crate) fn prim_call(
-        &self,
-        prim: PrimTy,
-        name: Symbol,
-        recv: Option<Value>,
-        args: Vec<Value>,
-    ) -> RResult<Value> {
-        prim_call(&self.heap, prim, name, recv, args)
-    }
-
-    pub(crate) fn native_call(
-        &self,
-        op: NativeOp,
-        recv: Option<Value>,
-        args: Vec<Value>,
-    ) -> RResult<Value> {
-        native_call_with(&self.heap, |v| self.stringify(v), op, recv, args)
-    }
-}
 
 /// The [`NativeOp`] behind a dynamically dispatched `String` method, if
 /// any (reached when a string is stored behind `Object` or a type
@@ -207,7 +169,7 @@ pub fn prim_call(
 /// `IndexOutOfBounds`, …).
 pub fn native_call_with(
     heap: &Heap,
-    mut stringify: impl FnMut(&Value) -> RResult<String>,
+    mut stringify: impl FnMut(&Value) -> String,
     op: NativeOp,
     recv: Option<Value>,
     args: Vec<Value>,
@@ -349,7 +311,7 @@ pub fn native_call_with(
             let r = recv.as_ref().expect("recv");
             match r {
                 Value::Str(s) => Ok(Value::Str(s.clone())),
-                other => Ok(Value::Str(Rc::from(stringify(other)?.as_str()))),
+                other => Ok(Value::Str(Rc::from(stringify(other).as_str()))),
             }
         }
     }
@@ -358,12 +320,13 @@ pub fn native_call_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use genus_check::check_source;
+    use crate::{Dispatch, RunState};
 
-    fn with_interp(f: impl FnOnce(&Interp<'_>)) {
-        let prog = check_source("void main() { }").expect("empty program checks");
-        let interp = Interp::new(&prog);
-        f(&interp);
+    /// A fresh run state; none of these operations calls `toString`.
+    fn with_state(f: impl FnOnce(&RunState, &dyn Fn(Value) -> RResult<Value>)) {
+        f(&RunState::new(Dispatch::default()), &|_| {
+            unreachable!("no toString")
+        });
     }
 
     fn s(v: &str) -> Value {
@@ -372,33 +335,35 @@ mod tests {
 
     #[test]
     fn string_natives() {
-        with_interp(|i| {
+        with_state(|i, ts| {
             let v = i
-                .native_call(NativeOp::StrLength, Some(s("héllo")), vec![])
+                .native(NativeOp::StrLength, Some(s("héllo")), vec![], &ts)
                 .unwrap();
             assert!(matches!(v, Value::Int(5)));
             let v = i
-                .native_call(NativeOp::StrCompareTo, Some(s("a")), vec![s("b")])
+                .native(NativeOp::StrCompareTo, Some(s("a")), vec![s("b")], &ts)
                 .unwrap();
             assert!(matches!(v, Value::Int(-1)));
             let v = i
-                .native_call(
+                .native(
                     NativeOp::StrEqualsIgnoreCase,
                     Some(s("AbC")),
                     vec![s("aBc")],
+                    &ts,
                 )
                 .unwrap();
             assert!(matches!(v, Value::Bool(true)));
             let v = i
-                .native_call(
+                .native(
                     NativeOp::StrSubstring,
                     Some(s("hello")),
                     vec![Value::Int(1), Value::Int(3)],
+                    &ts,
                 )
                 .unwrap();
             assert!(matches!(v, Value::Str(x) if &*x == "el"));
             let v = i
-                .native_call(NativeOp::StrIndexOf, Some(s("hello")), vec![s("ll")])
+                .native(NativeOp::StrIndexOf, Some(s("hello")), vec![s("ll")], &ts)
                 .unwrap();
             assert!(matches!(v, Value::Int(2)));
         });
@@ -406,13 +371,13 @@ mod tests {
 
     #[test]
     fn string_native_errors() {
-        with_interp(|i| {
+        with_state(|i, ts| {
             let e = i
-                .native_call(NativeOp::StrCharAt, Some(s("ab")), vec![Value::Int(9)])
+                .native(NativeOp::StrCharAt, Some(s("ab")), vec![Value::Int(9)], &ts)
                 .unwrap_err();
             assert_eq!(e.kind, ErrorKind::IndexOutOfBounds);
             let e = i
-                .native_call(NativeOp::StrLength, Some(Value::Null), vec![])
+                .native(NativeOp::StrLength, Some(Value::Null), vec![], &ts)
                 .unwrap_err();
             assert_eq!(e.kind, ErrorKind::NullPointer);
         });
@@ -420,53 +385,49 @@ mod tests {
 
     #[test]
     fn prim_calls() {
-        with_interp(|i| {
+        with_state(|i, _| {
             let name = Symbol::intern("plus");
-            let v = i
-                .prim_call(
-                    PrimTy::Double,
-                    name,
-                    Some(Value::Double(1.5)),
-                    vec![Value::Double(2.0)],
-                )
-                .unwrap();
+            let v = prim_call(
+                &i.heap,
+                PrimTy::Double,
+                name,
+                Some(Value::Double(1.5)),
+                vec![Value::Double(2.0)],
+            )
+            .unwrap();
             assert!(matches!(v, Value::Double(x) if (x - 3.5).abs() < 1e-12));
-            let v = i
-                .prim_call(PrimTy::Int, Symbol::intern("zero"), None, vec![])
-                .unwrap();
+            let v = prim_call(&i.heap, PrimTy::Int, Symbol::intern("zero"), None, vec![]).unwrap();
             assert!(matches!(v, Value::Int(0)));
-            let v = i
-                .prim_call(
-                    PrimTy::Int,
-                    Symbol::intern("compareTo"),
-                    Some(Value::Int(3)),
-                    vec![Value::Int(5)],
-                )
-                .unwrap();
+            let v = prim_call(
+                &i.heap,
+                PrimTy::Int,
+                Symbol::intern("compareTo"),
+                Some(Value::Int(3)),
+                vec![Value::Int(5)],
+            )
+            .unwrap();
             assert!(matches!(v, Value::Int(-1)));
-            let e = i
-                .prim_call(
-                    PrimTy::Boolean,
-                    Symbol::intern("plus"),
-                    Some(Value::Bool(true)),
-                    vec![Value::Bool(false)],
-                )
-                .unwrap_err();
+            let e = prim_call(
+                &i.heap,
+                PrimTy::Boolean,
+                Symbol::intern("plus"),
+                Some(Value::Bool(true)),
+                vec![Value::Bool(false)],
+            )
+            .unwrap_err();
             assert_eq!(e.kind, ErrorKind::Other);
         });
     }
 
     #[test]
     fn string_virtual_dispatch_by_name() {
-        with_interp(|i| {
-            let v = i
-                .string_virtual(&s("Hello"), Symbol::intern("toLowerCase"), vec![])
-                .unwrap();
+        let prog = genus_check::check_source("void main() { }").expect("empty program checks");
+        with_state(|i, ts| {
+            let call =
+                |name: &str| i.builtin_method(&prog, s("Hello"), Symbol::intern(name), vec![], &ts);
+            let v = call("toLowerCase").unwrap();
             assert!(matches!(v, Value::Str(x) if &*x == "hello"));
-            let e = i
-                .string_virtual(&s("x"), Symbol::intern("nonsense"), vec![])
-                .unwrap_err();
-            assert_eq!(e.kind, ErrorKind::NoSuchMethod);
+            assert_eq!(call("nonsense").unwrap_err().kind, ErrorKind::NoSuchMethod);
         });
     }
 }

@@ -1,4 +1,5 @@
-//! Primitive operator semantics: arithmetic, comparison, and widening.
+//! Primitive operator semantics: arithmetic, negation, comparison, and
+//! widening.
 
 use genus_check::hir::NumKind;
 use genus_heap::value::{ErrorKind, RuntimeError, Value};
@@ -18,6 +19,25 @@ pub fn widen_value(v: Value, to: PrimTy) -> Value {
         (Value::Char(c), PrimTy::Int) => Value::Int(c as i32),
         (v, _) => v,
     }
+}
+
+/// Negates a number of kind `nk`, wrapping like Java.
+///
+/// # Errors
+///
+/// `Other` when `v` is not a number of that kind.
+pub fn negate(nk: NumKind, v: Value) -> RResult<Value> {
+    Ok(match (nk, v) {
+        (NumKind::Int, Value::Int(x)) => Value::Int(x.wrapping_neg()),
+        (NumKind::Long, Value::Long(x)) => Value::Long(x.wrapping_neg()),
+        (NumKind::Double, Value::Double(x)) => Value::Double(-x),
+        (_, v) => {
+            return Err(RuntimeError::new(
+                ErrorKind::Other,
+                format!("cannot negate {v:?}"),
+            ))
+        }
+    })
 }
 
 /// Evaluates a numeric arithmetic operator with Java wrapping semantics.

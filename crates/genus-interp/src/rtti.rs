@@ -1123,6 +1123,27 @@ pub fn expect_index(v: &Value, len: usize) -> RResult<usize> {
     Ok(*i as usize)
 }
 
+/// Checks the length of a `new T[len]`.
+///
+/// # Errors
+///
+/// `Other` for a non-int length; `IndexOutOfBounds` for a negative one.
+pub fn expect_length(v: &Value) -> RResult<usize> {
+    let Value::Int(n) = v else {
+        return Err(RuntimeError::new(
+            ErrorKind::Other,
+            "array length must be int",
+        ));
+    };
+    if *n < 0 {
+        return Err(RuntimeError::new(
+            ErrorKind::IndexOutOfBounds,
+            format!("negative array length {n}"),
+        ));
+    }
+    Ok(*n as usize)
+}
+
 // ----------------------------------------------------------------------
 // Multimethod (model) dispatch resolution (§5.1)
 // ----------------------------------------------------------------------

@@ -55,7 +55,7 @@
 use crate::persist::DiskCache;
 use genus_check::{CheckedBase, CheckedProgram};
 use genus_common::{FastMap, FnvHasher};
-use genus_vm::exec::CompiledCode;
+use genus_vm::exec::{CompileSession, CompiledCode};
 use genus_vm::{TierProgram, VmProgram};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -481,8 +481,9 @@ pub enum CheckPath {
 /// request source), and the path that produced it. The shared
 /// [`CheckedBase`] answers when its reuse rule allows; otherwise — the
 /// request could change a stdlib verdict, or has any diagnostic — the
-/// full check runs, so serve results and diagnostics match `genus run`
-/// byte for byte either way.
+/// full check runs in a fresh session seeded the way `genus run` seeds
+/// its own (the stdlib as always-visible units), so serve results and
+/// diagnostics match `genus run` byte for byte either way.
 ///
 /// # Errors
 ///
@@ -491,12 +492,9 @@ pub fn compile(source: &str, stdlib: bool) -> (Result<CheckedProgram, String>, C
     if let Some(prog) = CheckedBase::get(stdlib).extend(REQUEST_NAME, source) {
         return (Ok(prog), CheckPath::BaseExtend);
     }
-    let mut pairs: Vec<(&str, &str)> = Vec::new();
-    if stdlib {
-        pairs.extend_from_slice(genus_stdlib::sources());
-    }
-    pairs.push((REQUEST_NAME, source));
-    let mut report = genus_check::check_sources_report(&pairs);
+    let mut session = CompileSession::seeded(stdlib);
+    session.update_source(REQUEST_NAME, source);
+    let mut report = session.into_report();
     let result = if report.has_errors() {
         Err(report.render_errors_short())
     } else {
@@ -691,7 +689,7 @@ mod tests {
         let full = cached.ast_prog().expect("lazy full compile");
         let mut interp = genus_interp::Interp::new(full);
         let v = interp.run_main().expect("runs");
-        assert_eq!(interp.render(&v), "25");
+        assert_eq!(interp.state.render(&v), "25");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

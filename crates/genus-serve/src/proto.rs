@@ -15,8 +15,9 @@
 //! closure-compiled Tier 2 — and `"auto"` for server-side hotness
 //! promotion across all three),
 //! `opt` to 2, `stdlib` to `true` (the same default as `genus run`;
-//! pass `false` for prelude-only compiles); the resource fields default
-//! to the server's per-request budgets.
+//! pass `false` for prelude-only compiles; a sessionful request defaults
+//! to its session's setting, and a differing one gets an error reply);
+//! the resource fields default to the server's per-request budgets.
 //!
 //! Responses:
 //!
@@ -115,8 +116,10 @@ pub struct Request {
     pub engine: Option<Engine>,
     /// VM optimization level (0–2).
     pub opt_level: u8,
-    /// Whether the standard library is compiled in.
-    pub stdlib: bool,
+    /// Whether the standard library is compiled in, as the request says.
+    /// Absent means `true` on a stateless request, and the session's own
+    /// setting on a sessionful one.
+    pub stdlib: Option<bool>,
     /// Per-request resource budgets (fuel / memory / deadline).
     pub limits: Limits,
     /// Names a long-lived incremental compile session. `None` is the
@@ -141,7 +144,7 @@ impl Request {
             source: source.into(),
             engine: Some(Engine::Vm),
             opt_level: 2,
-            stdlib: true,
+            stdlib: None,
             limits: Limits::default(),
             session: None,
             action: Action::default(),
@@ -229,9 +232,9 @@ impl Request {
             None => 2,
         };
         let stdlib = match v.get("stdlib") {
-            Some(Json::Bool(b)) => *b,
+            Some(Json::Bool(b)) => Some(*b),
             Some(_) => return Err("`stdlib` must be a boolean".to_string()),
-            None => true,
+            None => None,
         };
         let mut limits = *defaults;
         if let Some(j) = v.get("fuel") {
@@ -454,7 +457,10 @@ mod tests {
         assert_eq!(r.id, "a");
         assert_eq!(r.engine, Some(Engine::Vm));
         assert_eq!(r.opt_level, 2);
-        assert!(r.stdlib, "stdlib is on by default, like `genus run`");
+        assert!(
+            r.stdlib.unwrap_or(true),
+            "stdlib is on by default, like `genus run`"
+        );
         assert_eq!(r.limits, Limits::default());
     }
 
@@ -474,7 +480,10 @@ mod tests {
         assert_eq!(r.id, "7");
         assert_eq!(r.engine, Some(Engine::Ast));
         assert_eq!(r.opt_level, 2, "level 1 runs the whole pipeline, as 2");
-        assert!(!r.stdlib, "explicit `stdlib: false` overrides the default");
+        assert!(
+            !r.stdlib.unwrap_or(true),
+            "explicit `stdlib: false` overrides the default"
+        );
         assert_eq!(r.limits.fuel, Some(99));
         assert_eq!(r.limits.memory, Some(20), "untouched fields keep defaults");
         assert_eq!(r.limits.deadline_ms, Some(500));

@@ -320,7 +320,8 @@ fn salvage_id(line: &str) -> String {
 /// `engine: "auto"` against the entry's hotness, enforce the scheduler
 /// deadline, run, and shape the response.
 fn handle_request(cache: &ProgramCache, req: Request, submitted: Instant) -> Response {
-    let (compiled, cache_hit) = cache.get_or_compile(&req.source, req.stdlib, req.opt_level);
+    let (compiled, cache_hit) =
+        cache.get_or_compile(&req.source, req.stdlib.unwrap_or(true), req.opt_level);
     let cached = match compiled {
         Ok(c) => c,
         Err(message) => {

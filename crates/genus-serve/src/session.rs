@@ -87,13 +87,16 @@ fn handle_in(session: &mut CompileSession, req: Request, submitted: Instant) -> 
 }
 
 /// The server's named-session table. Sessions are created on first use
-/// (with the stdlib iff the creating request asked for it) and live for
-/// the server's lifetime; each is independently locked, so concurrent
-/// connections using different sessions never contend.
+/// (with the stdlib unless the creating request says `"stdlib": false`)
+/// and live for the server's lifetime; each is independently locked, so
+/// concurrent connections using different sessions never contend.
 #[derive(Default)]
 pub struct SessionRegistry {
-    map: Mutex<HashMap<String, Arc<Mutex<CompileSession>>>>,
+    map: Mutex<HashMap<String, Named>>,
 }
+
+/// A named session and the `stdlib` setting it was opened with.
+type Named = (bool, Arc<Mutex<CompileSession>>);
 
 impl SessionRegistry {
     /// Creates an empty registry.
@@ -113,19 +116,24 @@ impl SessionRegistry {
     }
 
     /// Handles one sessionful request synchronously, creating the session
-    /// on first use.
+    /// on first use. A request whose `stdlib` differs from the setting
+    /// its session was opened with gets an error reply.
     pub fn handle(&self, req: Request, submitted: Instant) -> Response {
         let name = req.session.clone().expect("sessionful request");
-        let session = {
-            let mut map = self.map.lock().expect("session registry poisoned");
-            Arc::clone(map.entry(name).or_insert_with(|| {
-                Arc::new(Mutex::new(if req.stdlib {
-                    CompileSession::with_stdlib()
-                } else {
-                    CompileSession::new()
-                }))
-            }))
-        };
+        let (stdlib, session) = self
+            .map
+            .lock()
+            .expect("session registry poisoned")
+            .entry(name.clone())
+            .or_insert_with(|| {
+                let stdlib = req.stdlib.unwrap_or(true);
+                (stdlib, Arc::new(Mutex::new(CompileSession::seeded(stdlib))))
+            })
+            .clone();
+        if req.stdlib.unwrap_or(stdlib) != stdlib {
+            let msg = format!("session `{name}` was opened with `stdlib: {stdlib}`");
+            return Response::error(req.id, format!("{msg}; a request cannot change it"));
+        }
         let mut session = session.lock().expect("session poisoned");
         handle_in(&mut session, req, submitted)
     }
@@ -144,6 +152,37 @@ mod tests {
 
     fn req(line: &str) -> Request {
         Request::parse(line, &Limits::default()).unwrap()
+    }
+
+    #[test]
+    fn a_session_keeps_the_stdlib_setting_it_was_opened_with() {
+        let reg = SessionRegistry::new();
+        let t = Instant::now();
+        let r = reg.handle(
+            req(r#"{"id":"u1","session":"p","action":"update","stdlib":false,"source":"int main() { return 1; }"}"#),
+            t,
+        );
+        assert_eq!(r.outcome, Outcome::Ok("updated".to_string()));
+        // Omitting `stdlib` takes the session's own setting.
+        let r = reg.handle(req(r#"{"id":"r1","session":"p","action":"run"}"#), t);
+        assert_eq!(r.outcome, Outcome::Ok("1".to_string()));
+        let r = reg.handle(
+            req(r#"{"id":"r2","session":"p","action":"run","stdlib":true}"#),
+            t,
+        );
+        assert_eq!(r.id, "r2");
+        assert_eq!(
+            r.outcome,
+            Outcome::Error(
+                "session `p` was opened with `stdlib: false`; a request cannot change it"
+                    .to_string()
+            )
+        );
+        let r = reg.handle(
+            req(r#"{"id":"r3","session":"p","action":"run","stdlib":false}"#),
+            t,
+        );
+        assert_eq!(r.outcome, Outcome::Ok("1".to_string()));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Parity of the cache-miss compile against the full check.
 //!
 //! A miss is answered by extending the shared checked stdlib base when the
-//! reuse rule allows, and by `check_sources_report` otherwise. For every
+//! reuse rule allows, and by a fresh stdlib-seeded session otherwise — the
+//! view `genus run` has. For every
 //! sample, every error fixture in `docs/ERRORS.md`, every fuzz crash repro
 //! and a set of requests that must take the full path, this suite asserts
 //! which path the miss took and that it agrees with the full check:
@@ -9,7 +10,7 @@
 //! outcome, output and resource counters on the AST interpreter, the VM
 //! and Tier 2.
 
-use genus_check::{check_sources_report, CheckReport, CheckedProgram};
+use genus_check::{CheckReport, CheckedProgram, Session};
 use genus_common::ErrorFormat;
 use genus_interp::{with_interp_stack, Limits, ResourceStats, RuntimeError};
 use genus_serve::cache::{compile, CheckPath, REQUEST_NAME};
@@ -24,13 +25,16 @@ fn repo() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
 }
 
+/// The reference check: a fresh session seeded the way `genus run` seeds
+/// its own, with the stdlib as always-visible units.
 fn full_check(src: &str, stdlib: bool) -> CheckReport {
-    let mut pairs: Vec<(&str, &str)> = Vec::new();
-    if stdlib {
-        pairs.extend_from_slice(genus_stdlib::sources());
-    }
-    pairs.push((REQUEST_NAME, src));
-    check_sources_report(&pairs)
+    let mut session = if stdlib {
+        Session::with_stdlib()
+    } else {
+        Session::new()
+    };
+    session.update_source(REQUEST_NAME, src);
+    session.into_report()
 }
 
 /// What one engine run shows: value or trap, printed output, counters.
@@ -177,8 +181,18 @@ fn error_fixtures_match_the_full_check() {
 
 #[test]
 fn requests_that_could_change_the_stdlib_take_the_full_path() {
+    // An import does not hide the stdlib's other modules: they are
+    // always visible, as under `genus run`.
+    let import_graph = "import graph;\n\
+                        int main() { ArrayList[int] l = new ArrayList[int](); l.add(21); \
+                        return l.get(0) * 2; }";
     // (label, source, whether the full check accepts it)
     let cases = [
+        (
+            "import of a module the body does not use",
+            import_graph,
+            true,
+        ),
         (
             "top-level use",
             "class K { int v; K(int v) { this.v = v; } }\n\
@@ -225,6 +239,11 @@ fn requests_that_could_change_the_stdlib_take_the_full_path() {
             "{label}: {:?}",
             full.error_codes()
         );
+    }
+    // The import request runs to `genus run`'s value on every engine.
+    let (prog, _) = compile(import_graph, true);
+    for (engine, (outcome, _, _)) in ["ast", "vm", "jit"].iter().zip(run_all(&prog.unwrap())) {
+        assert_eq!(outcome, Ok("42".to_string()), "{engine}");
     }
     // A request-local constraint with its own model extends the base.
     let local = "constraint Rank[T] { int rank(); }\n\

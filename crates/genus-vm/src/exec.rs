@@ -15,7 +15,9 @@ use crate::tier::{TierProgram, TierStats};
 use crate::{compile_optimized, compile_tier, OptStats, Vm, VmProgram};
 use genus_check::{CheckReport, CheckedProgram, Session, SessionReport, SessionStats};
 use genus_common::{diag, Diagnostic, ErrorFormat, SourceMap};
-use genus_interp::{with_interp_stack, DispatchStats, Interp, Limits, ResourceStats, RuntimeError};
+use genus_interp::{
+    with_interp_stack, DispatchStats, Interp, Limits, ResourceStats, RunState, RuntimeError, Value,
+};
 use genus_types::CacheStats;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -156,17 +158,10 @@ pub fn execute(prog: &CheckedProgram, code: Code<'_>, limits: Limits) -> Executi
         Code::Ast => {
             let cache_base = prog.table.cache.stats();
             let mut interp = Interp::new(prog);
-            interp.set_limits(limits);
-            let outcome = interp.run_main().map(|v| interp.render(&v));
-            Execution {
-                outcome,
-                output: interp.take_output(),
-                dispatch_stats: interp.dispatch_stats(),
-                cache_stats: prog.table.cache.stats().since(&cache_base),
-                opt_stats: None,
-                resource_stats: interp.resource_stats(),
-                tier_stats: None,
-            }
+            interp.state.set_limits(limits);
+            let outcome = interp.run_main();
+            let cache_stats = prog.table.cache.stats().since(&cache_base);
+            readout(&mut interp.state, outcome, cache_stats, None, None)
         }
         Code::Vm(code) => execute_vm(Vm::with_code(prog, Arc::clone(code)), None, limits),
         Code::Tier(tier) => execute_vm(
@@ -188,20 +183,34 @@ pub fn execute(prog: &CheckedProgram, code: Code<'_>, limits: Limits) -> Executi
 #[must_use]
 pub fn execute_vm(mut vm: Vm<'_>, tier: Option<&TierProgram>, limits: Limits) -> Execution {
     let cache_base = vm.prog.table.cache.stats();
-    vm.set_limits(limits);
+    vm.state.set_limits(limits);
     let outcome = match tier {
         Some(tier) => vm.run_main_tier(tier),
         None => vm.run_main(),
-    }
-    .map(|v| vm.render(&v));
+    };
+    let cache_stats = vm.prog.table.cache.stats().since(&cache_base);
+    let opt_stats = Some(vm.code.opt_stats);
+    let tier_stats = tier.map(TierProgram::compiled);
+    readout(&mut vm.state, outcome, cache_stats, opt_stats, tier_stats)
+}
+
+/// What a finished run showed, read out of its [`RunState`] plus the
+/// counters that live outside it.
+fn readout(
+    state: &mut RunState,
+    outcome: Result<Value, RuntimeError>,
+    cache_stats: CacheStats,
+    opt_stats: Option<OptStats>,
+    tier_stats: Option<TierStats>,
+) -> Execution {
     Execution {
-        outcome,
-        output: vm.take_output(),
-        dispatch_stats: vm.dispatch_stats(),
-        cache_stats: vm.prog.table.cache.stats().since(&cache_base),
-        opt_stats: Some(vm.code.opt_stats),
-        resource_stats: vm.resource_stats(),
-        tier_stats: tier.map(TierProgram::compiled),
+        outcome: outcome.map(|v| state.render(&v)),
+        output: state.take_output(),
+        dispatch_stats: state.dispatch_stats(),
+        cache_stats,
+        opt_stats,
+        resource_stats: state.resource_stats(),
+        tier_stats,
     }
 }
 
@@ -360,6 +369,18 @@ impl CompileSession {
         CompileSession {
             inner: Session::with_stdlib(),
             ..CompileSession::new()
+        }
+    }
+
+    /// [`CompileSession::with_stdlib`] when `stdlib`, else
+    /// [`CompileSession::new`]: the choice `--no-stdlib` and a serve
+    /// request's `stdlib` field make.
+    #[must_use]
+    pub fn seeded(stdlib: bool) -> Self {
+        if stdlib {
+            CompileSession::with_stdlib()
+        } else {
+            CompileSession::new()
         }
     }
 
@@ -538,7 +559,7 @@ mod tests {
         };
         let plain = execute(&prog, Code::Vm(&code), limits);
         let mut vm = Vm::with_code(&prog, Arc::clone(&code));
-        vm.heap = genus_heap::Heap::with_stress(true);
+        vm.state.heap = genus_heap::Heap::with_stress(true);
         let stress = execute_vm(vm, None, limits);
         assert_eq!(
             plain.outcome.as_ref().map_err(RuntimeError::code),

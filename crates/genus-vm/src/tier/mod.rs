@@ -40,11 +40,11 @@
 //! [`Vm::run_main_tier`] keeps Genus frames in the same explicit stack
 //! the VM uses (`VmFrame::pc` is reinterpreted as a *block* index — entry
 //! is block 0, matching the VM's `pc = 0` convention), so the host stack
-//! stays flat and `max_depth` keeps its meaning.
+//! stays flat and [`genus_interp::MAX_DEPTH`] keeps its meaning.
 //!
 //! # Meter parity (R0009/R0010 by construction)
 //!
-//! Every op closure begins with `vm.meter.step()?` — exactly one step per
+//! Every op closure begins with `vm.state.meter.step()?` — exactly one step per
 //! executed opcode, the same accounting as the VM loop's per-iteration
 //! step — and the shared routines make every other charge. Fuel and
 //! memory traps therefore fire after the *identical* step/unit sequence
@@ -384,7 +384,7 @@ fn seq(
     op: impl for<'a, 'p> Fn(&'a Vm<'p>, &mut VmFrame) -> RResult<()> + Send + Sync + 'static,
 ) -> Thunk {
     thunk(move |vm, f| {
-        vm.meter.step()?;
+        vm.state.meter.step()?;
         op(vm, f)?;
         rest(vm, f)
     })
@@ -398,7 +398,7 @@ fn call(
     op: impl for<'a, 'p> Fn(&'a Vm<'p>, &VmFrame) -> RResult<Action> + Send + Sync + 'static,
 ) -> Thunk {
     thunk(move |vm, f| {
-        vm.meter.step()?;
+        vm.state.meter.step()?;
         let action = op(vm, f)?;
         finish_call(vm, f, dst, resume, action)
     })
@@ -432,7 +432,7 @@ fn op_thunk(code: &VmProgram, op: Op, pc: usize, rest: Thunk, blocks: &BlockMap)
         Op::Jump { target } => {
             let b = target_block(blocks, target);
             thunk(move |vm, _| {
-                vm.meter.step()?;
+                vm.state.meter.step()?;
                 Ok(Ctl::Jump(b))
             })
         }
@@ -440,7 +440,7 @@ fn op_thunk(code: &VmProgram, op: Op, pc: usize, rest: Thunk, blocks: &BlockMap)
             let b = target_block(blocks, target);
             let on = matches!(op, Op::JumpIfTrue { .. });
             thunk(move |vm, f| {
-                vm.meter.step()?;
+                vm.state.meter.step()?;
                 if vm.op_cond(f, cond)? == on {
                     Ok(Ctl::Jump(b))
                 } else {
@@ -449,19 +449,19 @@ fn op_thunk(code: &VmProgram, op: Op, pc: usize, rest: Thunk, blocks: &BlockMap)
             })
         }
         Op::Return { src } => thunk(move |vm, f| {
-            vm.meter.step()?;
+            vm.state.meter.step()?;
             Ok(Ctl::Ret(f.regs[src as usize].clone()))
         }),
         Op::ReturnVoid => thunk(move |vm, _| {
-            vm.meter.step()?;
+            vm.state.meter.step()?;
             Ok(Ctl::Ret(Value::Void))
         }),
         Op::FallOff => thunk(move |vm, _| {
-            vm.meter.step()?;
+            vm.state.meter.step()?;
             Err(vm.op_fall_off())
         }),
         Op::Escaped => thunk(move |vm, _| {
-            vm.meter.step()?;
+            vm.state.meter.step()?;
             Err(vm.op_escaped())
         }),
         Op::GetField { dst, obj, slot } => {
@@ -524,7 +524,10 @@ fn op_thunk(code: &VmProgram, op: Op, pc: usize, rest: Thunk, blocks: &BlockMap)
             let s = code.open_specs[spec as usize].clone();
             seq(rest, move |vm, f| vm.op_open(f, dst, src, &s))
         }
-        Op::Print { src, newline } => seq(rest, move |vm, f| vm.op_print(f, src, newline)),
+        Op::Print { src, newline } => seq(rest, move |vm, f| {
+            vm.op_print(f, src, newline);
+            Ok(())
+        }),
         Op::CallVirtual {
             dst,
             recv,
@@ -569,7 +572,7 @@ fn op_thunk(code: &VmProgram, op: Op, pc: usize, rest: Thunk, blocks: &BlockMap)
             let s = code.new_specs[spec as usize].clone();
             let resume = resume();
             thunk(move |vm, f| {
-                vm.meter.step()?;
+                vm.state.meter.step()?;
                 let ctor = vm.op_new(f, dst, &s)?;
                 Ok(park(vm, f, resume, ctor))
             })
@@ -683,7 +686,7 @@ mod tests {
         let code = Arc::new(compile_optimized(&prog, 2));
         let mut vm = Vm::with_code(&prog, Arc::clone(&code));
         if let Some(l) = limits {
-            vm.set_limits(l);
+            vm.state.set_limits(l);
         }
         // Render on the owning VM: handles are per-heap indices.
         let v = vm.run_main().map(|v| vm.render(&v));
@@ -691,7 +694,7 @@ mod tests {
         let tier = compile_tier(&code);
         let mut jit = Vm::with_code(&prog, Arc::clone(&code));
         if let Some(l) = limits {
-            jit.set_limits(l);
+            jit.state.set_limits(l);
         }
         let v = jit.run_main_tier(&tier).map(|v| jit.render(&v));
         let tier_out = (v, jit.take_output(), jit.resource_stats().fuel_used);

@@ -7,15 +7,17 @@
 //! path, so the VM does not need the facade's big-stack thread. The few
 //! remaining host-recursive paths (stringification's `toString`
 //! dispatch, field and static initializers) each include counted Genus
-//! frames, so they stay bounded by the same `max_depth` budget as the
-//! interpreter.
+//! frames, so they stay bounded by the same [`genus_interp::MAX_DEPTH`]
+//! budget as the interpreter.
 //!
 //! Semantics are shared with the interpreter through
 //! [`genus_interp::rtti`] (reification, dispatch resolution),
 //! [`genus_interp::dispatch`] (the caches and counters in front of that
-//! resolution) and [`genus_interp::natives`]/[`genus_interp::ops`]
-//! (built-ins, arithmetic): the two engines cannot drift on type tests,
-//! dispatch decisions, cache counts, or primitive behavior. The differential test suite (see
+//! resolution), [`genus_interp::natives`]/[`genus_interp::ops`]
+//! (built-ins, arithmetic) and [`genus_interp::state`] (the run's meter,
+//! heap, statics, output and depth guard): the two engines cannot drift
+//! on type tests, dispatch decisions, cache counts, charges, or primitive
+//! behavior. The differential test suite (see
 //! the `genus` facade) asserts identical results, captured output, and
 //! runtime errors on every test program.
 //!
@@ -47,20 +49,17 @@ use crate::compile::compile_program;
 use genus_check::hir::{NativeOp, NumKind};
 use genus_check::CheckedProgram;
 use genus_common::Symbol;
-use genus_heap::meter::{Limits, Meter, ResourceStats};
-use genus_heap::str_bytes;
+use genus_heap::meter::ResourceStats;
 use genus_interp::dispatch::{Site, StaticTarget};
 use genus_interp::natives;
-use genus_interp::ops::{arith, compare, widen_value};
+use genus_interp::ops::{arith, compare, negate, widen_value};
 use genus_interp::rtti::{self, MEnv, ModelTarget, TEnv};
 use genus_interp::{
-    Dispatch, DispatchStats, ErrorKind, Heap, ModelValue, RtType, RuntimeError, Value,
+    Dispatch, DispatchStats, ErrorKind, ModelValue, RtType, RunState, RuntimeError, Value,
 };
 use genus_syntax::ast::BinOp;
 use genus_types::{ClassId, Model, ModelId, PrimTy, Type};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-use std::rc::Rc;
 use std::sync::Arc;
 
 type RResult<T> = Result<T, RuntimeError>;
@@ -120,8 +119,8 @@ fn reg_args(f: &VmFrame, args: &[u16]) -> Vec<Value> {
     args.iter().map(|&a| f.regs[a as usize].clone()).collect()
 }
 
-/// The virtual machine. Holds static fields and captured output across
-/// calls, mirroring [`genus_interp::Interp`]'s surface.
+/// The virtual machine: one run's [`RunState`] plus the bytecode and
+/// the VM's own frame machinery.
 pub struct Vm<'p> {
     pub(crate) prog: &'p CheckedProgram,
     pub(crate) code: Arc<VmProgram>,
@@ -129,9 +128,9 @@ pub struct Vm<'p> {
     /// (`Op::Const` stays a plain indexed clone; the shared program keeps
     /// only `Send + Sync` [`crate::bytecode::Const`]s).
     pub(crate) consts: Vec<Value>,
-    pub(crate) statics: RefCell<HashMap<(u32, u32), Value>>,
-    pub(crate) output: RefCell<String>,
-    dispatch: Dispatch,
+    /// Meter, heap, dispatch, statics, output and depth of the run,
+    /// shared by the dispatch loop and Tier 2 ([`crate::tier`]).
+    pub state: RunState,
     /// Recycled register vectors: frames return their registers here on
     /// exit so a call does not pay a heap allocation.
     regs_pool: RefCell<Vec<Vec<Value>>>,
@@ -139,18 +138,6 @@ pub struct Vm<'p> {
     /// loop to push ([`crate::tier`]). Keeping the frame out of the
     /// block-transfer value keeps every compiled-block return small.
     pub(crate) pending_call: Cell<Option<VmFrame>>,
-    /// Whether `print` also writes to process stdout.
-    pub echo: bool,
-    pub(crate) depth: Cell<usize>,
-    /// Maximum Genus call depth before a `StackOverflowError`.
-    pub max_depth: usize,
-    /// Per-run resource meter (fuel / memory / deadline). Unlimited by
-    /// default; replace via [`Vm::set_limits`] before running.
-    pub meter: Meter,
-    /// The handle-indexed object heap shared by the dispatch loop and
-    /// Tier 2 ([`crate::tier`]). Objects, arrays, and existential
-    /// packages live here; registers hold [`genus_interp::Handle`]s.
-    pub heap: Heap,
     /// Depth of nested dispatch loops (`run_frames`/`tier_frames`).
     /// Collections only trigger at the *outermost* loop — nested loops
     /// (stringification, field initializers) run while their caller
@@ -179,16 +166,9 @@ impl<'p> Vm<'p> {
             prog,
             code,
             consts,
-            statics: RefCell::new(HashMap::new()),
-            output: RefCell::new(String::new()),
-            dispatch,
+            state: RunState::new(dispatch),
             regs_pool: RefCell::new(Vec::new()),
             pending_call: Cell::new(None),
-            echo: false,
-            depth: Cell::new(0),
-            max_depth: 1000,
-            meter: Meter::unlimited(),
-            heap: Heap::new(),
             nesting: Cell::new(0),
             #[cfg(feature = "coverage")]
             coverage: None,
@@ -210,25 +190,26 @@ impl<'p> Vm<'p> {
         &self.code
     }
 
-    /// Installs resource limits for this VM's next run, resetting the
-    /// meter (fuel/memory counters start from zero, deadline from now).
-    pub fn set_limits(&mut self, limits: Limits) {
-        self.meter = Meter::with_limits(limits);
-    }
-
-    /// Resources consumed so far (fuel steps, allocated bytes, and the
-    /// heap's live/peak/collection counters).
+    /// [`RunState::resource_stats`] of this VM's run.
     pub fn resource_stats(&self) -> ResourceStats {
-        let mut s = self.meter.stats();
-        self.heap.fill_stats(&mut s);
-        s
+        self.state.resource_stats()
     }
 
-    /// Renders a value for display (primitives verbatim, references as
-    /// opaque summaries) — same rendering as the interpreter's.
+    /// [`RunState::render`] on this VM's heap.
     #[must_use]
     pub fn render(&self, v: &Value) -> String {
-        self.heap.render(v)
+        self.state.render(v)
+    }
+
+    /// [`RunState::take_output`] of this VM's run.
+    pub fn take_output(&mut self) -> String {
+        self.state.take_output()
+    }
+
+    /// [`RunState::dispatch_stats`] of this VM's run.
+    #[must_use]
+    pub fn dispatch_stats(&self) -> DispatchStats {
+        self.state.dispatch_stats()
     }
 
     /// Runs static initializers then `main()`.
@@ -244,36 +225,12 @@ impl<'p> Vm<'p> {
     /// Runs static initializers and resolves the call of `main()`: the
     /// prologue [`Vm::run_main`] and [`Vm::run_main_tier`] share.
     pub(crate) fn main_call(&self) -> RResult<Action> {
-        self.init_statics()?;
-        let Some(main) = self.prog.main_index() else {
-            return Err(RuntimeError::new(ErrorKind::Other, "no `main()` method"));
-        };
+        let main = self
+            .state
+            .prologue(self.prog, &self.code.static_inits, |&fid| {
+                self.run_call(self.frame(fid, None, vec![], false))
+            })?;
         self.prepare_global(main, vec![], vec![], vec![])
-    }
-
-    /// Runs static initializers (idempotent per VM).
-    ///
-    /// # Errors
-    ///
-    /// Returns any [`RuntimeError`] raised by an initializer.
-    pub fn init_statics(&self) -> RResult<()> {
-        for (cid, fi, fid) in &self.code.static_inits {
-            let frame = self.frame(*fid, None, vec![], false);
-            let v = self.run_call(frame)?;
-            self.statics.borrow_mut().insert((cid.0, *fi as u32), v);
-        }
-        Ok(())
-    }
-
-    /// Takes the captured `print` output.
-    pub fn take_output(&mut self) -> String {
-        std::mem::take(&mut self.output.borrow_mut())
-    }
-
-    /// Snapshot of the dispatch-cache hit/miss counters.
-    #[must_use]
-    pub fn dispatch_stats(&self) -> DispatchStats {
-        self.dispatch.stats()
     }
 
     // ------------------------------------------------------------------
@@ -333,8 +290,7 @@ impl<'p> Vm<'p> {
     /// `run_body` prologue.
     pub(crate) fn enter(&self, counted: bool) -> RResult<()> {
         if counted {
-            self.probe_depth(0)?;
-            self.depth.set(self.depth.get() + 1);
+            self.state.enter()?;
         }
         Ok(())
     }
@@ -342,23 +298,10 @@ impl<'p> Vm<'p> {
     /// The receiver a direct call (framed or inlined) binds to the
     /// callee's `this`: null-checked when the spec asks, then unpacked.
     pub(crate) fn direct_recv(&self, v: Value, null_check: bool) -> RResult<Value> {
-        if null_check && self.heap.is_null(&v) {
+        if null_check && self.state.heap.is_null(&v) {
             return Err(RuntimeError::new(ErrorKind::NullPointer, "call on null"));
         }
-        Ok(self.heap.unpack(v))
-    }
-
-    /// The depth check of a call made `nest` inlined levels below the
-    /// current frame: `StackOverflow` once the frame it would push is
-    /// over `max_depth`. Counts nothing; [`Vm::enter`] does that.
-    pub(crate) fn probe_depth(&self, nest: u16) -> RResult<()> {
-        if self.depth.get() + nest as usize >= self.max_depth {
-            return Err(RuntimeError::new(
-                ErrorKind::StackOverflow,
-                "call depth exceeded",
-            ));
-        }
-        Ok(())
+        Ok(self.state.heap.unpack(v))
     }
 
     /// Runs a resolved call to completion on a nested frame stack.
@@ -395,13 +338,9 @@ impl<'p> Vm<'p> {
     /// errors (stringification) do not leak budget. The VM loop and
     /// Tier 2's outer loop both run under it.
     pub(crate) fn nested(&self, run: impl FnOnce() -> RResult<Value>) -> RResult<Value> {
-        let base = self.depth.get();
         self.nesting.set(self.nesting.get() + 1);
-        let r = run();
+        let r = self.state.restoring_depth(run);
         self.nesting.set(self.nesting.get() - 1);
-        if r.is_err() {
-            self.depth.set(base);
-        }
         r
     }
 
@@ -418,25 +357,15 @@ impl<'p> Vm<'p> {
     /// temporaries never live across a poll, and nested loops (field
     /// initializers, `toString` dispatch) never collect.
     pub(crate) fn maybe_gc(&self, stack: &[VmFrame]) {
-        if !self.heap.should_collect() {
-            return;
-        }
-        let mut roots = Vec::new();
-        for f in stack {
-            for v in &f.regs {
-                self.heap.root(&mut roots, v);
+        self.state.maybe_gc(|roots| {
+            let parked = self.pending_call.take();
+            for f in stack.iter().chain(&parked) {
+                for v in &f.regs {
+                    self.state.heap.root(roots, v);
+                }
             }
-        }
-        for v in self.statics.borrow().values() {
-            self.heap.root(&mut roots, v);
-        }
-        if let Some(parked) = self.pending_call.take() {
-            for v in &parked.regs {
-                self.heap.root(&mut roots, v);
-            }
-            self.pending_call.set(Some(parked));
-        }
-        self.heap.collect(roots);
+            self.pending_call.set(parked);
+        });
     }
 
     /// The loop: one fuel step, a GC poll and the coverage hook per
@@ -447,7 +376,7 @@ impl<'p> Vm<'p> {
         self.enter(root.counted)?;
         let mut stack: Vec<VmFrame> = vec![root];
         loop {
-            self.meter.step()?;
+            self.state.meter.step()?;
             if self.nesting.get() == 1 {
                 self.maybe_gc(&stack);
             }
@@ -513,7 +442,7 @@ impl<'p> Vm<'p> {
                 Op::Open { dst, src, spec } => {
                     self.op_open(frame, dst, src, &code.open_specs[spec as usize])?;
                 }
-                Op::Print { src, newline } => self.op_print(frame, src, newline)?,
+                Op::Print { src, newline } => self.op_print(frame, src, newline),
                 Op::CallVirtual {
                     dst,
                     recv,
@@ -617,7 +546,7 @@ impl<'p> Vm<'p> {
         obj: u16,
         slot: u32,
     ) -> RResult<()> {
-        let o = rtti::expect_obj(&self.heap, &f.regs[obj as usize])?;
+        let o = rtti::expect_obj(&self.state.heap, &f.regs[obj as usize])?;
         let v = o.fields.borrow()[slot as usize].clone();
         f.regs[dst as usize] = v;
         Ok(())
@@ -626,25 +555,20 @@ impl<'p> Vm<'p> {
     #[inline]
     pub(crate) fn op_set_field(&self, f: &VmFrame, obj: u16, slot: u32, src: u16) -> RResult<()> {
         let v = f.regs[src as usize].clone();
-        let o = rtti::expect_obj(&self.heap, &f.regs[obj as usize])?;
+        let o = rtti::expect_obj(&self.state.heap, &f.regs[obj as usize])?;
         o.fields.borrow_mut()[slot as usize] = v;
         Ok(())
     }
 
     #[inline]
     pub(crate) fn op_get_static(&self, f: &mut VmFrame, dst: u16, class: ClassId, field: u32) {
-        f.regs[dst as usize] = self
-            .statics
-            .borrow()
-            .get(&(class.0, field))
-            .cloned()
-            .unwrap_or(Value::Null);
+        f.regs[dst as usize] = self.state.get_static(class, field);
     }
 
     #[inline]
     pub(crate) fn op_set_static(&self, f: &VmFrame, class: ClassId, field: u32, src: u16) {
         let v = f.regs[src as usize].clone();
-        self.statics.borrow_mut().insert((class.0, field), v);
+        self.state.set_static(class, field, v);
     }
 
     #[inline]
@@ -679,19 +603,18 @@ impl<'p> Vm<'p> {
 
     #[inline]
     pub(crate) fn op_ref_eq(&self, f: &mut VmFrame, dst: u16, l: u16, r: u16, negate: bool) {
-        let eq = self.heap.ref_eq(&f.regs[l as usize], &f.regs[r as usize]);
+        let eq = self
+            .state
+            .heap
+            .ref_eq(&f.regs[l as usize], &f.regs[r as usize]);
         f.regs[dst as usize] = Value::Bool(eq != negate);
     }
 
-    /// Stringifies both operands (dispatching `toString` for objects) and
-    /// charges the result's bytes.
+    /// [`RunState::concat`] with this engine's `toString` call.
     #[inline]
     pub(crate) fn op_concat(&self, f: &mut VmFrame, dst: u16, l: u16, r: u16) -> RResult<()> {
-        let (lv, rv) = (f.regs[l as usize].clone(), f.regs[r as usize].clone());
-        let mut s = self.stringify(&lv)?;
-        s.push_str(&self.stringify(&rv)?);
-        self.meter.charge(str_bytes(s.len()))?;
-        f.regs[dst as usize] = Value::Str(Rc::from(s.as_str()));
+        let (lv, rv) = (&f.regs[l as usize], &f.regs[r as usize]);
+        f.regs[dst as usize] = self.state.concat(lv, rv, &|v| self.call_to_string(v))?;
         Ok(())
     }
 
@@ -706,17 +629,7 @@ impl<'p> Vm<'p> {
 
     #[inline]
     pub(crate) fn op_neg(&self, f: &mut VmFrame, dst: u16, src: u16, nk: NumKind) -> RResult<()> {
-        f.regs[dst as usize] = match (nk, f.regs[src as usize].clone()) {
-            (NumKind::Int, Value::Int(x)) => Value::Int(x.wrapping_neg()),
-            (NumKind::Long, Value::Long(x)) => Value::Long(x.wrapping_neg()),
-            (NumKind::Double, Value::Double(x)) => Value::Double(-x),
-            (_, v) => {
-                return Err(RuntimeError::new(
-                    ErrorKind::Other,
-                    format!("cannot negate {v:?}"),
-                ))
-            }
-        };
+        f.regs[dst as usize] = negate(nk, f.regs[src as usize].clone())?;
         Ok(())
     }
 
@@ -735,25 +648,14 @@ impl<'p> Vm<'p> {
         elem: Ty<'_>,
     ) -> RResult<()> {
         let et = elem.reify(self, f);
-        let Value::Int(n) = f.regs[len as usize] else {
-            return Err(RuntimeError::new(
-                ErrorKind::Other,
-                "array length must be int",
-            ));
-        };
-        if n < 0 {
-            return Err(RuntimeError::new(
-                ErrorKind::IndexOutOfBounds,
-                format!("negative array length {n}"),
-            ));
-        }
-        f.regs[dst as usize] = self.heap.alloc_arr(&self.meter, et, n as usize)?;
+        let n = rtti::expect_length(&f.regs[len as usize])?;
+        f.regs[dst as usize] = self.state.heap.alloc_arr(&self.state.meter, et, n)?;
         Ok(())
     }
 
     #[inline]
     pub(crate) fn op_array_len(&self, f: &mut VmFrame, dst: u16, arr: u16) -> RResult<()> {
-        let len = rtti::expect_arr(&self.heap, &f.regs[arr as usize])?
+        let len = rtti::expect_arr(&self.state.heap, &f.regs[arr as usize])?
             .storage
             .borrow()
             .len();
@@ -770,7 +672,7 @@ impl<'p> Vm<'p> {
         idx: u16,
     ) -> RResult<()> {
         let v = {
-            let a = rtti::expect_arr(&self.heap, &f.regs[arr as usize])?;
+            let a = rtti::expect_arr(&self.state.heap, &f.regs[arr as usize])?;
             let s = a.storage.borrow();
             let i = rtti::expect_index(&f.regs[idx as usize], s.len())?;
             s.get(i)
@@ -781,7 +683,7 @@ impl<'p> Vm<'p> {
 
     #[inline]
     pub(crate) fn op_array_set(&self, f: &VmFrame, arr: u16, idx: u16, src: u16) -> RResult<()> {
-        let a = rtti::expect_arr(&self.heap, &f.regs[arr as usize])?;
+        let a = rtti::expect_arr(&self.state.heap, &f.regs[arr as usize])?;
         let mut s = a.storage.borrow_mut();
         let i = rtti::expect_index(&f.regs[idx as usize], s.len())?;
         s.set(i, f.regs[src as usize].clone());
@@ -795,8 +697,10 @@ impl<'p> Vm<'p> {
         // `instanceof_type` is exactly `value_instanceof` of the
         // evaluated term.
         let b = match ty {
-            Ty::Reified(rt) => rtti::value_instanceof(self.prog, &self.heap, v, rt),
-            Ty::Open(t) => rtti::instanceof_type(self.prog, &self.heap, &f.tenv, &f.menv, v, t),
+            Ty::Reified(rt) => rtti::value_instanceof(self.prog, &self.state.heap, v, rt),
+            Ty::Open(t) => {
+                rtti::instanceof_type(self.prog, &self.state.heap, &f.tenv, &f.menv, v, t)
+            }
         };
         f.regs[dst as usize] = Value::Bool(b);
     }
@@ -805,10 +709,16 @@ impl<'p> Vm<'p> {
     pub(crate) fn op_cast(&self, f: &mut VmFrame, dst: u16, src: u16, ty: Ty<'_>) -> RResult<()> {
         let v = f.regs[src as usize].clone();
         f.regs[dst as usize] = match ty {
-            Ty::Reified(rt) => rtti::cast_value_rt(self.prog, &self.heap, v, rt)?,
-            Ty::Open(t) => {
-                rtti::cast_value(self.prog, &self.heap, &self.meter, &f.tenv, &f.menv, v, t)?
-            }
+            Ty::Reified(rt) => rtti::cast_value_rt(self.prog, &self.state.heap, v, rt)?,
+            Ty::Open(t) => rtti::cast_value(
+                self.prog,
+                &self.state.heap,
+                &self.state.meter,
+                &f.tenv,
+                &f.menv,
+                v,
+                t,
+            )?,
         };
         Ok(())
     }
@@ -832,7 +742,7 @@ impl<'p> Vm<'p> {
             .iter()
             .map(|m| rtti::eval_model(self.prog, &f.tenv, &f.menv, m))
             .collect();
-        f.regs[dst as usize] = self.heap.alloc_packed(&self.meter, v, ts, ms)?;
+        f.regs[dst as usize] = self.state.heap.alloc_packed(&self.state.meter, v, ts, ms)?;
         Ok(())
     }
 
@@ -842,7 +752,7 @@ impl<'p> Vm<'p> {
     pub(crate) fn op_open(&self, f: &mut VmFrame, dst: u16, src: u16, s: &OpenSpec) -> RResult<()> {
         match f.regs[src as usize].clone() {
             Value::Packed(h) => {
-                let p = self.heap.packed(h);
+                let p = self.state.heap.packed(h);
                 for (tv, t) in s.tvs.iter().zip(&p.types) {
                     f.tenv.insert(*tv, t.clone());
                 }
@@ -860,7 +770,7 @@ impl<'p> Vm<'p> {
             other => {
                 // Witnesses were statically evident (no packing was
                 // needed): bind from the runtime type.
-                let rt = rtti::value_rt_type(self.prog, &self.heap, &other);
+                let rt = rtti::value_rt_type(self.prog, &self.state.heap, &other);
                 for tv in &s.tvs {
                     f.tenv.insert(*tv, rt.clone());
                 }
@@ -871,23 +781,9 @@ impl<'p> Vm<'p> {
     }
 
     #[inline]
-    pub(crate) fn op_print(&self, f: &VmFrame, src: u16, newline: bool) -> RResult<()> {
-        let s = self.stringify(&f.regs[src as usize])?;
-        {
-            let mut out = self.output.borrow_mut();
-            out.push_str(&s);
-            if newline {
-                out.push('\n');
-            }
-        }
-        if self.echo {
-            if newline {
-                println!("{s}");
-            } else {
-                print!("{s}");
-            }
-        }
-        Ok(())
+    pub(crate) fn op_print(&self, f: &VmFrame, src: u16, newline: bool) {
+        let v = &f.regs[src as usize];
+        self.state.print(v, newline, &|r| self.call_to_string(r));
     }
 
     /// The arguments, type arguments and model arguments of a call, read
@@ -974,7 +870,7 @@ impl<'p> Vm<'p> {
         if let Some(r) = recv {
             f.regs[this as usize] = self.direct_recv(f.regs[r as usize].clone(), null_check)?;
         }
-        self.probe_depth(nest)
+        self.state.probe_depth(nest)
     }
 
     /// Builds the object of a `New` site into `dst` and returns its
@@ -990,7 +886,7 @@ impl<'p> Vm<'p> {
     pub(crate) fn op_prim_call(&self, f: &mut VmFrame, dst: u16, s: &PrimSpec) -> RResult<()> {
         let r = s.recv.map(|r| f.regs[r as usize].clone());
         let args = reg_args(f, &s.args);
-        f.regs[dst as usize] = natives::prim_call(&self.heap, s.prim, s.name, r, args)?;
+        f.regs[dst as usize] = natives::prim_call(&self.state.heap, s.prim, s.name, r, args)?;
         Ok(())
     }
 
@@ -1006,7 +902,7 @@ impl<'p> Vm<'p> {
     pub(crate) fn pop_frame(&self, stack: &mut Vec<VmFrame>, v: Value) -> Option<Value> {
         let mut fin = stack.pop().expect("frame");
         if fin.counted {
-            self.depth.set(self.depth.get() - 1);
+            self.state.leave();
         }
         self.recycle_regs(std::mem::take(&mut fin.regs));
         match stack.last_mut() {
@@ -1035,11 +931,11 @@ impl<'p> Vm<'p> {
         margs: Vec<ModelValue>,
         args: Vec<Value>,
     ) -> RResult<Action> {
-        let recv = self.heap.unpack(recv);
+        let recv = self.state.heap.unpack(recv);
         match &recv {
             Value::Obj(h) => {
-                let o = self.heap.obj(*h);
-                let (cid, mi, cargs, cmodels) = self.dispatch.virtual_target(
+                let o = self.state.heap.obj(*h);
+                let (cid, mi, cargs, cmodels) = self.state.dispatch.virtual_target(
                     self.prog,
                     site.map(Site::Slot),
                     o.class,
@@ -1059,33 +955,13 @@ impl<'p> Vm<'p> {
                     args,
                 )
             }
-            Value::Str(_) => {
-                let Some(op) = natives::string_native_op(name) else {
-                    return Err(RuntimeError::new(
-                        ErrorKind::NoSuchMethod,
-                        format!("no String method `{name}`"),
-                    ));
-                };
-                Ok(Action::Value(self.native(op, Some(recv.clone()), args)?))
+            _ => {
+                let to_string = |v| self.call_to_string(v);
+                let v = self
+                    .state
+                    .builtin_method(self.prog, recv, name, args, &to_string)?;
+                Ok(Action::Value(v))
             }
-            Value::Int(_) | Value::Long(_) | Value::Double(_) | Value::Bool(_) | Value::Char(_) => {
-                let p = match rtti::value_rt_type(self.prog, &self.heap, &recv) {
-                    RtType::Prim(p) => p,
-                    _ => unreachable!("primitive value"),
-                };
-                Ok(Action::Value(natives::prim_call(
-                    &self.heap,
-                    p,
-                    name,
-                    Some(recv),
-                    args,
-                )?))
-            }
-            Value::Null => Err(RuntimeError::new(ErrorKind::NullPointer, "call on null")),
-            other => Err(RuntimeError::new(
-                ErrorKind::Other,
-                format!("cannot dispatch `{name}` on {other:?}"),
-            )),
         }
     }
 
@@ -1187,8 +1063,8 @@ impl<'p> Vm<'p> {
         });
         let this = plan.construct(
             self.prog,
-            &self.heap,
-            &self.meter,
+            &self.state.heap,
+            &self.state.meter,
             s.class,
             &rt,
             &rm,
@@ -1237,12 +1113,19 @@ impl<'p> Vm<'p> {
             ModelValue::Natural { .. } => match recv {
                 Some(r) => self.prepare_virtual(None, r, name, args.len(), vec![], vec![], args),
                 None => {
-                    let target =
-                        self.dispatch
-                            .static_target(self.prog, static_recv, name, args.len())?;
+                    let target = self.state.dispatch.static_target(
+                        self.prog,
+                        static_recv,
+                        name,
+                        args.len(),
+                    )?;
                     match target {
                         StaticTarget::Prim(p) => Ok(Action::Value(natives::prim_call(
-                            &self.heap, p, name, None, args,
+                            &self.state.heap,
+                            p,
+                            name,
+                            None,
+                            args,
                         )?)),
                         StaticTarget::Method((id, mi, cargs, cmodels)) => self
                             .prepare_class_method(
@@ -1259,9 +1142,9 @@ impl<'p> Vm<'p> {
                 }
             },
             ModelValue::Decl { id, targs, margs } => {
-                let target = self.dispatch.model_target(
+                let target = self.state.dispatch.model_target(
                     self.prog,
-                    &self.heap,
+                    &self.state.heap,
                     site,
                     *id,
                     targs,
@@ -1306,7 +1189,7 @@ impl<'p> Vm<'p> {
                 format!("model method `{name}` has no body"),
             ));
         };
-        let recv = recv.map(|r| self.heap.unpack(r));
+        let recv = recv.map(|r| self.state.heap.unpack(r));
         let mut frame = self.frame(fid, recv, args, true);
         frame.tenv = t.tenv.clone();
         frame.menv = t.menv.clone();
@@ -1317,44 +1200,18 @@ impl<'p> Vm<'p> {
     // Natives and stringification
     // ------------------------------------------------------------------
 
-    pub(crate) fn native(
-        &self,
-        op: NativeOp,
-        recv: Option<Value>,
-        args: Vec<Value>,
-    ) -> RResult<Value> {
-        natives::native_call_with(&self.heap, |v| self.stringify(v), op, recv, args)
+    /// [`RunState::native`] with this engine's `toString` call.
+    fn native(&self, op: NativeOp, recv: Option<Value>, args: Vec<Value>) -> RResult<Value> {
+        self.state
+            .native(op, recv, args, &|v| self.call_to_string(v))
     }
 
-    /// Stringification used by concatenation and `print`: objects get
-    /// their `toString` dispatched dynamically (on a nested frame
-    /// stack); failures fall back to the default rendering, exactly as
-    /// in the interpreter.
-    pub fn stringify(&self, v: &Value) -> RResult<String> {
-        match v {
-            Value::Obj(_) => {
-                let r = self
-                    .prepare_virtual(
-                        None,
-                        v.clone(),
-                        Symbol::intern("toString"),
-                        0,
-                        vec![],
-                        vec![],
-                        vec![],
-                    )
-                    .and_then(|a| self.complete(a));
-                match r {
-                    Ok(Value::Str(s)) => Ok(s.to_string()),
-                    _ => Ok(self.heap.render(v)),
-                }
-            }
-            Value::Packed(h) => {
-                let p = self.heap.packed(*h);
-                self.stringify(&p.value)
-            }
-            other => Ok(self.heap.render(other)),
-        }
+    /// Calls `recv.toString()` on a nested frame stack: the engine half
+    /// of [`RunState::stringify`].
+    fn call_to_string(&self, recv: Value) -> RResult<Value> {
+        let name = Symbol::intern("toString");
+        self.prepare_virtual(None, recv, name, 0, vec![], vec![], vec![])
+            .and_then(|a| self.complete(a))
     }
 }
 
@@ -1362,7 +1219,7 @@ impl<'p> Vm<'p> {
 mod tests {
     use super::*;
     use genus_check::check_source;
-    use genus_interp::Interp;
+    use genus_interp::{with_interp_stack, Interp};
 
     fn run_vm(src: &str) -> (Value, String) {
         let prog = check_source(src).unwrap_or_else(|e| panic!("check failed:\n{e}"));
@@ -1380,8 +1237,8 @@ mod tests {
         let prog = check_source(src).unwrap_or_else(|e| panic!("check failed:\n{e}"));
         let mut i = Interp::new(&prog);
         let iv = i.run_main().unwrap_or_else(|e| panic!("interp error: {e}"));
-        let iout = i.take_output();
-        let ir = i.render(&iv);
+        let iout = i.state.take_output();
+        let ir = i.state.render(&iv);
         let mut vm = Vm::new(&prog);
         let vv = vm.run_main().unwrap_or_else(|e| panic!("vm error: {e}"));
         let vout = vm.take_output();
@@ -1505,15 +1362,11 @@ mod tests {
             "int rec(int n) { return rec(n + 1); } int main() { return rec(0); }",
         ] {
             let prog = check_source(src).expect("checks");
-            let mut i = Interp::new(&prog);
-            // Keep the recursion case within the test thread's native
-            // stack: the interpreter burns host stack per Genus frame
-            // (the facade normally gives it a big-stack thread).
-            i.max_depth = 64;
-            let ie = i.run_main().expect_err("interp should trap");
-            let mut vm = Vm::new(&prog);
-            vm.max_depth = 64;
-            let ve = vm.run_main().expect_err("vm should trap");
+            // The recursion case reaches `MAX_DEPTH`: the interpreter
+            // burns host stack per Genus frame, so it runs on the
+            // big-stack thread.
+            let ie = with_interp_stack(|| Interp::new(&prog).run_main().expect_err("interp traps"));
+            let ve = Vm::new(&prog).run_main().expect_err("vm should trap");
             assert_eq!(ie.kind, ve.kind, "error kinds diverge for {src}");
             assert_eq!(ie.code(), ve.code(), "codes diverge for {src}");
             assert_eq!(ie.to_string(), ve.to_string(), "messages diverge for {src}");

@@ -338,11 +338,7 @@ fn main() -> ExitCode {
         }
         return cmd_watch(&files, stdlib, format);
     }
-    let mut session = if stdlib {
-        CompileSession::with_stdlib()
-    } else {
-        CompileSession::new()
-    };
+    let mut session = CompileSession::seeded(stdlib);
     session.opt_level(opt_level);
     for f in &files {
         match std::fs::read_to_string(f) {
@@ -512,11 +508,7 @@ fn cmd_watch(files: &[String], stdlib: bool, format: ErrorFormat) -> ExitCode {
             stop.store(true, Ordering::Relaxed);
         });
     }
-    let mut session = if stdlib {
-        genus::CompileSession::with_stdlib()
-    } else {
-        genus::CompileSession::new()
-    };
+    let mut session = genus::CompileSession::seeded(stdlib);
     let mut mtimes: Vec<Option<std::time::SystemTime>> = vec![None; files.len()];
     let mut first = true;
     let mut last_errors = false;
@@ -679,7 +671,7 @@ fn cmd_batch(
         let mut req = Request::new(path.display().to_string(), source);
         req.engine = Some(engine);
         req.opt_level = opt_level;
-        req.stdlib = stdlib;
+        req.stdlib = Some(stdlib);
         req.limits = config.default_limits;
         requests.push(req);
     }

@@ -145,11 +145,7 @@ impl Compiler {
     /// choice and opt level: the one pipeline behind checking and
     /// running.
     fn session(&self) -> CompileSession {
-        let mut session = if self.stdlib {
-            CompileSession::with_stdlib()
-        } else {
-            CompileSession::new()
-        };
+        let mut session = CompileSession::seeded(self.stdlib);
         session.opt_level(self.opt_level);
         for (name, src) in &self.sources {
             session.update_source(name, src);

@@ -221,7 +221,7 @@ fn run_ast(prog: &CheckedProgram) -> Execution {
 /// collector modes.
 fn run_vm_heap(prog: &CheckedProgram, code: &Arc<VmProgram>, heap: Heap) -> Execution {
     let mut vm = Vm::with_code(prog, Arc::clone(code));
-    vm.heap = heap;
+    vm.state.heap = heap;
     execute_vm(vm, None, Limits::default())
 }
 

@@ -145,7 +145,7 @@ fn wave_rps(server: &Server, wave: usize) -> f64 {
             .map(|i| {
                 let mut req = Request::new(format!("w{wave}r{i}"), scaling_src(i % PROGRAMS));
                 req.engine = Some(Engine::Vm);
-                req.stdlib = false;
+                req.stdlib = Some(false);
                 req.limits.fuel = Some(genus_serve::DEFAULT_FUEL);
                 req
             })
@@ -251,7 +251,7 @@ fn soak_keeps_rss_flat_and_every_run_collects() {
         let reqs = (0..50)
             .map(|i| {
                 let mut req = Request::new(format!("soak{}", wave * 50 + i), SOAK_SRC);
-                req.stdlib = false;
+                req.stdlib = Some(false);
                 req.limits.fuel = Some(genus_serve::DEFAULT_FUEL);
                 req
             })
