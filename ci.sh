@@ -40,6 +40,13 @@ test "$(grep -rn '"bytecode"' crates --include=*.rs | wc -l)" -eq 1
 # One compile session: serve's named sessions are `CompileSession`s, so
 # serve never wraps the checker's session itself.
 test -z "$(grep -rn 'genus_check::Session' crates/genus-serve/src)"
+# One checked base: every session's prefix build extends the process-wide
+# `CheckedBase` through the one reuse rule, so no session snapshot, serve
+# check path or base-side extension exists beside it.
+test -z "$(grep -rnE 'BaseSnapshot|CheckPath' crates)"
+test -z "$(grep -n 'fn extend(' crates/genus-check/src/base.rs)"
+test "$(grep -rn 'extend_prefix(' crates --include=*.rs \
+  | grep -v '^crates/genus-check/src/lib\.rs:' | wc -l)" -eq 1
 # Decoders allocate only what they decode: every length-prefixed
 # sequence is read through `ByteReader::collect`, never by a hand-written
 # length read and reservation.
@@ -188,8 +195,8 @@ grep -q '"id":"ok".*"outcome":"ok".*"value":"7"' target/serve_e2e.out
 grep -q '"id":"spin".*"outcome":"trap".*"code":"R0009"' target/serve_e2e.out
 grep -q '"id":"bad".*"outcome":"error"' target/serve_e2e.out
 # Serve/run parity gate: every sample goes through `genus serve` on each
-# engine as a cache miss (answered by extending the shared checked
-# stdlib base, or by the full check when the reuse rule declines) and
+# engine as a cache miss (a cold check that extends the shared checked
+# stdlib base, or builds the whole prefix when the reuse rule declines) and
 # must print exactly what `genus run --engine=<e>` prints: the program's
 # output, then `=> value` for a non-void result.
 for engine in ast vm jit; do
@@ -260,9 +267,11 @@ for src in samples/*.genus target/incr_bad.genus; do
   cmp "$out.oneshot" "$out.watch_diags"
 done
 # Second, the sessionful serve protocol end to end: an update/check/run
-# pipe on one named session through the shipped binary. The run carries
-# a one-token edit, so its response must report reused units > 0 (the
-# stdlib verdicts survive) with exactly one unit re-checked.
+# pipe on one named session through the shipped binary. The cold check
+# extends the shared checked stdlib base, so it re-checks only the one
+# unit; the run carries a one-token edit, so its response must report
+# reused units > 0 (the stdlib verdicts survive) with exactly one unit
+# re-checked.
 printf '%s\n' \
   '{"id": "u1", "session": "ci", "action": "update", "file": "main.genus", "source": "int main() { return 41; }"}' \
   '{"id": "c1", "session": "ci", "action": "check"}' \
@@ -270,7 +279,7 @@ printf '%s\n' \
   | target/release/genus serve --workers=2 > target/serve_session.out
 test "$(wc -l < target/serve_session.out)" -eq 3
 grep -q '"id":"u1","outcome":"ok","value":"updated"' target/serve_session.out
-grep -q '"id":"c1","outcome":"ok","value":"checked".*"rechecked":6' target/serve_session.out
+grep -q '"id":"c1","outcome":"ok","value":"checked".*"extended":1,"reused":5,"rechecked":1' target/serve_session.out
 grep -q '"id":"r1","outcome":"ok","value":"42".*"reused":[1-9][0-9]*,"rechecked":1' target/serve_session.out
 # Lowered-base gate: a session driven through body edits, member and
 # global signature edits and a revert must copy the lowered prelude and

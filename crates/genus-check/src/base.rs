@@ -1,43 +1,40 @@
-//! The checked base: the prelude and stdlib parsed and checked once per
-//! process, then extended by one request unit at a time.
+//! The checked base: the prelude and stdlib checked once per process,
+//! then shared by every session that starts with them.
 //!
 //! Genus resolves models per instantiation (§4), so a library checks
-//! independently of its clients: the stdlib's semantic prefix and lowered
-//! bodies do not depend on any unit checked after it. A [`CheckedBase`]
-//! holds that work, immutable and `Sync`, and [`CheckedBase::extend`]
-//! checks one more unit against it: it clones the base's table, collects
-//! the unit's declarations after the base's (so class, constraint, model
-//! and global ids match a from-scratch check), runs signature completion,
-//! model conformance and well-formedness for the new declarations only,
-//! and checks only the unit's bodies. The base's HIR bodies are shared by
-//! reference.
-//!
-//! # The reuse rule
-//!
-//! Extension answers only when it provably agrees with
-//! [`crate::check_sources_report`] over the base's sources plus the unit.
-//! The declarations are extended by the crate's one reuse rule,
-//! `extend_prefix` in the crate root, which incremental sessions also
-//! apply when an interface edit rebuilds their prefix. It declines a unit
-//! with a `use`, an `enrich`, an overload of a base global, a model whose
-//! prerequisite closure reaches a base constraint, or any collection or
-//! prefix diagnostic. On top of it, extension declines (returns `None`,
-//! and the caller runs the full check) any diagnostic at all (parse or
-//! body, errors and warnings alike) and any `import`: the full check
-//! renders them.
+//! independently of its clients. A [`Session`] whose leading
+//! always-visible units are exactly the base's builds every prefix by
+//! extending the base's table (`extend_prefix` in the crate root, the
+//! one reuse rule), and its cold check installs the base's bodies as the
+//! base units' verdicts; while those stay live its program carries the
+//! base's [`BaseStamp`]. The base itself is checked by the unshared full
+//! build, so building it never asks for it.
 
-use crate::{check_bodies_filter, extend_prefix, CheckedProgram, Session};
-use genus_common::{Diagnostics, SourceMap};
-use std::sync::OnceLock;
+use crate::incremental::Fragment;
+use crate::{BaseStamp, Session};
+use genus_syntax::Fp;
+use genus_types::Table;
+use std::sync::{Arc, OnceLock};
 
 /// The prelude (and optionally the stdlib), checked once per process.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CheckedBase {
-    /// The base's source files; a unit is parsed at the next file id.
-    sm: SourceMap,
-    /// The checked base program; `None` if the base itself reported any
-    /// diagnostic, in which case every unit takes the full check.
-    program: Option<CheckedProgram>,
+    /// The base units' semantic prefix, with their bodies checked.
+    pub(crate) table: Table,
+    /// The base units in session order.
+    pub(crate) units: Vec<BaseUnit>,
+    /// The stamp every program sharing the base's verdicts carries;
+    /// `None` when checking the base reported a diagnostic, and no
+    /// session then shares it.
+    pub stamp: Option<BaseStamp>,
+}
+
+/// One base unit: what a session matches it by, and what it installs.
+#[derive(Debug)]
+pub(crate) struct BaseUnit {
+    pub(crate) content: Fp,
+    pub(crate) def_fp: Fp,
+    pub(crate) frag: Arc<Fragment>,
 }
 
 impl CheckedBase {
@@ -46,56 +43,12 @@ impl CheckedBase {
     pub fn get(stdlib: bool) -> &'static CheckedBase {
         static PRELUDE: OnceLock<CheckedBase> = OnceLock::new();
         static STDLIB: OnceLock<CheckedBase> = OnceLock::new();
-        if stdlib {
-            STDLIB.get_or_init(|| CheckedBase::build(Session::with_stdlib()))
-        } else {
-            PRELUDE.get_or_init(|| CheckedBase::build(Session::new()))
-        }
-    }
-
-    /// Checks `session`'s units as the base. Unlike other one-shot
-    /// checks, the base program keeps its stamp: every extension shares
-    /// it, so their lowerings share the base's bytecode.
-    fn build(mut session: Session) -> CheckedBase {
-        session.check();
-        let stamp = session.program().and_then(|p| p.base);
-        let report = session.into_report();
-        CheckedBase {
-            program: report
-                .program
-                .filter(|_| report.diags.is_empty())
-                .map(|p| CheckedProgram { base: stamp, ..p }),
-            sm: report.sm,
-        }
-    }
-
-    /// Checks the unit `name` with text `src` against the base. Returns the
-    /// program a full check of the base's units plus this one would
-    /// produce, or `None` when the reuse rule (see the module docs) sends
-    /// the unit to the full check.
-    pub fn extend(&self, name: &str, src: &str) -> Option<CheckedProgram> {
-        let base = self.program.as_ref()?;
-        let mut sm = self.sm.clone();
-        let file = sm.add_file(name, src);
-        let parsed = genus_syntax::parse_unit(&sm, file, name);
-        let prog = parsed.program.as_ref();
-        if !parsed.diags.is_empty() || !prog.imports.is_empty() {
-            return None;
-        }
-        let table = extend_prefix(&base.table, &[prog])?;
-        let mut diags = Diagnostics::new();
-        let mut checked = CheckedProgram {
-            table,
-            method_bodies: base.method_bodies.clone(),
-            ctor_bodies: base.ctor_bodies.clone(),
-            global_bodies: base.global_bodies.clone(),
-            model_bodies: base.model_bodies.clone(),
-            field_inits: base.field_inits.clone(),
-            static_inits: base.static_inits.clone(),
-            base: base.base,
-        };
-        check_bodies_filter(&mut checked, &mut diags, Some(file));
-        diags.is_empty().then_some(checked)
+        let cell = if stdlib { &STDLIB } else { &PRELUDE };
+        cell.get_or_init(|| {
+            let mut session = Session::unshared(stdlib);
+            session.check();
+            session.into_base()
+        })
     }
 }
 
@@ -103,49 +56,60 @@ impl CheckedBase {
 mod tests {
     use super::*;
 
+    /// A cold stdlib session's check of `src` as the unit
+    /// `request.genus`, and whether its prefix extended the base.
+    fn cold_check(src: &str) -> (crate::CheckReport, bool) {
+        let mut session = Session::with_stdlib();
+        session.update_source("request.genus", src);
+        session.check();
+        let extended = session.stats().prefix_extended == 1;
+        (session.into_report(), extended)
+    }
+
     #[test]
     fn clean_units_extend_and_share_base_bodies() {
-        let base = CheckedBase::get(true);
         let src = "class P { int x; P(int x) { this.x = x; } }\n\
                    int main() { ArrayList[P] l = new ArrayList[P](); l.add(new P(3)); return l.get(0).x; }";
-        let prog = base.extend("request.genus", src).expect("extends");
-        let full = full_check(src).program.expect("full check passes");
+        let (report, extended) = cold_check(src);
+        assert!(extended);
+        let prog = report.program.expect("checks");
+        let full = crate::check_unshared(true, &[("request.genus", src)])
+            .program
+            .expect("the full build passes");
         assert_eq!(prog.table.classes.len(), full.table.classes.len());
         assert_eq!(prog.method_bodies.len(), full.method_bodies.len());
         assert_eq!(prog.global_bodies.len(), full.global_bodies.len());
-        let shared = base.program.as_ref().expect("stdlib checks cleanly");
-        let (key, body) = shared
-            .method_bodies
+        let base = CheckedBase::get(true);
+        assert!(base.stamp.is_some());
+        assert_eq!(prog.base, base.stamp);
+        assert_eq!(full.base, None, "the full build's report carries no stamp");
+        let (key, body) = base
+            .units
             .iter()
-            .next()
-            .expect("stdlib has bodies");
-        assert!(std::sync::Arc::ptr_eq(body, &prog.method_bodies[key]));
-    }
-
-    /// The reference: a stdlib-seeded session, which sees the stdlib the
-    /// way `genus run` does.
-    fn full_check(src: &str) -> crate::CheckReport {
-        let mut session = crate::Session::with_stdlib();
-        session.update_source("request.genus", src);
-        session.into_report()
+            .find_map(|u| u.frag.method_bodies.first())
+            .expect("the stdlib has bodies");
+        assert!(Arc::ptr_eq(body, &prog.method_bodies[key]));
+        assert_ne!(CheckedBase::get(false).stamp, base.stamp);
     }
 
     #[test]
     fn units_that_could_change_the_base_decline() {
-        let base = CheckedBase::get(true);
-        // (source, whether the full check accepts it)
-        for (src, clean) in [
-            // A diagnostic of any kind.
-            ("int main() { return nope; }", false),
-            ("int main( { return 0; }", false),
-            ("int main() { return 0; return 1; }", true),
+        // (source, whether the rule extends the base, whether the full
+        // build accepts it)
+        for (src, extends, clean) in [
+            // Body and parse diagnostics, and imports, are the session's
+            // own business: they extend.
+            ("int main() { return nope; }", true, false),
+            ("int main() { return 0; return 1; }", true, true),
+            ("import collections;\nint main() { return 0; }", true, true),
             // A name collision with a stdlib class.
-            ("class ArrayList { ArrayList() { } }\nint main() { return 0; }", false),
+            ("class ArrayList { ArrayList() { } }\nint main() { return 0; }", false, false),
             // A model for a prelude constraint.
             (
                 "class K { int v; K(int v) { this.v = v; } }\n\
                  model KCmp for Comparable[K] { boolean equals(K that) { return v == that.v; } int compareTo(K that) { return v - that.v; } }\n\
                  int main() { return 0; }",
+                false,
                 true,
             ),
             // A request constraint whose prerequisite is a prelude one.
@@ -154,22 +118,28 @@ mod tests {
                  class K { int v; K(int v) { this.v = v; } }\n\
                  model KR for Rank[K] { boolean equals(K that) { return true; } int compareTo(K that) { return 0; } int rank() { return 1; } }\n\
                  int main() { return 0; }",
+                false,
                 true,
             ),
             // An overload of a stdlib global.
-            ("int sortList(int x) { return x; }\nint main() { return 0; }", true),
-            // An import.
-            ("import collections;\nint main() { return 0; }", true),
+            ("int sortList(int x) { return x; }\nint main() { return 0; }", false, true),
+            // A fresh constraint and a model for it.
+            (
+                "constraint Rank[T] { int rank(); }\n\
+                 class K { K() { } }\n\
+                 model KR for Rank[K] { int rank() { return 1; } }\n\
+                 int main() { return 0; }",
+                true,
+                true,
+            ),
         ] {
-            assert!(base.extend("request.genus", src).is_none(), "{src}");
-            let full = full_check(src);
+            let (report, extended) = cold_check(src);
+            assert_eq!(extended, extends, "{src}");
+            let full = crate::check_unshared(true, &[("request.genus", src)]);
+            assert_eq!(report.diags, full.diags, "{src}");
             assert_eq!(full.program.is_some(), clean, "{src}: {:?}", full.error_codes());
         }
-        // A fresh constraint and a model for it extend the base.
-        let local = "constraint Rank[T] { int rank(); }\n\
-                     class K { K() { } }\n\
-                     model KR for Rank[K] { int rank() { return 1; } }\n\
-                     int main() { return 0; }";
-        assert!(base.extend("request.genus", local).is_some());
+        // A parse error stops before any prefix is built.
+        assert!(!cold_check("int main( { return 0; }").1);
     }
 }

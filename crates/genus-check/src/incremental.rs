@@ -13,11 +13,11 @@
 //!   by the *interface* fingerprints of every unit. A body-only edit keeps
 //!   every interface fingerprint, so the prefix [`Table`] survives; the edited
 //!   unit's bodies and spans are patched into it positionally
-//!   (`patch_unit`). An interface edit rebuilds it, after the first
-//!   check by extending a snapshot of the leading always-visible units'
-//!   prefix with the other units (`extend_prefix` in the crate root, the
-//!   reuse rule the checked stdlib base also applies), and by a full
-//!   build only when that rule declines.
+//!   (`patch_unit`). Every other check builds it by extending the
+//!   process-wide [`CheckedBase`]'s table (`extend_prefix` in the crate
+//!   root) when the leading always-visible units are exactly its units and
+//!   the reuse rule accepts, else from scratch; a cold check that extends
+//!   takes the base's bodies as the base units' verdicts.
 //! * **Per-unit verdicts** (lowered HIR bodies plus diagnostics) are keyed by
 //!   `(content fingerprint, deps fingerprint)`, where the deps fingerprint
 //!   folds the global environment fingerprint (models and `use` declarations
@@ -28,14 +28,15 @@
 //!   definition fingerprint proves the new table presents bit-identical
 //!   definitions (same ids, same types) to the cached HIR.
 //!
-//! Reuse never changes observable output: one-shot checking
-//! ([`crate::check_sources_report`]) is literally a cold session, and the
+//! Reuse never changes observable output: the oracles compare against the
+//! unshared full build ([`crate::check_unshared`]), and the
 //! `incremental_agrees` property test in the workspace root asserts that a
 //! warm re-check after random edits produces byte-identical diagnostics.
 
+use crate::base::BaseUnit;
 use crate::hir::{Body, Expr};
 use crate::{
-    check_bodies_filter, imports, new_checked_shell, prelude, BaseStamp, CheckReport,
+    check_bodies_filter, imports, new_checked_shell, prelude, BaseStamp, CheckReport, CheckedBase,
     CheckedProgram,
 };
 use genus_common::{Diagnostic, Diagnostics, FastMap, FileId, Severity, SourceMap, Span};
@@ -55,21 +56,21 @@ pub struct SessionStats {
     pub checks: u64,
     /// Number of units at the last check.
     pub units: u64,
-    /// Parses served from the memo cache.
+    /// Parses served from the memo cache or held since the last check.
     pub parse_reused: u64,
     /// Parses that actually ran.
     pub parse_new: u64,
     /// Times the semantic prefix (collect → wf) was rebuilt: every new
-    /// table, whether built from scratch or extended from the base
-    /// snapshot.
+    /// table, whether built from scratch or extended from the
+    /// [`CheckedBase`].
     pub prefix_rebuilt: u64,
-    /// Rebuilds that extended the snapshot of the leading always-visible
-    /// units' prefix instead of building every unit's (a subset of
-    /// `prefix_rebuilt`).
+    /// Rebuilds that extended the shared base's prefix instead of
+    /// building every unit's (a subset of `prefix_rebuilt`).
     pub prefix_extended: u64,
     /// Units whose bodies/spans were patched into a reused prefix table.
     pub units_patched: u64,
-    /// Units whose live verdict (HIR + diagnostics) was reused unchanged.
+    /// Units whose live verdict (HIR + diagnostics) was reused unchanged,
+    /// or, on a cold check, installed from the [`CheckedBase`].
     pub units_reused: u64,
     /// Units restored from the verdict LRU (e.g. after an edit was reverted).
     pub units_restored: u64,
@@ -104,7 +105,7 @@ impl SessionReport {
 }
 
 /// One named compilation unit of a session.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Unit {
     /// Diagnostic file name, e.g. `main.genus` or `<prelude>`.
     name: String,
@@ -118,7 +119,7 @@ struct Unit {
     /// Whether every unit sees this one without importing it (prelude,
     /// stdlib).
     always_visible: bool,
-    /// Current parse, refreshed by `check()`.
+    /// Current parse, refreshed by `check()` after an edit.
     parsed: Option<Arc<ParsedUnit>>,
 }
 
@@ -128,8 +129,8 @@ type VKey = (u32, Fp, Fp);
 /// A unit's checked artifacts: the HIR bodies it contributed to the program
 /// (shared with the live program, not copied).
 #[derive(Debug, Default, Clone)]
-struct Fragment {
-    method_bodies: Vec<((u32, u32), Arc<Body>)>,
+pub(crate) struct Fragment {
+    pub(crate) method_bodies: Vec<((u32, u32), Arc<Body>)>,
     ctor_bodies: Vec<((u32, u32), Arc<Body>)>,
     global_bodies: Vec<(u32, Arc<Body>)>,
     model_bodies: Vec<((u32, u32), Arc<Body>)>,
@@ -150,8 +151,8 @@ struct Verdict {
     /// Restoring into a rebuilt table requires an exact match: the HIR embeds
     /// class/model/type-variable ids, which must be bit-identical.
     def_fp: Fp,
-    /// The unit's checked bodies.
-    frag: Fragment,
+    /// The unit's checked bodies, shared by every copy of the verdict.
+    frag: Arc<Fragment>,
 }
 
 /// Semantic state carried between checks: the live table and bodies, plus
@@ -176,21 +177,8 @@ struct Sem {
     unit_diags: Vec<Vec<Diagnostic>>,
     /// Per-unit diagnostic file-content snapshots of the live verdict.
     unit_diag_files: Vec<Vec<(u32, Fp)>>,
-}
-
-/// The semantic prefix of a session's leading always-visible units (the
-/// prelude, plus the stdlib under [`Session::with_stdlib`]), taken at the
-/// first prefix rebuild after a check and extended by every later rebuild
-/// the reuse rule allows.
-#[derive(Debug)]
-struct BaseSnapshot {
-    /// Content fingerprints of the base units it was built from.
-    contents: Vec<Fp>,
-    /// Their prefix table; `None` when building it reported a diagnostic,
-    /// and every rebuild is then a full one.
-    table: Option<Table>,
-    /// The base units' definition fingerprints over `table`.
-    def_fps: Vec<Fp>,
+    /// Per-unit: whether the live verdict is the [`CheckedBase`]'s own.
+    shared: Vec<bool>,
 }
 
 /// Bound on retained verdicts (least recently inserted or restored goes
@@ -208,24 +196,20 @@ fn prelude_parse() -> &'static Arc<ParsedUnit> {
     })
 }
 
-/// The stdlib's parse trees, memoized process-wide.
-///
-/// Parsed against a scratch [`SourceMap`] that mirrors the layout of every
-/// stdlib-seeded session — prelude at file 0, stdlib units at 1..=N in
-/// [`genus_stdlib::sources`] order — so the spans inside the memoized trees
-/// are valid in any session that registers the stdlib first.
-pub fn stdlib_parses() -> &'static [(&'static str, Arc<ParsedUnit>)] {
-    static PARSES: OnceLock<Vec<(&'static str, Arc<ParsedUnit>)>> = OnceLock::new();
-    PARSES.get_or_init(|| {
-        let mut sm = SourceMap::new();
-        sm.add_file(prelude::PRELUDE_NAME, prelude::PRELUDE);
-        genus_stdlib::sources()
-            .iter()
-            .map(|(name, src)| {
-                let file = sm.add_file(*name, *src);
-                (*name, Arc::new(genus_syntax::parse_unit(&sm, file, name)))
-            })
-            .collect()
+/// The prelude and stdlib as every stdlib-seeded session starts: their
+/// source map (prelude at file 0, stdlib units at 1..=N in
+/// [`genus_stdlib::sources`] order) and their parsed units, built once
+/// per process, so a new session neither re-indexes nor re-parses them.
+fn stdlib_seed() -> &'static (SourceMap, Vec<Unit>) {
+    static SEED: OnceLock<(SourceMap, Vec<Unit>)> = OnceLock::new();
+    SEED.get_or_init(|| {
+        let mut s = Session::new();
+        for (name, src) in genus_stdlib::sources() {
+            s.add_unit(name, src, &[], true);
+            let u = s.units.last_mut().expect("just added");
+            u.parsed = Some(Arc::new(genus_syntax::parse_unit(&s.sm, u.file, name)));
+        }
+        (s.sm, s.units)
     })
 }
 
@@ -260,7 +244,9 @@ pub struct Session {
     units: Vec<Unit>,
     parse_cache: ParseCache,
     sem: Option<Sem>,
-    base: Option<BaseSnapshot>,
+    /// Whether prefix builds may extend the [`CheckedBase`]; off only in
+    /// the unshared full build.
+    shares_base: bool,
     verdicts: FastMap<VKey, Verdict>,
     verdict_order: Vec<VKey>,
     stats: SessionStats,
@@ -291,11 +277,11 @@ impl Session {
                 file,
                 implicit_deps: Vec::new(),
                 always_visible: true,
-                parsed: None,
+                parsed: Some(prelude_parse().clone()),
             }],
             parse_cache,
             sem: None,
-            base: None,
+            shares_base: true,
             verdicts: FastMap::default(),
             verdict_order: Vec::new(),
             stats: SessionStats::default(),
@@ -306,15 +292,28 @@ impl Session {
     }
 
     /// Creates a session pre-loaded with the standard library as
-    /// always-visible units, their parses seeded from [`stdlib_parses`].
+    /// always-visible units, their source map and parses copied from a
+    /// process-wide seed.
     pub fn with_stdlib() -> Self {
+        let (sm, units) = stdlib_seed();
         let mut s = Session::new();
-        for (name, src) in genus_stdlib::sources() {
-            s.add_unit(name, src, &[], true);
+        s.sm = sm.clone();
+        s.units = units.clone();
+        for u in &s.units {
+            let parsed = u.parsed.as_ref().expect("the seed is parsed");
+            s.parse_cache.insert(u.file, Arc::clone(parsed));
         }
-        for (name, parsed) in stdlib_parses() {
-            s.seed_parse(name, Arc::clone(parsed));
-        }
+        s
+    }
+
+    /// A session that never extends the [`CheckedBase`]: the full build.
+    pub(crate) fn unshared(stdlib: bool) -> Self {
+        let mut s = if stdlib {
+            Session::with_stdlib()
+        } else {
+            Session::new()
+        };
+        s.shares_base = false;
         s
     }
 
@@ -355,8 +354,9 @@ impl Session {
     /// Seeds the parse cache for the unit named `name` with an externally
     /// memoized parse (must match the unit's current text and file id).
     pub fn seed_parse(&mut self, name: &str, parse: Arc<ParsedUnit>) {
-        if let Some(u) = self.units.iter().find(|u| u.name == name) {
-            self.parse_cache.insert(u.file, parse);
+        if let Some(u) = self.units.iter_mut().find(|u| u.name == name) {
+            self.parse_cache.insert(u.file, Arc::clone(&parse));
+            u.parsed = Some(parse);
         }
     }
 
@@ -374,7 +374,7 @@ impl Session {
     pub fn stats(&self) -> SessionStats {
         let mut s = self.stats;
         let (hits, misses) = self.parse_cache.stats();
-        s.parse_reused = hits;
+        s.parse_reused += hits;
         s.parse_new = misses;
         s
     }
@@ -411,11 +411,13 @@ impl Session {
         self.stats.units = self.units.len() as u64;
         self.checked_once = true;
 
-        // ---- Parse every unit through the memo cache. ----
-        for i in 0..self.units.len() {
-            let (file, name) = (self.units[i].file, self.units[i].name.clone());
-            let parsed = self.parse_cache.get_or_parse(&self.sm, file, &name);
-            self.units[i].parsed = Some(parsed);
+        // ---- Parse every edited unit through the memo cache. ----
+        for u in &mut self.units {
+            if u.parsed.is_some() {
+                self.stats.parse_reused += 1;
+                continue;
+            }
+            u.parsed = Some(self.parse_cache.get_or_parse(&self.sm, u.file, &u.name));
         }
         let parsed: Vec<Arc<ParsedUnit>> = self
             .units
@@ -488,18 +490,20 @@ impl Session {
             }
         }
 
+        let base = self.shared_base(&content_fps);
+        // A cold check that extends installs the base's verdicts.
+        let mut install = None;
         if !reuse_prefix {
             let programs: Vec<&ast::Program> = parsed.iter().map(|p| p.program.as_ref()).collect();
-            // A cold check builds every unit's prefix; a rebuild after a
-            // check extends the base snapshot unless the rule declines.
-            let extended = match self.sem {
-                Some(_) => self.extend_base(&programs, &content_fps),
-                None => None,
-            };
+            let extended = base.and_then(|b| {
+                crate::extend_prefix(&b.table, &programs[b.units.len()..]).map(|t| (b, t))
+            });
             let (table, prefix_diags, mut def_fps) = match extended {
-                Some((table, base_def_fps)) => {
+                Some((b, table)) => {
                     self.stats.prefix_extended += 1;
-                    (table, Vec::new(), base_def_fps)
+                    install = self.sem.is_none().then_some(b);
+                    let def_fps = b.units.iter().map(|u| u.def_fp).collect();
+                    (table, Vec::new(), def_fps)
                 }
                 None => {
                     let mut diags = Diagnostics::new();
@@ -522,6 +526,7 @@ impl Session {
                 live_keys: vec![None; n],
                 unit_diags: vec![Vec::new(); n],
                 unit_diag_files: vec![Vec::new(); n],
+                shared: vec![false; n],
             });
             self.stats.prefix_rebuilt += 1;
             self.generation += 1;
@@ -563,12 +568,28 @@ impl Session {
             }
 
             let cur_def_fp = combine_def_fps(&sem.def_fps, &visible_sets[i]);
+            if let Some(BaseUnit { frag, .. }) = install.and_then(|b| b.units.get(i)) {
+                splice_fragment(&mut sem.checked, frag);
+                sem.live_keys[i] = Some(key);
+                sem.shared[i] = true;
+                let v = Verdict {
+                    diags: Vec::new(),
+                    diag_files: Vec::new(),
+                    def_fp: cur_def_fp,
+                    frag: Arc::clone(frag),
+                };
+                self.insert_verdict(key, v);
+                self.stats.units_reused += 1;
+                continue;
+            }
             if let Some(v) = self.verdicts.get(&key) {
                 if v.def_fp == cur_def_fp && snapshot_ok(&v.diag_files, &content_fps) {
                     let v = v.clone();
                     remove_fragment(&mut sem.checked, self.units[i].file);
                     splice_fragment(&mut sem.checked, &v.frag);
                     sem.live_keys[i] = Some(key);
+                    sem.shared[i] = (base.and_then(|b| b.units.get(i)))
+                        .is_some_and(|u| Arc::ptr_eq(&u.frag, &v.frag));
                     sem.unit_diags[i] = v.diags;
                     sem.unit_diag_files[i] = v.diag_files;
                     // Most recently used goes to the back, so a verdict
@@ -600,11 +621,12 @@ impl Session {
                 &strict_files[i],
                 &mut diags,
             );
-            check_bodies_filter(&mut sem.checked, &mut diags, Some(self.units[i].file));
+            check_bodies_filter(&mut sem.checked, &mut diags, self.units[i].file);
             let unit_diags = diags.take();
             let diag_files = diag_file_snapshot(&unit_diags, &content_fps);
-            let frag = extract_fragment(&sem.checked, self.units[i].file);
+            let frag = Arc::new(extract_fragment(&sem.checked, self.units[i].file));
             sem.live_keys[i] = Some(key);
+            sem.shared[i] = false;
             sem.unit_diags[i] = unit_diags.clone();
             sem.unit_diag_files[i] = diag_files.clone();
             self.insert_verdict(
@@ -626,7 +648,7 @@ impl Session {
         sem.checked
             .static_inits
             .sort_by_key(|(cid, fi, _)| (cid.0, *fi));
-        sem.checked.base = base_stamp(&self.units, &parsed, sem);
+        sem.checked.base = base_stamp(&self.units, &parsed, sem, base);
 
         // ---- Assemble the normalized report. ----
         let mut sink = Diagnostics::new();
@@ -647,11 +669,19 @@ impl Session {
         self.report()
     }
 
+    /// Adds `sources` in order, then [`Session::into_report`].
+    pub(crate) fn report_over(mut self, sources: &[(&str, &str)]) -> CheckReport {
+        for (name, src) in sources {
+            self.update_source(name, src);
+        }
+        self.into_report()
+    }
+
     /// Consumes the session into the historical one-shot [`CheckReport`].
     ///
-    /// The report's program carries no base stamp: a one-shot check has
-    /// no later check that shares its base, and stamping each would fill
-    /// the process-wide lowered-base cache with bases nothing reuses.
+    /// The program keeps only the [`CheckedBase`]'s stamp: a one-shot
+    /// check has no later check sharing a base of its own, and stamping
+    /// each would fill the lowered-base cache with bases nothing reuses.
     pub fn into_report(mut self) -> CheckReport {
         if !self.checked_once {
             self.check();
@@ -663,8 +693,10 @@ impl Session {
         let program = if has_errors {
             None
         } else {
+            let n = leading_base_units(&self.units);
+            let shared = (self.shares_base).then(|| CheckedBase::get(n > 1).stamp);
             self.sem.map(|s| CheckedProgram {
-                base: None,
+                base: s.checked.base.filter(|b| shared.flatten() == Some(*b)),
                 ..s.checked
             })
         };
@@ -675,30 +707,39 @@ impl Session {
         }
     }
 
-    /// The prefix of every unit as the base snapshot extended by the units
-    /// after it, with the base units' definition fingerprints; `None` when
-    /// the reuse rule declines. (Re)takes the snapshot when the leading
-    /// always-visible units changed since it was taken.
-    fn extend_base(
-        &mut self,
-        programs: &[&ast::Program],
-        content_fps: &[Fp],
-    ) -> Option<(Table, Vec<Fp>)> {
-        let n = self.units.iter().take_while(|u| u.always_visible).count();
-        if self.base.as_ref().map(|b| b.contents.as_slice()) != Some(&content_fps[..n]) {
-            let mut diags = Diagnostics::new();
-            let table = crate::build_prefix(&programs[..n], &mut diags);
-            self.base = Some(BaseSnapshot {
-                contents: content_fps[..n].to_vec(),
-                def_fps: (0..n)
-                    .map(|i| def_fp(&table, self.units[i].file, i))
-                    .collect(),
-                table: diags.is_empty().then_some(table),
-            });
+    /// The shared base when this session's leading always-visible units
+    /// are exactly its units (by name and text), else `None`.
+    fn shared_base(&self, content_fps: &[Fp]) -> Option<&'static CheckedBase> {
+        if !self.shares_base {
+            return None;
         }
-        let base = self.base.as_ref().expect("snapshot taken above");
-        let table = crate::extend_prefix(base.table.as_ref()?, &programs[n..])?;
-        Some((table, base.def_fps.clone()))
+        let n = leading_base_units(&self.units);
+        let base = CheckedBase::get(n > 1);
+        let same = base
+            .units
+            .iter()
+            .map(|u| u.content)
+            .eq(content_fps[..n].iter().copied());
+        (base.stamp.is_some() && same).then_some(base)
+    }
+
+    /// This session's last check as the [`CheckedBase`].
+    pub(crate) fn into_base(self) -> CheckedBase {
+        let Some(sem) = self.sem.filter(|_| self.last_diags.is_empty()) else {
+            return CheckedBase::default();
+        };
+        let units = (0..leading_base_units(&self.units))
+            .map(|i| BaseUnit {
+                content: sem.unit_contents[i],
+                def_fp: sem.def_fps[i],
+                frag: Arc::new(extract_fragment(&sem.checked, self.units[i].file)),
+            })
+            .collect();
+        CheckedBase {
+            stamp: sem.checked.base,
+            table: sem.checked.table,
+            units,
+        }
     }
 
     fn report(&self) -> SessionReport {
@@ -813,13 +854,20 @@ fn snapshot_ok(snapshot: &[(u32, Fp)], content_fps: &[Fp]) -> bool {
 }
 
 /// The stamp of the program's base, the leading always-visible units:
-/// their verdict keys and definition fingerprints, which decide their
-/// bodies and definitions exactly (the rule that restores verdicts).
+/// the shared `base`'s own while their live verdicts are its verdicts,
+/// else one minted from their verdict keys and definition fingerprints,
+/// which decide their bodies and definitions exactly (the rule that
+/// restores verdicts).
 /// `None` when a later unit could change what the base declares (a `use`,
 /// an `enrich`, an overload of a base global): those programs take the
 /// full rebuild, and their lowering reuses nothing.
-fn base_stamp(units: &[Unit], parsed: &[Arc<ParsedUnit>], sem: &Sem) -> Option<BaseStamp> {
-    let n = units.iter().take_while(|u| u.always_visible).count();
+fn base_stamp(
+    units: &[Unit],
+    parsed: &[Arc<ParsedUnit>],
+    sem: &Sem,
+    base: Option<&CheckedBase>,
+) -> Option<BaseStamp> {
+    let n = leading_base_units(units);
     let table = &sem.checked.table;
     let is_base_global = |name| {
         table
@@ -833,6 +881,9 @@ fn base_stamp(units: &[Unit], parsed: &[Arc<ParsedUnit>], sem: &Sem) -> Option<B
     {
         return None;
     }
+    if let Some(base) = base.filter(|_| sem.shared[..n].iter().all(|&b| b)) {
+        return base.stamp;
+    }
     let mut fps = vec![n as Fp];
     for i in 0..n {
         let (file, content, deps) = sem.live_keys[i]?;
@@ -842,6 +893,11 @@ fn base_stamp(units: &[Unit], parsed: &[Arc<ParsedUnit>], sem: &Sem) -> Option<B
         files: n as u32,
         fp: combine_fps(fps),
     })
+}
+
+/// How many leading units are always visible: the units a base covers.
+fn leading_base_units(units: &[Unit]) -> usize {
+    units.iter().take_while(|u| u.always_visible).count()
 }
 
 fn combine_def_fps(def_fps: &[Fp], visible: &[usize]) -> Fp {
@@ -1254,7 +1310,8 @@ mod tests {
         let r1 = s.check();
         assert!(!r1.has_errors());
         assert_eq!(r1.stats.prefix_rebuilt, 1);
-        assert_eq!(r1.stats.units_rechecked, 3); // prelude + 2 units
+        // The prelude's verdict is the shared base's; the 2 units check.
+        assert_eq!((r1.stats.units_reused, r1.stats.units_rechecked), (1, 2));
 
         // A body-only edit keeps every interface fingerprint.
         s.update_source("util.genus", "int helper() { return 2; }");
@@ -1263,8 +1320,8 @@ mod tests {
         assert_eq!(r2.stats.prefix_rebuilt, 1, "prefix must be reused");
         assert_eq!(r2.stats.units_patched, 1);
         // Prelude and main reuse their live verdicts; util re-checks.
-        assert_eq!(r2.stats.units_reused, 2);
-        assert_eq!(r2.stats.units_rechecked, 4);
+        assert_eq!(r2.stats.units_reused, 1 + 2);
+        assert_eq!(r2.stats.units_rechecked, 2 + 1);
     }
 
     #[test]
@@ -1478,7 +1535,7 @@ mod tests {
         let mut s = checked_stdlib_session();
         s.update_source("main.genus", "long main() { return 0; }");
         assert!(!s.check().has_errors());
-        assert_eq!(s.stats().prefix_extended, 1);
+        assert_eq!(s.stats().prefix_extended, 2);
         let programs: Vec<&ast::Program> = s
             .units
             .iter()
@@ -1503,42 +1560,61 @@ mod tests {
     }
 
     #[test]
-    fn only_a_rebuild_after_a_check_extends_and_base_edits_resnapshot() {
+    fn every_build_extends_the_shared_base_until_a_base_unit_differs() {
+        let base = CheckedBase::get(true).stamp;
         let mut s = checked_stdlib_session();
-        assert_eq!(s.stats().prefix_extended, 0, "a cold check never extends");
-        assert!(s.base.is_none(), "a cold check takes no snapshot");
+        let n = 1 + genus_stdlib::sources().len() as u64;
+        let st = s.stats();
+        // The cold check extends the base and installs its verdicts.
+        assert_eq!(
+            (st.prefix_extended, st.units_reused, st.units_rechecked),
+            (1, n, 2)
+        );
+        assert_eq!(s.program().expect("checks").base, base);
 
-        s.update_source("main.genus", "long main() { return 0; }");
-        s.check();
-        let first = s
-            .base
-            .as_ref()
-            .expect("taken at the first rebuild")
-            .contents
-            .clone();
-        assert_eq!(first.len(), 1 + genus_stdlib::sources().len());
+        // A member-signature edit extends the base again and restores the
+        // base units' installed verdicts.
+        let rank = RANK.replace(
+            "this.item = item; }",
+            "this.item = item; } int n() { return 1; }",
+        );
+        s.update_source("rank.genus", &rank);
+        let r = s.check();
+        assert_eq!(r.stats.prefix_extended, 2);
+        assert_eq!(r.stats.units_restored, n);
+        assert_eq!(s.program().expect("checks").base, base);
 
-        // An interface edit of a stdlib unit changes the snapshot's key:
-        // the next rebuild takes a new snapshot and extends it.
+        // An edited stdlib unit makes the base units differ from the
+        // shared base: the next build is the full one, and agrees with the
+        // unshared full build.
         let (name, src) = genus_stdlib::sources()[0];
         let edited = format!("{src}\nclass Extra {{ Extra() {{ }} }}\n");
         s.update_source(name, &edited);
         let warm = s.check();
-        assert_eq!(warm.stats.prefix_extended, 2);
-        let second = &s.base.as_ref().expect("retaken").contents;
-        assert_ne!(*second, first);
         assert_eq!(
-            second[1],
-            s.units[1].parsed.as_ref().expect("parsed").content_fp
+            (warm.stats.prefix_rebuilt, warm.stats.prefix_extended),
+            (3, 2)
         );
+        assert_ne!(s.program().expect("checks").base, base);
+        let full = crate::check_unshared(
+            true,
+            &[
+                (name, edited.as_str()),
+                ("rank.genus", rank.as_str()),
+                ("main.genus", "int main() { return 0; }"),
+            ],
+        );
+        assert_eq!(warm.diags, full.diags);
 
-        let mut cold = Session::with_stdlib();
-        cold.update_source(name, &edited);
-        cold.update_source("rank.genus", RANK);
-        cold.update_source("main.genus", "long main() { return 0; }");
-        let cold = cold.check();
-        assert_eq!(cold.stats.prefix_extended, 0);
-        assert_eq!(warm.diags, cold.diags);
+        // Reverting it extends the base again and restores its verdicts.
+        s.update_source(name, src);
+        let back = s.check();
+        assert_eq!(
+            (back.stats.prefix_rebuilt, back.stats.prefix_extended),
+            (4, 3)
+        );
+        assert_eq!(back.stats.units_rechecked, warm.stats.units_rechecked);
+        assert_eq!(s.program().expect("checks").base, base);
     }
 
     #[test]

@@ -47,8 +47,8 @@ use std::sync::Arc;
 
 /// The result of checking: the table plus lowered bodies, ready to run.
 ///
-/// Bodies are reference-counted so programs extended from the
-/// [`CheckedBase`] share the prelude and stdlib bodies instead of copying
+/// Bodies are reference-counted so programs whose sessions extend the
+/// [`CheckedBase`] share its prelude and stdlib bodies instead of copying
 /// them.
 #[derive(Debug)]
 pub struct CheckedProgram {
@@ -78,8 +78,9 @@ pub struct CheckedProgram {
 ///
 /// Minted by [`Session`] from the base units' verdict keys and definition
 /// fingerprints, so equal stamps mean equal content, whatever the bodies'
-/// addresses; [`CheckedBase::extend`] passes its base's stamp on. Code
-/// generators use it to lower the base once and reuse the result.
+/// addresses; a program whose base units' verdicts are the
+/// [`CheckedBase`]'s own carries the base's stamp. Code generators use it
+/// to lower the base once and reuse the result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BaseStamp {
     /// How many leading source files form the base.
@@ -149,9 +150,17 @@ impl CheckReport {
     }
 
     /// Renders only the error diagnostics, in the compact one-line mode —
-    /// the string shape `check_sources` historically returned.
+    /// the string shape [`check_source`] returns.
     pub fn render_errors_short(&self) -> String {
         diag::render_errors_short(&self.diags, &self.sm)
+    }
+
+    /// The checked program, or the errors as
+    /// [`CheckReport::render_errors_short`] renders them.
+    pub fn into_program(mut self) -> Result<CheckedProgram, String> {
+        self.program
+            .take()
+            .ok_or_else(|| self.render_errors_short())
     }
 }
 
@@ -162,20 +171,7 @@ impl CheckReport {
 ///
 /// Returns the rendered diagnostics when checking fails.
 pub fn check_source(src: &str) -> Result<CheckedProgram, String> {
-    check_sources(&[("main.genus", src)])
-}
-
-/// Checks multiple Genus source files (plus the prelude).
-///
-/// # Errors
-///
-/// Returns the rendered diagnostics when checking fails.
-pub fn check_sources(sources: &[(&str, &str)]) -> Result<CheckedProgram, String> {
-    let mut report = check_sources_report(sources);
-    if report.has_errors() {
-        return Err(report.render_errors_short());
-    }
-    Ok(report.program.take().expect("no errors implies a program"))
+    check_sources_report(&[("main.genus", src)]).into_program()
 }
 
 /// Checks multiple Genus source files (plus the prelude) and returns the
@@ -183,15 +179,18 @@ pub fn check_sources(sources: &[(&str, &str)]) -> Result<CheckedProgram, String>
 /// spans, warnings included, plus the program when checking succeeded.
 ///
 /// One-shot checks are a single cold pass of the incremental [`Session`]
-/// machinery, so `genus check` and a warm session re-check agree on output
-/// by construction.
+/// machinery, which extends the shared [`CheckedBase`] when the reuse
+/// rule allows, so `genus check` and a warm session re-check agree on
+/// output by construction.
 pub fn check_sources_report(sources: &[(&str, &str)]) -> CheckReport {
-    let mut session = Session::new();
-    for (name, src) in sources {
-        session.update_source(name, src);
-    }
-    session.check();
-    session.into_report()
+    Session::new().report_over(sources)
+}
+
+/// The unshared full build: checks `sources` after the prelude (and the
+/// stdlib when `stdlib`) without the [`CheckedBase`], every unit from
+/// scratch. The reference the oracles compare every shared check with.
+pub fn check_unshared(stdlib: bool, sources: &[(&str, &str)]) -> CheckReport {
+    Session::unshared(stdlib).report_over(sources)
 }
 
 /// Runs every whole-program phase that precedes body checking: collection,
@@ -537,19 +536,17 @@ fn complete_signatures(table: &mut Table, diags: &mut Diagnostics, from: Start) 
     }
 }
 
-/// Checks and lowers bodies into `checked`, optionally restricted to the
-/// definitions owned by one source file (`only`). Ownership follows each
-/// definition's declaration span, so an `enrich` method contributed to
-/// another unit's model is checked with its *declaring* unit. Restricting by
-/// file partitions the work exactly: running this once per file produces the
-/// same bodies and the same diagnostic multiset as one unrestricted pass
-/// (diagnostics are normalized order-insensitively at report time).
+/// Checks and lowers into `checked` the bodies of the definitions owned by
+/// the source file `only`. Ownership follows each definition's declaration
+/// span, so an `enrich` method contributed to another unit's model is
+/// checked with its *declaring* unit, and running this once per file
+/// checks every body exactly once.
 pub(crate) fn check_bodies_filter(
     checked: &mut CheckedProgram,
     diags: &mut Diagnostics,
-    only: Option<genus_common::FileId>,
+    only: genus_common::FileId,
 ) {
-    let owned = |span: genus_common::Span| only.is_none_or(|f| span.file == f);
+    let owned = |span: genus_common::Span| span.file == only;
     let table = &mut checked.table;
     // Class members.
     for ci in 0..table.classes.len() {

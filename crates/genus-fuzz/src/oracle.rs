@@ -20,11 +20,14 @@
 //!    decoded program must behave identically (exact fuel included).
 //! 5. **Warm-program parity** — the warm session's checked program,
 //!    compiled and run, must match the scratch program's run.
-//! 6. **Base parity** — when the shared checked stdlib base accepts the
-//!    source ([`genus_check::CheckedBase::extend`]), the scratch check
-//!    must report no diagnostics, and the extended program must run
-//!    identically to the scratch program (exact fuel included).
-//! 7. **Lowered-base parity** — the warm and the extended program carry
+//! 6. **Base parity** — the scratch compile extends the shared checked
+//!    stdlib base when the reuse rule allows. On every case, ill-typed
+//!    ones included, the unshared full build
+//!    ([`genus_check::check_unshared`]) must report the same diagnostics
+//!    and declare the same names under the same ids; when it accepts the
+//!    source, its program must run on VM-O2 like the scratch program
+//!    (exact fuel included).
+//! 7. **Lowered-base parity** — the warm and the scratch program carry
 //!    a base stamp; lowering each through the process-wide cache of
 //!    lowered bases must give the bytes a cold lowering gives.
 //!
@@ -34,7 +37,7 @@
 //! that stops one engine mid-program stops another somewhere else.
 
 use crate::pipeline::{self, Leg, UNIT_NAME};
-use genus_check::{CheckedBase, Session};
+use genus_check::{CheckReport, Session};
 use genus_common::{EdgeMap, Severity};
 use genus_interp::Limits;
 use genus_vm::{compile_optimized, compile_program, compile_program_uncached, compile_tier};
@@ -121,6 +124,32 @@ fn compare(
     None
 }
 
+/// How the shared check `shared` differs from the unshared full build
+/// `full`: in diagnostics, or in each kind of declaration's names in id
+/// order.
+fn base_divergence(shared: &CheckReport, full: &CheckReport) -> Option<String> {
+    let ids = |r: &CheckReport| {
+        r.program.as_ref().map(|p| {
+            let t = &p.table;
+            (
+                t.classes.iter().map(|c| c.name).collect::<Vec<_>>(),
+                t.constraints.iter().map(|k| k.name).collect::<Vec<_>>(),
+                t.models.iter().map(|m| m.name).collect::<Vec<_>>(),
+                t.globals.iter().map(|g| g.name).collect::<Vec<_>>(),
+            )
+        })
+    };
+    let same_ids = ids(shared) == ids(full);
+    (shared.diags != full.diags || !same_ids).then(|| {
+        format!(
+            "the shared check differs from the unshared full build: {} vs {} diagnostic(s), ids {}",
+            shared.diags.len(),
+            full.diags.len(),
+            if same_ids { "equal" } else { "differ" }
+        )
+    })
+}
+
 /// See the module docs.
 pub struct Harness {
     warm: Session,
@@ -152,14 +181,12 @@ impl Harness {
     pub fn run_case(&mut self, src: &str) -> Verdict {
         // Oracle 1 (diagnostics half): warm vs scratch check.
         let scratch = pipeline::compile(src);
-        let extended = CheckedBase::get(true).extend(UNIT_NAME, src);
-        if extended.is_some() && !scratch.diags.is_empty() {
+        // Oracle 6: the shared check against the unshared full build.
+        let full = genus_check::check_unshared(true, &[(UNIT_NAME, src)]);
+        if let Some(detail) = base_divergence(&scratch, &full) {
             return Verdict::Divergence(Divergence {
                 oracle: "base",
-                detail: format!(
-                    "the stdlib base accepted a source the scratch check reports {} diagnostic(s) for",
-                    scratch.diags.len()
-                ),
+                detail,
             });
         }
         self.warm.update_source(UNIT_NAME, src);
@@ -238,20 +265,27 @@ impl Harness {
             }
         }
 
-        // Oracle 1 (program half): the warm session's program must run
+        // Oracle 1 (program half) and oracle 6 (run half): the warm
+        // session's program and the unshared full build's must run
         // identically to the scratch program.
         let warm_prog = self
             .warm
             .program()
             .expect("warm session agreed there are no errors");
-        let warm_code = Arc::new(compile_optimized(warm_prog, 2));
-        let warm_run = pipeline::run_vm(warm_prog, &warm_code, limits, false, None);
-        if let Some(d) = compare("incremental", "vm-o2", &vm2, "vm-o2-warm", &warm_run, true) {
-            return Verdict::Divergence(d);
+        let full_prog = (full.program.as_ref()).expect("the full build agreed there are no errors");
+        for (oracle, label, other) in [
+            ("incremental", "vm-o2-warm", warm_prog),
+            ("base", "vm-o2-unshared", full_prog),
+        ] {
+            let code = Arc::new(compile_optimized(other, 2));
+            let run = pipeline::run_vm(other, &code, limits, false, None);
+            if let Some(d) = compare(oracle, "vm-o2", &vm2, label, &run, true) {
+                return Verdict::Divergence(d);
+            }
         }
 
         // Oracle 7: lowering from the lowered-base cache changes nothing.
-        for prog in std::iter::once(warm_prog).chain(&extended) {
+        for prog in [warm_prog, &prog] {
             if pipeline::lowered_bytes(&compile_program(prog))
                 != pipeline::lowered_bytes(&compile_program_uncached(prog))
             {
@@ -259,15 +293,6 @@ impl Harness {
                     oracle: "lowering",
                     detail: "a lowering from the base cache differs from a cold one".to_string(),
                 });
-            }
-        }
-
-        // Oracle 6: the base-extended program must run identically too.
-        if let Some(ext) = &extended {
-            let ext_code = Arc::new(compile_optimized(ext, 2));
-            let ext_run = pipeline::run_vm(ext, &ext_code, limits, false, None);
-            if let Some(d) = compare("base", "vm-o2", &vm2, "vm-o2-base", &ext_run, true) {
-                return Verdict::Divergence(d);
             }
         }
 

@@ -31,8 +31,8 @@ pub fn stdlib_session() -> Session {
 }
 
 /// One-shot ("scratch") compile of a fuzz case: fresh session, stdlib
-/// seeded, nothing warm. The incremental oracle compares this against a
-/// long-lived session's view of the same source.
+/// seeded, nothing warm. The incremental and base oracles compare it with
+/// a long-lived session's view of the same source and the full build.
 pub fn compile(src: &str) -> CheckReport {
     let mut s = stdlib_session();
     s.update_source(UNIT_NAME, src);

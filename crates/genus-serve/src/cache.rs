@@ -34,26 +34,20 @@
 //!   AST sufficient for the VM and Tier 2 engines; an AST-engine request
 //!   against one triggers a lazy full compile (see
 //!   [`CachedProgram::ast_prog`]).
-//! - **One shared, pre-checked stdlib.** A miss does not re-check the
-//!   stdlib: [`compile`] extends the process-wide [`CheckedBase`] (the
-//!   prelude and stdlib, parsed and checked once, built on the pool when
-//!   the server starts) with the request alone — its declarations are
-//!   collected, completed and checked after the base's, and only its
-//!   bodies are checked. Entries share the stdlib's HIR bodies by `Arc`,
-//!   so an entry owns its request's bodies and a copy of the declaration
-//!   table, not a copy of the stdlib's bodies. The reuse rule is sound
-//!   because Genus checks a library independently of its clients (§4):
-//!   a request can change a stdlib verdict only through the whole-program
-//!   parts of model resolution — a `use`, an `enrich`, a model whose
-//!   constraint reaches a prelude or stdlib constraint — or by
-//!   overloading a stdlib global. Such requests, and any request with a
-//!   diagnostic, take the full check ([`CheckPath::FullCheck`]), so
-//!   results and rendered diagnostics are those of `genus run` either
-//!   way. The `base_extends` and `full_checks` counters split the misses
-//!   between the two paths.
+//! - **One shared, pre-checked stdlib.** A miss ([`compile`]) is a cold
+//!   check in a fresh [`CompileSession`] seeded the way `genus run` seeds
+//!   its own, which extends the process-wide [`genus_check::CheckedBase`]
+//!   (built on the pool when the server starts) with the request alone:
+//!   entries share the stdlib's HIR bodies by `Arc` and own only their
+//!   request's bodies and a copy of the declaration table. A request that
+//!   could change a stdlib verdict (a `use`, an `enrich`, a model reaching
+//!   a stdlib constraint, an overload of a stdlib global) makes the session
+//!   build the whole prefix instead; results and rendered diagnostics are
+//!   those of `genus run` either way. The `base_extends` and `full_checks`
+//!   counters split the misses between the two.
 
 use crate::persist::DiskCache;
-use genus_check::{CheckedBase, CheckedProgram};
+use genus_check::{CheckReport, CheckedProgram};
 use genus_common::{FastMap, FnvHasher};
 use genus_vm::exec::{CompileSession, CompiledCode};
 use genus_vm::{TierProgram, VmProgram};
@@ -147,7 +141,7 @@ impl CachedProgram {
             return Ok(&self.prog);
         }
         self.full
-            .get_or_init(|| compile(&self.source, self.stdlib).0)
+            .get_or_init(|| compile(&self.source, self.stdlib).0.into_program())
             .as_ref()
             .map_err(Clone::clone)
     }
@@ -238,10 +232,10 @@ pub struct ProgramCacheStats {
     /// Compilations actually executed in-process
     /// (`base_extends + full_checks`).
     pub compiles: u64,
-    /// Compilations answered by extending the shared checked stdlib base.
+    /// Compilations whose check extended the shared checked stdlib base.
     pub base_extends: u64,
-    /// Compilations answered by the full check (the request could change
-    /// a stdlib verdict, or has diagnostics).
+    /// Compilations whose check built the whole prefix (the request could
+    /// change a stdlib verdict, or does not parse).
     pub full_checks: u64,
     /// Entries whose Tier 2 closure form has been compiled — at most one
     /// tier compile per entry, no matter how many submissions race.
@@ -400,23 +394,22 @@ impl ProgramCache {
             }
         }
         self.compiles.fetch_add(1, Ordering::Relaxed);
-        let (result, path) = compile(source, stdlib);
-        match path {
-            CheckPath::BaseExtend => &self.base_extends,
-            CheckPath::FullCheck => &self.full_checks,
+        let (report, extended) = compile(source, stdlib);
+        if extended {
+            &self.base_extends
+        } else {
+            &self.full_checks
         }
         .fetch_add(1, Ordering::Relaxed);
-        let cached = result.map(|prog| {
-            Arc::new(CachedProgram {
-                prog,
-                source: source.to_string(),
-                stdlib,
-                from_disk: false,
-                invocations: AtomicU64::new(0),
-                code: CompiledCode::new(opt_level),
-                full: OnceLock::new(),
-            })
-        })?;
+        let cached = Arc::new(CachedProgram {
+            prog: report.into_program()?,
+            source: source.to_string(),
+            stdlib,
+            from_disk: false,
+            invocations: AtomicU64::new(0),
+            code: CompiledCode::new(opt_level),
+            full: OnceLock::new(),
+        });
         if let Some(disk) = &self.disk {
             // Persisting costs one eager bytecode compile (cheap next to
             // the type check we are saving the next process).
@@ -468,39 +461,16 @@ impl ProgramCache {
 /// The unit name a request's source is checked under.
 pub const REQUEST_NAME: &str = "request.genus";
 
-/// Which checker answered a cache miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckPath {
-    /// The request was checked against the shared [`CheckedBase`].
-    BaseExtend,
-    /// The request took the full check of prelude, stdlib and request.
-    FullCheck,
-}
-
 /// One checked compile of a request (prelude + optional stdlib + the
-/// request source), and the path that produced it. The shared
-/// [`CheckedBase`] answers when its reuse rule allows; otherwise — the
-/// request could change a stdlib verdict, or has any diagnostic — the
-/// full check runs in a fresh session seeded the way `genus run` seeds
-/// its own (the stdlib as always-visible units), so serve results and
-/// diagnostics match `genus run` byte for byte either way.
-///
-/// # Errors
-///
-/// The rendered error diagnostics of the full check.
-pub fn compile(source: &str, stdlib: bool) -> (Result<CheckedProgram, String>, CheckPath) {
-    if let Some(prog) = CheckedBase::get(stdlib).extend(REQUEST_NAME, source) {
-        return (Ok(prog), CheckPath::BaseExtend);
-    }
+/// request source) in a fresh session seeded the way `genus run` seeds its
+/// own, so serve results and diagnostics match `genus run` byte for byte;
+/// and whether its check extended the shared checked base.
+pub fn compile(source: &str, stdlib: bool) -> (CheckReport, bool) {
     let mut session = CompileSession::seeded(stdlib);
     session.update_source(REQUEST_NAME, source);
-    let mut report = session.into_report();
-    let result = if report.has_errors() {
-        Err(report.render_errors_short())
-    } else {
-        Ok(report.program.take().expect("no errors implies a program"))
-    };
-    (result, CheckPath::FullCheck)
+    session.check();
+    let extended = session.stats().prefix_extended > 0;
+    (session.into_report(), extended)
 }
 
 #[cfg(test)]

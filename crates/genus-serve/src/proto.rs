@@ -298,10 +298,11 @@ pub enum Outcome {
 /// responses, so stateless response lines keep their historical bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionReuse {
-    /// Prefix rebuilds that extended the session's snapshot of the
-    /// prelude and stdlib instead of rebuilding every unit's (0 or 1).
+    /// Prefix rebuilds that extended the shared checked prelude and
+    /// stdlib instead of rebuilding every unit's (0 or 1).
     pub extended: u64,
-    /// Unit verdicts reused (live or restored from the LRU) by this check.
+    /// Unit verdicts reused (live, restored from the LRU, or installed
+    /// from the shared base on a cold check) by this check.
     pub reused: u64,
     /// Units fully re-checked by this check.
     pub rechecked: u64,

@@ -243,7 +243,7 @@ mod tests {
     }
 
     #[test]
-    fn signature_edits_report_extending_the_stdlib_snapshot() {
+    fn every_prefix_build_reports_extending_the_shared_base() {
         let reg = SessionRegistry::new();
         let t = Instant::now();
         let check = |id: &str, source: &str| {
@@ -253,7 +253,7 @@ mod tests {
             assert_eq!(r.outcome, Outcome::Ok("checked".to_string()));
             r.reuse.expect("sessionful check carries counters")
         };
-        assert_eq!(check("c1", "int main() { return 1; }").extended, 0, "cold");
+        assert_eq!(check("c1", "int main() { return 1; }").extended, 1, "cold");
         assert_eq!(check("c2", "long main() { return 1; }").extended, 1);
         assert_eq!(
             check("c3", "long main() { return 2; }").extended,

@@ -1,19 +1,19 @@
-//! Parity of the cache-miss compile against the full check.
+//! Parity of the cache-miss compile against the unshared full build.
 //!
-//! A miss is answered by extending the shared checked stdlib base when the
-//! reuse rule allows, and by a fresh stdlib-seeded session otherwise — the
-//! view `genus run` has. For every
-//! sample, every error fixture in `docs/ERRORS.md`, every fuzz crash repro
-//! and a set of requests that must take the full path, this suite asserts
-//! which path the miss took and that it agrees with the full check:
-//! identical rendered diagnostics (human, short and json), and identical
-//! outcome, output and resource counters on the AST interpreter, the VM
-//! and Tier 2.
+//! A miss is a cold check in a fresh session seeded the way `genus run`
+//! seeds its own, which extends the shared checked stdlib base whenever
+//! the reuse rule allows. For every sample, every error fixture in
+//! `docs/ERRORS.md`, every fuzz crash repro and a set of requests that
+//! must take the full path, this suite asserts which path the miss took
+//! and that it agrees with the unshared full build
+//! ([`genus_check::check_unshared`]): identical rendered diagnostics
+//! (human, short and json), and identical outcome, output and resource
+//! counters on the AST interpreter, the VM and Tier 2.
 
-use genus_check::{CheckReport, CheckedProgram, Session};
+use genus_check::{CheckReport, CheckedProgram};
 use genus_common::ErrorFormat;
 use genus_interp::{with_interp_stack, Limits, ResourceStats, RuntimeError};
-use genus_serve::cache::{compile, CheckPath, REQUEST_NAME};
+use genus_serve::cache::{compile, REQUEST_NAME};
 use genus_vm::exec::{execute, Code};
 use genus_vm::{compile_optimized, compile_tier};
 use std::path::Path;
@@ -25,16 +25,10 @@ fn repo() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
 }
 
-/// The reference check: a fresh session seeded the way `genus run` seeds
-/// its own, with the stdlib as always-visible units.
+/// The reference check: the unshared full build, with the stdlib as
+/// always-visible units, as under `genus run`.
 fn full_check(src: &str, stdlib: bool) -> CheckReport {
-    let mut session = if stdlib {
-        Session::with_stdlib()
-    } else {
-        Session::new()
-    };
-    session.update_source(REQUEST_NAME, src);
-    session.into_report()
+    genus_check::check_unshared(stdlib, &[(REQUEST_NAME, src)])
 }
 
 /// What one engine run shows: value or trap, printed output, counters.
@@ -62,37 +56,30 @@ fn run_all(prog: &CheckedProgram) -> [Run; 3] {
     ]
 }
 
-/// Compiles `src` through the miss path and the full check, asserts they
-/// agree, and returns the path the miss took.
-fn parity(label: &str, src: &str, stdlib: bool) -> CheckPath {
-    let (miss, path) = compile(src, stdlib);
+/// Compiles `src` through the miss path and the full build, asserts they
+/// agree, and returns whether the miss extended the base.
+fn parity(label: &str, src: &str, stdlib: bool) -> bool {
+    let (miss, extended) = compile(src, stdlib);
     let full = full_check(src, stdlib);
-    match path {
-        // The extension answers only clean requests, so the full check
-        // must render nothing in any format.
-        CheckPath::BaseExtend => {
-            for format in FORMATS {
-                assert_eq!(full.render(format), "", "{label}: {format:?}");
-            }
-        }
-        CheckPath::FullCheck => {
-            if let Err(e) = &miss {
-                assert_eq!(e, &full.render_errors_short(), "{label}");
-            }
-        }
+    for format in FORMATS {
+        assert_eq!(
+            miss.render(format),
+            full.render(format),
+            "{label}: {format:?}"
+        );
     }
-    match (&miss, &full.program) {
-        (Ok(prog), Some(reference)) => {
+    match (&miss.program, &full.program) {
+        (Some(prog), Some(reference)) => {
             let got = run_all(prog);
             let want = run_all(reference);
             for (engine, (g, w)) in ["ast", "vm", "jit"].iter().zip(got.iter().zip(&want)) {
                 assert_eq!(g, w, "{label}: {engine} run differs");
             }
         }
-        (Err(_), None) => {}
-        _ => panic!("{label}: the miss path and the full check disagree on acceptance"),
+        (None, None) => {}
+        _ => panic!("{label}: the miss path and the full build disagree on acceptance"),
     }
-    path
+    extended
 }
 
 /// The ```genus blocks of `docs/ERRORS.md`, each under its heading.
@@ -138,7 +125,7 @@ fn genus_files(dir: &str) -> Vec<(String, String)> {
 #[test]
 fn samples_match_the_full_check_on_the_expected_path() {
     // Samples that declare a model for a prelude or stdlib constraint
-    // could change a stdlib verdict, so they take the full check.
+    // could change a stdlib verdict, so they take the full build.
     let full_path = [
         "ci_word_count.genus",
         "comparator_sort.genus",
@@ -147,11 +134,7 @@ fn samples_match_the_full_check_on_the_expected_path() {
     let samples = genus_files("samples");
     assert!(samples.len() >= 7);
     for (name, src) in &samples {
-        let want = if full_path.contains(&name.as_str()) {
-            CheckPath::FullCheck
-        } else {
-            CheckPath::BaseExtend
-        };
+        let want = !full_path.contains(&name.as_str());
         assert_eq!(parity(name, src, true), want, "{name}");
         // Without the stdlib the prelude-only base answers or declines.
         parity(name, src, false);
@@ -160,22 +143,26 @@ fn samples_match_the_full_check_on_the_expected_path() {
 
 #[test]
 fn error_fixtures_match_the_full_check() {
-    let mut extended = 0;
+    let (mut clean_extended, mut diag_extended) = (0, 0);
     for (heading, src) in error_fixtures().iter().chain(&genus_files("fuzz/crashes")) {
-        let path = parity(heading, src, true);
+        let extended = parity(heading, src, true);
         let clean = full_check(src, true).diags.is_empty();
-        // Every fixture with a diagnostic takes the full path; the clean
-        // ones (the runtime traps) extend the base unless they declare
-        // something the reuse rule sends to the full check.
-        if !clean {
-            assert_eq!(path, CheckPath::FullCheck, "{heading}");
-        } else if path == CheckPath::BaseExtend {
-            extended += 1;
+        // Fixtures extend the base unless they declare something the
+        // reuse rule sends to the full build, or do not parse; their
+        // body diagnostics are the session's own.
+        match (extended, clean) {
+            (true, true) => clean_extended += 1,
+            (true, false) => diag_extended += 1,
+            _ => {}
         }
     }
     assert!(
-        extended >= 5,
-        "only {extended} trap fixtures extended the base"
+        clean_extended >= 5,
+        "only {clean_extended} trap fixtures extended the base"
+    );
+    assert!(
+        diag_extended >= 5,
+        "only {diag_extended} diagnostic fixtures extended the base"
     );
 }
 
@@ -186,11 +173,13 @@ fn requests_that_could_change_the_stdlib_take_the_full_path() {
     let import_graph = "import graph;\n\
                         int main() { ArrayList[int] l = new ArrayList[int](); l.add(21); \
                         return l.get(0) * 2; }";
-    // (label, source, whether the full check accepts it)
+    // (label, source, whether the miss extends the base, whether the full
+    // build accepts it)
     let cases = [
         (
             "import of a module the body does not use",
             import_graph,
+            true,
             true,
         ),
         (
@@ -203,6 +192,7 @@ fn requests_that_could_change_the_stdlib_take_the_full_path() {
              use KCmp;\n\
              int main() { TreeSet[K] s = new TreeSet[K](); s.add(new K(2)); s.add(new K(1)); \
              return s.first().v; }",
+            false,
             true,
         ),
         (
@@ -210,17 +200,25 @@ fn requests_that_could_change_the_stdlib_take_the_full_path() {
             "class Sq extends Shape { Sq() { kind = \"sq\"; } }\n\
              enrich ShapeIntersect { Shape Sq.intersect(Shape s) { return this; } }\n\
              int main() { println(new Sq()); return 0; }",
+            false,
             true,
         ),
         (
             "class named like a stdlib class",
             "class ArrayList { ArrayList() { } }\nint main() { return 0; }",
             false,
+            false,
         ),
-        ("body type error", "int main() { return \"no\"; }", false),
+        (
+            "body type error",
+            "int main() { return \"no\"; }",
+            true,
+            false,
+        ),
         (
             "overload of a stdlib global",
             "int sortList(int x, int y) { return x + y; }\nint main() { return sortList(4, 5); }",
+            false,
             true,
         ),
         (
@@ -228,10 +226,11 @@ fn requests_that_could_change_the_stdlib_take_the_full_path() {
             "import collections;\n\
              int main() { ArrayList[int] l = new ArrayList[int](); return l.size(); }",
             true,
+            true,
         ),
     ];
-    for (label, src, accepted) in cases {
-        assert_eq!(parity(label, src, true), CheckPath::FullCheck, "{label}");
+    for (label, src, extends, accepted) in cases {
+        assert_eq!(parity(label, src, true), extends, "{label}");
         let full = full_check(src, true);
         assert_eq!(
             full.program.is_some(),
@@ -241,8 +240,8 @@ fn requests_that_could_change_the_stdlib_take_the_full_path() {
         );
     }
     // The import request runs to `genus run`'s value on every engine.
-    let (prog, _) = compile(import_graph, true);
-    for (engine, (outcome, _, _)) in ["ast", "vm", "jit"].iter().zip(run_all(&prog.unwrap())) {
+    let prog = compile(import_graph, true).0.into_program().unwrap();
+    for (engine, (outcome, _, _)) in ["ast", "vm", "jit"].iter().zip(run_all(&prog)) {
         assert_eq!(outcome, Ok("42".to_string()), "{engine}");
     }
     // A request-local constraint with its own model extends the base.
@@ -256,5 +255,5 @@ fn requests_that_could_change_the_stdlib_take_the_full_path() {
                  }\n\
                  int main() { ArrayList[Job] l = new ArrayList[Job](); l.add(new Job(3)); l.add(new Job(9)); \
                  println(\"best \" + best(l)); return best(l); }";
-    assert_eq!(parity("local model", local, true), CheckPath::BaseExtend);
+    assert!(parity("local model", local, true));
 }

@@ -450,10 +450,11 @@ fn metrics_action_reports_counters_and_histogram() {
     server.shutdown();
 }
 
-/// Every in-process compile is counted on exactly one miss path: a clean
-/// request extends the shared stdlib base; a request that declares a
-/// model for a prelude constraint, or fails to check, takes the full
-/// check. Hits count on neither. The `metrics` action reports both.
+/// Every in-process compile is counted on exactly one miss path: a
+/// request extends the shared stdlib base, body errors included, unless
+/// it declares something that could change a stdlib verdict (here a
+/// model for a prelude constraint), which takes the full build. Hits
+/// count on neither. The `metrics` action reports both.
 #[test]
 fn miss_paths_are_counted_and_reported() {
     let server = server(2);
@@ -482,15 +483,15 @@ fn miss_paths_are_counted_and_reported() {
     assert!(matches!(out[3].outcome, Outcome::Error(_)));
     let s = server.cache_stats();
     assert_eq!((s.misses, s.hits), (3, 1));
-    assert_eq!((s.base_extends, s.full_checks), (1, 2));
+    assert_eq!((s.base_extends, s.full_checks), (2, 1));
     assert_eq!(s.compiles, s.base_extends + s.full_checks);
     let m = genus_common::json::parse(&server.metrics_json()).expect("metrics JSON");
     let cache = m.get("cache").expect("cache section");
     assert_eq!(
         cache.get("base_extends").and_then(|v| v.as_num()),
-        Some(1.0)
+        Some(2.0)
     );
-    assert_eq!(cache.get("full_checks").and_then(|v| v.as_num()), Some(2.0));
+    assert_eq!(cache.get("full_checks").and_then(|v| v.as_num()), Some(1.0));
     server.shutdown();
 }
 
@@ -817,7 +818,7 @@ fn reply_bytes_are_pinned_for_every_kind_of_request() {
 /// one line per request, in request order.
 const WIRE_REPLIES: &str = r#"{"id":"","outcome":"error","message":"bad request: invalid literal at byte 0","output":"","fuel_used":0,"mem_used":0,"live_bytes":0,"peak_bytes":0,"collections":0,"cache":"miss","ms":0,"engine":"vm"}
 {"id":"auto-err","outcome":"error","message":"request.genus:1:21: error[E0501]: type mismatch: expected `int`, found `null`\nrequest.genus:1:21: error[E0502]: unknown variable `nope`","output":"","fuel_used":0,"mem_used":0,"live_bytes":0,"peak_bytes":0,"collections":0,"cache":"miss","ms":0,"engine":"auto"}
-{"id":"s-err","outcome":"error","message":"main.genus:1:21: error[E0501]: type mismatch: expected `int`, found `null`\nmain.genus:1:21: error[E0502]: unknown variable `nope`","output":"","fuel_used":0,"mem_used":0,"live_bytes":0,"peak_bytes":0,"collections":0,"cache":"miss","ms":0,"engine":"vm","extended":0,"reused":0,"rechecked":2}
+{"id":"s-err","outcome":"error","message":"main.genus:1:21: error[E0501]: type mismatch: expected `int`, found `null`\nmain.genus:1:21: error[E0502]: unknown variable `nope`","output":"","fuel_used":0,"mem_used":0,"live_bytes":0,"peak_bytes":0,"collections":0,"cache":"miss","ms":0,"engine":"vm","extended":1,"reused":1,"rechecked":1}
 {"id":"s-up","outcome":"ok","value":"updated","output":"","fuel_used":0,"mem_used":0,"live_bytes":0,"peak_bytes":0,"collections":0,"cache":"miss","ms":0,"engine":"vm"}
 {"id":"s-ast","outcome":"ok","value":"42","output":"hi\n","fuel_used":7,"mem_used":0,"live_bytes":0,"peak_bytes":0,"collections":0,"cache":"miss","ms":0,"engine":"ast","extended":0,"reused":1,"rechecked":1}
 {"id":"s-vm","outcome":"ok","value":"42","output":"hi\n","fuel_used":7,"mem_used":0,"live_bytes":0,"peak_bytes":0,"collections":0,"cache":"miss","ms":0,"engine":"vm","extended":0,"reused":2,"rechecked":0}

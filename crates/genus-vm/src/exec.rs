@@ -307,10 +307,9 @@ impl fmt::Debug for CompiledCode {
 /// It wraps the demand-driven [`genus_check::Session`] with two things:
 ///
 /// 1. **Stdlib seeding.** [`CompileSession::with_stdlib`] registers the
-///    standard library's units as always-visible modules whose parse
-///    trees come from a process-wide memo
-///    ([`genus_check::incremental::stdlib_parses`]), so repeated one-shot
-///    checks stop re-parsing the stdlib.
+///    standard library's units as always-visible modules whose source
+///    map and parse trees come from a process-wide seed, so repeated
+///    one-shot checks stop re-parsing the stdlib.
 /// 2. **Compiled code per generation.** The session's *generation*
 ///    changes whenever a re-check may have changed the checked program;
 ///    the session keeps one [`CompiledCode`] for the current generation
@@ -354,21 +353,22 @@ impl CompileSession {
     /// A session containing only the built-in prelude.
     #[must_use]
     pub fn new() -> Self {
-        CompileSession {
-            inner: Session::new(),
-            opt_level: 2,
-            code: None,
-            lowerings_reused: 0,
-        }
+        CompileSession::wrap(Session::new())
     }
 
     /// A session pre-loaded with the standard library as always-visible
     /// modules, their parses seeded from the process-wide memo.
     #[must_use]
     pub fn with_stdlib() -> Self {
+        CompileSession::wrap(Session::with_stdlib())
+    }
+
+    fn wrap(inner: Session) -> Self {
         CompileSession {
-            inner: Session::with_stdlib(),
-            ..CompileSession::new()
+            inner,
+            opt_level: 2,
+            code: None,
+            lowerings_reused: 0,
         }
     }
 
@@ -528,6 +528,24 @@ mod tests {
           println(\"sum \" + s);
           return s;
         }";
+
+    #[test]
+    fn a_cold_stdlib_check_shares_the_checked_and_lowered_base() {
+        let cold = |src: &str| {
+            let mut session = CompileSession::with_stdlib();
+            session.update_source("main.genus", src);
+            session.check();
+            assert_eq!(session.stats().units_rechecked, 1, "only the unit checks");
+            session.into_report().program.expect("checks")
+        };
+        let stamp = genus_check::CheckedBase::get(true).stamp;
+        assert!(stamp.is_some());
+        let first = cold("int main() { return 1; }");
+        let prog = cold(SRC);
+        assert_eq!((first.base, prog.base), (stamp, stamp));
+        let _ = crate::compile_program(&first);
+        assert!(crate::compile_program(&prog).funcs_reused > 0);
+    }
 
     #[test]
     fn engines_agree_and_report_their_own_counters() {

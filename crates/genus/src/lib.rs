@@ -135,8 +135,9 @@ impl Compiler {
     /// spans, plus the checked program when there were no errors.
     ///
     /// One-shot checks are a cold pass of the incremental session
-    /// machinery, seeded with the process-wide stdlib parse memo, so
-    /// repeated `check_report` calls re-parse only the user sources.
+    /// machinery, which extends the process-wide checked prelude and stdlib
+    /// ([`genus_check::CheckedBase`]) when the reuse rule allows, so
+    /// repeated `check_report` calls parse and check only the user sources.
     pub fn check_report(&self) -> CheckReport {
         self.session().into_report()
     }
@@ -159,11 +160,7 @@ impl Compiler {
     ///
     /// Returns the short-format diagnostics on any parse or type error.
     pub fn compile(&self) -> Result<CheckedProgram, String> {
-        let mut report = self.check_report();
-        if report.has_errors() {
-            return Err(report.render_errors_short());
-        }
-        Ok(report.program.take().expect("no errors implies a program"))
+        self.check_report().into_program()
     }
 
     /// Compiles and runs `main()` on the selected engine, returning the

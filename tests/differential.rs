@@ -580,9 +580,9 @@ fn lowered_bytes(code: &genus_repro::VmProgram) -> Vec<u8> {
 /// A lowering that copies the prelude and stdlib from the lowered-base
 /// cache equals a cold lowering in the same order, byte for byte, for
 /// every sample, every Table 1 cell program and generated programs of
-/// both fuzz grammars, on both paths that stamp a program's base: a
-/// stdlib `CompileSession` and an extension of the checked stdlib base
-/// (serve's miss path). The second `compile_program` of a program finds
+/// both fuzz grammars, checked by a cold stdlib `CompileSession` (serve's
+/// miss path), whose program carries the shared base's stamp unless the
+/// reuse rule declined. The second `compile_program` of a program finds
 /// the base its first one cached (the cache is shared with the other
 /// tests of this binary, so a rare eviction in between only makes it
 /// lower cold again; `tests/lowered_base.rs` counts reuse exactly).
@@ -604,20 +604,16 @@ fn lowering_from_the_base_cache_equals_a_cold_lowering() {
         let src = genus_fuzz::gen::generate_with_inheritance(seed);
         programs.push((format!("fuzz inheritance {seed}"), src));
     }
-    let base = genus_check::CheckedBase::get(true);
     for (name, src) in &programs {
         let mut session = CompileSession::with_stdlib();
         session.update_source("main.genus", src);
         assert!(!session.check().has_errors(), "{name}");
-        let extended = base.extend("main.genus", src);
-        let stamped = [session.program(), extended.as_ref()];
-        for prog in stamped.into_iter().flatten() {
-            assert!(prog.base.is_some(), "{name}");
-            let cold = lowered_bytes(&genus_repro::compile_program_uncached(prog));
-            for _ in 0..2 {
-                let code = genus_repro::compile_program(prog);
-                assert_eq!(lowered_bytes(&code), cold, "{name}");
-            }
+        let prog = session.program().expect("checks");
+        assert!(prog.base.is_some(), "{name}");
+        let cold = lowered_bytes(&genus_repro::compile_program_uncached(prog));
+        for _ in 0..2 {
+            let code = genus_repro::compile_program(prog);
+            assert_eq!(lowered_bytes(&code), cold, "{name}");
         }
     }
 }

@@ -3,7 +3,8 @@
 //! verdict-LRU eviction accounting, and parity between warm re-checks
 //! and from-scratch one-shot checks.
 
-use genus_repro::{CompileSession, Compiler, Engine, Limits, Severity};
+use genus_repro::{CompileSession, Engine, Limits, Severity};
+use genus_vm::exec::{execute, CompiledCode};
 
 /// Four closed modules in two independent import pairs:
 /// `base <-> dep` and `sib <-> sib2`. Mutual imports keep every unit
@@ -101,8 +102,9 @@ fn warm_recheck_diagnostics_match_one_shot() {
     s.check();
     s.update_source("main.genus", v2);
     let warm = s.check();
-    let scratch = Compiler::new().with_stdlib().source("main.genus", v2);
-    let report = scratch.check_report();
+    // From scratch: the unshared full build, not a cold session (which
+    // would extend the same shared base the warm session does).
+    let report = genus_check::check_unshared(true, &[("main.genus", v2)]);
     assert_eq!(
         warm.diags, report.diags,
         "warm == from-scratch, byte for byte"
@@ -207,24 +209,35 @@ fn stdlib_project() -> CompileSession {
 }
 
 /// Asserts the session's last check and a VM run of its program agree
-/// with a cold `Compiler::with_stdlib()` over the same sources.
+/// with the unshared full build of the same sources, which checks the
+/// prelude and stdlib from scratch instead of extending the shared base.
 fn assert_matches_cold(s: &mut CompileSession, sources: &[(&str, &str)]) {
-    let mut cold = Compiler::new().with_stdlib().engine(Engine::Vm);
-    for (name, src) in sources {
-        cold = cold.source(*name, *src);
-    }
-    assert_eq!(s.last_diags(), cold.check_report().diags.as_slice());
-    assert_eq!(s.run(Engine::Vm, Limits::default()), cold.run());
+    let cold = genus_check::check_unshared(true, sources);
+    assert_eq!(s.last_diags(), cold.diags.as_slice());
+    let cold_run = cold.into_program().and_then(|prog| {
+        let code = CompiledCode::new(2);
+        execute(&prog, code.code(&prog, Engine::Vm).0, Limits::default()).finish()
+    });
+    assert_eq!(s.run(Engine::Vm, Limits::default()), cold_run);
 }
 
 #[test]
 fn signature_edit_extends_the_stdlib_snapshot() {
     let mut s = stdlib_project();
-    assert_eq!(s.stats().prefix_extended, 0, "a cold check never extends");
+    // The cold check extends the shared checked prelude and stdlib, and
+    // installs their verdicts instead of re-checking them.
+    let cold = s.stats();
+    assert_eq!(
+        (
+            cold.prefix_extended,
+            cold.units_reused,
+            cold.units_rechecked
+        ),
+        (1, 5, 3)
+    );
     // Each signature edit of `geom` rebuilds the prefix by extending the
-    // snapshot of the prelude and stdlib. The first takes the snapshot;
-    // its type variables are numbered apart from the cold full build's,
-    // so the base verdicts re-check once.
+    // shared base again, so the base verdicts are restored, never
+    // re-checked.
     for (k, norm) in ["long", "double", "long"].into_iter().enumerate() {
         let before = s.stats();
         let src = geom(norm);
@@ -236,10 +249,9 @@ fn signature_edit_extends_the_stdlib_snapshot() {
         let rechecked = after.units_rechecked - before.units_rechecked;
         let restored = after.units_restored - before.units_restored;
         match k {
-            0 => assert_eq!(rechecked, 8, "{after:?}"),
             // geom and the two units that import it re-check; the prelude
             // and the four stdlib units are restored, not re-checked.
-            1 => assert_eq!((rechecked, restored), (3, 5), "{after:?}"),
+            0 | 1 => assert_eq!((rechecked, restored), (3, 5), "{after:?}"),
             // Reverting to the first edit's text restores every unit.
             _ => assert_eq!((rechecked, restored), (0, 8), "{after:?}"),
         }

@@ -1023,7 +1023,7 @@ proptest! {
         pos in 0usize..10_000,
         lit in 0u8..100,
     ) {
-        use genus_repro::{CompileSession, Compiler, Engine, Limits};
+        use genus_repro::{CompileSession, Engine, Limits};
         let (name, base) = SAMPLES[sample];
         let edited = random_edit(base, kind, pos, lit);
 
@@ -1037,11 +1037,10 @@ proptest! {
         let warm = session.check();
         let stats_after = session.stats();
 
-        // From scratch over the same edited text.
-        let scratch = Compiler::new()
-            .with_stdlib()
-            .source(name, edited.as_str())
-            .check_report();
+        // From scratch over the same edited text: the unshared full
+        // build, which checks the prelude and stdlib itself instead of
+        // extending the shared base the session extends.
+        let scratch = genus_check::check_unshared(true, &[(name, edited.as_str())]);
         prop_assert_eq!(&warm.diags, &scratch.diags);
 
         // Anti-vacuity: the re-check must have actually reused verdicts
@@ -1068,12 +1067,10 @@ proptest! {
         if !warm.has_errors() {
             let limits = Limits { fuel: Some(2_000_000), ..Limits::default() };
             let warm_run = session.run(Engine::Vm, limits);
-            let scratch_run = Compiler::new()
-                .with_stdlib()
-                .engine(Engine::Vm)
-                .limits(limits)
-                .source(name, edited.as_str())
-                .run();
+            let prog = scratch.program.as_ref().expect("no errors, as warm");
+            let code = genus_vm::exec::CompiledCode::new(2);
+            let scratch_run =
+                genus_vm::exec::execute(prog, code.code(prog, Engine::Vm).0, limits).finish();
             prop_assert_eq!(warm_run, scratch_run);
         }
     }
